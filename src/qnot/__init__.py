@@ -17,6 +17,7 @@ from .errors import (
     InvalidState,
     LinearlyDependent,
     LinearlyDependentPair,
+    MachineMismatch,
     NoFeasiblePoint,
     NotHermitian,
     NotPSD,
@@ -86,7 +87,8 @@ __all__ = [
     "gamma_max_triple", "grid_oracle_triple", "search_gamma",
     "standard_probe",
     "QnotError", "NotSquare", "NotHermitian", "NotPSD", "GramMismatch",
-    "DimensionMismatch", "WrongDimension", "InvalidState", "ZeroOverlap",
+    "DimensionMismatch", "MachineMismatch", "WrongDimension", "InvalidState",
+    "ZeroOverlap",
     "InvalidProbeGram", "LinearlyDependentPair", "LinearlyDependent",
     "InfeasibleGamma", "InvalidProbe", "ZeroSuccess",
     "DegenerateDeterminant", "NoFeasiblePoint",

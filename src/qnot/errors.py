@@ -36,6 +36,10 @@ class DimensionMismatch(QnotError):
     """Vectors or operators of incompatible dimensions were combined."""
 
 
+class MachineMismatch(QnotError):
+    """Machine design data (efficiencies, target map) does not fit the set."""
+
+
 class WrongDimension(QnotError):
     """State dimension is not allowed for the requested target map."""
 

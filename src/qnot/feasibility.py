@@ -32,7 +32,7 @@ from .errors import (
     WrongDimension,
     ZeroOverlap,
 )
-from .linalg import is_psd, unitary_completion
+from .linalg import smallest_eigenvalue, unitary_completion
 from .states import GramMatrix, QuditState, StateSet, gram, orthogonal_complement
 
 IMAG_TOL = 1e-9
@@ -168,21 +168,21 @@ def check_exact_with_probe(state_set: StateSet,
     witness probe phases are ``phi_j = 2 theta_1j`` (mod ``2 pi``).
     """
     gm = gram(state_set)
-    n = gm.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if gm.magnitudes[i, j] < 1e-12:
-                raise ZeroOverlap(i, j)
+    zero = np.argwhere(np.triu(gm.magnitudes < 1e-12, k=1))
+    if zero.size:
+        raise ZeroOverlap(int(zero[0, 0]), int(zero[0, 1]))
     th = gm.phases
     worst = 0.0
     worst_idx = None
-    for l in range(n):
-        for i in range(n):
-            for j in range(n):
-                r = abs(np.sin(th[l, j] - th[l, i] - th[i, j]))
-                if r > worst:
-                    worst = r
-                    worst_idx = [i, j, l]
+    # one n x n slab per l keeps temporaries O(n^2); ties keep the first
+    # triple in (l, i, j) order
+    for l, row in enumerate(th):
+        r = np.abs(np.sin(row[None, :] - row[:, None] - th))
+        k = int(np.argmax(r))
+        if r.flat[k] > worst:
+            worst = float(r.flat[k])
+            i, j = divmod(k, r.shape[1])
+            worst_idx = [i, j, l]
     witness = ProbeSpec.phase_vector(np.mod(2.0 * th[0, :], 2.0 * np.pi))
     if worst <= tol:
         return FeasibilityVerdict(True, witness=witness)
@@ -196,9 +196,7 @@ def build_exact_unitary(state_set: StateSet) -> np.ndarray:
     Propagates :class:`GramMismatch` when the Gram matrix is not real,
     i.e. when :func:`check_exact_unitary` is infeasible.
     """
-    ins = [s.amps for s in state_set]
-    outs = [t.amps for t in state_set.targets()]
-    return unitary_completion(ins, outs)
+    return unitary_completion(state_set.matrix().T, state_set.target_matrix().T)
 
 
 def build_probe_unitary(state_set: StateSet, probe: ProbeSpec) -> np.ndarray:
@@ -214,11 +212,14 @@ def build_probe_unitary(state_set: StateSet, probe: ProbeSpec) -> np.ndarray:
     n = len(state_set)
     if phases.size != n:
         raise InvalidProbe(f"probe has {phases.size} phases for {n} states")
-    e0 = np.array([1.0, 0.0])
-    ins = [np.kron(s.amps, e0) for s in state_set]
-    outs = [np.exp(1j * phases[k]) * np.kron(t.amps, e0)
-            for k, t in enumerate(state_set.targets())]
-    return unitary_completion(ins, outs)
+    # (system, probe, member) arrays, probe in |0>; rows of the flattened
+    # transpose are the system-major joint vectors
+    d = state_set.dim
+    ins = np.zeros((d, 2, n), complex)
+    ins[:, 0, :] = state_set.matrix()
+    outs = np.zeros((d, 2, n), complex)
+    outs[:, 0, :] = state_set.target_matrix() * np.exp(1j * phases)
+    return unitary_completion(ins.reshape(2 * d, n).T, outs.reshape(2 * d, n).T)
 
 
 def constraint_matrix(gram_matrix: GramMatrix | np.ndarray, gammas,
@@ -234,15 +235,25 @@ def constraint_matrix(gram_matrix: GramMatrix | np.ndarray, gammas,
     p = probe.gram_matrix()
     if p.shape != g.shape:
         raise InvalidProbe(f"probe Gram shape {p.shape} does not match {g.shape}")
-    sq = eff.sqrt_diag()
-    return g - sq @ (np.conj(g) * p) @ sq
+    return scaled_constraint(g, np.conj(g) * p, eff.gammas)
+
+
+def scaled_constraint(g: np.ndarray, k: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """``G - sqrt(Gamma) K sqrt(Gamma)`` for ``K = conj(G) * P``, unvalidated.
+
+    The arithmetic of :func:`constraint_matrix`, shared with the efficiency
+    searches so a point they accept yields the same matrix bit for bit when
+    :func:`qnot.synthesis.synthesize_with` rebuilds it.
+    """
+    sq = np.diag(np.sqrt(gammas))
+    return g - sq @ k @ sq
 
 
 def check_probabilistic(state_set: StateSet, gammas, probe: ProbeSpec,
                         tol: float = PSD_TOL) -> FeasibilityVerdict:
     """Probabilistic machine with efficiencies ``gamma_i`` and given probe."""
     m = constraint_matrix(gram(state_set), gammas, probe)
-    lam_min = float(np.linalg.eigvalsh(m).min())
+    lam_min = smallest_eigenvalue(m)
     if lam_min >= -tol:
         return FeasibilityVerdict(True, witness=probe, lambda_min=lam_min)
     return FeasibilityVerdict(
@@ -285,13 +296,3 @@ def solve_dependent_triple(s1: QuditState, s2: QuditState, s3: QuditState,
         return None
     gamma3 = min(float(abs(lam) ** 2), 1.0)
     return gamma3, float(np.angle(lam))
-
-
-def feasible_gamma_region_empty(state_set: StateSet, probe: ProbeSpec,
-                                tol: float = PSD_TOL) -> bool:
-    """True when not even vanishing efficiencies are feasible (never, for
-    genuine state sets: the constraint matrix tends to the PSD Gram)."""
-    eps = 1e-12
-    verdict = check_probabilistic(state_set, np.full(len(state_set), eps),
-                                  probe, tol)
-    return not verdict.feasible

@@ -3,7 +3,13 @@
 Thin wrappers around numpy's eigensolvers plus the unitary-completion
 routine that the machine constructions are built on: two tuples of vectors
 with identical Gram matrices are related by a unitary, and
-:func:`unitary_completion` produces one explicitly.
+:func:`unitary_completion` produces one explicitly.  It completes only
+inside the joint span of the two families, so for ``k`` independent
+``D``-dimensional vectors it costs ``O(D^2 k)``.
+
+Every PSD decision (:func:`is_psd`, :func:`psd_sqrt` and the feasibility
+and search code) compares :func:`smallest_eigenvalue` against ``-tol``, so a
+matrix one of them accepts is accepted by all of them.
 """
 from __future__ import annotations
 
@@ -60,24 +66,31 @@ def herm_eig(m) -> HermEig:
     return HermEig(vals, vecs)
 
 
+def smallest_eigenvalue(m: np.ndarray) -> float:
+    """Smallest eigenvalue of a Hermitian matrix (0 for an empty one).
+
+    The one PSD test: a matrix is accepted when this is at least ``-tol``.
+    """
+    return float(np.linalg.eigvalsh(m).min()) if m.size else 0.0
+
+
 def is_psd(m, tol: float = PSD_TOL) -> bool:
     """True when the Hermitian matrix has no eigenvalue below ``-tol``."""
     m = _require_hermitian(_as_complex_matrix(m))
-    if m.size == 0:
-        return True
-    return float(np.linalg.eigvalsh(m).min()) >= -tol
+    return smallest_eigenvalue(m) >= -tol
 
 
 def psd_sqrt(m, tol: float = 1e-10) -> np.ndarray:
     """Hermitian square root of a positive-semidefinite matrix.
 
-    Eigenvalues in ``[-tol, 0)`` are clamped to zero; anything below
-    ``-tol`` raises :class:`NotPSD`.
+    A matrix that fails the PSD test at ``tol`` raises :class:`NotPSD`;
+    otherwise eigenvalues below zero are clamped to zero.
     """
-    dec = herm_eig(m)
-    lam_min = float(dec.eigenvalues.min()) if dec.eigenvalues.size else 0.0
+    m = _require_hermitian(_as_complex_matrix(m))
+    lam_min = smallest_eigenvalue(m)
     if lam_min < -tol:
         raise NotPSD(f"smallest eigenvalue {lam_min:.3e} is below -{tol:.1e}")
+    dec = herm_eig(m)
     clipped = np.clip(dec.eigenvalues, 0.0, None)
     v = dec.eigenvectors
     return v @ np.diag(np.sqrt(clipped)) @ v.conj().T
@@ -92,29 +105,29 @@ def _orthonormalize_pair(xs: np.ndarray, ys: np.ndarray, tol: float):
     """Pivoted Gram-Schmidt run on ``xs`` with the pivot order replayed on ``ys``.
 
     Returns orthonormal bases (as column stacks) for the spans of the two
-    vector families.  Residual columns with norm at or below ``tol`` are
-    dropped; because the Gram matrices agree, the same columns drop on both
-    sides.
+    vector families.  Each pivot is the remaining column of largest
+    residual norm (the lowest index among ties); its projection is then
+    removed from every column of both families at once.  Residual columns
+    with norm at or below ``tol`` are dropped; because the Gram matrices
+    agree, the same columns drop on both sides.
     """
-    dim, n = xs.shape
-    a_cols: list[np.ndarray] = []
-    b_cols: list[np.ndarray] = []
-    rx = xs.astype(complex).copy()
-    ry = ys.astype(complex).copy()
-    remaining = list(range(n))
-    while remaining:
-        norms = [np.linalg.norm(rx[:, j]) for j in remaining]
-        k = int(np.argmax(norms))
-        if norms[k] <= tol:
+    rx = xs.astype(complex)
+    ry = ys.astype(complex)
+    remaining = np.ones(xs.shape[1], dtype=bool)
+    a_cols, b_cols = [], []
+    while remaining.any():
+        norms = np.where(remaining, np.linalg.norm(rx, axis=0), -1.0)
+        j = int(np.argmax(norms))
+        if norms[j] <= tol:
             break
-        j = remaining.pop(k)
-        a = rx[:, j] / np.linalg.norm(rx[:, j])
+        remaining[j] = False
+        a = rx[:, j] / norms[j]
         b = ry[:, j] / np.linalg.norm(ry[:, j])
         a_cols.append(a)
         b_cols.append(b)
-        for i in remaining:
-            rx[:, i] -= a * (a.conj() @ rx[:, i])
-            ry[:, i] -= b * (b.conj() @ ry[:, i])
+        rx -= np.outer(a, a.conj() @ rx)
+        ry -= np.outer(b, b.conj() @ ry)
+    dim = xs.shape[0]
     a_basis = np.stack(a_cols, axis=1) if a_cols else np.zeros((dim, 0), complex)
     b_basis = np.stack(b_cols, axis=1) if b_cols else np.zeros((dim, 0), complex)
     return a_basis, b_basis
@@ -138,12 +151,23 @@ def unitary_completion(inputs, outputs, gram_tol: float = GRAM_TOL,
                        rank_tol: float = RANK_TOL) -> np.ndarray:
     """Unitary ``U`` with ``U @ inputs[i] == outputs[i]`` for every pair.
 
+    Pivoted Gram-Schmidt gives orthonormal bases ``A`` and ``B`` of the two
+    spans with ``B = U A``.  The completion only acts inside the joint span:
+    with ``Q`` an orthonormal basis of ``[A B]`` (thin QR, ``m <= 2k``
+    columns for rank ``k``), a small unitary ``R`` on ``Q``'s coordinates
+    maps ``Q^dag A`` to ``Q^dag B``, and ``U = I + Q (R - I) Q^dag`` is the
+    identity on the orthogonal complement.  For ``D``-dimensional vectors
+    the cost is ``O(D^2 k)`` rather than the ``O(D^3)`` of completing both
+    bases of the full space.
+
     Parameters
     ----------
-    inputs, outputs : sequences of equal-length complex vectors whose Gram
-        matrices agree entrywise within ``gram_tol``.  The families may be
-        linearly dependent; rank is detected with pivoted Gram-Schmidt and
-        residual tolerance ``rank_tol``.
+    inputs, outputs : sequences of equal-length complex vectors (or 2-D
+        arrays whose rows are the vectors) whose Gram matrices agree
+        entrywise within ``gram_tol``.  The families may be linearly
+        dependent, and may hold more vectors than their dimension; rank is
+        detected with pivoted Gram-Schmidt and residual tolerance
+        ``rank_tol``.
 
     Raises
     ------
@@ -171,6 +195,11 @@ def unitary_completion(inputs, outputs, gram_tol: float = GRAM_TOL,
         i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
         raise GramMismatch(int(i), int(j), float(dev[i, j]))
     a_basis, b_basis = _orthonormalize_pair(x_mat, y_mat, rank_tol)
-    a_full = _extend_to_unitary(a_basis)
-    b_full = _extend_to_unitary(b_basis)
-    return b_full @ a_full.conj().T
+    q = np.linalg.qr(np.concatenate([a_basis, b_basis], axis=1))[0]
+    qh = q.conj().T
+    r = (_extend_to_unitary(qh @ b_basis)
+         @ _extend_to_unitary(qh @ a_basis).conj().T)
+    r[np.diag_indices_from(r)] -= 1.0
+    u = (q @ r) @ qh
+    u[np.diag_indices_from(u)] += 1.0
+    return u

@@ -29,7 +29,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateDeterminant, NoFeasiblePoint, NotPSD
-from .feasibility import ProbeSpec, constraint_matrix
+from .feasibility import ProbeSpec, scaled_constraint
+from .linalg import smallest_eigenvalue
 from .states import GramMatrix, StateSet, gram
 
 PSD_TOL = 1e-9
@@ -188,26 +189,26 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
 
     ``EQUAL`` bisects one shared efficiency; ``COORDINATE`` then raises
     each ``gamma_i`` in turn (holding the others) until a full sweep moves
-    no coordinate by more than 1e-6.  The result is always verified
-    feasible before it is returned.  When even the smallest efficiencies
-    fail (which no genuine Gram produces), the safe equal-efficiency point
-    of :func:`synthesize` is returned instead, or
+    no coordinate by more than 1e-6.  Every point kept was tested feasible
+    with the arithmetic and the PSD test that
+    :func:`qnot.synthesis.synthesize_with` applies, so a returned point
+    (with ``tol`` at its default) always builds a machine.  When even the
+    smallest efficiencies fail (which no genuine Gram produces), the safe
+    equal-efficiency point of :func:`synthesize` is returned instead, or
     :class:`NoFeasiblePoint` is raised for dependent families.
     """
     gm = gram(state_set)
     if probe is None:
         probe = standard_probe(gm)
     g = gm.matrix
-    p = probe.gram_matrix()
+    k = np.conj(g) * probe.gram_matrix()
     n = gm.n
     evals = 0
 
     def feasible_vec(vec) -> bool:
         nonlocal evals
         evals += 1
-        sq = np.diag(np.sqrt(vec))
-        m = g - sq @ (np.conj(g) * p) @ sq
-        return float(np.linalg.eigvalsh(m).min()) >= -tol
+        return smallest_eigenvalue(scaled_constraint(g, k, vec)) >= -tol
 
     equal = _bisect_boundary(lambda v: feasible_vec(np.full(n, v)), 1000)
     if equal <= 0.0:
@@ -237,8 +238,7 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
             if biggest_move < COORDINATE_CONVERGENCE:
                 break
 
-    sq = np.diag(np.sqrt(gammas))
-    lam_min = float(np.linalg.eigvalsh(g - sq @ (np.conj(g) * p) @ sq).min())
+    lam_min = smallest_eigenvalue(scaled_constraint(g, k, gammas))
     return GammaSearchResult(gammas, probe, float(gammas.mean()), evals,
                              lam_min)
 

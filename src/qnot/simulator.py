@@ -2,9 +2,10 @@
 
 The exact path applies the machine unitary to ``state x probe_0``,
 projects on the success outcome (probe back in state 0) and compares the
-postselected system state against the target map.  Monte Carlo runs draw
-the success counter from the exact probability with numpy's PCG64
-generator, seeded explicitly, so every report is reproducible.
+postselected system state against the target map; a whole set goes
+through one matrix product.  Monte Carlo runs draw the success counter
+from the exact probability with numpy's PCG64 generator, seeded
+explicitly, so every report is reproducible.
 """
 from __future__ import annotations
 
@@ -13,13 +14,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroSuccess
+from .errors import DimensionMismatch, MachineMismatch, ZeroSuccess
 from .states import QuditState, StateSet, target_state
 from .synthesis import Machine
 
 FIDELITY_TOL = 1e-8
 PROB_TOL = 1e-8
 UNITARITY_TOL = 1e-9
+ZERO_SUCCESS = 1e-14     # success probability below which no output exists
 RNG_ALGORITHM = "pcg64"
 
 
@@ -62,22 +64,38 @@ class SimulationReport:
         return [r.index for r in self.records if not r.ok]
 
 
+def _run_columns(machine: Machine, amps: np.ndarray, target_amps: np.ndarray):
+    """Exact success data for the inputs stacked as columns of ``amps``.
+
+    The success block of ``U (psi_i x |0>)`` is every ``probe_dim``-th
+    component, so one product with ``U[::p, ::p]`` gives all of them.
+    Returns success probabilities, postselected outputs (columns, zero
+    where the probability vanishes) and overlaps with the target columns.
+    """
+    p = machine.probe_dim
+    blocks = machine.unitary[::p, ::p] @ amps
+    probs = np.sum(np.abs(blocks) ** 2, axis=0)
+    alive = probs >= ZERO_SUCCESS
+    outputs = np.zeros_like(blocks)
+    outputs[:, alive] = blocks[:, alive] / np.sqrt(probs[alive])
+    overlaps = np.sum(np.conj(target_amps) * outputs, axis=0)
+    return probs, outputs, overlaps
+
+
 def run_exact(machine: Machine, state: QuditState,
               index: Optional[int] = None) -> ExactRecord:
     """Success probability and postselected output for one input state."""
     if state.dim != machine.system_dim:
         raise DimensionMismatch(
             f"state dim {state.dim} vs machine system dim {machine.system_dim}")
-    v = machine.unitary @ machine.embed_input(state.amps)
-    block = v.reshape(machine.system_dim, machine.probe_dim)[:, 0]
-    prob = float(np.linalg.norm(block) ** 2)
-    if prob < 1e-14:
-        raise ZeroSuccess("success probability vanished; no output state")
-    out = block / np.sqrt(prob)
     tgt = target_state(state, machine.target)
-    ov = complex(np.vdot(tgt.amps, out))
-    return ExactRecord(index, prob, abs(ov), float(np.angle(ov)),
-                       out)
+    probs, outputs, overlaps = _run_columns(machine, state.amps[:, None],
+                                            tgt.amps[:, None])
+    if probs[0] < ZERO_SUCCESS:
+        raise ZeroSuccess("success probability vanished; no output state")
+    ov = complex(overlaps[0])
+    return ExactRecord(index, float(probs[0]), abs(ov), float(np.angle(ov)),
+                       outputs[:, 0])
 
 
 def run_monte_carlo(machine: Machine, state: QuditState, shots: int = 100_000,
@@ -99,9 +117,11 @@ def verify_machine(machine: Machine, state_set: StateSet,
                    seed: int = 42) -> SimulationReport:
     """Exact check of every member against the machine's design values.
 
-    A member is flagged when its postselected fidelity drops below
-    ``1 - fidelity_tol`` or its success probability differs from the
-    designed ``gamma_i`` by more than ``prob_tol``.  The report also
+    The machine must carry one designed efficiency per member and the set's
+    target map, otherwise :class:`MachineMismatch` is raised.  A member is
+    flagged when its postselected fidelity drops below ``1 - fidelity_tol``
+    or its success probability differs from the designed ``gamma_i`` by
+    more than ``prob_tol``.  The report also
     carries the machine's unitarity error; failures never raise, they are
     entries in the report.  With ``shots`` set, a Monte Carlo record per
     member is appended (one shared seed, members sampled in order).
@@ -109,20 +129,28 @@ def verify_machine(machine: Machine, state_set: StateSet,
     if state_set.dim != machine.system_dim:
         raise DimensionMismatch(
             f"set dim {state_set.dim} vs machine system dim {machine.system_dim}")
+    n = len(state_set)
+    if machine.gammas.size != n:
+        raise MachineMismatch(
+            f"machine designs {machine.gammas.size} efficiencies for {n} states")
+    if machine.target is not state_set.target:
+        raise MachineMismatch(
+            f"machine target {machine.target.value!r} vs set target "
+            f"{state_set.target.value!r}")
+    probs, outputs, overlaps = _run_columns(machine, state_set.matrix(),
+                                            state_set.target_matrix())
     records = []
-    for i, s in enumerate(state_set):
-        try:
-            rec = run_exact(machine, s, index=i)
-        except ZeroSuccess:
-            rec = ExactRecord(i, 0.0, 0.0, 0.0,
-                              np.zeros(machine.system_dim, complex), ok=False)
-            records.append(rec)
+    for i in range(n):
+        if probs[i] < ZERO_SUCCESS:
+            records.append(ExactRecord(i, 0.0, 0.0, 0.0, outputs[:, i],
+                                       ok=False))
             continue
-        gamma = machine.gammas[i] if i < machine.gammas.size else None
-        rec.ok = rec.fidelity >= 1.0 - fidelity_tol
-        if gamma is not None and abs(rec.success_prob - gamma) > prob_tol:
-            rec.ok = False
-        records.append(rec)
+        fidelity = abs(complex(overlaps[i]))
+        ok = bool(fidelity >= 1.0 - fidelity_tol
+                  and abs(probs[i] - machine.gammas[i]) <= prob_tol)
+        records.append(ExactRecord(i, float(probs[i]), fidelity,
+                                   float(np.angle(overlaps[i])),
+                                   outputs[:, i], ok))
     report = SimulationReport("exact", records, machine.unitarity_error())
     if shots:
         rng = np.random.default_rng(seed)

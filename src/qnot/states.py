@@ -122,6 +122,10 @@ class StateSet:
         """States stacked as columns of a dim-by-n matrix."""
         return np.stack([s.amps for s in self.states], axis=1)
 
+    def target_matrix(self) -> np.ndarray:
+        """Target states stacked as columns, like :meth:`matrix`."""
+        return np.stack([t.amps for t in self.targets()], axis=1)
+
 
 @dataclass(frozen=True)
 class GramMatrix:

@@ -24,8 +24,7 @@ with unit efficiency.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .feasibility import (
     check_exact_unitary,
     constraint_matrix,
 )
-from .linalg import psd_sqrt, unitary_completion
+from .linalg import PSD_TOL, psd_sqrt, smallest_eigenvalue, unitary_completion
 from .states import StateSet, TargetMap, gram
 
 ETA = 0.999
@@ -63,7 +62,6 @@ class Machine:
     unitary: np.ndarray
     gammas: np.ndarray
     branch_phases: np.ndarray
-    fill_states: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.unitary = np.asarray(self.unitary, dtype=complex)
@@ -106,39 +104,36 @@ class SynthesisReport:
 
 def _assemble(state_set: StateSet, eff: EfficiencyMatrix,
               phases: np.ndarray, m_matrix: np.ndarray):
-    """Build the machine unitary from the success/failure branch targets."""
+    """Build the machine unitary from the success/failure branch targets.
+
+    Inputs and outputs are ``(system, probe, member)`` arrays; flattening
+    the first two axes gives the system-major joint index.
+    """
     n = len(state_set)
     d = state_set.dim
     probe_dim = n + 1
-    c_matrix = psd_sqrt(m_matrix, tol=1e-9)
-    r_matrix = np.conj(c_matrix)
+    c_matrix = psd_sqrt(m_matrix, tol=PSD_TOL)
 
-    fill = np.zeros(d, complex)
-    fill[0] = 1.0
-    probe = np.eye(probe_dim)
-
-    targets = state_set.targets()
-    inputs, outputs = [], []
-    for i, (s, t) in enumerate(zip(state_set, targets)):
-        inputs.append(np.kron(s.amps, probe[0]))
-        w = (np.sqrt(eff.gammas[i]) * np.exp(1j * phases[i])
-             * np.kron(t.amps, probe[0]))
-        for j in range(n):
-            w = w + r_matrix[i, j] * np.kron(fill, probe[j + 1])
-        outputs.append(w)
+    inputs = np.zeros((d, probe_dim, n), complex)
+    inputs[:, 0, :] = state_set.matrix()
+    outputs = np.zeros((d, probe_dim, n), complex)
+    outputs[:, 0, :] = (state_set.target_matrix()
+                        * (np.sqrt(eff.gammas) * np.exp(1j * phases)))
+    # member i puts amplitude C*_ij on fill x P_{j+1}, with fill = |0>
+    outputs[0, 1:, :] = np.conj(c_matrix).T
+    in_mat = inputs.reshape(d * probe_dim, n)
+    out_mat = outputs.reshape(d * probe_dim, n)
 
     # assembly self-check: the branch bookkeeping must reproduce the Gram
     g = gram(state_set).matrix
-    out_mat = np.stack(outputs, axis=1)
     dev = np.abs(out_mat.conj().T @ out_mat - g)
     if dev.max() > ASSEMBLY_TOL:
         i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
         raise GramMismatch(int(i), int(j), float(dev[i, j]))
 
-    unitary = unitary_completion(inputs, outputs)
-    fill_states = np.tile(fill, (n, 1))
+    unitary = unitary_completion(in_mat.T, out_mat.T)
     machine = Machine(d, probe_dim, state_set.target, unitary,
-                      eff.gammas.copy(), phases.copy(), fill_states)
+                      eff.gammas.copy(), phases.copy())
     return machine, c_matrix, float(dev.max())
 
 
@@ -148,34 +143,33 @@ def synthesize(state_set: StateSet, eta: float = ETA,
 
     Returns ``(machine, report)``.  When the Gram matrix is entrywise real
     (and ``exact_when_real`` holds) the probe is skipped and the machine is
-    an exact system-only unitary with ``gamma = 1``; otherwise efficiencies
-    are ``epsilon = min(eta * c / d_max, 1)`` with ``c`` the smallest and
+    an exact system-only unitary with ``gamma = 1``; this path also takes
+    linearly dependent families.  Otherwise efficiencies are
+    ``epsilon = min(eta * c / d_max, 1)`` with ``c`` the smallest and
     ``d_max`` the largest eigenvalue of the Gram and its conjugate.
 
-    Raises :class:`LinearlyDependent` when the family has Gram rank below
-    its size.
+    Raises :class:`LinearlyDependent` when the general path is needed and
+    the family has Gram rank below its size.
     """
     n = len(state_set)
     g = gram(state_set).matrix
     eigs = np.linalg.eigvalsh(g)
     c = float(eigs.min())
     d_max = float(np.linalg.eigvalsh(np.conj(g)).max())
-    if c <= INDEPENDENCE_TOL:
-        raise LinearlyDependent(
-            f"Gram rank is below {n} (smallest eigenvalue {c:.3e})")
 
     if exact_when_real and check_exact_unitary(state_set).feasible:
         unitary = build_exact_unitary(state_set)
-        targets = state_set.targets()
-        residual = max(
-            float(np.abs(unitary @ s.amps - t.amps).max())
-            for s, t in zip(state_set, targets))
+        residual = float(np.abs(unitary @ state_set.matrix()
+                                - state_set.target_matrix()).max())
         machine = Machine(state_set.dim, 1, state_set.target, unitary,
                           np.ones(n), np.zeros(n))
         report = SynthesisReport(1.0, c, d_max, np.zeros((n, n)), residual,
                                  path="exact")
         return machine, report
 
+    if c <= INDEPENDENCE_TOL:
+        raise LinearlyDependent(
+            f"Gram rank is below {n} (smallest eigenvalue {c:.3e})")
     epsilon = min(eta * c / d_max, 1.0)
     eff = EfficiencyMatrix.coerce(epsilon, n)
     phases = np.zeros(n)
@@ -201,8 +195,8 @@ def synthesize_with(state_set: StateSet, gammas, probe: ProbeSpec) -> Machine:
     if phases.size != n:
         raise InvalidProbe(f"probe has {phases.size} phases for {n} states")
     m_matrix = constraint_matrix(gram(state_set), eff, probe)
-    lam_min = float(np.linalg.eigvalsh(m_matrix).min())
-    if lam_min < -1e-9:
+    lam_min = smallest_eigenvalue(m_matrix)
+    if lam_min < -PSD_TOL:
         raise InfeasibleGamma(
             f"constraint matrix has eigenvalue {lam_min:.3e}")
     machine, _, _ = _assemble(state_set, eff, phases, m_matrix)

@@ -98,3 +98,23 @@ def phase_grid_min_residual(g, step: float = 1e-3) -> float:
                                            r13[None, :]))
         best = min(best, float(worst.min()))
     return best
+
+
+def probe_congruence_loop(th):
+    """Worst ``|sin(th[l, j] - th[l, i] - th[i, j])|`` over every triple.
+
+    The plain O(n^3) loop over ``l``, then ``i``, then ``j``; the first
+    triple reaching the maximum wins.  Returns ``(residual, [i, j, l])``,
+    or ``(0.0, None)`` when every residual is zero.
+    """
+    n = th.shape[0]
+    worst = 0.0
+    worst_idx = None
+    for l in range(n):
+        for i in range(n):
+            for j in range(n):
+                r = abs(np.sin(th[l, j] - th[l, i] - th[i, j]))
+                if r > worst:
+                    worst = r
+                    worst_idx = [i, j, l]
+    return float(worst), worst_idx

@@ -111,12 +111,28 @@ def test_synthesize_then_simulate_roundtrip(tmp_path, capsys):
 
 
 def test_synthesize_dependent_family_exits_3(tmp_path, capsys):
-    doc = state_set_doc([np.array([1.0, 0.0]),
-                         np.array([0.0, 1.0]),
-                         np.array([1.0, 1.0]) / np.sqrt(2)], target="not")
+    # complex Gram: the exact path is closed, the general one needs
+    # independence
+    ss = worked_triple(0.7)
+    doc = state_set_doc([s.amps for s in ss], target="not")
     path = write_doc(tmp_path, "set.json", doc)
     assert main(["synthesize", "--input", path]) == 3
     capsys.readouterr()
+
+
+def test_synthesize_dependent_real_family_takes_exact_path(tmp_path, capsys):
+    doc = state_set_doc([np.array([1.0, 0.0]),
+                         np.array([0.6, 0.8]),
+                         np.array([0.0, 1.0])], target="not")
+    path = write_doc(tmp_path, "set.json", doc)
+    code, machine = run(capsys, ["synthesize", "--input", path])
+    assert code == 0
+    assert machine["report"]["path"] == "exact"
+    assert machine["probe_dim"] == 1
+    machine_path = write_doc(tmp_path, "machine.json", machine)
+    code, sim = run(capsys, ["simulate", "--input", path,
+                             "--machine", machine_path])
+    assert code == 0 and sim["all_ok"]
 
 
 def test_synthesize_infeasible_gamma_exits_2(tmp_path, capsys):
@@ -153,6 +169,21 @@ def test_simulate_corrupted_machine_exits_4(tmp_path, capsys):
                              "--machine", bad_path])
     assert code == 4
     assert out["all_ok"] is False
+
+
+@pytest.mark.parametrize("field, value", [("gammas", []),
+                                          ("gammas", [1.0]),
+                                          ("target", "conjugate")])
+def test_simulate_mismatched_machine_exits_2(tmp_path, capsys, field, value):
+    set_path = write_doc(tmp_path, "set.json", CANONICAL_PAIR)
+    machine_path = str(tmp_path / "machine.json")
+    main(["synthesize", "--input", set_path, "--output", machine_path])
+    capsys.readouterr()
+    doc = json.loads(open(machine_path).read())
+    doc[field] = value
+    bad_path = write_doc(tmp_path, "bad_machine.json", doc)
+    assert main(["simulate", "--input", set_path, "--machine", bad_path]) == 2
+    capsys.readouterr()
 
 
 def test_simulate_monte_carlo_is_reproducible(tmp_path, capsys):

@@ -9,7 +9,12 @@ from conftest import (
     random_state,
     worked_triple,
 )
-from oracles import parallel_fit, phase_grid_min_residual, quadratic_roots
+from oracles import (
+    parallel_fit,
+    phase_grid_min_residual,
+    probe_congruence_loop,
+    quadratic_roots,
+)
 from qnot import (
     EfficiencyMatrix,
     GramMismatch,
@@ -154,6 +159,33 @@ class TestExactWithProbe:
             g = gram(ss).matrix
             p = verdict.witness.gram_matrix()
             assert np.abs(g - np.conj(g) * p).max() < 1e-8
+
+
+@pytest.mark.parametrize("family", ["phased", "unphased", "infeasible"])
+def test_probe_check_matches_triple_loop(family):
+    """Verdict, first-worst triple and residual agree with the plain loop."""
+    rng = np.random.default_rng({"phased": 57, "unphased": 58,
+                                 "infeasible": 59}[family])
+    for _ in range(15):
+        n = int(rng.integers(2, 9))
+        dim = int(rng.integers(2, 5))
+        if family == "phased":
+            ss = phased_real_set(rng, n, dim, TargetMap.CONJUGATE)
+        elif family == "unphased":
+            ss = random_set(rng, n, dim, TargetMap.CONJUGATE, real=True)
+        else:
+            ss = random_set(rng, n, dim, TargetMap.CONJUGATE)
+        try:
+            verdict = check_exact_with_probe(ss)
+        except ZeroOverlap:
+            continue
+        residual, indices = probe_congruence_loop(gram(ss).phases)
+        assert verdict.feasible == (residual <= 1e-8)
+        if verdict.feasible:
+            continue
+        assert verdict.violation["indices"] == indices
+        assert verdict.violation["residual"] == pytest.approx(residual,
+                                                              rel=1e-14)
 
 
 class TestBuildProbeUnitary:

@@ -220,3 +220,35 @@ def test_completion_roundtrip_property(seed, dim):
     u = unitary_completion(xs, ys)
     for x, y in zip(xs, ys):
         assert np.linalg.norm(u @ x - y) < 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=1, max_value=64),
+       st.sampled_from(["independent", "dependent", "identity", "overfull"]))
+def test_subspace_completion_property(seed, dim, shape):
+    """Unitary and exact on the pairs for spans far smaller than the space.
+
+    ``dependent`` draws k vectors of rank at most k // 2 + 1, ``identity``
+    maps a family to itself (the two spans coincide) and ``overfull``
+    draws more vectors than the dimension.
+    """
+    rng = np.random.default_rng(seed)
+    if shape == "overfull":
+        k = int(rng.integers(dim + 1, 2 * dim + 2))
+    else:
+        k = int(rng.integers(1, max(2, dim // 4) + 1))
+    rank = k // 2 + 1 if shape == "dependent" else k
+    basis = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    mix = rng.normal(size=(rank, k)) + 1j * rng.normal(size=(rank, k))
+    x = basis @ mix if shape == "dependent" else (
+        rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k)))
+    x /= np.linalg.norm(x, axis=0)
+    if shape == "identity":
+        y = x.copy()
+    else:
+        v = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        y = np.linalg.qr(v)[0] @ x
+    u = unitary_completion(x.T, y.T)
+    assert np.abs(u.conj().T @ u - np.eye(dim)).max() < 1e-10
+    assert np.abs(u @ x - y).max() < 1e-10

@@ -19,7 +19,7 @@ from qnot import (
     target_state,
     verify_machine,
 )
-from qnot.errors import DimensionMismatch
+from qnot.errors import DimensionMismatch, MachineMismatch
 
 from conftest import (
     qubit,
@@ -232,6 +232,39 @@ def test_verify_machine_dimension_check():
     other = random_set(rng, 2, 3, TargetMap.CONJUGATE)
     with pytest.raises(DimensionMismatch):
         verify_machine(machine, other)
+
+
+def test_verify_machine_requires_matching_design():
+    """A machine without one efficiency per member, or built for another
+    target map, cannot be checked against the set."""
+    rng = np.random.default_rng(25)
+    ss = random_independent_set(rng, 2, 2, TargetMap.NOT)
+    machine, _ = synthesize(ss)
+    for gammas in (np.zeros(0), machine.gammas[:1],
+                   np.append(machine.gammas, 1.0)):
+        short = Machine(machine.system_dim, machine.probe_dim, machine.target,
+                        machine.unitary, gammas, machine.branch_phases)
+        with pytest.raises(MachineMismatch):
+            verify_machine(short, ss)
+    other = StateSet(ss.states, TargetMap.CONJUGATE)
+    with pytest.raises(MachineMismatch):
+        verify_machine(machine, other)
+
+
+def test_set_verification_matches_per_state_runs():
+    """verify_machine's one-product path agrees with run_exact per member."""
+    rng = np.random.default_rng(26)
+    ss = random_independent_set(rng, 4, 5, TargetMap.CONJUGATE)
+    machine, _ = synthesize(ss)
+    report = verify_machine(machine, ss)
+    for i, s in enumerate(ss):
+        rec = run_exact(machine, s, index=i)
+        got = report.records[i]
+        assert got.success_prob == pytest.approx(rec.success_prob, abs=1e-14)
+        assert got.fidelity == pytest.approx(rec.fidelity, abs=1e-14)
+        assert got.global_phase == pytest.approx(rec.global_phase, abs=1e-12)
+        np.testing.assert_allclose(got.output_state, rec.output_state,
+                                   atol=1e-14)
 
 
 def test_partial_efficiency_machine_matches_design():

@@ -10,6 +10,7 @@ from conftest import (
 )
 from oracles import quadratic_roots
 from qnot import (
+    GammaPolicy,
     InfeasibleGamma,
     InvalidProbe,
     LinearlyDependent,
@@ -87,6 +88,16 @@ class TestSynthesize:
         with pytest.raises(LinearlyDependent):
             synthesize(ss)
 
+    def test_dependent_real_family_takes_exact_path(self):
+        # three qubit states are dependent, but a real Gram needs no probe
+        ss = StateSet((qubit(1, 0), qubit(0.6, 0.8), qubit(0, 1)),
+                      TargetMap.NOT)
+        machine, report = synthesize(ss)
+        assert report.path == "exact"
+        assert machine.probe_dim == 1
+        assert report.residual < 1e-10
+        assert_all_green(machine, ss)
+
 
 class TestSynthesizeWith:
     def test_real_pair_at_unit_efficiency(self):
@@ -142,6 +153,21 @@ class TestSynthesizeWith:
                 assert check_probabilistic(ss, gammas, found.probe).feasible
                 machine = synthesize_with(ss, gammas, found.probe)
                 assert_all_green(machine, ss)
+
+
+@pytest.mark.parametrize("policy", list(GammaPolicy))
+def test_searched_points_build_machines(policy):
+    """Every point the search returns passes the test synthesis applies.
+
+    The search stops on the edge lambda_min = -tol, so a second PSD test
+    in other arithmetic rejected many of these points.
+    """
+    for seed in range(60):
+        ss = random_independent_set(np.random.default_rng(seed), 10, 10,
+                                    TargetMap.CONJUGATE)
+        found = search_gamma(ss, policy)
+        machine = synthesize_with(ss, found.gammas, found.probe)
+        np.testing.assert_array_equal(machine.gammas, found.gammas)
 
 
 class TestMachine:
