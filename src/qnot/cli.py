@@ -10,8 +10,14 @@ Subcommands::
 
 Exit codes: 0 success, 2 malformed input, 3 linearly dependent set,
 4 simulation contract violation, 5 closed form vs oracle disagreement,
-6 degenerate determinant.  The environment variable ``QNOT_TOL``
-overrides the default PSD tolerance of 1e-9.
+6 degenerate determinant.  JSON output is compact (no indentation);
+``--format text`` is the human-readable form.
+
+The environment variable ``QNOT_TOL`` overrides the PSD tolerance of 1e-9
+used by ``check --gamma``, ``oracle`` and ``gamma-max``.  It does not reach
+``synthesize``: assembling a machine needs a constraint matrix that passes
+the fixed ``linalg.PSD_TOL``, so a point that is feasible only under a
+looser ``QNOT_TOL`` exits 2 there.
 """
 from __future__ import annotations
 
@@ -79,7 +85,7 @@ def _emit(doc: dict, args, text_lines=None) -> None:
     if args.format == "text" and text_lines is not None:
         payload = "\n".join(text_lines) + "\n"
     else:
-        payload = json.dumps(doc, indent=2) + "\n"
+        payload = serialize.dumps(doc)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(payload)

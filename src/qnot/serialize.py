@@ -1,11 +1,14 @@
 """JSON serialization of states, machines, verdicts, and reports.
 
-Complex numbers travel as ``[re, im]`` pairs.  Floats are emitted with
-Python's shortest round-trip repr, so parsing a written file reproduces
-every amplitude bit-for-bit (well inside the 1e-12 contract).
+Complex numbers travel as ``[re, im]`` pairs, and a complex array as the
+nested lists of its pairs.  Floats are emitted with Python's shortest
+round-trip repr, so parsing a written file reproduces every amplitude
+bit-for-bit (well inside the 1e-12 contract).  Documents are written
+without indentation, because only then does :mod:`json` use its C encoder.
 """
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -21,26 +24,47 @@ class SchemaError(QnotError):
     """Input document does not match the expected JSON shape."""
 
 
-def _pair(z) -> list:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
+def _complex_lists(z) -> list:
+    """Nested lists of ``[re, im]`` pairs, one per entry of ``z``."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z.real, z.imag], -1).tolist()
 
 
-def _unpair(item) -> complex:
-    if (not isinstance(item, (list, tuple)) or len(item) != 2
-            or not all(isinstance(x, (int, float)) for x in item)):
-        raise SchemaError(f"expected [re, im], got {item!r}")
-    return complex(item[0], item[1])
+def _complex_array(obj, ndim: int) -> np.ndarray:
+    """Parse nested ``[re, im]`` pairs into a complex array with ``ndim`` axes.
+
+    Ragged nesting, pairs that are not of length 2, empty arrays, and
+    entries that are not finite numbers raise :class:`SchemaError`.
+    """
+    try:
+        arr = np.array(obj)
+    except ValueError:
+        raise SchemaError("ragged nesting of [re, im] pairs") from None
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2 or arr.size == 0:
+        raise SchemaError(f"expected a nonempty {ndim}-d array of [re, im] "
+                          f"pairs, got shape {arr.shape}")
+    if arr.dtype.kind not in "iuf":
+        raise SchemaError(f"[re, im] entries must be numbers, got {arr.dtype}")
+    # numpy silently reads booleans mixed with numbers as 0 and 1
+    leaves = obj
+    for _ in range(ndim):
+        leaves = itertools.chain.from_iterable(leaves)
+    if bool in map(type, leaves):
+        raise SchemaError("[re, im] entries must be numbers, got a boolean")
+    arr = np.ascontiguousarray(arr, dtype=float)
+    if not np.isfinite(arr).all():
+        raise SchemaError("[re, im] entries must be finite")
+    return arr.view(complex)[..., 0]
 
 
 def state_to_dict(state: QuditState) -> dict:
-    return {"dim": state.dim, "amps": [_pair(a) for a in state.amps]}
+    return {"dim": state.dim, "amps": _complex_lists(state.amps)}
 
 
 def state_from_dict(doc) -> QuditState:
     if not isinstance(doc, dict) or "dim" not in doc or "amps" not in doc:
         raise SchemaError("state document needs 'dim' and 'amps'")
-    amps = np.array([_unpair(a) for a in doc["amps"]])
+    amps = _complex_array(doc["amps"], 1)
     if int(doc["dim"]) != amps.size:
         raise SchemaError(
             f"declared dim {doc['dim']} but {amps.size} amplitudes")
@@ -65,22 +89,12 @@ def state_set_from_dict(doc) -> StateSet:
     return StateSet(tuple(state_from_dict(s) for s in states), target)
 
 
-def _matrix_to_lists(m: np.ndarray) -> list:
-    return [[_pair(z) for z in row] for row in np.asarray(m, dtype=complex)]
-
-
-def _matrix_from_lists(rows) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise SchemaError("expected a nonempty nested list matrix")
-    return np.array([[_unpair(z) for z in row] for row in rows])
-
-
 def machine_to_dict(machine: Machine) -> dict:
     return {
         "system_dim": machine.system_dim,
         "probe_dim": machine.probe_dim,
         "target": machine.target.value,
-        "unitary": _matrix_to_lists(machine.unitary),
+        "unitary": _complex_lists(machine.unitary),
         "gammas": [float(g) for g in machine.gammas],
         "phases": [float(p) for p in machine.branch_phases],
     }
@@ -97,7 +111,7 @@ def machine_from_dict(doc) -> Machine:
         raise SchemaError(f"unknown target {doc['target']!r}") from None
     return Machine(
         int(doc["system_dim"]), int(doc["probe_dim"]), target,
-        _matrix_from_lists(doc["unitary"]),
+        _complex_array(doc["unitary"], 2),
         np.asarray(doc["gammas"], dtype=float),
         np.asarray(doc["phases"], dtype=float))
 
@@ -132,12 +146,20 @@ def report_to_dict(report: SimulationReport) -> dict:
     return doc
 
 
+def dumps(doc) -> str:
+    """The one JSON writer: compact text on the C encoder, newline-terminated."""
+    return json.dumps(doc) + "\n"
+
+
 def dump(doc, path) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(dumps(doc))
+
+
+def _reject_constant(name: str):
+    raise SchemaError(f"non-finite constant {name} is not allowed")
 
 
 def load(path):
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)

@@ -35,7 +35,9 @@ class QuditState:
         if amps.size < 2:
             raise WrongDimension("qudit dimension must be at least 2")
         nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > NORM_TOL:
+        # a NaN or infinite amplitude makes the norm NaN or infinite, which
+        # fails this test as written (``abs(nan - 1) > tol`` would not)
+        if not abs(nrm - 1.0) <= NORM_TOL:
             raise InvalidState(f"norm {nrm!r} is not 1 within {NORM_TOL:.1e}")
 
     @property

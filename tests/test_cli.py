@@ -322,3 +322,109 @@ def test_env_tolerance_loosens_the_psd_check(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QNOT_TOL", "0.1")
     _, loose = run(capsys, ["check", "--input", path, "--gamma", gamma])
     assert loose["probabilistic"]["feasible"] is True
+
+
+def synthesized_machine(tmp_path, capsys):
+    set_path = write_doc(tmp_path, "set.json", CANONICAL_PAIR)
+    code, machine = run(capsys, ["synthesize", "--input", set_path])
+    assert code == 0
+    return set_path, machine
+
+
+def test_nan_amplitude_exits_2(tmp_path, capsys):
+    path = write_doc(tmp_path, "set.json", {
+        "target": "not",
+        "states": [{"dim": 2, "amps": [[float("nan"), 0.0], [1.0, 0.0]]},
+                   {"dim": 2, "amps": [[1.0, 0.0], [0.0, 0.0]]}]})
+    assert main(["check", "--input", path]) == 2
+    capsys.readouterr()
+
+
+def test_boolean_amplitude_exits_2(tmp_path, capsys):
+    path = write_doc(tmp_path, "set.json", {
+        "target": "not",
+        "states": [{"dim": 2, "amps": [[True, 0], [0, 0]]}]})
+    assert main(["check", "--input", path]) == 2
+    capsys.readouterr()
+
+
+def _last_entry(value):
+    # a NaN here leaves the success probabilities finite, so a reader
+    # that lets it through reaches the unitarity check and exits 4
+    def edit(unitary):
+        unitary[-1][-1] = value
+        return unitary
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    lambda u: [u[0][:-1]] + u[1:],
+    lambda u: [],
+    _last_entry([1.0, 0.0, 0.0]),
+    _last_entry(["1.0", 0.0]),
+    _last_entry([None, 0.0]),
+    _last_entry(None),
+    _last_entry([True, 0.0]),
+    _last_entry([float("nan"), 0.0]),
+    _last_entry([float("inf"), 0.0]),
+], ids=["ragged", "empty", "triple", "string", "null-in-pair", "null",
+        "boolean", "nan", "infinity"])
+def test_simulate_malformed_unitary_exits_2(tmp_path, capsys, edit):
+    set_path, machine = synthesized_machine(tmp_path, capsys)
+    machine["unitary"] = edit(machine["unitary"])
+    bad_path = write_doc(tmp_path, "bad_machine.json", machine)
+    assert main(["simulate", "--input", set_path, "--machine", bad_path]) == 2
+    capsys.readouterr()
+
+
+def test_simulate_overflowing_entry_exits_2(tmp_path, capsys):
+    # 1e999 parses to inf without passing through parse_constant
+    set_path, machine = synthesized_machine(tmp_path, capsys)
+    machine["unitary"][0][0] = [12345.5, 0.0]
+    text = json.dumps(machine).replace("12345.5", "1e999")
+    bad_path = tmp_path / "bad_machine.json"
+    bad_path.write_text(text)
+    assert main(["simulate", "--input", set_path,
+                 "--machine", str(bad_path)]) == 2
+    capsys.readouterr()
+
+
+def test_indented_machine_file_still_simulates(tmp_path, capsys):
+    set_path, machine = synthesized_machine(tmp_path, capsys)
+    machine_path = tmp_path / "machine.json"
+    with open(machine_path, "w") as fh:
+        json.dump(machine, fh, indent=2)
+    code, doc = run(capsys, ["simulate", "--input", set_path,
+                             "--machine", str(machine_path)])
+    assert code == 0 and doc["all_ok"]
+
+
+def test_machine_file_keeps_re_im_layout(tmp_path, capsys):
+    set_path = write_doc(tmp_path, "set.json", hard_triple_doc())
+    machine_path = tmp_path / "machine.json"
+    assert main(["synthesize", "--input", set_path,
+                 "--output", str(machine_path)]) == 0
+    capsys.readouterr()
+    text = machine_path.read_text()
+    assert text.endswith("}\n") and "\n" not in text[:-1]
+    doc = json.loads(text)
+    d = doc["system_dim"] * doc["probe_dim"]
+    assert np.asarray(doc["unitary"], dtype=float).shape == (d, d, 2)
+
+
+def test_env_tolerance_does_not_reach_synthesize(tmp_path, capsys,
+                                                 monkeypatch):
+    # a point feasible only under the loose tolerance cannot be assembled
+    path = write_doc(tmp_path, "set.json", hard_triple_doc())
+    monkeypatch.setenv("QNOT_TOL", "0.01")
+    code, found = run(capsys, ["oracle", "--input", path])
+    assert code == 0
+    assert -0.01 <= found["lambda_min_at_boundary"] < -0.009
+    gamma = ",".join(repr(g) for g in found["gammas"])
+    phases = ",".join(repr(p) for p in found["probe_phases"])
+    code, verdict = run(capsys, ["check", "--input", path,
+                                 "--gamma", gamma, "--phases", phases])
+    assert code == 0 and verdict["probabilistic"]["feasible"] is True
+    assert main(["synthesize", "--input", path,
+                 "--gamma", gamma, "--phases", phases]) == 2
+    capsys.readouterr()

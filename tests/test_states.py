@@ -18,6 +18,7 @@ from qnot import (
     target_state,
 )
 from qnot.serialize import (
+    SchemaError,
     state_from_dict,
     state_set_from_dict,
     state_set_to_dict,
@@ -43,6 +44,12 @@ class TestQuditState:
     def test_requires_normalization(self):
         with pytest.raises(InvalidState):
             QuditState(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("amps", [[np.nan, 1.0], [np.inf, 0.0],
+                                      [1.0, complex(0.0, np.nan)]])
+    def test_rejects_non_finite_amplitudes(self, amps):
+        with pytest.raises(InvalidState):
+            QuditState(np.array(amps))
 
     def test_requires_dim_two_or_more(self):
         with pytest.raises(WrongDimension):
@@ -185,3 +192,12 @@ class TestJson:
         assert back.target is TargetMap.NOT
         for s, b in zip(ss, back):
             np.testing.assert_array_equal(b.amps, s.amps)
+
+    @pytest.mark.parametrize("amps", [[[True, 0], [0, 0]],
+                                      [[1.0, 0.0], [False, 0.0]],
+                                      [[float("inf"), 0.0], [0.0, 0.0]],
+                                      [[1.0, 0.0], 0.0],
+                                      []])
+    def test_state_rejects_malformed_amplitudes(self, amps):
+        with pytest.raises(SchemaError):
+            state_from_dict({"dim": 2, "amps": amps})

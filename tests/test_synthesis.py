@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from qnot import (
     synthesize_with,
     verify_machine,
 )
-from qnot.serialize import machine_from_dict, machine_to_dict
+from qnot.serialize import dumps, machine_from_dict, machine_to_dict
 
 
 def assert_all_green(machine, ss):
@@ -174,12 +176,23 @@ class TestMachine:
     def test_json_roundtrip_is_exact(self):
         rng = np.random.default_rng(76)
         ss = random_independent_set(rng, 2, 2, TargetMap.NOT)
-        machine, _ = synthesize(ss)
-        back = machine_from_dict(machine_to_dict(machine))
-        np.testing.assert_array_equal(back.unitary, machine.unitary)
-        np.testing.assert_array_equal(back.gammas, machine.gammas)
-        assert back.target is machine.target
-        assert back.probe_dim == machine.probe_dim
+        general, report = synthesize(ss)
+        assert report.path == "general"
+        exact, report = synthesize(random_set(rng, 3, 3, TargetMap.CONJUGATE,
+                                              real=True))
+        assert report.path == "exact" and exact.probe_dim == 1
+        triple = random_independent_set(rng, 3, 3, TargetMap.CONJUGATE)
+        found = search_gamma(triple, GammaPolicy.COORDINATE)
+        chosen = synthesize_with(triple, found.gammas, found.probe)
+        for machine in (general, exact, chosen):
+            text = dumps(machine_to_dict(machine))
+            back = machine_from_dict(json.loads(text))
+            np.testing.assert_array_equal(back.unitary, machine.unitary)
+            np.testing.assert_array_equal(back.gammas, machine.gammas)
+            np.testing.assert_array_equal(back.branch_phases,
+                                          machine.branch_phases)
+            assert back.target is machine.target
+            assert back.probe_dim == machine.probe_dim
 
     def test_success_projector_rank(self):
         rng = np.random.default_rng(77)
