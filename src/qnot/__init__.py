@@ -55,7 +55,6 @@ from .simulator import (
     MonteCarloRecord,
     SimulationReport,
     run_exact,
-    run_monte_carlo,
     verify_machine,
 )
 from .states import (
@@ -82,7 +81,7 @@ __all__ = [
     "solve_dependent_triple",
     "Machine", "SynthesisReport", "synthesize", "synthesize_with",
     "ExactRecord", "MonteCarloRecord", "SimulationReport",
-    "run_exact", "run_monte_carlo", "verify_machine",
+    "run_exact", "verify_machine",
     "TripleBoundInput", "GammaPolicy", "GammaSearchResult",
     "gamma_max_triple", "grid_oracle_triple", "search_gamma",
     "standard_probe",

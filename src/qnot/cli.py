@@ -41,7 +41,9 @@ from .feasibility import (
     check_exact_unitary,
     check_exact_with_probe,
     check_probabilistic,
+    scaled_constraint,
 )
+from .linalg import PSD_TOL, smallest_eigenvalue
 from .optimizer import (
     GammaPolicy,
     TripleBoundInput,
@@ -54,7 +56,6 @@ from .simulator import verify_machine
 from .states import gram
 from .synthesis import synthesize, synthesize_with
 
-DEFAULT_PSD_TOL = 1e-9
 GAMMA_MAX_AGREEMENT = 1e-5
 
 
@@ -197,17 +198,17 @@ def cmd_gamma_max(args, tol: float) -> int:
         raise serialize.SchemaError("gamma-max needs exactly three states")
     gm = gram(state_set)
     inp = TripleBoundInput.from_gram(gm)
+    probe = inp.probe()
     closed = gamma_max_triple(inp, tol)
-    oracle = grid_oracle_triple(gm, inp.probe(), tol=tol)
+    oracle = grid_oracle_triple(gm, probe, tol=tol)
     diff = abs(closed - oracle)
-    probe_phases = [0.0, 2.0 * inp.theta12, 2.0 * inp.theta13]
-    m = gm.matrix - oracle * (np.conj(gm.matrix)
-                              * inp.probe().gram_matrix())
+    m = scaled_constraint(gm.matrix, np.conj(gm.matrix) * probe.gram_matrix(),
+                          np.full(3, oracle))
     doc = {
         "gamma_max": closed,
         "method": "closed_form",
-        "probe_phases": probe_phases,
-        "lambda_min_at_boundary": float(np.linalg.eigvalsh(m).min()),
+        "probe_phases": [0.0, 2.0 * inp.theta12, 2.0 * inp.theta13],
+        "lambda_min_at_boundary": smallest_eigenvalue(m),
         "oracle_gamma": oracle,
         "difference": diff,
         "agreement": diff <= GAMMA_MAX_AGREEMENT,
@@ -289,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        tol = float(os.environ.get("QNOT_TOL", DEFAULT_PSD_TOL))
+        tol = float(os.environ.get("QNOT_TOL", PSD_TOL))
     except ValueError:
         print("QNOT_TOL is not a float", file=sys.stderr)
         return 2

@@ -32,12 +32,11 @@ from .errors import (
     WrongDimension,
     ZeroOverlap,
 )
-from .linalg import smallest_eigenvalue, unitary_completion
+from .linalg import PSD_TOL, smallest_eigenvalue, unitary_completion
 from .states import GramMatrix, QuditState, StateSet, gram, orthogonal_complement
 
 IMAG_TOL = 1e-9
 PHASE_TOL = 1e-8
-PSD_TOL = 1e-9
 PARALLEL_TOL = 1e-8
 
 
@@ -78,7 +77,7 @@ class ProbeSpec:
             raise InvalidProbeGram("probe Gram must be Hermitian")
         if np.abs(np.diag(m) - 1.0).max() > 1e-10:
             raise InvalidProbeGram("probe Gram must have unit diagonal")
-        if float(np.linalg.eigvalsh(m).min()) < -PSD_TOL:
+        if smallest_eigenvalue(m) < -PSD_TOL:
             raise InvalidProbeGram("probe Gram must be positive semidefinite")
         return cls(ProbeKind.FULL_GRAM, matrix=m)
 
@@ -133,9 +132,6 @@ class EfficiencyMatrix:
         if g.size != n:
             raise ValueError(f"expected {n} efficiencies, got {g.size}")
         return cls(g)
-
-    def sqrt_diag(self) -> np.ndarray:
-        return np.diag(np.sqrt(self.gammas))
 
 
 @dataclass(frozen=True)
@@ -241,12 +237,13 @@ def constraint_matrix(gram_matrix: GramMatrix | np.ndarray, gammas,
 def scaled_constraint(g: np.ndarray, k: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """``G - sqrt(Gamma) K sqrt(Gamma)`` for ``K = conj(G) * P``, unvalidated.
 
-    The arithmetic of :func:`constraint_matrix`, shared with the efficiency
-    searches so a point they accept yields the same matrix bit for bit when
-    :func:`qnot.synthesis.synthesize_with` rebuilds it.
+    The one arithmetic of the constraint matrix: :func:`constraint_matrix`,
+    the efficiency searches, the triple bound and :mod:`qnot.synthesis` all
+    build it here, so a point one of them accepts yields the same matrix bit
+    for bit in the others.
     """
-    sq = np.diag(np.sqrt(gammas))
-    return g - sq @ k @ sq
+    s = np.sqrt(gammas)
+    return g - (s[:, None] * k) * s
 
 
 def check_probabilistic(state_set: StateSet, gammas, probe: ProbeSpec,

@@ -7,9 +7,10 @@ with identical Gram matrices are related by a unitary, and
 inside the joint span of the two families, so for ``k`` independent
 ``D``-dimensional vectors it costs ``O(D^2 k)``.
 
-Every PSD decision (:func:`is_psd`, :func:`psd_sqrt` and the feasibility
-and search code) compares :func:`smallest_eigenvalue` against ``-tol``, so a
-matrix one of them accepts is accepted by all of them.
+Every PSD decision (:func:`is_psd`, :func:`psd_sqrt`, probe Grams and the
+feasibility and search code) compares :func:`smallest_eigenvalue` against
+``-tol``, and every default ``tol`` is the one :data:`PSD_TOL`, so a matrix
+one of them accepts is accepted by all of them.
 """
 from __future__ import annotations
 
@@ -80,7 +81,7 @@ def is_psd(m, tol: float = PSD_TOL) -> bool:
     return smallest_eigenvalue(m) >= -tol
 
 
-def psd_sqrt(m, tol: float = 1e-10) -> np.ndarray:
+def psd_sqrt(m, tol: float = PSD_TOL) -> np.ndarray:
     """Hermitian square root of a positive-semidefinite matrix.
 
     A matrix that fails the PSD test at ``tol`` raises :class:`NotPSD`;

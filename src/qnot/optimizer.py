@@ -13,13 +13,19 @@ theta_23``, ``s = t_23^2 sin^2(delta)`` and
 the boundary is a root of ``q g^2 + 2 g (2 s - q) + q = 0`` for ``q`` in
 ``{a, b}``.  :func:`gamma_max_triple` evaluates every root of both
 quadratics and keeps the largest one certified feasible by the PSD test,
-rather than trusting any single printed branch.  :func:`grid_oracle_triple`
-is the independent check: pure bisection against the PSD criterion.
+rather than trusting any single printed branch; when no root certifies
+(a nearly dependent triple) it raises rather than return an unchecked
+number.  :func:`grid_oracle_triple` is the independent check: pure
+bisection against the PSD criterion.
 
 For general families :func:`search_gamma` runs the same bisection with a
 shared efficiency (policy ``EQUAL``), optionally followed by cyclic
 per-state coordinate ascent (policy ``COORDINATE``).  The doubled-phase
 probe makes these certified lower bounds on what an optimal probe could do.
+
+Every feasibility decision here builds the constraint matrix with
+:func:`qnot.feasibility.scaled_constraint` and tests it with
+:func:`qnot.linalg.smallest_eigenvalue` against ``-tol``.
 """
 from __future__ import annotations
 
@@ -30,12 +36,10 @@ import numpy as np
 
 from .errors import DegenerateDeterminant, NoFeasiblePoint, NotPSD
 from .feasibility import ProbeSpec, scaled_constraint
-from .linalg import smallest_eigenvalue
+from .linalg import PSD_TOL, smallest_eigenvalue
 from .states import GramMatrix, StateSet, gram
 
-PSD_TOL = 1e-9
 DET_TOL = 1e-12
-BISECTION_STEPS = 60
 COORDINATE_CONVERGENCE = 1e-6
 
 
@@ -97,22 +101,22 @@ class TripleBoundInput:
                                        2.0 * self.theta13])
 
 
-def _equal_gamma_feasible(g: np.ndarray, p: np.ndarray, value: float,
-                          tol: float) -> bool:
-    m = g - value * (np.conj(g) * p)
-    return float(np.linalg.eigvalsh(m).min()) >= -tol
+def _feasible(g: np.ndarray, k: np.ndarray, gammas: np.ndarray,
+              tol: float) -> bool:
+    """The PSD test of the constraint matrix at efficiencies ``gammas``."""
+    return smallest_eigenvalue(scaled_constraint(g, k, gammas)) >= -tol
 
 
 def gamma_max_triple(inp: TripleBoundInput, tol: float = PSD_TOL) -> float:
     """Closed-form largest equal efficiency for a triple, oracle-arbitrated.
 
-    Raises :class:`DegenerateDeterminant` when the Gram determinant sits
-    below 1e-12 in magnitude (nearly dependent triple), and :class:`NotPSD`
-    when the overlap data is not a valid Gram at all.
+    Raises :class:`NotPSD` when the overlap data is not a valid Gram at
+    all, and :class:`DegenerateDeterminant` when the triple is too close to
+    dependent for the closed form: the Gram determinant sits below 1e-12 in
+    magnitude, or no root of either quadratic passes the PSD test.
     """
-    gm = inp.gram_matrix()
-    lam = np.linalg.eigvalsh(gm.matrix)
-    if float(lam.min()) < -1e-9:
+    g = inp.gram_matrix().matrix
+    if smallest_eigenvalue(g) < -PSD_TOL:
         raise NotPSD("overlap data is not a positive semidefinite Gram")
     a = inp.a
     if abs(a) < DET_TOL:
@@ -129,28 +133,25 @@ def gamma_max_triple(inp: TripleBoundInput, tol: float = PSD_TOL) -> float:
             val = 1.0 + (sign * 2.0 * root - 2.0 * s) / q
             if 0.0 < val <= 1.0 + 1e-9:
                 candidates.append(min(val, 1.0))
-    g = gm.matrix
-    p = inp.probe().gram_matrix()
+    k = np.conj(g) * inp.probe().gram_matrix()
     for val in sorted(set(candidates), reverse=True):
-        if _equal_gamma_feasible(g, p, max(val - 1e-9, 0.0), tol):
+        if _feasible(g, k, np.full(3, max(val - 1e-9, 0.0)), tol):
             return float(val)
-    # no candidate certified: fall back to the analytic branch
-    return float(min(max(1.0 + (2.0 * np.sqrt(s * s - a * s) - 2.0 * s) / a,
-                         0.0), 1.0))
+    raise DegenerateDeterminant(
+        f"no root of the boundary quadratics passes the PSD test "
+        f"(|det| = {abs(a):.3e})")
 
 
-def _bisect_boundary(feasible, resolution: int) -> float:
-    """Largest feasible value in (0, 1] of a monotone predicate."""
+def _bisect_boundary(feasible, lo: float = 0.0, steps: int = 70) -> float:
+    """Largest value in ``[lo, 1]`` a monotone predicate accepts.
+
+    ``1.0`` is tested first; otherwise ``steps`` halvings of ``[lo, 1]``
+    follow, and the last accepted value (``lo`` if none) is returned.
+    """
     if feasible(1.0):
         return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1.0 / resolution:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    for _ in range(BISECTION_STEPS):
+    hi = 1.0
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid
@@ -160,12 +161,12 @@ def _bisect_boundary(feasible, resolution: int) -> float:
 
 
 def grid_oracle_triple(gram_matrix: GramMatrix, probe: ProbeSpec,
-                       resolution: int = 1000, tol: float = PSD_TOL) -> float:
+                       tol: float = PSD_TOL) -> float:
     """Bisection boundary of equal-efficiency feasibility; no closed form."""
     g = gram_matrix.matrix
-    p = probe.gram_matrix()
-    return _bisect_boundary(lambda v: _equal_gamma_feasible(g, p, v, tol),
-                            resolution)
+    k = np.conj(g) * probe.gram_matrix()
+    n = gram_matrix.n
+    return _bisect_boundary(lambda v: _feasible(g, k, np.full(n, v), tol))
 
 
 class GammaPolicy(Enum):
@@ -192,10 +193,9 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
     no coordinate by more than 1e-6.  Every point kept was tested feasible
     with the arithmetic and the PSD test that
     :func:`qnot.synthesis.synthesize_with` applies, so a returned point
-    (with ``tol`` at its default) always builds a machine.  When even the
-    smallest efficiencies fail (which no genuine Gram produces), the safe
-    equal-efficiency point of :func:`synthesize` is returned instead, or
-    :class:`NoFeasiblePoint` is raised for dependent families.
+    (with ``tol`` at its default) always builds a machine.  Raises
+    :class:`NoFeasiblePoint` when no shared efficiency above zero passes
+    the test.
     """
     gm = gram(state_set)
     if probe is None:
@@ -208,54 +208,29 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
     def feasible_vec(vec) -> bool:
         nonlocal evals
         evals += 1
-        return smallest_eigenvalue(scaled_constraint(g, k, vec)) >= -tol
+        return _feasible(g, k, vec, tol)
 
-    equal = _bisect_boundary(lambda v: feasible_vec(np.full(n, v)), 1000)
+    equal = _bisect_boundary(lambda v: feasible_vec(np.full(n, v)))
     if equal <= 0.0:
-        return _fallback_point(state_set, probe, evals)
+        raise NoFeasiblePoint("no feasible efficiencies certified")
     gammas = np.full(n, equal)
 
     if policy is GammaPolicy.COORDINATE:
         for _ in range(200):
             biggest_move = 0.0
             for i in range(n):
-                lo = gammas[i]
-                hi = 1.0
                 trial = gammas.copy()
-                trial[i] = 1.0
-                if feasible_vec(trial):
-                    lo = 1.0
-                else:
-                    for _ in range(BISECTION_STEPS):
-                        mid = 0.5 * (lo + hi)
-                        trial[i] = mid
-                        if feasible_vec(trial):
-                            lo = mid
-                        else:
-                            hi = mid
-                biggest_move = max(biggest_move, lo - gammas[i])
-                gammas[i] = lo
+
+                def feasible_at(v) -> bool:
+                    trial[i] = v
+                    return feasible_vec(trial)
+
+                best = _bisect_boundary(feasible_at, lo=gammas[i], steps=60)
+                biggest_move = max(biggest_move, best - gammas[i])
+                gammas[i] = best
             if biggest_move < COORDINATE_CONVERGENCE:
                 break
 
     lam_min = smallest_eigenvalue(scaled_constraint(g, k, gammas))
-    return GammaSearchResult(gammas, probe, float(gammas.mean()), evals,
-                             lam_min)
-
-
-def _fallback_point(state_set: StateSet, probe: ProbeSpec,
-                    evals: int) -> GammaSearchResult:
-    from .synthesis import synthesize  # local import to avoid a cycle
-
-    gm = gram(state_set)
-    if float(np.linalg.eigvalsh(gm.matrix).min()) <= 1e-9:
-        raise NoFeasiblePoint("no feasible efficiencies certified")
-    _, report = synthesize(state_set, exact_when_real=False)
-    n = gm.n
-    gammas = np.full(n, report.epsilon)
-    sq = np.diag(np.sqrt(gammas))
-    p = probe.gram_matrix()
-    lam_min = float(np.linalg.eigvalsh(
-        gm.matrix - sq @ (np.conj(gm.matrix) * p) @ sq).min())
     return GammaSearchResult(gammas, probe, float(gammas.mean()), evals,
                              lam_min)

@@ -30,30 +30,40 @@ def _complex_lists(z) -> list:
     return np.stack([z.real, z.imag], -1).tolist()
 
 
-def _complex_array(obj, ndim: int) -> np.ndarray:
-    """Parse nested ``[re, im]`` pairs into a complex array with ``ndim`` axes.
+def _float_array(obj, ndim: int, what: str) -> np.ndarray:
+    """Parse nested lists of finite numbers into a float array.
 
-    Ragged nesting, pairs that are not of length 2, empty arrays, and
-    entries that are not finite numbers raise :class:`SchemaError`.
+    Ragged nesting, a count of axes other than ``ndim``, an empty array,
+    and entries that are not finite numbers (booleans included) raise
+    :class:`SchemaError` naming ``what``.
     """
     try:
         arr = np.array(obj)
     except ValueError:
-        raise SchemaError("ragged nesting of [re, im] pairs") from None
-    if arr.ndim != ndim + 1 or arr.shape[-1] != 2 or arr.size == 0:
-        raise SchemaError(f"expected a nonempty {ndim}-d array of [re, im] "
-                          f"pairs, got shape {arr.shape}")
+        raise SchemaError(f"ragged nesting in {what}") from None
+    if arr.ndim != ndim or arr.size == 0:
+        raise SchemaError(f"expected {what} as a nonempty {ndim}-d array, "
+                          f"got shape {arr.shape}")
     if arr.dtype.kind not in "iuf":
-        raise SchemaError(f"[re, im] entries must be numbers, got {arr.dtype}")
+        raise SchemaError(f"{what} entries must be numbers, got {arr.dtype}")
     # numpy silently reads booleans mixed with numbers as 0 and 1
     leaves = obj
-    for _ in range(ndim):
+    for _ in range(ndim - 1):
         leaves = itertools.chain.from_iterable(leaves)
     if bool in map(type, leaves):
-        raise SchemaError("[re, im] entries must be numbers, got a boolean")
+        raise SchemaError(f"{what} entries must be numbers, got a boolean")
     arr = np.ascontiguousarray(arr, dtype=float)
     if not np.isfinite(arr).all():
-        raise SchemaError("[re, im] entries must be finite")
+        raise SchemaError(f"{what} entries must be finite")
+    return arr
+
+
+def _complex_array(obj, ndim: int) -> np.ndarray:
+    """Parse nested ``[re, im]`` pairs into a complex array with ``ndim`` axes."""
+    arr = _float_array(obj, ndim + 1, "[re, im] pairs")
+    if arr.shape[-1] != 2:
+        raise SchemaError(f"expected [re, im] pairs, got entries of length "
+                          f"{arr.shape[-1]}")
     return arr.view(complex)[..., 0]
 
 
@@ -109,11 +119,12 @@ def machine_from_dict(doc) -> Machine:
         target = TargetMap(doc["target"])
     except ValueError:
         raise SchemaError(f"unknown target {doc['target']!r}") from None
-    return Machine(
-        int(doc["system_dim"]), int(doc["probe_dim"]), target,
-        _complex_array(doc["unitary"], 2),
-        np.asarray(doc["gammas"], dtype=float),
-        np.asarray(doc["phases"], dtype=float))
+    gammas = _float_array(doc["gammas"], 1, "gammas")
+    phases = _float_array(doc["phases"], 1, "phases")
+    if phases.size != gammas.size:
+        raise SchemaError(f"{phases.size} phases for {gammas.size} gammas")
+    return Machine(int(doc["system_dim"]), int(doc["probe_dim"]), target,
+                   _complex_array(doc["unitary"], 2), gammas, phases)
 
 
 def verdict_to_dict(verdict: FeasibilityVerdict) -> dict:

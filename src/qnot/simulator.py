@@ -3,8 +3,9 @@
 The exact path applies the machine unitary to ``state x probe_0``,
 projects on the success outcome (probe back in state 0) and compares the
 postselected system state against the target map; a whole set goes
-through one matrix product.  Monte Carlo runs draw the success counter
-from the exact probability with numpy's PCG64 generator, seeded
+through one matrix product.  The one Monte Carlo path is
+:func:`verify_machine` with ``shots`` set: it draws each member's success
+count from the exact probability with numpy's PCG64 generator, seeded
 explicitly, so every report is reproducible.
 """
 from __future__ import annotations
@@ -98,18 +99,6 @@ def run_exact(machine: Machine, state: QuditState,
                        outputs[:, 0])
 
 
-def run_monte_carlo(machine: Machine, state: QuditState, shots: int = 100_000,
-                    seed: int = 42, index: Optional[int] = None) -> MonteCarloRecord:
-    """Sample the success outcome ``shots`` times at the exact probability."""
-    if shots <= 0:
-        raise ValueError("shots must be positive")
-    exact = run_exact(machine, state, index)
-    rng = np.random.default_rng(seed)
-    successes = int(rng.binomial(shots, min(exact.success_prob, 1.0)))
-    return MonteCarloRecord(index, exact.success_prob, shots, successes,
-                            successes / shots, seed)
-
-
 def verify_machine(machine: Machine, state_set: StateSet,
                    fidelity_tol: float = FIDELITY_TOL,
                    prob_tol: float = PROB_TOL,
@@ -123,9 +112,13 @@ def verify_machine(machine: Machine, state_set: StateSet,
     or its success probability differs from the designed ``gamma_i`` by
     more than ``prob_tol``.  The report also
     carries the machine's unitarity error; failures never raise, they are
-    entries in the report.  With ``shots`` set, a Monte Carlo record per
-    member is appended (one shared seed, members sampled in order).
+    entries in the report.  With ``shots`` positive, a Monte Carlo record
+    per member is appended (one generator seeded with ``seed``, members
+    sampled in order); ``None`` or 0 means the exact report alone, and a
+    negative ``shots`` raises :class:`ValueError`.
     """
+    if shots is not None and shots < 0:
+        raise ValueError(f"shots must be 0 or positive, got {shots}")
     if state_set.dim != machine.system_dim:
         raise DimensionMismatch(
             f"set dim {state_set.dim} vs machine system dim {machine.system_dim}")

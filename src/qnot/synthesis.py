@@ -36,6 +36,7 @@ from .feasibility import (
     build_exact_unitary,
     check_exact_unitary,
     constraint_matrix,
+    scaled_constraint,
 )
 from .linalg import PSD_TOL, psd_sqrt, smallest_eigenvalue, unitary_completion
 from .states import StateSet, TargetMap, gram
@@ -112,7 +113,7 @@ def _assemble(state_set: StateSet, eff: EfficiencyMatrix,
     n = len(state_set)
     d = state_set.dim
     probe_dim = n + 1
-    c_matrix = psd_sqrt(m_matrix, tol=PSD_TOL)
+    c_matrix = psd_sqrt(m_matrix)
 
     inputs = np.zeros((d, probe_dim, n), complex)
     inputs[:, 0, :] = state_set.matrix()
@@ -153,8 +154,7 @@ def synthesize(state_set: StateSet, eta: float = ETA,
     """
     n = len(state_set)
     g = gram(state_set).matrix
-    eigs = np.linalg.eigvalsh(g)
-    c = float(eigs.min())
+    c = smallest_eigenvalue(g)
     d_max = float(np.linalg.eigvalsh(np.conj(g)).max())
 
     if exact_when_real and check_exact_unitary(state_set).feasible:
@@ -173,7 +173,8 @@ def synthesize(state_set: StateSet, eta: float = ETA,
     epsilon = min(eta * c / d_max, 1.0)
     eff = EfficiencyMatrix.coerce(epsilon, n)
     phases = np.zeros(n)
-    m_matrix = g - epsilon * np.conj(g)
+    # zero probe phases: P is all ones, so K = conj(G)
+    m_matrix = scaled_constraint(g, np.conj(g), eff.gammas)
     machine, c_matrix, residual = _assemble(state_set, eff, phases, m_matrix)
     report = SynthesisReport(epsilon, c, d_max, c_matrix, residual)
     return machine, report

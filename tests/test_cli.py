@@ -173,7 +173,11 @@ def test_simulate_corrupted_machine_exits_4(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value", [("gammas", []),
                                           ("gammas", [1.0]),
-                                          ("target", "conjugate")])
+                                          ("target", "conjugate"),
+                                          ("phases", [False, True]),
+                                          ("gammas", [True, True]),
+                                          ("gammas", [float("inf"), 0.5]),
+                                          ("phases", [0.0])])
 def test_simulate_mismatched_machine_exits_2(tmp_path, capsys, field, value):
     set_path = write_doc(tmp_path, "set.json", CANONICAL_PAIR)
     machine_path = str(tmp_path / "machine.json")
@@ -181,8 +185,12 @@ def test_simulate_mismatched_machine_exits_2(tmp_path, capsys, field, value):
     capsys.readouterr()
     doc = json.loads(open(machine_path).read())
     doc[field] = value
-    bad_path = write_doc(tmp_path, "bad_machine.json", doc)
-    assert main(["simulate", "--input", set_path, "--machine", bad_path]) == 2
+    # an infinite value is written as 1e999, which parses to inf without
+    # passing through parse_constant
+    bad_path = tmp_path / "bad_machine.json"
+    bad_path.write_text(json.dumps(doc).replace("Infinity", "1e999"))
+    assert main(["simulate", "--input", set_path,
+                 "--machine", str(bad_path)]) == 2
     capsys.readouterr()
 
 
@@ -197,6 +205,21 @@ def test_simulate_monte_carlo_is_reproducible(tmp_path, capsys):
     _, doc_b = run(capsys, argv)
     assert [s["mc_successes"] for s in doc_a["states"]] == \
         [s["mc_successes"] for s in doc_b["states"]]
+
+
+@pytest.mark.parametrize("shots, code, mode", [("0", 0, "exact"),
+                                               ("-1", 2, None)])
+def test_simulate_shot_count(tmp_path, capsys, shots, code, mode):
+    """--shots 0 is the exact report alone; a negative count is malformed."""
+    set_path = write_doc(tmp_path, "set.json", CANONICAL_PAIR)
+    machine_path = str(tmp_path / "machine.json")
+    main(["synthesize", "--input", set_path, "--output", machine_path])
+    capsys.readouterr()
+    got, doc = run(capsys, ["simulate", "--input", set_path,
+                            "--machine", machine_path, "--shots", shots])
+    assert got == code
+    if mode is not None:
+        assert doc["mode"] == mode and doc["shots"] is None
 
 
 def test_gamma_max_agrees_with_frozen_value(tmp_path, capsys):

@@ -8,8 +8,10 @@ from oracles import cofactor_det, eig_by_char_poly, psd_by_minors
 from qnot import (
     DimensionMismatch,
     GramMismatch,
+    InvalidProbeGram,
     NotHermitian,
     NotPSD,
+    ProbeSpec,
     TargetMap,
     gram,
     herm_eig,
@@ -142,6 +144,23 @@ class TestPsdSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSD):
             psd_sqrt(np.diag([1.0, -1e-3]))
+
+
+@pytest.mark.parametrize("lam, accepted", [(-5e-10, True), (-2e-9, False)])
+def test_one_psd_tolerance(lam, accepted):
+    """is_psd, psd_sqrt and probe Grams draw the PSD line in one place."""
+    m = np.diag([1.0, lam])
+    # eigenvalues 2 - lam and lam
+    probe_gram = [[1.0, 1.0 - lam], [1.0 - lam, 1.0]]
+    assert is_psd(m) is accepted
+    if accepted:
+        psd_sqrt(m)
+        ProbeSpec.full_gram(probe_gram)
+    else:
+        with pytest.raises(NotPSD):
+            psd_sqrt(m)
+        with pytest.raises(InvalidProbeGram):
+            ProbeSpec.full_gram(probe_gram)
 
 
 class TestUnitaryCompletion:

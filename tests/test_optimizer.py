@@ -143,6 +143,27 @@ def test_degenerate_determinant_raises():
         gamma_max_triple(dependent)
 
 
+# Near-dependent triples (|det| 8.1e-9 and 2.2e-10, above the 1e-12 cut)
+# where no root of the boundary quadratics passes the PSD test: the a-root
+# is 1.37e-8 with lambda_min(M) = -3.0e-9 on the first and 0 on the second,
+# while the oracle finds 1.0e-8 and 1.7e-8.
+UNCERTIFIED_TRIPLES = [
+    TripleBoundInput(0.6184814218435851, 0.7582248613524998,
+                     0.5885760250323195, 5.486196772758945,
+                     0.4877695367514654, 2.272684129767951),
+    TripleBoundInput(0.6532880674500958, 0.6235463204376009,
+                     0.9919589245799837, 2.000434124813406,
+                     1.7543509159807573, 6.18296334502179),
+]
+
+
+@pytest.mark.parametrize("inp", UNCERTIFIED_TRIPLES,
+                         ids=["det-8e-9", "det-2e-10"])
+def test_uncertified_boundary_raises(inp):
+    with pytest.raises(DegenerateDeterminant):
+        gamma_max_triple(inp)
+
+
 def test_invalid_gram_data_raises():
     # valid pairwise magnitudes that no state triple can realize
     inp = TripleBoundInput(0.99, 0.99, 0.01, 0.0, 0.0, 0.0)

@@ -13,7 +13,6 @@ from qnot import (
     check_exact_with_probe,
     gram,
     run_exact,
-    run_monte_carlo,
     synthesize,
     synthesize_with,
     target_state,
@@ -121,26 +120,36 @@ def test_global_phase_of_input_is_irrelevant():
     assert rec.fidelity == pytest.approx(base.fidelity, abs=1e-10)
 
 
+def _successes(report):
+    return [m.successes for m in report.mc_records]
+
+
 def test_monte_carlo_is_reproducible():
     rng = np.random.default_rng(17)
     ss = random_independent_set(rng, 2, 2, TargetMap.NOT)
     machine, _ = synthesize(ss)
-    a = run_monte_carlo(machine, ss.states[0], shots=5000, seed=7)
-    b = run_monte_carlo(machine, ss.states[0], shots=5000, seed=7)
-    assert a.successes == b.successes
-    assert a.rng == "pcg64"
-    c = run_monte_carlo(machine, ss.states[0], shots=5000, seed=8)
-    assert c.successes != a.successes  # 1-in-thousands collision odds
+    a = verify_machine(machine, ss, shots=5000, seed=7)
+    b = verify_machine(machine, ss, shots=5000, seed=7)
+    assert _successes(a) == _successes(b)
+    assert all(m.rng == "pcg64" and m.seed == 7 for m in a.mc_records)
+    c = verify_machine(machine, ss, shots=5000, seed=8)
+    assert _successes(c) != _successes(a)  # 1-in-millions collision odds
 
 
 def test_monte_carlo_single_shot_and_bounds():
     rng = np.random.default_rng(18)
     ss = random_independent_set(rng, 2, 2, TargetMap.NOT)
     machine, _ = synthesize(ss)
-    rec = run_monte_carlo(machine, ss.states[0], shots=1, seed=3)
-    assert rec.successes in (0, 1)
-    with pytest.raises(ValueError):
-        run_monte_carlo(machine, ss.states[0], shots=0)
+    one = verify_machine(machine, ss, shots=1, seed=3)
+    assert one.mode == "monte_carlo" and one.shots == 1
+    assert all(m.successes in (0, 1) for m in one.mc_records)
+    # no shots or zero shots: the exact report alone
+    for shots in (None, 0):
+        exact = verify_machine(machine, ss, shots=shots, seed=3)
+        assert exact.mode == "exact"
+        assert exact.shots is None and exact.mc_records == []
+    with pytest.raises(ValueError, match="shots"):
+        verify_machine(machine, ss, shots=-1)
 
 
 def test_monte_carlo_within_four_sigma():
@@ -148,11 +157,12 @@ def test_monte_carlo_within_four_sigma():
     ss = random_independent_set(rng, 2, 2, TargetMap.NOT)
     machine, _ = synthesize(ss)
     shots = 100_000
-    for i, s in enumerate(ss):
-        rec = run_monte_carlo(machine, s, shots=shots, seed=100 + i)
-        p = rec.exact_prob
-        sigma = np.sqrt(p * (1 - p) / shots)
-        assert abs(rec.empirical - p) <= 4 * sigma + 1e-12
+    for seed in (100, 101):
+        for rec in verify_machine(machine, ss, shots=shots,
+                                  seed=seed).mc_records:
+            p = rec.exact_prob
+            sigma = np.sqrt(p * (1 - p) / shots)
+            assert abs(rec.empirical - p) <= 4 * sigma + 1e-12
 
 
 def test_monte_carlo_error_scales_as_inverse_sqrt_shots():
@@ -161,12 +171,12 @@ def test_monte_carlo_error_scales_as_inverse_sqrt_shots():
     rng = np.random.default_rng(20)
     ss = random_independent_set(rng, 2, 2, TargetMap.NOT)
     machine, _ = synthesize(ss)
-    s = ss.states[0]
-    p = run_exact(machine, s).success_prob
+    p = run_exact(machine, ss.states[0]).success_prob
     seeds = range(300)
 
     def rms(shots):
-        devs = [run_monte_carlo(machine, s, shots=shots, seed=k).empirical - p
+        devs = [verify_machine(machine, ss, shots=shots,
+                               seed=k).mc_records[0].empirical - p
                 for k in seeds]
         return float(np.sqrt(np.mean(np.square(devs))))
 
