@@ -1,12 +1,15 @@
 """Command line front end.
 
-Subcommands::
+Subcommands, each accepting only the options listed for it::
 
     qnot check      --input set.json [--gamma ... [--phases ...]]
-    qnot synthesize --input set.json [--gamma ... [--phases ...]] [--output m.json]
+    qnot synthesize --input set.json [--gamma ... [--phases ...]]
     qnot simulate   --input set.json --machine m.json [--shots N] [--seed S]
     qnot gamma-max  --input set.json
     qnot oracle     --input set.json [--policy equal|coordinate] [--phases ...]
+
+Every subcommand also takes ``--output FILE`` and ``--format json|text``.
+``--phases`` without ``--gamma`` on ``check`` or ``synthesize`` exits 2.
 
 Exit codes: 0 success, 2 malformed input, 3 linearly dependent set,
 4 simulation contract violation, 5 closed form vs oracle disagreement,
@@ -100,6 +103,15 @@ def _probe_from_args(args, gram_matrix):
     return standard_probe(gram_matrix)
 
 
+def _requested_point(args, state_set):
+    """``(gammas, probe)`` from ``--gamma`` and ``--phases``, or None."""
+    if not args.gamma:
+        if args.phases:
+            raise serialize.SchemaError("--phases needs --gamma")
+        return None
+    return _parse_floats(args.gamma), _probe_from_args(args, gram(state_set))
+
+
 def _gram_text(gm) -> list[str]:
     lines = ["overlaps (magnitude / phase):"]
     n = gm.n
@@ -123,10 +135,9 @@ def cmd_check(args, tol: float) -> int:
         v2 = None
         doc["exact_with_probe"] = {"applicable": False,
                                    "reason": str(exc)}
-    if args.gamma:
-        probe = _probe_from_args(args, gm)
-        v3 = check_probabilistic(state_set, _parse_floats(args.gamma), probe,
-                                 tol)
+    point = _requested_point(args, state_set)
+    if point is not None:
+        v3 = check_probabilistic(state_set, *point, tol)
         doc["probabilistic"] = serialize.verdict_to_dict(v3)
 
     lines = _gram_text(gm)
@@ -150,10 +161,9 @@ def cmd_check(args, tol: float) -> int:
 
 def cmd_synthesize(args, tol: float) -> int:
     state_set = _load_set(args.input)
-    if args.gamma:
-        gm = gram(state_set)
-        probe = _probe_from_args(args, gm)
-        machine = synthesize_with(state_set, _parse_floats(args.gamma), probe)
+    point = _requested_point(args, state_set)
+    if point is not None:
+        machine = synthesize_with(state_set, *point)
         doc = serialize.machine_to_dict(machine)
         lines = [f"machine on {machine.system_dim}x{machine.probe_dim} "
                  f"(system x probe), requested efficiencies honored"]
@@ -243,6 +253,17 @@ def cmd_oracle(args, tol: float) -> int:
     return 0
 
 
+_OPTIONS = {
+    "--gamma": {"help": "comma-separated efficiencies"},
+    "--phases": {"help": "comma-separated probe phases (radians); "
+                         "defaults to doubled Gram phases"},
+    "--machine": {"help": "machine JSON file"},
+    "--shots": {"type": int, "default": 100_000},
+    "--seed": {"type": int, "default": 42},
+    "--policy": {"choices": ("equal", "coordinate"), "default": "equal"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qnot",
@@ -250,40 +271,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "probabilistic spin-flip / conjugation machines.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_command(name, func, help_text, *options):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="state-set JSON file")
-        p.add_argument("--gamma", help="comma-separated efficiencies")
-        p.add_argument("--phases",
-                       help="comma-separated probe phases (radians); "
-                            "defaults to doubled Gram phases")
-        p.add_argument("--shots", type=int, default=100_000)
-        p.add_argument("--seed", type=int, default=42)
         p.add_argument("--output", help="write the result document here")
         p.add_argument("--format", choices=("json", "text"), default="json")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(func=func)
 
-    p_check = sub.add_parser("check", help="run the feasibility checks")
-    add_common(p_check)
-    p_check.set_defaults(func=cmd_check)
-
-    p_synth = sub.add_parser("synthesize", help="build a machine")
-    add_common(p_synth)
-    p_synth.set_defaults(func=cmd_synthesize)
-
-    p_sim = sub.add_parser("simulate", help="verify a machine on a state set")
-    add_common(p_sim)
-    p_sim.add_argument("--machine", help="machine JSON file")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_gm = sub.add_parser("gamma-max",
-                          help="triple efficiency bound, closed form vs oracle")
-    add_common(p_gm)
-    p_gm.set_defaults(func=cmd_gamma_max)
-
-    p_or = sub.add_parser("oracle", help="search feasible efficiencies")
-    add_common(p_or)
-    p_or.add_argument("--policy", choices=("equal", "coordinate"),
-                      default="equal")
-    p_or.set_defaults(func=cmd_oracle)
+    add_command("check", cmd_check, "run the feasibility checks",
+                "--gamma", "--phases")
+    add_command("synthesize", cmd_synthesize, "build a machine",
+                "--gamma", "--phases")
+    add_command("simulate", cmd_simulate, "verify a machine on a state set",
+                "--machine", "--shots", "--seed")
+    add_command("gamma-max", cmd_gamma_max,
+                "triple efficiency bound, closed form vs oracle")
+    add_command("oracle", cmd_oracle, "search feasible efficiencies",
+                "--phases", "--policy")
     return parser
 
 

@@ -6,16 +6,19 @@ Three nested regimes are decided here, each on a finite state family:
   entrywise real (:func:`check_exact_unitary`);
 * a unitary on system plus probe realizes it exactly iff the Gram phases
   satisfy the congruence ``theta_lj - theta_li = theta_ij  (mod pi)`` for
-  every index triple (:func:`check_exact_with_probe`), with witness probe
-  phases ``phi_j = 2 * theta_1j``;
+  every index triple.  With no zero overlap this holds exactly when the
+  witness probe phases ``phi_j = 2 * theta_0j`` give
+  ``G = P(phi) * conj(G)``, which is the Gram test the probe builder
+  applies, so :func:`check_exact_with_probe` decides with that test;
 * with per-state efficiencies ``gamma_i`` and a probe Gram ``P``, a
   postselecting machine exists iff
   ``G - sqrt(Gamma) (conj(G) * P) sqrt(Gamma)`` is positive semidefinite
   (:func:`check_probabilistic`).
 
-The constructive companions :func:`build_exact_unitary` and
-:func:`build_probe_unitary` return explicit unitaries for the first two
-regimes via Gram-matched unitary completion.
+Every machine unitary is built by :func:`branch_unitary`, which writes the
+``(system, probe, member)`` layout once: :func:`build_exact_unitary` and
+:func:`build_probe_unitary` here, and the probabilistic machines of
+:mod:`qnot.synthesis`.
 """
 from __future__ import annotations
 
@@ -32,11 +35,10 @@ from .errors import (
     WrongDimension,
     ZeroOverlap,
 )
-from .linalg import PSD_TOL, smallest_eigenvalue, unitary_completion
+from .linalg import GRAM_TOL, PSD_TOL, smallest_eigenvalue, unitary_completion
 from .states import GramMatrix, QuditState, StateSet, gram, orthogonal_complement
 
 IMAG_TOL = 1e-9
-PHASE_TOL = 1e-8
 PARALLEL_TOL = 1e-8
 
 
@@ -155,35 +157,53 @@ def check_exact_unitary(state_set: StateSet, tol: float = IMAG_TOL) -> Feasibili
 
 
 def check_exact_with_probe(state_set: StateSet,
-                           tol: float = PHASE_TOL) -> FeasibilityVerdict:
-    """Exact target map by a unitary with probe: Gram phase congruence.
+                           tol: float = GRAM_TOL) -> FeasibilityVerdict:
+    """Exact target map by a unitary with probe: the builder's Gram test.
 
     Requires every pairwise overlap to be nonzero (otherwise the criterion
-    does not apply and :class:`ZeroOverlap` is raised).  Feasibility is
-    ``|sin(theta_lj - theta_li - theta_ij)| <= tol`` for all triples; the
-    witness probe phases are ``phi_j = 2 theta_1j`` (mod ``2 pi``).
+    does not apply and :class:`ZeroOverlap` is raised).  The witness probe
+    phases are ``phi_j = 2 theta_0j`` (mod ``2 pi``), and the family is
+    feasible iff ``max |G - P(phi) * conj(G)| <= tol``, the test
+    :func:`build_probe_unitary` applies to the same witness.  With
+    ``r_ij = theta_0j - theta_0i - theta_ij`` each entry is
+    ``2 |G_ij| |sin r_ij|`` and each triple residual of the congruence is
+    ``r_li + r_ij - r_lj``, so this is the paper's criterion.  A violation
+    names the worst entry ``[i, j]`` and its deviation.
     """
     gm = gram(state_set)
     zero = np.argwhere(np.triu(gm.magnitudes < 1e-12, k=1))
     if zero.size:
         raise ZeroOverlap(int(zero[0, 0]), int(zero[0, 1]))
-    th = gm.phases
-    worst = 0.0
-    worst_idx = None
-    # one n x n slab per l keeps temporaries O(n^2); ties keep the first
-    # triple in (l, i, j) order
-    for l, row in enumerate(th):
-        r = np.abs(np.sin(row[None, :] - row[:, None] - th))
-        k = int(np.argmax(r))
-        if r.flat[k] > worst:
-            worst = float(r.flat[k])
-            i, j = divmod(k, r.shape[1])
-            worst_idx = [i, j, l]
-    witness = ProbeSpec.phase_vector(np.mod(2.0 * th[0, :], 2.0 * np.pi))
+    witness = ProbeSpec.phase_vector(np.mod(2.0 * gm.phases[0, :], 2.0 * np.pi))
+    g = gm.matrix
+    dev = np.abs(g - witness.gram_matrix() * np.conj(g))
+    worst = float(dev.max())
     if worst <= tol:
         return FeasibilityVerdict(True, witness=witness)
+    i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
     return FeasibilityVerdict(
-        False, violation={"indices": worst_idx, "residual": float(worst)})
+        False, violation={"indices": [int(i), int(j)], "residual": worst})
+
+
+def branch_unitary(state_set: StateSet, weights, probe_dim: int,
+                   failure=None) -> np.ndarray:
+    """Machine unitary on system x probe from its branch targets.
+
+    Member ``i`` enters as ``psi_i x |0>`` and leaves as
+    ``weights_i target_i x |0> + sum_j failure[j, i] |0> x |j+1>``.
+    Inputs and outputs are ``(system, probe, member)`` arrays; flattening
+    the first two axes gives the system-major joint index.  Propagates
+    :class:`GramMismatch` when the branches do not reproduce the Gram.
+    """
+    d, n = state_set.dim, len(state_set)
+    ins = np.zeros((d, probe_dim, n), complex)
+    ins[:, 0, :] = state_set.matrix()
+    outs = np.zeros((d, probe_dim, n), complex)
+    outs[:, 0, :] = state_set.target_matrix() * weights
+    if failure is not None:
+        outs[0, 1:, :] = failure
+    return unitary_completion(ins.reshape(d * probe_dim, n).T,
+                              outs.reshape(d * probe_dim, n).T)
 
 
 def build_exact_unitary(state_set: StateSet) -> np.ndarray:
@@ -192,7 +212,7 @@ def build_exact_unitary(state_set: StateSet) -> np.ndarray:
     Propagates :class:`GramMismatch` when the Gram matrix is not real,
     i.e. when :func:`check_exact_unitary` is infeasible.
     """
-    return unitary_completion(state_set.matrix().T, state_set.target_matrix().T)
+    return branch_unitary(state_set, 1.0, 1)
 
 
 def build_probe_unitary(state_set: StateSet, probe: ProbeSpec) -> np.ndarray:
@@ -208,14 +228,7 @@ def build_probe_unitary(state_set: StateSet, probe: ProbeSpec) -> np.ndarray:
     n = len(state_set)
     if phases.size != n:
         raise InvalidProbe(f"probe has {phases.size} phases for {n} states")
-    # (system, probe, member) arrays, probe in |0>; rows of the flattened
-    # transpose are the system-major joint vectors
-    d = state_set.dim
-    ins = np.zeros((d, 2, n), complex)
-    ins[:, 0, :] = state_set.matrix()
-    outs = np.zeros((d, 2, n), complex)
-    outs[:, 0, :] = state_set.target_matrix() * np.exp(1j * phases)
-    return unitary_completion(ins.reshape(2 * d, n).T, outs.reshape(2 * d, n).T)
+    return branch_unitary(state_set, np.exp(1j * phases), 2)
 
 
 def constraint_matrix(gram_matrix: GramMatrix | np.ndarray, gammas,

@@ -12,8 +12,9 @@ theta_23``, ``s = t_23^2 sin^2(delta)`` and
 (``a`` is minus the Gram determinant, negative for independent triples),
 the boundary is a root of ``q g^2 + 2 g (2 s - q) + q = 0`` for ``q`` in
 ``{a, b}``.  :func:`gamma_max_triple` evaluates every root of both
-quadratics and keeps the largest one certified feasible by the PSD test,
-rather than trusting any single printed branch; when no root certifies
+quadratics and returns the largest one the PSD test accepts, at the root
+or 1e-9 inside it, rather than trusting any single printed branch; the
+returned value is always the tested one.  When no root certifies
 (a nearly dependent triple) it raises rather than return an unchecked
 number.  :func:`grid_oracle_triple` is the independent check: pure
 bisection against the PSD criterion.
@@ -134,9 +135,12 @@ def gamma_max_triple(inp: TripleBoundInput, tol: float = PSD_TOL) -> float:
             if 0.0 < val <= 1.0 + 1e-9:
                 candidates.append(min(val, 1.0))
     k = np.conj(g) * inp.probe().gram_matrix()
+    # a root can sit a hair past the edge; step 1e-9 inside, and return
+    # only a value the PSD test accepted
     for val in sorted(set(candidates), reverse=True):
-        if _feasible(g, k, np.full(3, max(val - 1e-9, 0.0)), tol):
-            return float(val)
+        for point in (val, val - 1e-9):
+            if point > 0.0 and _feasible(g, k, np.full(3, point), tol):
+                return float(point)
     raise DegenerateDeterminant(
         f"no root of the boundary quadratics passes the PSD test "
         f"(|det| = {abs(a):.3e})")

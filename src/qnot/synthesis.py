@@ -8,8 +8,9 @@ For a family with Gram matrix ``G``, probe phases ``phi`` and efficiencies
 
     M = G - sqrt(Gamma) (conj(G) * P) sqrt(Gamma)   is PSD,
 
-and an explicit unitary follows from Gram-matched completion: the image of
-the i-th prepared input is
+and an explicit unitary follows from Gram-matched completion
+(:func:`qnot.feasibility.branch_unitary`): the image of the i-th prepared
+input is
 
     sqrt(gamma_i) e^{i phi_i} (target_i x P_0)  +  sum_j C*_ij (fill x P_j)
 
@@ -28,22 +29,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GramMismatch, InfeasibleGamma, InvalidProbe, LinearlyDependent
+from .errors import InfeasibleGamma, InvalidProbe, LinearlyDependent
 from .feasibility import (
     EfficiencyMatrix,
     ProbeKind,
     ProbeSpec,
+    branch_unitary,
     build_exact_unitary,
     check_exact_unitary,
     constraint_matrix,
     scaled_constraint,
 )
-from .linalg import PSD_TOL, psd_sqrt, smallest_eigenvalue, unitary_completion
+from .linalg import PSD_TOL, psd_sqrt, smallest_eigenvalue
 from .states import StateSet, TargetMap, gram
 
 ETA = 0.999
 INDEPENDENCE_TOL = 1e-9
-ASSEMBLY_TOL = 1e-8
 
 
 @dataclass
@@ -78,16 +79,6 @@ class Machine:
     def total_dim(self) -> int:
         return self.system_dim * self.probe_dim
 
-    def success_projector(self) -> np.ndarray:
-        e0 = np.zeros((self.probe_dim, self.probe_dim))
-        e0[0, 0] = 1.0
-        return np.kron(np.eye(self.system_dim), e0)
-
-    def embed_input(self, amps: np.ndarray) -> np.ndarray:
-        probe0 = np.zeros(self.probe_dim)
-        probe0[0] = 1.0
-        return np.kron(np.asarray(amps, dtype=complex), probe0)
-
     def unitarity_error(self) -> float:
         u = self.unitary
         return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
@@ -98,44 +89,26 @@ class SynthesisReport:
     epsilon: float
     c: float
     d_max: float
-    c_matrix: np.ndarray
     residual: float
     path: str = "general"
 
 
 def _assemble(state_set: StateSet, eff: EfficiencyMatrix,
               phases: np.ndarray, m_matrix: np.ndarray):
-    """Build the machine unitary from the success/failure branch targets.
+    """Machine whose failure branches carry ``C = sqrt(M)``, and its residual.
 
-    Inputs and outputs are ``(system, probe, member)`` arrays; flattening
-    the first two axes gives the system-major joint index.
+    The residual is the Gram deviation of the assembled branches,
+    ``max |C^2 - M|``; the completion itself refuses branches whose Gram
+    misses ``G`` by more than ``linalg.GRAM_TOL``.
     """
     n = len(state_set)
-    d = state_set.dim
-    probe_dim = n + 1
     c_matrix = psd_sqrt(m_matrix)
-
-    inputs = np.zeros((d, probe_dim, n), complex)
-    inputs[:, 0, :] = state_set.matrix()
-    outputs = np.zeros((d, probe_dim, n), complex)
-    outputs[:, 0, :] = (state_set.target_matrix()
-                        * (np.sqrt(eff.gammas) * np.exp(1j * phases)))
     # member i puts amplitude C*_ij on fill x P_{j+1}, with fill = |0>
-    outputs[0, 1:, :] = np.conj(c_matrix).T
-    in_mat = inputs.reshape(d * probe_dim, n)
-    out_mat = outputs.reshape(d * probe_dim, n)
-
-    # assembly self-check: the branch bookkeeping must reproduce the Gram
-    g = gram(state_set).matrix
-    dev = np.abs(out_mat.conj().T @ out_mat - g)
-    if dev.max() > ASSEMBLY_TOL:
-        i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        raise GramMismatch(int(i), int(j), float(dev[i, j]))
-
-    unitary = unitary_completion(in_mat.T, out_mat.T)
-    machine = Machine(d, probe_dim, state_set.target, unitary,
+    weights = np.sqrt(eff.gammas) * np.exp(1j * phases)
+    unitary = branch_unitary(state_set, weights, n + 1, np.conj(c_matrix).T)
+    machine = Machine(state_set.dim, n + 1, state_set.target, unitary,
                       eff.gammas.copy(), phases.copy())
-    return machine, c_matrix, float(dev.max())
+    return machine, float(np.abs(c_matrix @ c_matrix - m_matrix).max())
 
 
 def synthesize(state_set: StateSet, eta: float = ETA,
@@ -147,15 +120,16 @@ def synthesize(state_set: StateSet, eta: float = ETA,
     an exact system-only unitary with ``gamma = 1``; this path also takes
     linearly dependent families.  Otherwise efficiencies are
     ``epsilon = min(eta * c / d_max, 1)`` with ``c`` the smallest and
-    ``d_max`` the largest eigenvalue of the Gram and its conjugate.
+    ``d_max`` the largest eigenvalue of the Gram, whose conjugate has the
+    same spectrum.
 
     Raises :class:`LinearlyDependent` when the general path is needed and
     the family has Gram rank below its size.
     """
     n = len(state_set)
     g = gram(state_set).matrix
-    c = smallest_eigenvalue(g)
-    d_max = float(np.linalg.eigvalsh(np.conj(g)).max())
+    spectrum = np.linalg.eigvalsh(g)
+    c, d_max = float(spectrum[0]), float(spectrum[-1])
 
     if exact_when_real and check_exact_unitary(state_set).feasible:
         unitary = build_exact_unitary(state_set)
@@ -163,8 +137,7 @@ def synthesize(state_set: StateSet, eta: float = ETA,
                                 - state_set.target_matrix()).max())
         machine = Machine(state_set.dim, 1, state_set.target, unitary,
                           np.ones(n), np.zeros(n))
-        report = SynthesisReport(1.0, c, d_max, np.zeros((n, n)), residual,
-                                 path="exact")
+        report = SynthesisReport(1.0, c, d_max, residual, path="exact")
         return machine, report
 
     if c <= INDEPENDENCE_TOL:
@@ -175,8 +148,8 @@ def synthesize(state_set: StateSet, eta: float = ETA,
     phases = np.zeros(n)
     # zero probe phases: P is all ones, so K = conj(G)
     m_matrix = scaled_constraint(g, np.conj(g), eff.gammas)
-    machine, c_matrix, residual = _assemble(state_set, eff, phases, m_matrix)
-    report = SynthesisReport(epsilon, c, d_max, c_matrix, residual)
+    machine, residual = _assemble(state_set, eff, phases, m_matrix)
+    report = SynthesisReport(epsilon, c, d_max, residual)
     return machine, report
 
 
@@ -200,5 +173,5 @@ def synthesize_with(state_set: StateSet, gammas, probe: ProbeSpec) -> Machine:
     if lam_min < -PSD_TOL:
         raise InfeasibleGamma(
             f"constraint matrix has eigenvalue {lam_min:.3e}")
-    machine, _, _ = _assemble(state_set, eff, phases, m_matrix)
+    machine, _ = _assemble(state_set, eff, phases, m_matrix)
     return machine

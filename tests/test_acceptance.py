@@ -204,6 +204,6 @@ def test_criterion_6_properties():
         ss = random_independent_set(rng, n, dim, target)
         machine, _ = synthesize(ss)
         psi = random_state(rng, dim)
-        v = machine.unitary @ machine.embed_input(psi.amps)
+        v = machine.unitary @ np.kron(psi.amps, np.eye(machine.probe_dim)[0])
         blocks = v.reshape(machine.system_dim, machine.probe_dim)
         assert abs(float(np.sum(np.abs(blocks) ** 2)) - 1.0) <= 1e-10

@@ -304,6 +304,31 @@ def test_bad_gamma_string_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, option", [
+    ("check", "--shots"), ("check", "--seed"),
+    ("synthesize", "--shots"), ("synthesize", "--seed"),
+    ("simulate", "--gamma"), ("simulate", "--phases"),
+    ("gamma-max", "--gamma"), ("gamma-max", "--phases"),
+    ("gamma-max", "--shots"), ("gamma-max", "--seed"),
+    ("oracle", "--gamma"), ("oracle", "--shots"), ("oracle", "--seed"),
+])
+def test_undeclared_option_exits_2(tmp_path, capsys, command, option):
+    path = write_doc(tmp_path, "set.json", CANONICAL_PAIR)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", path, option, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "synthesize"])
+def test_phases_without_gamma_exits_2(tmp_path, capsys, command):
+    path = write_doc(tmp_path, "set.json", CANONICAL_PAIR)
+    assert main([command, "--input", path, "--phases", "0,1.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--phases needs --gamma" in captured.err
+
+
 def test_simulate_without_machine_exits_2(tmp_path, capsys):
     path = write_doc(tmp_path, "set.json", CANONICAL_PAIR)
     assert main(["simulate", "--input", path]) == 2

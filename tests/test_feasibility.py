@@ -17,6 +17,7 @@ from oracles import (
 )
 from qnot import (
     EfficiencyMatrix,
+    GammaPolicy,
     GramMismatch,
     InvalidProbeGram,
     LinearlyDependentPair,
@@ -33,7 +34,10 @@ from qnot import (
     constraint_matrix,
     gram,
     orthogonal_complement,
+    search_gamma,
     solve_dependent_triple,
+    standard_probe,
+    synthesize_with,
 )
 
 
@@ -135,8 +139,11 @@ class TestExactWithProbe:
         ss = states_for_gram(g, 3, TargetMap.CONJUGATE)
         verdict = check_exact_with_probe(ss)
         assert not verdict.feasible
+        # the witness fixes r_01 = r_02 = 0, leaving |G_12 - P_12 conj(G_12)|
+        # = 2 t |sin(pi/105)|
+        assert verdict.violation["indices"] == [1, 2]
         assert verdict.violation["residual"] == pytest.approx(
-            abs(np.sin(np.pi / 105)), abs=1e-9)
+            2 * t * abs(np.sin(np.pi / 105)), abs=1e-9)
         # independent confirmation: no probe phase pair comes close to
         # compensating the Gram conjugation (1e-3 grid over both phases)
         assert phase_grid_min_residual(g) > 0.005
@@ -163,7 +170,8 @@ class TestExactWithProbe:
 
 @pytest.mark.parametrize("family", ["phased", "unphased", "infeasible"])
 def test_probe_check_matches_triple_loop(family):
-    """Verdict, first-worst triple and residual agree with the plain loop."""
+    """Verdict agrees with the plain triple loop; the violation is the worst
+    Gram entry, ``2 |G_ij| |sin r_ij|`` with ``r_ij`` the loop's l = 0 term."""
     rng = np.random.default_rng({"phased": 57, "unphased": 58,
                                  "infeasible": 59}[family])
     for _ in range(15):
@@ -179,13 +187,18 @@ def test_probe_check_matches_triple_loop(family):
             verdict = check_exact_with_probe(ss)
         except ZeroOverlap:
             continue
-        residual, indices = probe_congruence_loop(gram(ss).phases)
+        gm = gram(ss)
+        residual, _ = probe_congruence_loop(gm.phases)
         assert verdict.feasible == (residual <= 1e-8)
         if verdict.feasible:
             continue
-        assert verdict.violation["indices"] == indices
-        assert verdict.violation["residual"] == pytest.approx(residual,
-                                                              rel=1e-14)
+        th = gm.phases
+        r = th[0][None, :] - th[0][:, None] - th
+        dev = 2 * gm.magnitudes * np.abs(np.sin(r))
+        i, j = verdict.violation["indices"]
+        assert dev[i, j] == pytest.approx(dev.max(), rel=1e-12)
+        assert verdict.violation["residual"] == pytest.approx(dev.max(),
+                                                              rel=1e-12)
 
 
 class TestBuildProbeUnitary:
@@ -216,6 +229,76 @@ class TestBuildProbeUnitary:
         u1 = build_probe_unitary(ss, full)
         u2 = build_probe_unitary(ss, ProbeSpec.phase_vector(phases))
         np.testing.assert_allclose(u1, u2, atol=1e-10)
+
+
+# Near-real qubit triple: every triple residual of the congruence is below
+# 1e-8, but the witness leaves |G_12 - P_12 conj(G_12)| = 1.743e-8, past the
+# builder's Gram tolerance.
+NEAR_EDGE_TRIPLE = [[0.8930931080787534, 0.44987187098354126],
+                    [0.5590762194004723, 0.8291162650080356],
+                    [0.5089120098988815, 0.8608185442825218 + 2.9478664402239487e-08j]]
+
+
+def near_edge_triple(rng) -> StateSet:
+    """Real qubit triple with an imaginary part of at most 4e-8 added."""
+    theta = rng.uniform(0.0, np.pi, 3)
+    amps = np.stack([np.cos(theta), np.sin(theta)], axis=1).astype(complex)
+    amps[2, 1] += 1j * rng.uniform(0.0, 4e-8)
+    return StateSet(tuple(QuditState.normalized(a) for a in amps), TargetMap.NOT)
+
+
+class TestProbeVerdictBuilds:
+    def test_near_edge_counterexample_is_infeasible(self):
+        ss = StateSet.from_amplitudes(np.array(NEAR_EDGE_TRIPLE), TargetMap.NOT)
+        verdict = check_exact_with_probe(ss)
+        assert not verdict.feasible
+        assert verdict.violation["indices"] == [1, 2]
+        assert verdict.violation["residual"] == pytest.approx(1.743e-8, rel=1e-3)
+
+    def test_every_feasible_verdict_builds(self):
+        rng = np.random.default_rng(1)
+        verdicts = [(ss, check_exact_with_probe(ss))
+                    for ss in (near_edge_triple(rng) for _ in range(300))]
+        feasible = [(ss, v.witness) for ss, v in verdicts if v.feasible]
+        assert 0 < len(feasible) < len(verdicts)
+        for ss, witness in feasible:
+            build_probe_unitary(ss, witness)
+
+
+@pytest.mark.parametrize("builder", ["exact", "probe", "probabilistic"])
+def test_branch_layout(builder):
+    """U (psi_i x |0>) = sqrt(gamma_i) e^{i phi_i} t_i x |0>
+    + sum_j C*_ij |0> x |j+1>, for every machine builder."""
+    rng = np.random.default_rng(62)
+    n, dim = 3, 3
+    if builder == "exact":
+        ss = random_set(rng, n, dim, TargetMap.CONJUGATE, real=True)
+        u, p = build_exact_unitary(ss), 1
+        gammas, phases, c = np.ones(n), np.zeros(n), np.zeros((n, 0))
+    elif builder == "probe":
+        ss = phased_real_set(rng, n, dim, TargetMap.CONJUGATE)
+        witness = check_exact_with_probe(ss).witness
+        u, p = build_probe_unitary(ss, witness), 2
+        gammas, phases, c = np.ones(n), witness.phases, np.zeros((n, 1))
+    else:
+        ss = random_independent_set(rng, n, dim, TargetMap.CONJUGATE)
+        probe = standard_probe(gram(ss))
+        gammas = 0.9 * search_gamma(ss, GammaPolicy.COORDINATE, probe).gammas
+        machine = synthesize_with(ss, gammas, probe)
+        assert machine.probe_dim == n + 1
+        u, p, phases = machine.unitary, n + 1, probe.phases
+        psi = ss.matrix()
+        g = psi.conj().T @ psi
+        s = np.sqrt(gammas) * np.exp(1j * phases)
+        m = g - np.conj(s)[:, None] * np.conj(g) * s
+        vals, vecs = np.linalg.eigh(m)
+        c = (vecs * np.sqrt(vals)) @ vecs.conj().T
+    for i, (s_i, t_i) in enumerate(zip(ss, ss.targets())):
+        out = (u @ np.kron(s_i.amps, np.eye(p)[0])).reshape(dim, p)
+        want = np.zeros((dim, p), complex)
+        want[:, 0] = np.sqrt(gammas[i]) * np.exp(1j * phases[i]) * t_i.amps
+        want[0, 1:] = np.conj(c[i])
+        np.testing.assert_allclose(out, want, atol=1e-10)
 
 
 class TestProbeSpec:

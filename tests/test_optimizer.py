@@ -164,6 +164,21 @@ def test_uncertified_boundary_raises(inp):
         gamma_max_triple(inp)
 
 
+# Near-dependent qutrit triple whose a-root 2.466e-8 has lambda_min(M)
+# = -1.87e-9; 1e-9 inside it, 2.366e-8 passes the PSD test.
+EDGE_ROOT_TRIPLE = TripleBoundInput(
+    0.3892444485631532, 0.3587690037753581, 0.8888065421252748,
+    0.7933075239697203, 2.2340284076542902, 0.15664014312309466)
+
+
+def test_returned_bound_passes_the_psd_test():
+    gamma = gamma_max_triple(EDGE_ROOT_TRIPLE)
+    assert gamma == pytest.approx(2.366e-8, rel=1e-3)
+    m = constraint_matrix(EDGE_ROOT_TRIPLE.gram_matrix(), gamma,
+                          EDGE_ROOT_TRIPLE.probe())
+    assert np.linalg.eigvalsh(m).min() >= -1e-9
+
+
 def test_invalid_gram_data_raises():
     # valid pairwise magnitudes that no state triple can realize
     inp = TripleBoundInput(0.99, 0.99, 0.01, 0.0, 0.0, 0.0)

@@ -101,7 +101,7 @@ def test_probability_conservation_across_probe_outcomes():
     machine, _ = synthesize(ss)
     for _ in range(20):
         psi = random_state(rng, 3)
-        v = machine.unitary @ machine.embed_input(psi.amps)
+        v = machine.unitary @ np.kron(psi.amps, np.eye(machine.probe_dim)[0])
         blocks = v.reshape(machine.system_dim, machine.probe_dim)
         total = float(np.sum(np.abs(blocks) ** 2))
         assert total == pytest.approx(1.0, abs=1e-10)

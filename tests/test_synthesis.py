@@ -193,11 +193,3 @@ class TestMachine:
                                           machine.branch_phases)
             assert back.target is machine.target
             assert back.probe_dim == machine.probe_dim
-
-    def test_success_projector_rank(self):
-        rng = np.random.default_rng(77)
-        ss = random_independent_set(rng, 2, 3, TargetMap.CONJUGATE)
-        machine, _ = synthesize(ss)
-        proj = machine.success_projector()
-        assert np.trace(proj).real == pytest.approx(machine.system_dim)
-        np.testing.assert_allclose(proj @ proj, proj, atol=1e-12)
