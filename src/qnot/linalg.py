@@ -4,8 +4,12 @@ Thin wrappers around numpy's eigensolvers plus the unitary-completion
 routine that the machine constructions are built on: two tuples of vectors
 with identical Gram matrices are related by a unitary, and
 :func:`unitary_completion` produces one explicitly.  It completes only
-inside the joint span of the two families, so for ``k`` independent
-``D``-dimensional vectors it costs ``O(D^2 k)``.
+inside the joint span of the two families, and computes only on their
+support, the ``s`` coordinates where some vector of either family is
+nonzero: for ``k`` independent ``D``-dimensional vectors it costs
+``O(s^2 k)``, not ``O(D^2 k)``, plus writing the ``D x D`` identity around
+the ``s x s`` block.  Machine branches touch ``s = d + n`` of the
+``D = d (n + 1)`` coordinates of system x probe.
 
 Every PSD decision (:func:`is_psd`, :func:`psd_sqrt`, probe Grams and the
 feasibility and search code) compares :func:`smallest_eigenvalue` against
@@ -58,12 +62,11 @@ def herm_eig(m) -> HermEig:
     """Eigendecomposition of a Hermitian matrix with a fixed phase gauge."""
     m = _require_hermitian(_as_complex_matrix(m))
     vals, vecs = np.linalg.eigh(m)
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            lead = col[nz[0]]
-            vecs[:, k] = col * (np.conj(lead) / np.abs(lead))
+    big = np.abs(vecs) > 1e-12
+    cols = np.flatnonzero(big.any(axis=0))
+    if cols.size:
+        lead = vecs[big[:, cols].argmax(axis=0), cols]
+        vecs[:, cols] *= np.conj(lead) / np.abs(lead)
     return HermEig(vals, vecs)
 
 
@@ -157,9 +160,13 @@ def unitary_completion(inputs, outputs, gram_tol: float = GRAM_TOL,
     with ``Q`` an orthonormal basis of ``[A B]`` (thin QR, ``m <= 2k``
     columns for rank ``k``), a small unitary ``R`` on ``Q``'s coordinates
     maps ``Q^dag A`` to ``Q^dag B``, and ``U = I + Q (R - I) Q^dag`` is the
-    identity on the orthogonal complement.  For ``D``-dimensional vectors
-    the cost is ``O(D^2 k)`` rather than the ``O(D^3)`` of completing both
-    bases of the full space.
+    identity on the orthogonal complement.  All of this runs on the support
+    only, the rows where some input or output entry is nonzero (exactly):
+    the other rows and columns of ``U`` are exactly those of the identity.
+    For ``s`` support rows the cost is ``O(s^2 k)`` rather than the
+    ``O(D^3)`` of completing both bases of the full space; a family with
+    full support is completed exactly as a dense one, and an all-zero
+    family gives the identity.
 
     Parameters
     ----------
@@ -189,6 +196,9 @@ def unitary_completion(inputs, outputs, gram_tol: float = GRAM_TOL,
             raise DimensionMismatch("all vectors must share one dimension")
     x_mat = np.stack(xs, axis=1)
     y_mat = np.stack(ys, axis=1)
+    support = np.flatnonzero((x_mat != 0).any(axis=1)
+                             | (y_mat != 0).any(axis=1))
+    x_mat, y_mat = x_mat[support], y_mat[support]
     gx = gram_of(x_mat)
     gy = gram_of(y_mat)
     dev = np.abs(gx - gy)
@@ -201,6 +211,8 @@ def unitary_completion(inputs, outputs, gram_tol: float = GRAM_TOL,
     r = (_extend_to_unitary(qh @ b_basis)
          @ _extend_to_unitary(qh @ a_basis).conj().T)
     r[np.diag_indices_from(r)] -= 1.0
-    u = (q @ r) @ qh
-    u[np.diag_indices_from(u)] += 1.0
+    block = (q @ r) @ qh
+    block[np.diag_indices_from(block)] += 1.0
+    u = np.eye(dim, dtype=complex)
+    u[np.ix_(support, support)] = block
     return u

@@ -3,7 +3,10 @@
 The exact path applies the machine unitary to ``state x probe_0``,
 projects on the success outcome (probe back in state 0) and compares the
 postselected system state against the target map; a whole set goes
-through one matrix product.  The one Monte Carlo path is
+through one product with the ``d x d`` success block of the unitary.  The
+report's unitarity error is :meth:`qnot.synthesis.Machine.unitarity_error`,
+which checks ``U^dag U = I`` only on the indices the unitary moves, so
+verifying a machine costs no ``D^3`` product.  The one Monte Carlo path is
 :func:`verify_machine` with ``shots`` set: it draws each member's success
 count from the exact probability with numpy's PCG64 generator, seeded
 explicitly, so every report is reproducible.

@@ -22,6 +22,15 @@ families: ``epsilon = min(0.999 * lambda_min(G) / lambda_max(conj(G)), 1)``,
 which keeps ``M = G - epsilon conj(G)`` strictly positive.  Families whose
 Gram is entrywise real skip the probe entirely and get an exact unitary
 with unit efficiency.
+
+The machine unitary is stored dense, but it moves only the support of its
+branches, ``s = d + n`` of the ``D = d (n + 1)`` joint coordinates; every
+other row and column is exactly the identity's.
+:meth:`Machine.unitarity_error` uses that for any unitary, built or
+loaded: it finds the indices whose row or column differs from the
+identity by exact comparison and checks ``V^dag V = I`` on that block
+alone, ``O(D^2 + s^3)`` instead of the ``O(D^3)`` of ``U^dag U``, for the
+same value up to rounding.
 """
 from __future__ import annotations
 
@@ -80,8 +89,22 @@ class Machine:
         return self.system_dim * self.probe_dim
 
     def unitarity_error(self) -> float:
+        """``max |U^dag U - I|``, computed on the indices ``U`` moves.
+
+        An index whose row and column are exactly those of the identity
+        contributes exactly 0 to ``U^dag U - I``, so with ``S`` the other
+        indices the error is ``max |V^dag V - I|`` for ``V = U[S, S]``.
+        An entry that differs from the identity's (NaN included) puts its
+        row and its column in ``S``, so no corruption escapes the check.
+        """
         u = self.unitary
-        return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
+        moved = u != 0
+        np.fill_diagonal(moved, np.diagonal(u) != 1)
+        s = np.flatnonzero(moved.any(axis=0) | moved.any(axis=1))
+        if not s.size:
+            return 0.0
+        v = u[np.ix_(s, s)]
+        return float(np.abs(v.conj().T @ v - np.eye(s.size)).max())
 
 
 @dataclass

@@ -118,3 +118,20 @@ def probe_congruence_loop(th):
                     worst = r
                     worst_idx = [i, j, l]
     return float(worst), worst_idx
+
+
+def phase_gauge_loop(vecs):
+    """Eigenvector columns in the fixed phase gauge, one column at a time.
+
+    Each column is rotated so that its first entry of magnitude above
+    1e-12 becomes real and positive; columns with no such entry stay as
+    they are.  Returns a new array.
+    """
+    vecs = np.array(vecs, dtype=complex)
+    for k in range(vecs.shape[1]):
+        col = vecs[:, k]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size:
+            lead = col[nz[0]]
+            vecs[:, k] = col * (np.conj(lead) / np.abs(lead))
+    return vecs

@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_independent_set, random_set, random_state
-from oracles import cofactor_det, eig_by_char_poly, psd_by_minors
+from oracles import (
+    cofactor_det,
+    eig_by_char_poly,
+    phase_gauge_loop,
+    psd_by_minors,
+)
 from qnot import (
     DimensionMismatch,
     GramMismatch,
@@ -62,6 +67,35 @@ class TestHermEig:
         d1, d2 = herm_eig(m), herm_eig(m)
         np.testing.assert_array_equal(d1.eigenvalues, d2.eigenvalues)
         np.testing.assert_array_equal(d1.eigenvectors, d2.eigenvectors)
+
+    def test_gauge_matches_column_loop_bit_for_bit(self):
+        """Same gauge as the per-column loop, including zero-leading columns.
+
+        Every third matrix is block diagonal and every fifth has a zero
+        first row and column, so many eigenvectors start with entries at
+        or below 1e-12 and take their phase from a later entry.
+        """
+        rng = np.random.default_rng(6)
+        zero_leading = 0
+        for n in (3, 10, 24, 48):
+            for trial in range(30):
+                m = random_hermitian(rng, n)
+                if trial % 3 == 0:
+                    m[:n // 2, n // 2:] = 0
+                    m[n // 2:, :n // 2] = 0
+                if trial % 5 == 0:
+                    m[0, :] = 0
+                    m[:, 0] = 0
+                raw = np.linalg.eigh(m)[1]
+                zero_leading += int(np.sum(np.abs(raw[0]) <= 1e-12))
+                got = herm_eig(m).eigenvectors
+                assert got.tobytes() == phase_gauge_loop(raw).tobytes()
+        assert zero_leading > 100
+
+    def test_empty_matrix(self):
+        dec = herm_eig(np.zeros((0, 0)))
+        assert dec.eigenvalues.shape == (0,)
+        assert dec.eigenvectors.shape == (0, 0)
 
     def test_trace_and_det_invariants(self):
         rng = np.random.default_rng(5)
@@ -218,6 +252,48 @@ class TestUnitaryCompletion:
         assert err.value.indices == (0, 1)
         assert abs(err.value.deviation - 1 / np.sqrt(2)) < 1e-12
 
+    @pytest.mark.parametrize("shape", ["independent", "dependent", "overfull"])
+    def test_zero_padded_families(self, shape):
+        """Identity off the support, and the dense answer on it.
+
+        The family lives on 6 scattered rows of a 40-dimensional space;
+        ``overfull`` holds more vectors (k = 9) than support rows.
+        """
+        rng = np.random.default_rng(33)
+        s, dim = 6, 40
+        k = {"independent": 3, "dependent": 5, "overfull": 9}[shape]
+        x = rng.normal(size=(s, k)) + 1j * rng.normal(size=(s, k))
+        if shape == "dependent":
+            x[:, 3:] = x[:, :3] @ rng.normal(size=(3, 2))
+        x /= np.linalg.norm(x, axis=0)
+        v = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+        y = np.linalg.qr(v)[0] @ x
+        rows = np.sort(rng.choice(dim, size=s, replace=False))
+        x_pad = np.zeros((dim, k), complex)
+        y_pad = np.zeros((dim, k), complex)
+        x_pad[rows], y_pad[rows] = x, y
+        u = unitary_completion(x_pad.T, y_pad.T)
+        off = np.setdiff1d(np.arange(dim), rows)
+        assert np.array_equal(u[off], np.eye(dim)[off])
+        assert np.array_equal(u[:, off], np.eye(dim)[:, off])
+        assert np.abs(u @ x_pad - y_pad).max() < 1e-10
+        assert np.abs(u.conj().T @ u - np.eye(dim)).max() < 1e-10
+        # full support on its own rows: the block is the dense completion
+        assert np.array_equal(u[np.ix_(rows, rows)],
+                              unitary_completion(x.T, y.T))
+
+    def test_support_joins_input_and_output_rows(self):
+        e = np.eye(6)
+        u = unitary_completion([e[1], e[2]], [e[4], e[2]])
+        np.testing.assert_allclose(u @ e[1], e[4], atol=1e-12)
+        assert abs(u[1, 4]) == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(u[np.ix_([0, 3, 5], [0, 3, 5])], np.eye(3))
+
+    def test_all_zero_family_gives_identity(self):
+        zero = np.zeros(5)
+        u = unitary_completion([zero, zero], [zero, zero])
+        assert np.array_equal(u, np.eye(5))
+
     def test_dimension_mismatches_rejected(self):
         e0, e1 = np.eye(2)
         with pytest.raises(DimensionMismatch):
@@ -244,13 +320,16 @@ def test_completion_roundtrip_property(seed, dim):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
        st.integers(min_value=1, max_value=64),
-       st.sampled_from(["independent", "dependent", "identity", "overfull"]))
-def test_subspace_completion_property(seed, dim, shape):
+       st.sampled_from(["independent", "dependent", "identity", "overfull"]),
+       st.integers(min_value=0, max_value=64))
+def test_subspace_completion_property(seed, dim, shape, pad):
     """Unitary and exact on the pairs for spans far smaller than the space.
 
     ``dependent`` draws k vectors of rank at most k // 2 + 1, ``identity``
     maps a family to itself (the two spans coincide) and ``overfull``
-    draws more vectors than the dimension.
+    draws more vectors than the dimension.  With ``pad`` positive the
+    family is scattered onto ``dim`` of ``dim + pad`` rows, the rest zero:
+    then every row and column off those rows must be the identity's.
     """
     rng = np.random.default_rng(seed)
     if shape == "overfull":
@@ -268,6 +347,14 @@ def test_subspace_completion_property(seed, dim, shape):
     else:
         v = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         y = np.linalg.qr(v)[0] @ x
+    rows = np.sort(rng.choice(dim + pad, size=dim, replace=False))
+    x_pad = np.zeros((dim + pad, x.shape[1]), complex)
+    y_pad = np.zeros_like(x_pad)
+    x_pad[rows], y_pad[rows] = x, y
+    x, y, dim = x_pad, y_pad, dim + pad
     u = unitary_completion(x.T, y.T)
     assert np.abs(u.conj().T @ u - np.eye(dim)).max() < 1e-10
     assert np.abs(u @ x - y).max() < 1e-10
+    off = np.setdiff1d(np.arange(dim), rows)
+    assert np.array_equal(u[off], np.eye(dim)[off])
+    assert np.array_equal(u[:, off], np.eye(dim)[:, off])

@@ -210,6 +210,79 @@ def test_verify_machine_flags_corruption():
     assert report.unitary_error > 1e-4
 
 
+def _full_unitarity_error(u):
+    return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
+
+
+def _moved_block_unitary(rng, dim, size):
+    """Random ``V`` on ``size`` scattered indices, identity elsewhere."""
+    s = np.sort(rng.choice(dim, size=size, replace=False))
+    v = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    u = np.eye(dim, dtype=complex)
+    u[np.ix_(s, s)] = np.linalg.qr(v)[0]
+    return u, s
+
+
+@pytest.mark.parametrize("spot", ["block", "untouched_diagonal",
+                                  "untouched_row", "untouched_column",
+                                  "untouched_pair"])
+def test_unitarity_error_matches_full_product(spot):
+    """One corrupted entry anywhere: the moved-block check equals U^dag U."""
+    rng = np.random.default_rng(23)
+    for trial in range(20):
+        dim = int(rng.integers(3, 40))
+        u, s = _moved_block_unitary(rng, dim, int(rng.integers(1, dim - 1)))
+        rest = np.setdiff1d(np.arange(dim), s)
+        t, t2 = rng.choice(rest), rng.choice(rest)
+        i, j = rng.choice(s), rng.choice(s)
+        where = {"block": (i, j), "untouched_diagonal": (t, t),
+                 "untouched_row": (t, j), "untouched_column": (i, t),
+                 "untouched_pair": (t, t2)}[spot]
+        u[where] += 10.0 ** rng.uniform(-8, 0) * np.exp(2j * np.pi * rng.random())
+        machine = Machine(dim, 1, TargetMap.CONJUGATE, u, np.ones(1),
+                          np.zeros(1))
+        assert abs(machine.unitarity_error()
+                   - _full_unitarity_error(u)) <= 1e-12
+
+
+def test_unitarity_error_on_synthesized_machines():
+    """Built machines move d + n of the d (n + 1) indices; same error."""
+    rng = np.random.default_rng(24)
+    ss = random_independent_set(rng, 4, 5, TargetMap.CONJUGATE)
+    machine, _ = synthesize(ss)
+    moved = ~np.all(machine.unitary == np.eye(machine.total_dim), axis=0)
+    assert moved.sum() == 5 + 4
+    assert abs(machine.unitarity_error()
+               - _full_unitarity_error(machine.unitary)) <= 1e-12
+    untouched = np.flatnonzero(~moved)
+    machine.unitary[untouched[0], untouched[-1]] = 3e-6
+    assert machine.unitarity_error() == pytest.approx(3e-6, abs=1e-12)
+    assert abs(machine.unitarity_error()
+               - _full_unitarity_error(machine.unitary)) <= 1e-12
+    assert not verify_machine(machine, ss).all_ok
+
+
+@pytest.mark.parametrize("spot", ["moved", "untouched_diagonal",
+                                  "untouched_off_diagonal"])
+def test_unitarity_error_nan_fails_verification(spot):
+    rng = np.random.default_rng(25)
+    ss = random_independent_set(rng, 3, 4, TargetMap.CONJUGATE)
+    machine, _ = synthesize(ss)
+    moved = ~np.all(machine.unitary == np.eye(machine.total_dim), axis=0)
+    k = np.flatnonzero(moved if spot == "moved" else ~moved)[-1]
+    col = 0 if spot == "untouched_off_diagonal" else k
+    machine.unitary[k, col] = np.nan
+    assert np.isnan(_full_unitarity_error(machine.unitary))
+    assert np.isnan(machine.unitarity_error())
+    assert not verify_machine(machine, ss).all_ok
+
+
+def test_unitarity_error_of_identity_is_zero():
+    machine = Machine(3, 2, TargetMap.CONJUGATE, np.eye(6), np.ones(1),
+                      np.zeros(1))
+    assert machine.unitarity_error() == 0.0
+
+
 def test_verify_machine_flags_zero_success_member():
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     u = np.kron(np.eye(2), x)
