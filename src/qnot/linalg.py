@@ -3,13 +3,16 @@
 Thin wrappers around numpy's eigensolvers plus the unitary-completion
 routine that the machine constructions are built on: two tuples of vectors
 with identical Gram matrices are related by a unitary, and
-:func:`unitary_completion` produces one explicitly.  It completes only
-inside the joint span of the two families, and computes only on their
-support, the ``s`` coordinates where some vector of either family is
-nonzero: for ``k`` independent ``D``-dimensional vectors it costs
+:func:`unitary_completion` produces one in closed form, the polar factor
+of the families' cross product (orthogonal Procrustes, Schonemann 1966).
+It completes only inside the joint span of the two families, and computes
+only on their support, the ``s`` coordinates where some vector of either
+family is nonzero: for ``k`` vectors of dimension ``D`` it costs
 ``O(s^2 k)``, not ``O(D^2 k)``, plus writing the ``D x D`` identity around
-the ``s x s`` block.  Machine branches touch ``s = d + n`` of the
-``D = d (n + 1)`` coordinates of system x probe.
+the ``s x s`` block.  The polar factor is unitary to rounding at any rank,
+so no rank tolerance decides which vectors count as independent.  Machine
+branches touch ``s = d + n`` of the ``D = d (n + 1)`` coordinates of
+system x probe.
 
 Every PSD decision (:func:`is_psd`, :func:`psd_sqrt`, probe Grams and the
 feasibility and search code) compares :func:`smallest_eigenvalue` against
@@ -27,7 +30,6 @@ from .errors import DimensionMismatch, GramMismatch, NotHermitian, NotPSD, NotSq
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-9
 GRAM_TOL = 1e-8
-RANK_TOL = 1e-9
 
 
 def _as_complex_matrix(m) -> np.ndarray:
@@ -105,111 +107,60 @@ def gram_of(vectors: np.ndarray) -> np.ndarray:
     return vectors.conj().T @ vectors
 
 
-def _orthonormalize_pair(xs: np.ndarray, ys: np.ndarray, tol: float):
-    """Pivoted Gram-Schmidt run on ``xs`` with the pivot order replayed on ``ys``.
-
-    Returns orthonormal bases (as column stacks) for the spans of the two
-    vector families.  Each pivot is the remaining column of largest
-    residual norm (the lowest index among ties); its projection is then
-    removed from every column of both families at once.  Residual columns
-    with norm at or below ``tol`` are dropped; because the Gram matrices
-    agree, the same columns drop on both sides.
-    """
-    rx = xs.astype(complex)
-    ry = ys.astype(complex)
-    remaining = np.ones(xs.shape[1], dtype=bool)
-    a_cols, b_cols = [], []
-    while remaining.any():
-        norms = np.where(remaining, np.linalg.norm(rx, axis=0), -1.0)
-        j = int(np.argmax(norms))
-        if norms[j] <= tol:
-            break
-        remaining[j] = False
-        a = rx[:, j] / norms[j]
-        b = ry[:, j] / np.linalg.norm(ry[:, j])
-        a_cols.append(a)
-        b_cols.append(b)
-        rx -= np.outer(a, a.conj() @ rx)
-        ry -= np.outer(b, b.conj() @ ry)
-    dim = xs.shape[0]
-    a_basis = np.stack(a_cols, axis=1) if a_cols else np.zeros((dim, 0), complex)
-    b_basis = np.stack(b_cols, axis=1) if b_cols else np.zeros((dim, 0), complex)
-    return a_basis, b_basis
-
-
-def _extend_to_unitary(basis: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns to a full orthonormal basis.
-
-    The complement comes from the left singular vectors of ``basis``, which
-    stays orthonormal to machine precision even when canonical basis vectors
-    lie almost inside the existing span.
-    """
-    dim, k = basis.shape
-    if k == dim:
-        return basis.copy()
-    u = np.linalg.svd(basis, full_matrices=True)[0]
-    return np.concatenate([basis, u[:, k:]], axis=1)
-
-
-def unitary_completion(inputs, outputs, gram_tol: float = GRAM_TOL,
-                       rank_tol: float = RANK_TOL) -> np.ndarray:
+def unitary_completion(inputs, outputs) -> np.ndarray:
     """Unitary ``U`` with ``U @ inputs[i] == outputs[i]`` for every pair.
 
-    Pivoted Gram-Schmidt gives orthonormal bases ``A`` and ``B`` of the two
-    spans with ``B = U A``.  The completion only acts inside the joint span:
-    with ``Q`` an orthonormal basis of ``[A B]`` (thin QR, ``m <= 2k``
-    columns for rank ``k``), a small unitary ``R`` on ``Q``'s coordinates
-    maps ``Q^dag A`` to ``Q^dag B``, and ``U = I + Q (R - I) Q^dag`` is the
-    identity on the orthogonal complement.  All of this runs on the support
-    only, the rows where some input or output entry is nonzero (exactly):
-    the other rows and columns of ``U`` are exactly those of the identity.
-    For ``s`` support rows the cost is ``O(s^2 k)`` rather than the
-    ``O(D^3)`` of completing both bases of the full space; a family with
-    full support is completed exactly as a dense one, and an all-zero
-    family gives the identity.
+    The completion acts only inside the joint span of the two families and
+    only on their support, the ``s`` rows where some input or output entry
+    is nonzero (exactly); every other row and column of ``U`` is exactly the
+    identity's, and an all-zero family gives the identity.  On the support,
+    with ``X`` and ``Y`` the families as columns and ``Q`` an orthonormal
+    basis of ``[X Y]`` (thin QR), ``U = I + Q (R - I) Q^dag`` where ``R``
+    is the polar factor of ``(Q^dag Y)(Q^dag X)^dag``: from its SVD
+    ``W S V^dag``, ``R = W V^dag`` (orthogonal Procrustes).  Equal Grams
+    make ``Q^dag Y = R0 Q^dag X`` for a unitary ``R0``, and every polar
+    factor agrees with ``R0`` on the span of ``Q^dag X``, so ``R`` sends
+    each input to its output.  As a product of SVD factors ``R`` is unitary
+    to rounding whatever the rank of the families, so no rank tolerance is
+    needed.  For ``k`` vectors the cost is ``O(s^2 k)``, plus writing the
+    ``D x D`` identity around the ``s x s`` block.
 
     Parameters
     ----------
     inputs, outputs : sequences of equal-length complex vectors (or 2-D
         arrays whose rows are the vectors) whose Gram matrices agree
-        entrywise within ``gram_tol``.  The families may be linearly
-        dependent, and may hold more vectors than their dimension; rank is
-        detected with pivoted Gram-Schmidt and residual tolerance
-        ``rank_tol``.
+        entrywise within :data:`GRAM_TOL`.  The families may be linearly
+        dependent, and may hold more vectors than their dimension.
 
     Raises
     ------
     DimensionMismatch
-        Counts or vector lengths differ.
+        A family is empty or ragged, or the counts or vector lengths differ.
     GramMismatch
-        Some pair of inner products disagrees beyond ``gram_tol``.
+        Some pair of inner products disagrees beyond :data:`GRAM_TOL`.
     """
-    xs = [np.asarray(v, dtype=complex).ravel() for v in inputs]
-    ys = [np.asarray(v, dtype=complex).ravel() for v in outputs]
-    if len(xs) != len(ys):
-        raise DimensionMismatch(f"{len(xs)} inputs vs {len(ys)} outputs")
-    if not xs:
+    try:
+        x_mat = np.array(inputs, dtype=complex, ndmin=2).T
+        y_mat = np.array(outputs, dtype=complex, ndmin=2).T
+    except ValueError:
+        raise DimensionMismatch("all vectors must share one dimension") from None
+    if x_mat.ndim != 2 or x_mat.shape != y_mat.shape:
+        raise DimensionMismatch(f"inputs {x_mat.shape[::-1]} vs outputs "
+                                f"{y_mat.shape[::-1]} (vectors x length)")
+    if not x_mat.size:
         raise DimensionMismatch("need at least one input/output pair")
-    dim = xs[0].size
-    for v in xs + ys:
-        if v.size != dim:
-            raise DimensionMismatch("all vectors must share one dimension")
-    x_mat = np.stack(xs, axis=1)
-    y_mat = np.stack(ys, axis=1)
+    dim = x_mat.shape[0]
     support = np.flatnonzero((x_mat != 0).any(axis=1)
                              | (y_mat != 0).any(axis=1))
     x_mat, y_mat = x_mat[support], y_mat[support]
-    gx = gram_of(x_mat)
-    gy = gram_of(y_mat)
-    dev = np.abs(gx - gy)
-    if dev.size and dev.max() > gram_tol:
+    dev = np.abs(gram_of(x_mat) - gram_of(y_mat))
+    if dev.size and dev.max() > GRAM_TOL:
         i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
         raise GramMismatch(int(i), int(j), float(dev[i, j]))
-    a_basis, b_basis = _orthonormalize_pair(x_mat, y_mat, rank_tol)
-    q = np.linalg.qr(np.concatenate([a_basis, b_basis], axis=1))[0]
+    q = np.linalg.qr(np.concatenate([x_mat, y_mat], axis=1))[0]
     qh = q.conj().T
-    r = (_extend_to_unitary(qh @ b_basis)
-         @ _extend_to_unitary(qh @ a_basis).conj().T)
+    w, _, vh = np.linalg.svd((qh @ y_mat) @ (qh @ x_mat).conj().T)
+    r = w @ vh
     r[np.diag_indices_from(r)] -= 1.0
     block = (q @ r) @ qh
     block[np.diag_indices_from(block)] += 1.0

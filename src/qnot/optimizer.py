@@ -198,8 +198,9 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
     with the arithmetic and the PSD test that
     :func:`qnot.synthesis.synthesize_with` applies, so a returned point
     (with ``tol`` at its default) always builds a machine.  Raises
-    :class:`NoFeasiblePoint` when no shared efficiency above zero passes
-    the test.
+    :class:`NoFeasiblePoint` when no shared efficiency above ``tol`` passes
+    the test: the PSD test, which accepts eigenvalues down to ``-tol``,
+    cannot tell a shared efficiency that small from 0.
     """
     gm = gram(state_set)
     if probe is None:
@@ -215,7 +216,7 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
         return _feasible(g, k, vec, tol)
 
     equal = _bisect_boundary(lambda v: feasible_vec(np.full(n, v)))
-    if equal <= 0.0:
+    if equal <= tol:
         raise NoFeasiblePoint("no feasible efficiencies certified")
     gammas = np.full(n, equal)
 

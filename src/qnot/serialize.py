@@ -30,6 +30,17 @@ def _complex_lists(z) -> list:
     return np.stack([z.real, z.imag], -1).tolist()
 
 
+def _int(value, what: str) -> int:
+    """``value`` if it is a JSON integer (not a boolean).
+
+    Anything else, ``null``, strings and floats included, raises
+    :class:`SchemaError` naming ``what``.
+    """
+    if type(value) is not int:
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _float_array(obj, ndim: int, what: str) -> np.ndarray:
     """Parse nested lists of finite numbers into a float array.
 
@@ -75,7 +86,7 @@ def state_from_dict(doc) -> QuditState:
     if not isinstance(doc, dict) or "dim" not in doc or "amps" not in doc:
         raise SchemaError("state document needs 'dim' and 'amps'")
     amps = _complex_array(doc["amps"], 1)
-    if int(doc["dim"]) != amps.size:
+    if _int(doc["dim"], "dim") != amps.size:
         raise SchemaError(
             f"declared dim {doc['dim']} but {amps.size} amplitudes")
     return QuditState(amps)
@@ -123,7 +134,8 @@ def machine_from_dict(doc) -> Machine:
     phases = _float_array(doc["phases"], 1, "phases")
     if phases.size != gammas.size:
         raise SchemaError(f"{phases.size} phases for {gammas.size} gammas")
-    return Machine(int(doc["system_dim"]), int(doc["probe_dim"]), target,
+    return Machine(_int(doc["system_dim"], "system_dim"),
+                   _int(doc["probe_dim"], "probe_dim"), target,
                    _complex_array(doc["unitary"], 2), gammas, phases)
 
 

@@ -47,6 +47,15 @@ def qubit(a, b) -> QuditState:
     return QuditState.normalized(np.array([a, b], dtype=complex))
 
 
+def near_dependent_triple() -> StateSet:
+    """Real qutrit triple, the third state 2e-9 off the first two's span."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(3, 2))
+    third = x @ [1.0, 1.0] + 2e-9 * rng.normal(size=3)
+    return StateSet(tuple(QuditState.normalized(v) for v in (*x.T, third)),
+                    TargetMap.CONJUGATE)
+
+
 def worked_triple(phi: float, q: float | None = None) -> StateSet:
     """Dependent qubit triple used in the closed-form boundary checks.
 

@@ -7,7 +7,7 @@ import pytest
 from qnot import TripleBoundInput
 from qnot.cli import main
 
-from conftest import worked_triple
+from conftest import near_dependent_triple, worked_triple
 
 CANONICAL_PAIR = {
     "target": "not",
@@ -135,6 +135,17 @@ def test_synthesize_dependent_real_family_takes_exact_path(tmp_path, capsys):
     assert code == 0 and sim["all_ok"]
 
 
+def test_synthesize_near_dependent_family_simulates_clean(tmp_path, capsys):
+    doc = state_set_doc([s.amps for s in near_dependent_triple()])
+    set_path = write_doc(tmp_path, "set.json", doc)
+    machine_path = str(tmp_path / "machine.json")
+    assert main(["synthesize", "--input", set_path,
+                 "--output", machine_path]) == 0
+    code, sim = run(capsys, ["simulate", "--input", set_path,
+                             "--machine", machine_path])
+    assert code == 0 and sim["all_ok"]
+
+
 def test_synthesize_infeasible_gamma_exits_2(tmp_path, capsys):
     path = write_doc(tmp_path, "set.json", hard_triple_doc())
     assert main(["synthesize", "--input", path,
@@ -177,7 +188,11 @@ def test_simulate_corrupted_machine_exits_4(tmp_path, capsys):
                                           ("phases", [False, True]),
                                           ("gammas", [True, True]),
                                           ("gammas", [float("inf"), 0.5]),
-                                          ("phases", [0.0])])
+                                          ("phases", [0.0]),
+                                          ("system_dim", [2]),
+                                          ("system_dim", "2"),
+                                          ("system_dim", 2.9),
+                                          ("probe_dim", None)])
 def test_simulate_mismatched_machine_exits_2(tmp_path, capsys, field, value):
     set_path = write_doc(tmp_path, "set.json", CANONICAL_PAIR)
     machine_path = str(tmp_path / "machine.json")
@@ -252,6 +267,15 @@ def test_oracle_equal_policy_on_pair(tmp_path, capsys):
     assert doc["gamma_max"] == 1.0
     assert doc["gammas"] == [1.0, 1.0]
     assert doc["method"] == "bisection"
+
+
+def test_oracle_without_a_certified_efficiency_exits_2(tmp_path, capsys):
+    s = 1.0 / np.sqrt(2.0)
+    doc = state_set_doc([np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+                         np.array([s, 1j * s])])
+    path = write_doc(tmp_path, "set.json", doc)
+    assert main(["oracle", "--input", path]) == 2
+    capsys.readouterr()
 
 
 def test_oracle_coordinate_policy_dominates(tmp_path, capsys):
@@ -377,6 +401,15 @@ def synthesized_machine(tmp_path, capsys):
     code, machine = run(capsys, ["synthesize", "--input", set_path])
     assert code == 0
     return set_path, machine
+
+
+@pytest.mark.parametrize("dim", [None, "2", 2.9])
+def test_non_integer_state_dim_exits_2(tmp_path, capsys, dim):
+    doc = json.loads(json.dumps(CANONICAL_PAIR))
+    doc["states"][0]["dim"] = dim
+    path = write_doc(tmp_path, "set.json", doc)
+    assert main(["check", "--input", path]) == 2
+    capsys.readouterr()
 
 
 def test_nan_amplitude_exits_2(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from qnot import (
     DegenerateDeterminant,
     GammaPolicy,
+    NoFeasiblePoint,
     NotPSD,
     ProbeSpec,
     QuditState,
@@ -238,6 +239,16 @@ def test_search_matches_triple_closed_form():
     res = search_gamma(ss)
     closed = gamma_max_triple(TripleBoundInput.from_gram(gram(ss)))
     assert res.gammas[0] == pytest.approx(closed, abs=1e-5)
+
+
+def test_search_refuses_an_efficiency_within_the_tolerance():
+    """{|0>, |1>, |+i>} has no conjugation machine; the bisection still
+    finds gamma = 1e-9, accepted only because lambda_min(M) = -1e-9."""
+    s = 1.0 / np.sqrt(2.0)
+    ss = StateSet((QuditState([1.0, 0.0]), QuditState([0.0, 1.0]),
+                   QuditState([s, 1j * s])), TargetMap.CONJUGATE)
+    with pytest.raises(NoFeasiblePoint):
+        search_gamma(ss)
 
 
 def test_search_honors_custom_probe():

@@ -201,3 +201,8 @@ class TestJson:
     def test_state_rejects_malformed_amplitudes(self, amps):
         with pytest.raises(SchemaError):
             state_from_dict({"dim": 2, "amps": amps})
+
+    @pytest.mark.parametrize("dim", [None, "1", 1.5, True, [1]])
+    def test_state_dim_must_be_an_integer(self, dim):
+        with pytest.raises(SchemaError):
+            state_from_dict({"dim": dim, "amps": [[1.0, 0.0]]})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    near_dependent_triple,
     qubit,
     random_independent_set,
     random_overlapping_pair,
@@ -98,6 +99,12 @@ class TestSynthesize:
         assert report.path == "exact"
         assert machine.probe_dim == 1
         assert report.residual < 1e-10
+        assert_all_green(machine, ss)
+
+    def test_near_dependent_family_builds_a_unitary(self):
+        ss = near_dependent_triple()
+        machine, report = synthesize(ss)
+        assert report.path == "exact"
         assert_all_green(machine, ss)
 
 
