@@ -39,6 +39,7 @@ from .feasibility import (
     check_probabilistic,
     constraint_matrix,
     solve_dependent_triple,
+    standard_probe,
 )
 from .linalg import HermEig, herm_eig, is_psd, psd_sqrt, unitary_completion
 from .optimizer import (
@@ -48,7 +49,6 @@ from .optimizer import (
     gamma_max_triple,
     grid_oracle_triple,
     search_gamma,
-    standard_probe,
 )
 from .simulator import (
     ExactRecord,

@@ -16,11 +16,11 @@ Exit codes: 0 success, 2 malformed input, 3 linearly dependent set,
 6 degenerate determinant.  JSON output is compact (no indentation);
 ``--format text`` is the human-readable form.
 
-The environment variable ``QNOT_TOL`` overrides the PSD tolerance of 1e-9
-used by ``check --gamma``, ``oracle`` and ``gamma-max``.  It does not reach
-``synthesize``: assembling a machine needs a constraint matrix that passes
-the fixed ``linalg.PSD_TOL``, so a point that is feasible only under a
-looser ``QNOT_TOL`` exits 2 there.
+The environment variable ``QNOT_TOL``, a finite number at least 0 (else
+exit 2), replaces the PSD tolerance of 1e-9 in ``check --gamma``, ``oracle``
+and ``gamma-max``.  A looser value never reaches ``synthesize``: no machine
+realizes a point whose constraint matrix has an eigenvalue below -1e-9 (the
+fixed ``linalg.PSD_TOL``), so such a point exits 2 there.
 """
 from __future__ import annotations
 
@@ -217,7 +217,7 @@ def cmd_gamma_max(args, tol: float) -> int:
     doc = {
         "gamma_max": closed,
         "method": "closed_form",
-        "probe_phases": [0.0, 2.0 * inp.theta12, 2.0 * inp.theta13],
+        "probe_phases": [float(p) for p in probe.phases],
         "lambda_min_at_boundary": smallest_eigenvalue(m),
         "oracle_gamma": oracle,
         "difference": diff,
@@ -297,8 +297,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         tol = float(os.environ.get("QNOT_TOL", PSD_TOL))
+        if not (np.isfinite(tol) and tol >= 0.0):
+            raise ValueError
     except ValueError:
-        print("QNOT_TOL is not a float", file=sys.stderr)
+        print("QNOT_TOL must be a finite number at least 0", file=sys.stderr)
         return 2
     try:
         return args.func(args, tol)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -95,18 +95,20 @@ class ProbeSpec:
             return np.outer(np.conj(u), u)
         return self.matrix
 
-    def phase_vector_phases(self) -> np.ndarray:
-        """Phases of a pure phase family; rank-one full Grams are accepted."""
-        if self.kind is ProbeKind.PHASE_VECTOR:
-            return self.phases
-        vals, vecs = np.linalg.eigh(self.matrix)
-        if vals.size > 1 and vals[-2] > 1e-9:
-            raise InvalidProbeGram("probe Gram is not rank one")
-        w = vecs[:, -1]
-        if np.abs(np.abs(w) * np.sqrt(vals[-1]) - 1.0).max() > 1e-8:
-            raise InvalidProbeGram("probe Gram is not a pure phase family")
-        ph = np.mod(-(np.angle(w) - np.angle(w[0])), 2.0 * np.pi)
-        return ph
+
+def standard_probe(gram_matrix: GramMatrix) -> ProbeSpec:
+    """Doubled-phase probe ``phi_j = 2 theta_0j`` for a given Gram."""
+    return ProbeSpec.phase_vector(np.mod(2.0 * gram_matrix.phases[0, :],
+                                         2.0 * np.pi))
+
+
+def machine_phases(probe: ProbeSpec, n: int) -> np.ndarray:
+    """Phases of a phase-vector probe for ``n`` states; machines build no other."""
+    if probe.kind is not ProbeKind.PHASE_VECTOR:
+        raise InvalidProbe("a machine needs a phase-vector probe")
+    if probe.phases.size != n:
+        raise InvalidProbe(f"probe has {probe.phases.size} phases for {n} states")
+    return probe.phases
 
 
 @dataclass(frozen=True)
@@ -144,26 +146,25 @@ class FeasibilityVerdict:
     lambda_min: Optional[float] = None
 
 
-def check_exact_unitary(state_set: StateSet, tol: float = IMAG_TOL) -> FeasibilityVerdict:
+def check_exact_unitary(state_set: StateSet) -> FeasibilityVerdict:
     """Exact target map by a plain unitary exists iff the Gram is real."""
     g = gram(state_set).matrix
     imag = np.abs(g.imag)
     worst = float(imag.max())
-    if worst <= tol:
+    if worst <= IMAG_TOL:
         return FeasibilityVerdict(True)
     i, j = np.unravel_index(int(np.argmax(imag)), imag.shape)
     return FeasibilityVerdict(
         False, violation={"indices": [int(i), int(j)], "residual": worst})
 
 
-def check_exact_with_probe(state_set: StateSet,
-                           tol: float = GRAM_TOL) -> FeasibilityVerdict:
+def check_exact_with_probe(state_set: StateSet) -> FeasibilityVerdict:
     """Exact target map by a unitary with probe: the builder's Gram test.
 
     Requires every pairwise overlap to be nonzero (otherwise the criterion
     does not apply and :class:`ZeroOverlap` is raised).  The witness probe
     phases are ``phi_j = 2 theta_0j`` (mod ``2 pi``), and the family is
-    feasible iff ``max |G - P(phi) * conj(G)| <= tol``, the test
+    feasible iff ``max |G - P(phi) * conj(G)| <= GRAM_TOL``, the test
     :func:`build_probe_unitary` applies to the same witness.  With
     ``r_ij = theta_0j - theta_0i - theta_ij`` each entry is
     ``2 |G_ij| |sin r_ij|`` and each triple residual of the congruence is
@@ -174,11 +175,11 @@ def check_exact_with_probe(state_set: StateSet,
     zero = np.argwhere(np.triu(gm.magnitudes < 1e-12, k=1))
     if zero.size:
         raise ZeroOverlap(int(zero[0, 0]), int(zero[0, 1]))
-    witness = ProbeSpec.phase_vector(np.mod(2.0 * gm.phases[0, :], 2.0 * np.pi))
+    witness = standard_probe(gm)
     g = gm.matrix
     dev = np.abs(g - witness.gram_matrix() * np.conj(g))
     worst = float(dev.max())
-    if worst <= tol:
+    if worst <= GRAM_TOL:
         return FeasibilityVerdict(True, witness=witness)
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
     return FeasibilityVerdict(
@@ -221,13 +222,11 @@ def build_probe_unitary(state_set: StateSet, probe: ProbeSpec) -> np.ndarray:
     The probe is two-dimensional; ``U (psi_i x |0>) = target(psi_i) x
     exp(i phi_i)|0>`` where ``phi`` are the probe phases (typically the
     witness of :func:`check_exact_with_probe`).  Success probability is 1
-    for every member.  Propagates :class:`GramMismatch` when the phases do
-    not actually compensate the Gram conjugation.
+    for every member.  Raises :class:`InvalidProbe` for a full-Gram probe
+    and propagates :class:`GramMismatch` when the phases do not actually
+    compensate the Gram conjugation.
     """
-    phases = probe.phase_vector_phases()
-    n = len(state_set)
-    if phases.size != n:
-        raise InvalidProbe(f"probe has {phases.size} phases for {n} states")
+    phases = machine_phases(probe, len(state_set))
     return branch_unitary(state_set, np.exp(1j * phases), 2)
 
 
@@ -272,8 +271,7 @@ def check_probabilistic(state_set: StateSet, gammas, probe: ProbeSpec,
 
 
 def solve_dependent_triple(s1: QuditState, s2: QuditState, s3: QuditState,
-                           gamma1: float, gamma2: float, phase: float,
-                           tol: float = PARALLEL_TOL):
+                           gamma1: float, gamma2: float, phase: float):
     """Forced efficiency and branch phase of a dependent third qubit state.
 
     With ``s3 = alpha s1 + beta s2`` and the first two states flipped with
@@ -300,7 +298,7 @@ def solve_dependent_triple(s1: QuditState, s2: QuditState, s3: QuditState,
          + beta * np.exp(1j * phase) * np.sqrt(gamma2) * orthogonal_complement(s2).amps)
     t3 = orthogonal_complement(s3).amps
     lam = np.vdot(t3, v)
-    if np.linalg.norm(v - lam * t3) > tol:
+    if np.linalg.norm(v - lam * t3) > PARALLEL_TOL:
         return None
     if abs(lam) > 1.0 + 1e-12:
         return None

@@ -16,8 +16,8 @@ system x probe.
 
 Every PSD decision (:func:`is_psd`, :func:`psd_sqrt`, probe Grams and the
 feasibility and search code) compares :func:`smallest_eigenvalue` against
-``-tol``, and every default ``tol`` is the one :data:`PSD_TOL`, so a matrix
-one of them accepts is accepted by all of them.
+``-PSD_TOL`` (the searches and the probabilistic check at their ``tol``),
+so a matrix one of them accepts is accepted by all of them.
 """
 from __future__ import annotations
 
@@ -39,10 +39,11 @@ def _as_complex_matrix(m) -> np.ndarray:
     return m
 
 
-def _require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def _require_hermitian(m: np.ndarray) -> np.ndarray:
     dev = np.abs(m - m.conj().T).max() if m.size else 0.0
-    if dev > tol:
-        raise NotHermitian(f"max |M - M^dag| = {dev:.3e} exceeds {tol:.1e}")
+    if dev > HERMITICITY_TOL:
+        raise NotHermitian(
+            f"max |M - M^dag| = {dev:.3e} exceeds {HERMITICITY_TOL:.1e}")
     return m
 
 
@@ -75,27 +76,27 @@ def herm_eig(m) -> HermEig:
 def smallest_eigenvalue(m: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix (0 for an empty one).
 
-    The one PSD test: a matrix is accepted when this is at least ``-tol``.
+    The one PSD test: a matrix is accepted when this is at least ``-PSD_TOL``.
     """
     return float(np.linalg.eigvalsh(m).min()) if m.size else 0.0
 
 
-def is_psd(m, tol: float = PSD_TOL) -> bool:
-    """True when the Hermitian matrix has no eigenvalue below ``-tol``."""
+def is_psd(m) -> bool:
+    """True when the Hermitian matrix has no eigenvalue below ``-PSD_TOL``."""
     m = _require_hermitian(_as_complex_matrix(m))
-    return smallest_eigenvalue(m) >= -tol
+    return smallest_eigenvalue(m) >= -PSD_TOL
 
 
-def psd_sqrt(m, tol: float = PSD_TOL) -> np.ndarray:
+def psd_sqrt(m) -> np.ndarray:
     """Hermitian square root of a positive-semidefinite matrix.
 
-    A matrix that fails the PSD test at ``tol`` raises :class:`NotPSD`;
-    otherwise eigenvalues below zero are clamped to zero.
+    A matrix that fails the PSD test at :data:`PSD_TOL` raises
+    :class:`NotPSD`; otherwise eigenvalues below zero are clamped to zero.
     """
     m = _require_hermitian(_as_complex_matrix(m))
     lam_min = smallest_eigenvalue(m)
-    if lam_min < -tol:
-        raise NotPSD(f"smallest eigenvalue {lam_min:.3e} is below -{tol:.1e}")
+    if lam_min < -PSD_TOL:
+        raise NotPSD(f"smallest eigenvalue {lam_min:.3e} is below -{PSD_TOL:.1e}")
     dec = herm_eig(m)
     clipped = np.clip(dec.eigenvalues, 0.0, None)
     v = dec.eigenvectors

@@ -36,18 +36,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateDeterminant, NoFeasiblePoint, NotPSD
-from .feasibility import ProbeSpec, scaled_constraint
+from .feasibility import ProbeSpec, scaled_constraint, standard_probe
 from .linalg import PSD_TOL, smallest_eigenvalue
 from .states import GramMatrix, StateSet, gram
 
 DET_TOL = 1e-12
 COORDINATE_CONVERGENCE = 1e-6
-
-
-def standard_probe(gram_matrix: GramMatrix) -> ProbeSpec:
-    """Doubled-phase probe ``phi_j = 2 theta_1j`` for a given Gram."""
-    return ProbeSpec.phase_vector(np.mod(2.0 * gram_matrix.phases[0, :],
-                                         2.0 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -198,9 +192,9 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
     with the arithmetic and the PSD test that
     :func:`qnot.synthesis.synthesize_with` applies, so a returned point
     (with ``tol`` at its default) always builds a machine.  Raises
-    :class:`NoFeasiblePoint` when no shared efficiency above ``tol`` passes
-    the test: the PSD test, which accepts eigenvalues down to ``-tol``,
-    cannot tell a shared efficiency that small from 0.
+    :class:`NoFeasiblePoint` when no shared efficiency above ``tol`` (and
+    above 0) passes the test: the PSD test, which accepts eigenvalues down
+    to ``-tol``, cannot tell a shared efficiency that small from 0.
     """
     gm = gram(state_set)
     if probe is None:
@@ -216,7 +210,7 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
         return _feasible(g, k, vec, tol)
 
     equal = _bisect_boundary(lambda v: feasible_vec(np.full(n, v)))
-    if equal <= tol:
+    if not equal > max(tol, 0.0):
         raise NoFeasiblePoint("no feasible efficiencies certified")
     gammas = np.full(n, equal)
 

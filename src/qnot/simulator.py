@@ -103,22 +103,20 @@ def run_exact(machine: Machine, state: QuditState,
 
 
 def verify_machine(machine: Machine, state_set: StateSet,
-                   fidelity_tol: float = FIDELITY_TOL,
-                   prob_tol: float = PROB_TOL,
                    shots: Optional[int] = None,
                    seed: int = 42) -> SimulationReport:
     """Exact check of every member against the machine's design values.
 
     The machine must carry one designed efficiency per member and the set's
     target map, otherwise :class:`MachineMismatch` is raised.  A member is
-    flagged when its postselected fidelity drops below ``1 - fidelity_tol``
+    flagged when its postselected fidelity drops below ``1 - FIDELITY_TOL``
     or its success probability differs from the designed ``gamma_i`` by
-    more than ``prob_tol``.  The report also
-    carries the machine's unitarity error; failures never raise, they are
-    entries in the report.  With ``shots`` positive, a Monte Carlo record
-    per member is appended (one generator seeded with ``seed``, members
-    sampled in order); ``None`` or 0 means the exact report alone, and a
-    negative ``shots`` raises :class:`ValueError`.
+    more than :data:`PROB_TOL`.  The report also carries the machine's
+    unitarity error; failures never raise, they are entries in the report.
+    With ``shots`` positive, a Monte Carlo record per member is appended
+    (one generator seeded with ``seed``, members sampled in order); ``None``
+    or 0 means the exact report alone, and a negative ``shots`` raises
+    :class:`ValueError`.
     """
     if shots is not None and shots < 0:
         raise ValueError(f"shots must be 0 or positive, got {shots}")
@@ -142,8 +140,8 @@ def verify_machine(machine: Machine, state_set: StateSet,
                                        ok=False))
             continue
         fidelity = abs(complex(overlaps[i]))
-        ok = bool(fidelity >= 1.0 - fidelity_tol
-                  and abs(probs[i] - machine.gammas[i]) <= prob_tol)
+        ok = bool(fidelity >= 1.0 - FIDELITY_TOL
+                  and abs(probs[i] - machine.gammas[i]) <= PROB_TOL)
         records.append(ExactRecord(i, float(probs[i]), fidelity,
                                    float(np.angle(overlaps[i])),
                                    outputs[:, i], ok))

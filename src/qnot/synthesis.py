@@ -17,11 +17,11 @@ input is
 with ``C`` the PSD square root of ``M`` (so the failure branches restore
 exactly the missing Gram mass) and ``fill`` a fixed system state.
 
-:func:`synthesize` picks safe equal efficiencies for linearly independent
-families: ``epsilon = min(0.999 * lambda_min(G) / lambda_max(conj(G)), 1)``,
-which keeps ``M = G - epsilon conj(G)`` strictly positive.  Families whose
-Gram is entrywise real skip the probe entirely and get an exact unitary
-with unit efficiency.
+:func:`synthesize` gives families whose Gram is entrywise real an exact
+unitary with unit efficiency and no probe.  Other linearly independent
+families get safe equal efficiencies
+``epsilon = ETA * lambda_min(G) / lambda_max(conj(G))`` with ``ETA = 0.999``,
+which keeps ``M = G - epsilon conj(G)`` strictly positive.
 
 The machine unitary is stored dense, but it moves only the support of its
 branches, ``s = d + n`` of the ``D = d (n + 1)`` joint coordinates; every
@@ -41,12 +41,12 @@ import numpy as np
 from .errors import InfeasibleGamma, InvalidProbe, LinearlyDependent
 from .feasibility import (
     EfficiencyMatrix,
-    ProbeKind,
     ProbeSpec,
     branch_unitary,
     build_exact_unitary,
     check_exact_unitary,
     constraint_matrix,
+    machine_phases,
     scaled_constraint,
 )
 from .linalg import PSD_TOL, psd_sqrt, smallest_eigenvalue
@@ -134,17 +134,16 @@ def _assemble(state_set: StateSet, eff: EfficiencyMatrix,
     return machine, float(np.abs(c_matrix @ c_matrix - m_matrix).max())
 
 
-def synthesize(state_set: StateSet, eta: float = ETA,
-               exact_when_real: bool = True):
+def synthesize(state_set: StateSet):
     """Machine with safe equal efficiencies for an independent family.
 
     Returns ``(machine, report)``.  When the Gram matrix is entrywise real
-    (and ``exact_when_real`` holds) the probe is skipped and the machine is
-    an exact system-only unitary with ``gamma = 1``; this path also takes
-    linearly dependent families.  Otherwise efficiencies are
-    ``epsilon = min(eta * c / d_max, 1)`` with ``c`` the smallest and
-    ``d_max`` the largest eigenvalue of the Gram, whose conjugate has the
-    same spectrum.
+    the probe is skipped and the machine is an exact system-only unitary
+    with ``gamma = 1``; this path also takes linearly dependent families.
+    Otherwise efficiencies are ``epsilon = ETA * c / d_max`` with ``c`` the
+    smallest and ``d_max`` the largest eigenvalue of the Gram, whose
+    conjugate has the same spectrum; ``c <= d_max`` and ``ETA < 1`` keep
+    ``epsilon`` below 1.
 
     Raises :class:`LinearlyDependent` when the general path is needed and
     the family has Gram rank below its size.
@@ -154,7 +153,7 @@ def synthesize(state_set: StateSet, eta: float = ETA,
     spectrum = np.linalg.eigvalsh(g)
     c, d_max = float(spectrum[0]), float(spectrum[-1])
 
-    if exact_when_real and check_exact_unitary(state_set).feasible:
+    if check_exact_unitary(state_set).feasible:
         unitary = build_exact_unitary(state_set)
         residual = float(np.abs(unitary @ state_set.matrix()
                                 - state_set.target_matrix()).max())
@@ -166,7 +165,7 @@ def synthesize(state_set: StateSet, eta: float = ETA,
     if c <= INDEPENDENCE_TOL:
         raise LinearlyDependent(
             f"Gram rank is below {n} (smallest eigenvalue {c:.3e})")
-    epsilon = min(eta * c / d_max, 1.0)
+    epsilon = ETA * c / d_max
     eff = EfficiencyMatrix.coerce(epsilon, n)
     phases = np.zeros(n)
     # zero probe phases: P is all ones, so K = conj(G)
@@ -184,13 +183,9 @@ def synthesize_with(state_set: StateSet, gammas, probe: ProbeSpec) -> Machine:
     is raised.  Dependent families are fine here; the completion handles
     rank deficiency.
     """
-    if probe.kind is not ProbeKind.PHASE_VECTOR:
-        raise InvalidProbe("synthesis needs a phase-vector probe")
     n = len(state_set)
+    phases = machine_phases(probe, n)
     eff = EfficiencyMatrix.coerce(gammas, n)
-    phases = probe.phases
-    if phases.size != n:
-        raise InvalidProbe(f"probe has {phases.size} phases for {n} states")
     m_matrix = constraint_matrix(gram(state_set), eff, probe)
     lam_min = smallest_eigenvalue(m_matrix)
     if lam_min < -PSD_TOL:

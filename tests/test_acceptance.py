@@ -100,7 +100,7 @@ def test_criterion_2_pair_universality():
         assert verdict.feasible
         u = build_probe_unitary(ss, verdict.witness)
         machine = Machine(2, 2, TargetMap.NOT, u, np.ones(2),
-                          verdict.witness.phase_vector_phases())
+                          verdict.witness.phases)
         for s in ss:
             rec = run_exact(machine, s)
             assert abs(rec.success_prob - 1.0) <= 1e-8

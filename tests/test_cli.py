@@ -386,6 +386,48 @@ def test_env_tolerance_must_be_numeric(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+TOL_COMMANDS = [["check", "--gamma", "0.5,0.5,0.5"], ["oracle"],
+                ["oracle", "--policy", "coordinate"], ["gamma-max"]]
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("command", TOL_COMMANDS, ids=" ".join)
+def test_env_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys,
+                                                      monkeypatch, value,
+                                                      command):
+    path = write_doc(tmp_path, "set.json", hard_triple_doc())
+    monkeypatch.setenv("QNOT_TOL", value)
+    assert main([command[0], "--input", path, *command[1:]]) == 2
+    assert "QNOT_TOL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", TOL_COMMANDS[2:], ids=" ".join)
+def test_env_tolerance_tightens_the_boundary(tmp_path, capsys, monkeypatch,
+                                             command):
+    path = write_doc(tmp_path, "set.json", hard_triple_doc())
+    argv = [command[0], "--input", path, *command[1:]]
+    _, default = run(capsys, argv)
+    assert default["lambda_min_at_boundary"] < -1e-12
+    monkeypatch.setenv("QNOT_TOL", "1e-12")
+    code, tight = run(capsys, argv)
+    assert code == 0
+    assert tight["lambda_min_at_boundary"] >= -1e-12
+
+
+def test_gamma_max_reports_the_probe_oracle_reports(tmp_path, capsys):
+    # 2 theta_12 = 11.58 exceeds 2 pi; both commands reduce it mod 2 pi
+    g = TripleBoundInput(0.3, 0.3, 0.3, 5.79, 0.1, 0.2).gram_matrix().matrix
+    path = write_doc(tmp_path, "set.json",
+                     state_set_doc(list(np.conj(np.linalg.cholesky(g)))))
+    code, bound = run(capsys, ["gamma-max", "--input", path])
+    assert code == 0
+    code, searched = run(capsys, ["oracle", "--input", path])
+    assert code == 0
+    assert bound["probe_phases"] == pytest.approx(searched["probe_phases"],
+                                                  abs=1e-12)
+    assert bound["probe_phases"][1] == pytest.approx(11.58 - 2 * np.pi)
+
+
 def test_env_tolerance_loosens_the_psd_check(tmp_path, capsys, monkeypatch):
     path = write_doc(tmp_path, "set.json", hard_triple_doc())
     gamma = "0.73,0.73,0.73"  # just beyond the sharp boundary

@@ -1,8 +1,45 @@
 """The package's public names."""
+import inspect
+
 import qnot
+
+# The functions the command line's QNOT_TOL reaches; every other threshold
+# is a module constant.
+TOL_OWNERS = ("check_probabilistic", "search_gamma", "gamma_max_triple",
+              "grid_oracle_triple")
 
 
 def test_every_exported_name_resolves():
     """``import qnot`` does not check ``__all__``; a stale entry shows here."""
     assert [name for name in qnot.__all__ if not hasattr(qnot, name)] == []
     assert len(set(qnot.__all__)) == len(qnot.__all__)
+
+
+def _public_callables():
+    """``(name, callable)`` for each export and each public method of one."""
+    for name in qnot.__all__:
+        obj = getattr(qnot, name)
+        if isinstance(obj, type) and issubclass(obj, BaseException):
+            continue
+        if callable(obj):
+            yield name, obj
+        if isinstance(obj, type):
+            for attr in vars(obj):
+                member = getattr(obj, attr)
+                if not attr.startswith("_") and callable(member):
+                    yield f"{name}.{attr}", member
+
+
+def _is_tolerance(param: str) -> bool:
+    return (param == "tol" or param.endswith("_tol")
+            or param in ("eta", "exact_when_real"))
+
+
+def test_tol_only_where_qnot_tol_reaches():
+    found = {}
+    for name, obj in _public_callables():
+        params = inspect.signature(obj).parameters
+        tolerances = [p for p in params if _is_tolerance(p)]
+        if tolerances:
+            found[name] = tolerances
+    assert found == {name: ["tol"] for name in TOL_OWNERS}

@@ -19,6 +19,7 @@ from qnot import (
     EfficiencyMatrix,
     GammaPolicy,
     GramMismatch,
+    InvalidProbe,
     InvalidProbeGram,
     LinearlyDependentPair,
     ProbeSpec,
@@ -221,14 +222,13 @@ class TestBuildProbeUnitary:
         with pytest.raises(GramMismatch):
             build_probe_unitary(ss, ProbeSpec.phase_vector([0.0, 0.3, 0.0]))
 
-    def test_rank_one_full_gram_probe_accepted(self):
+    def test_full_gram_probe_rejected(self):
         ss = StateSet((qubit(1, 1), qubit(1, 1j)), TargetMap.NOT)
         phases = check_exact_with_probe(ss).witness.phases
         full = ProbeSpec.full_gram(
             np.outer(np.exp(-1j * phases), np.exp(1j * phases)))
-        u1 = build_probe_unitary(ss, full)
-        u2 = build_probe_unitary(ss, ProbeSpec.phase_vector(phases))
-        np.testing.assert_allclose(u1, u2, atol=1e-10)
+        with pytest.raises(InvalidProbe):
+            build_probe_unitary(ss, full)
 
 
 # Near-real qubit triple: every triple residual of the congruence is below

@@ -202,7 +202,7 @@ def test_standard_probe_doubles_first_row_phases():
     gm = gram(ss)
     probe = standard_probe(gm)
     expect = np.mod(2.0 * gm.phases[0, :], 2.0 * np.pi)
-    assert np.allclose(probe.phase_vector_phases(), expect)
+    assert np.allclose(probe.phases, expect)
 
 
 def test_search_two_states_reaches_unit_efficiency():
@@ -249,6 +249,15 @@ def test_search_refuses_an_efficiency_within_the_tolerance():
                    QuditState([s, 1j * s])), TargetMap.CONJUGATE)
     with pytest.raises(NoFeasiblePoint):
         search_gamma(ss)
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+def test_search_certifies_nothing_at_an_invalid_tolerance(tol):
+    """Such a tol accepts no point; the floor at 0 refuses gamma = 0."""
+    rng = np.random.default_rng(36)
+    ss = random_independent_set(rng, 3, 3, TargetMap.CONJUGATE)
+    with pytest.raises(NoFeasiblePoint):
+        search_gamma(ss, tol=tol)
 
 
 def test_search_honors_custom_probe():

@@ -47,7 +47,7 @@ def test_probe_machine_reports_designed_global_phase():
     verdict = check_exact_with_probe(ss)
     assert verdict.feasible
     u = build_probe_unitary(ss, verdict.witness)
-    phases = verdict.witness.phase_vector_phases()
+    phases = verdict.witness.phases
     machine = Machine(2, 2, TargetMap.NOT, u,
                       np.ones(2), phases)
     for i, s in enumerate(ss):

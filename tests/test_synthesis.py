@@ -48,15 +48,6 @@ class TestSynthesize:
         rep = assert_all_green(machine, ss)
         assert rep.records[0].success_prob == pytest.approx(1.0)
 
-    def test_singleton_general_path_clamps_to_margin(self):
-        ss = StateSet((qubit(1, 1),), TargetMap.NOT)
-        machine, report = synthesize(ss, exact_when_real=False)
-        assert report.path == "general"
-        assert report.epsilon == pytest.approx(0.999)
-        assert machine.probe_dim == 2
-        rep = assert_all_green(machine, ss)
-        assert rep.records[0].success_prob == pytest.approx(0.999, abs=1e-9)
-
     def test_real_pair_prefers_exact_path(self):
         rng = np.random.default_rng(71)
         ss = random_set(rng, 2, 2, TargetMap.NOT, real=True)
