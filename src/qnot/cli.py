@@ -25,7 +25,6 @@ fixed ``linalg.PSD_TOL``), so such a point exits 2 there.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -44,6 +43,7 @@ from .feasibility import (
     check_exact_unitary,
     check_exact_with_probe,
     check_probabilistic,
+    constraint_kernel,
     scaled_constraint,
 )
 from .linalg import PSD_TOL, smallest_eigenvalue
@@ -70,19 +70,11 @@ def _parse_floats(text: str) -> np.ndarray:
 
 
 def _load_set(path: str):
-    try:
-        doc = serialize.load(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise serialize.SchemaError(f"cannot read {path}: {exc}") from None
-    return serialize.state_set_from_dict(doc)
+    return serialize.state_set_from_dict(serialize.load(path))
 
 
 def _load_machine(path: str):
-    try:
-        doc = serialize.load(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise serialize.SchemaError(f"cannot read {path}: {exc}") from None
-    return serialize.machine_from_dict(doc)
+    return serialize.machine_from_dict(serialize.load(path))
 
 
 def _emit(doc: dict, args, text_lines=None) -> None:
@@ -212,7 +204,7 @@ def cmd_gamma_max(args, tol: float) -> int:
     closed = gamma_max_triple(inp, tol)
     oracle = grid_oracle_triple(gm, probe, tol=tol)
     diff = abs(closed - oracle)
-    m = scaled_constraint(gm.matrix, np.conj(gm.matrix) * probe.gram_matrix(),
+    m = scaled_constraint(gm.matrix, constraint_kernel(gm.matrix, probe),
                           np.full(3, oracle))
     doc = {
         "gamma_max": closed,

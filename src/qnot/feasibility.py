@@ -64,8 +64,8 @@ class ProbeSpec:
     @classmethod
     def phase_vector(cls, phases) -> "ProbeSpec":
         ph = np.asarray(phases, dtype=float).ravel()
-        if ph.size == 0:
-            raise InvalidProbe("phase vector must be nonempty")
+        if ph.size == 0 or not np.isfinite(ph).all():
+            raise InvalidProbe("phase vector must be nonempty and finite")
         # only phase differences are observable; pin the first phase to 0
         ph = np.mod(ph - ph[0], 2.0 * np.pi)
         return cls(ProbeKind.PHASE_VECTOR, phases=ph)
@@ -122,7 +122,7 @@ class EfficiencyMatrix:
         object.__setattr__(self, "gammas", g)
         if g.size == 0:
             raise ValueError("need at least one efficiency")
-        if np.any(g <= 0.0) or np.any(g > 1.0 + 1e-12):
+        if not np.all((g > 0.0) & (g <= 1.0 + 1e-12)):
             raise ValueError("efficiencies must lie in (0, 1]")
 
     @classmethod
@@ -238,12 +238,15 @@ def constraint_matrix(gram_matrix: GramMatrix | np.ndarray, gammas,
     probabilistic machine with efficiencies ``gamma_i`` and probe Gram ``P``.
     """
     g = gram_matrix.matrix if isinstance(gram_matrix, GramMatrix) else np.asarray(gram_matrix)
-    n = g.shape[0]
-    eff = EfficiencyMatrix.coerce(gammas, n)
-    p = probe.gram_matrix()
-    if p.shape != g.shape:
-        raise InvalidProbe(f"probe Gram shape {p.shape} does not match {g.shape}")
-    return scaled_constraint(g, np.conj(g) * p, eff.gammas)
+    eff = EfficiencyMatrix.coerce(gammas, g.shape[0])
+    return scaled_constraint(g, constraint_kernel(g, probe), eff.gammas)
+
+
+def constraint_kernel(g: np.ndarray, probe: ProbeSpec) -> np.ndarray:
+    """``K = conj(G) * P``; :class:`InvalidProbe` unless ``P`` matches ``G``."""
+    if probe.n != g.shape[0]:
+        raise InvalidProbe(f"probe has {probe.n} states for {g.shape[0]} states")
+    return np.conj(g) * probe.gram_matrix()
 
 
 def scaled_constraint(g: np.ndarray, k: np.ndarray, gammas: np.ndarray) -> np.ndarray:

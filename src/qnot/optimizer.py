@@ -36,7 +36,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateDeterminant, NoFeasiblePoint, NotPSD
-from .feasibility import ProbeSpec, scaled_constraint, standard_probe
+from .feasibility import (ProbeSpec, constraint_kernel, scaled_constraint,
+                          standard_probe)
 from .linalg import PSD_TOL, smallest_eigenvalue
 from .states import GramMatrix, StateSet, gram
 
@@ -128,7 +129,7 @@ def gamma_max_triple(inp: TripleBoundInput, tol: float = PSD_TOL) -> float:
             val = 1.0 + (sign * 2.0 * root - 2.0 * s) / q
             if 0.0 < val <= 1.0 + 1e-9:
                 candidates.append(min(val, 1.0))
-    k = np.conj(g) * inp.probe().gram_matrix()
+    k = constraint_kernel(g, inp.probe())
     # a root can sit a hair past the edge; step 1e-9 inside, and return
     # only a value the PSD test accepted
     for val in sorted(set(candidates), reverse=True):
@@ -162,7 +163,7 @@ def grid_oracle_triple(gram_matrix: GramMatrix, probe: ProbeSpec,
                        tol: float = PSD_TOL) -> float:
     """Bisection boundary of equal-efficiency feasibility; no closed form."""
     g = gram_matrix.matrix
-    k = np.conj(g) * probe.gram_matrix()
+    k = constraint_kernel(g, probe)
     n = gram_matrix.n
     return _bisect_boundary(lambda v: _feasible(g, k, np.full(n, v), tol))
 
@@ -194,13 +195,14 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
     (with ``tol`` at its default) always builds a machine.  Raises
     :class:`NoFeasiblePoint` when no shared efficiency above ``tol`` (and
     above 0) passes the test: the PSD test, which accepts eigenvalues down
-    to ``-tol``, cannot tell a shared efficiency that small from 0.
+    to ``-tol``, cannot tell a shared efficiency that small from 0.  A
+    probe of the wrong size raises :class:`InvalidProbe`.
     """
     gm = gram(state_set)
     if probe is None:
         probe = standard_probe(gm)
     g = gm.matrix
-    k = np.conj(g) * probe.gram_matrix()
+    k = constraint_kernel(g, probe)
     n = gm.n
     evals = 0
 

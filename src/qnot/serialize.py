@@ -170,8 +170,11 @@ def report_to_dict(report: SimulationReport) -> dict:
 
 
 def dumps(doc) -> str:
-    """The one JSON writer: compact text on the C encoder, newline-terminated."""
-    return json.dumps(doc) + "\n"
+    """The one JSON writer: compact text on the C encoder, newline-terminated.
+
+    A non-finite float raises :class:`ValueError`, as :func:`load` refuses it.
+    """
+    return json.dumps(doc, allow_nan=False) + "\n"
 
 
 def dump(doc, path) -> None:
@@ -184,5 +187,9 @@ def _reject_constant(name: str):
 
 
 def load(path):
-    with open(path) as fh:
-        return json.load(fh, parse_constant=_reject_constant)
+    """The one JSON reader; a file it cannot read or parse is a SchemaError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh, parse_constant=_reject_constant)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from None

@@ -3,7 +3,8 @@
 The exact path applies the machine unitary to ``state x probe_0``,
 projects on the success outcome (probe back in state 0) and compares the
 postselected system state against the target map; a whole set goes
-through one product with the ``d x d`` success block of the unitary.  The
+through one product with the ``d x d`` success block of the unitary and
+one comparison with :func:`qnot.states.target_amps` of its columns.  The
 report's unitarity error is :meth:`qnot.synthesis.Machine.unitarity_error`,
 which checks ``U^dag U = I`` only on the indices the unitary moves, so
 verifying a machine costs no ``D^3`` product.  The one Monte Carlo path is
@@ -19,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, MachineMismatch, ZeroSuccess
-from .states import QuditState, StateSet, target_state
+from .states import QuditState, StateSet, target_amps
 from .synthesis import Machine
 
 FIDELITY_TOL = 1e-8
@@ -68,13 +69,14 @@ class SimulationReport:
         return [r.index for r in self.records if not r.ok]
 
 
-def _run_columns(machine: Machine, amps: np.ndarray, target_amps: np.ndarray):
+def _run_columns(machine: Machine, amps: np.ndarray, targets: np.ndarray):
     """Exact success data for the inputs stacked as columns of ``amps``.
 
     The success block of ``U (psi_i x |0>)`` is every ``probe_dim``-th
     component, so one product with ``U[::p, ::p]`` gives all of them.
-    Returns success probabilities, postselected outputs (columns, zero
-    where the probability vanishes) and overlaps with the target columns.
+    Returns success probabilities, postselected outputs, and each output's
+    fidelity and phase against its target column, all masked once over the
+    set: every one is zero where the probability is below ``ZERO_SUCCESS``.
     """
     p = machine.probe_dim
     blocks = machine.unitary[::p, ::p] @ amps
@@ -82,8 +84,10 @@ def _run_columns(machine: Machine, amps: np.ndarray, target_amps: np.ndarray):
     alive = probs >= ZERO_SUCCESS
     outputs = np.zeros_like(blocks)
     outputs[:, alive] = blocks[:, alive] / np.sqrt(probs[alive])
-    overlaps = np.sum(np.conj(target_amps) * outputs, axis=0)
-    return probs, outputs, overlaps
+    overlaps = np.sum(np.conj(targets) * outputs, axis=0)
+    return (np.where(alive, probs, 0.0), outputs,
+            np.where(alive, np.abs(overlaps), 0.0),
+            np.where(alive, np.angle(overlaps), 0.0))
 
 
 def run_exact(machine: Machine, state: QuditState,
@@ -92,14 +96,13 @@ def run_exact(machine: Machine, state: QuditState,
     if state.dim != machine.system_dim:
         raise DimensionMismatch(
             f"state dim {state.dim} vs machine system dim {machine.system_dim}")
-    tgt = target_state(state, machine.target)
-    probs, outputs, overlaps = _run_columns(machine, state.amps[:, None],
-                                            tgt.amps[:, None])
+    amps = state.amps[:, None]
+    probs, outputs, fidelities, phases = _run_columns(
+        machine, amps, target_amps(amps, machine.target))
     if probs[0] < ZERO_SUCCESS:
         raise ZeroSuccess("success probability vanished; no output state")
-    ov = complex(overlaps[0])
-    return ExactRecord(index, float(probs[0]), abs(ov), float(np.angle(ov)),
-                       outputs[:, 0])
+    return ExactRecord(index, float(probs[0]), float(fidelities[0]),
+                       float(phases[0]), outputs[:, 0])
 
 
 def verify_machine(machine: Machine, state_set: StateSet,
@@ -131,30 +134,21 @@ def verify_machine(machine: Machine, state_set: StateSet,
         raise MachineMismatch(
             f"machine target {machine.target.value!r} vs set target "
             f"{state_set.target.value!r}")
-    probs, outputs, overlaps = _run_columns(machine, state_set.matrix(),
-                                            state_set.target_matrix())
-    records = []
-    for i in range(n):
-        if probs[i] < ZERO_SUCCESS:
-            records.append(ExactRecord(i, 0.0, 0.0, 0.0, outputs[:, i],
-                                       ok=False))
-            continue
-        fidelity = abs(complex(overlaps[i]))
-        ok = bool(fidelity >= 1.0 - FIDELITY_TOL
-                  and abs(probs[i] - machine.gammas[i]) <= PROB_TOL)
-        records.append(ExactRecord(i, float(probs[i]), fidelity,
-                                   float(np.angle(overlaps[i])),
-                                   outputs[:, i], ok))
+    probs, outputs, fidelities, phases = _run_columns(
+        machine, state_set.matrix(), state_set.target_matrix())
+    oks = ((fidelities >= 1.0 - FIDELITY_TOL)
+           & (np.abs(probs - machine.gammas) <= PROB_TOL))
+    records = [ExactRecord(i, float(probs[i]), float(fidelities[i]),
+                           float(phases[i]), outputs[:, i], bool(oks[i]))
+               for i in range(n)]
     report = SimulationReport("exact", records, machine.unitarity_error())
     if shots:
         rng = np.random.default_rng(seed)
         report.mode = "monte_carlo"
         report.seed = seed
         report.shots = shots
-        for rec in records:
-            p = min(max(rec.success_prob, 0.0), 1.0)
-            successes = int(rng.binomial(shots, p))
-            report.mc_records.append(
-                MonteCarloRecord(rec.index, rec.success_prob, shots,
-                                 successes, successes / shots, seed))
+        successes = rng.binomial(shots, np.clip(probs, 0.0, 1.0)).tolist()
+        report.mc_records = [
+            MonteCarloRecord(i, float(probs[i]), shots, k, k / shots, seed)
+            for i, k in enumerate(successes)]
     return report

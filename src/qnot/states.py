@@ -4,7 +4,9 @@ Two antiunitary target maps are supported: the qubit spin flip
 ``(a, b) -> (-b*, a*)`` that sends every state to its orthogonal
 complement, and entrywise conjugation on qudits of any dimension.  Both
 conjugate the Gram matrix of a state family, which is the single fact the
-feasibility and synthesis machinery rests on.
+feasibility and synthesis machinery rests on.  Each map is one array
+expression, :func:`target_amps`, applied to one state or to a whole set's
+columns at once, so a set reaches its targets with no per-member object.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidState, WrongDimension
+from .linalg import gram_of
 
 NORM_TOL = 1e-10
 
@@ -58,29 +61,31 @@ class QuditState:
             raise DimensionMismatch(f"dims {self.dim} and {other.dim} differ")
         return complex(np.vdot(self.amps, other.amps))
 
-    def fidelity(self, other: "QuditState") -> float:
-        """|<self|other>|, insensitive to global phase."""
-        return abs(self.overlap(other))
 
-
-def orthogonal_complement(state: QuditState) -> QuditState:
-    """Qubit orthogonal complement ``a|0> + b|1> -> a*|1> - b*|0>``."""
-    if state.dim != 2:
+def target_amps(amps: np.ndarray, target: TargetMap) -> np.ndarray:
+    """The target map on an amplitude vector, or on each column of a matrix."""
+    if target is TargetMap.CONJUGATE:
+        return np.conj(amps)
+    if amps.shape[0] != 2:
         raise WrongDimension("orthogonal complement is defined for qubits only")
-    a, b = state.amps
-    return QuditState(np.array([-np.conj(b), np.conj(a)]))
-
-
-def conjugate(state: QuditState) -> QuditState:
-    """Entrywise complex conjugation in the computational basis."""
-    return QuditState(np.conj(state.amps))
+    out = np.conj(amps[::-1])
+    out[0] = -out[0]
+    return out
 
 
 def target_state(state: QuditState, target: TargetMap) -> QuditState:
     """Apply the antiunitary target map to one state."""
-    if target is TargetMap.NOT:
-        return orthogonal_complement(state)
-    return conjugate(state)
+    return QuditState(target_amps(state.amps, target))
+
+
+def orthogonal_complement(state: QuditState) -> QuditState:
+    """Qubit orthogonal complement ``a|0> + b|1> -> a*|1> - b*|0>``."""
+    return target_state(state, TargetMap.NOT)
+
+
+def conjugate(state: QuditState) -> QuditState:
+    """Entrywise complex conjugation in the computational basis."""
+    return target_state(state, TargetMap.CONJUGATE)
 
 
 @dataclass(frozen=True)
@@ -114,11 +119,7 @@ class StateSet:
 
     @classmethod
     def from_amplitudes(cls, rows, target: TargetMap) -> "StateSet":
-        return cls(tuple(QuditState(np.asarray(r, dtype=complex)) for r in rows),
-                   target)
-
-    def targets(self) -> tuple[QuditState, ...]:
-        return tuple(target_state(s, self.target) for s in self.states)
+        return cls(tuple(map(QuditState, rows)), target)
 
     def matrix(self) -> np.ndarray:
         """States stacked as columns of a dim-by-n matrix."""
@@ -126,7 +127,7 @@ class StateSet:
 
     def target_matrix(self) -> np.ndarray:
         """Target states stacked as columns, like :meth:`matrix`."""
-        return np.stack([t.amps for t in self.targets()], axis=1)
+        return target_amps(self.matrix(), self.target)
 
 
 @dataclass(frozen=True)
@@ -158,5 +159,4 @@ class GramMatrix:
 
 def gram(state_set: StateSet) -> GramMatrix:
     """Gram matrix ``G[i, j] = <i|j>`` of the member states."""
-    m = state_set.matrix()
-    return GramMatrix(m.conj().T @ m)
+    return GramMatrix(gram_of(state_set.matrix()))

@@ -30,6 +30,7 @@ from qnot import (
     solve_dependent_triple,
     synthesize,
     synthesize_with,
+    target_state,
     unitary_completion,
     verify_machine,
 )
@@ -175,7 +176,7 @@ def test_criterion_6_properties():
         target = TargetMap.NOT if dim == 2 and rng.random() < 0.5 \
             else TargetMap.CONJUGATE
         ss = random_set(rng, n, dim, target)
-        t_mat = np.stack([t.amps for t in ss.targets()], axis=1)
+        t_mat = np.stack([target_state(s, ss.target).amps for s in ss], axis=1)
         dev = np.abs(gram_of(t_mat) - np.conj(gram(ss).matrix)).max()
         assert dev <= 1e-12
     # eigenvalue PSD test against the principal-minors oracle

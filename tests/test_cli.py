@@ -353,6 +353,25 @@ def test_phases_without_gamma_exits_2(tmp_path, capsys, command):
     assert "--phases needs --gamma" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "--gamma", "nan,nan"], "efficiencies must lie in (0, 1]"),
+    (["synthesize", "--gamma", "nan,nan"], "efficiencies must lie in (0, 1]"),
+    (["check", "--gamma", "0.5,0.5", "--phases", "nan,0"], "finite"),
+    (["check", "--gamma", "0.5,0.5", "--phases", "inf,0"], "finite"),
+    (["synthesize", "--gamma", "0.5,0.5", "--phases", "0,nan"], "finite"),
+    (["oracle", "--phases", "0,1,2"], "probe has 3 states for 2 states"),
+    (["oracle", "--policy", "coordinate", "--phases", "0,1,2"],
+     "probe has 3 states for 2 states"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_non_finite_or_misfit_request_exits_2(tmp_path, capsys, argv,
+                                              message):
+    path = write_doc(tmp_path, "set.json", CANONICAL_PAIR)
+    assert main([argv[0], "--input", path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_simulate_without_machine_exits_2(tmp_path, capsys):
     path = write_doc(tmp_path, "set.json", CANONICAL_PAIR)
     assert main(["simulate", "--input", path]) == 2

@@ -39,6 +39,7 @@ from qnot import (
     solve_dependent_triple,
     standard_probe,
     synthesize_with,
+    target_state,
 )
 
 
@@ -211,7 +212,8 @@ class TestBuildProbeUnitary:
             u = build_probe_unitary(ss, witness)
             d = ss.dim
             e0 = np.array([1.0, 0.0])
-            for k, (s, t) in enumerate(zip(ss, ss.targets())):
+            for k, (s, t) in enumerate(
+                    zip(ss, (target_state(s, ss.target) for s in ss))):
                 out = u @ np.kron(s.amps, e0)
                 want = np.exp(1j * witness.phases[k]) * np.kron(t.amps, e0)
                 assert np.linalg.norm(out - want) < 1e-8
@@ -293,7 +295,8 @@ def test_branch_layout(builder):
         m = g - np.conj(s)[:, None] * np.conj(g) * s
         vals, vecs = np.linalg.eigh(m)
         c = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    for i, (s_i, t_i) in enumerate(zip(ss, ss.targets())):
+    for i, (s_i, t_i) in enumerate(
+            zip(ss, (target_state(s, ss.target) for s in ss))):
         out = (u @ np.kron(s_i.amps, np.eye(p)[0])).reshape(dim, p)
         want = np.zeros((dim, p), complex)
         want[:, 0] = np.sqrt(gammas[i]) * np.exp(1j * phases[i]) * t_i.amps
@@ -328,6 +331,31 @@ class TestEfficiencyMatrix:
         with pytest.raises(ValueError):
             EfficiencyMatrix(np.array([1.5]))
         assert EfficiencyMatrix.coerce(0.5, 3).gammas.tolist() == [0.5] * 3
+
+
+@pytest.mark.parametrize("gammas", [[np.nan, 0.5], [0.5, np.nan],
+                                    [np.nan, np.nan]])
+def test_efficiencies_must_not_be_nan(gammas):
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        EfficiencyMatrix(np.array(gammas))
+
+
+@pytest.mark.parametrize("phases", [[np.nan, 0.0], [0.0, np.nan],
+                                    [np.inf, 0.0], [0.0, -np.inf]])
+def test_probe_phases_must_be_finite(phases):
+    with pytest.raises(InvalidProbe, match="finite"):
+        ProbeSpec.phase_vector(phases)
+
+
+def test_non_finite_efficiencies_reach_no_verdict_or_machine():
+    ss = StateSet((QuditState(np.array([1.0, 0.0])),
+                   QuditState(np.array([0.5 + 0.5j, 0.5 ** 0.5]))),
+                  TargetMap.NOT)
+    probe = standard_probe(gram(ss))
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        check_probabilistic(ss, [np.nan, np.nan], probe)
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        synthesize_with(ss, [np.nan, np.nan], probe)
 
 
 class TestProbabilistic:

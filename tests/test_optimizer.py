@@ -5,6 +5,7 @@ import pytest
 from qnot import (
     DegenerateDeterminant,
     GammaPolicy,
+    InvalidProbe,
     NoFeasiblePoint,
     NotPSD,
     ProbeSpec,
@@ -268,3 +269,14 @@ def test_search_honors_custom_probe():
     assert res.probe is probe
     m = constraint_matrix(gram(ss), res.gammas, probe)
     assert np.linalg.eigvalsh(m).min() >= -1e-9
+
+
+def test_searches_refuse_a_probe_of_the_wrong_size():
+    rng = np.random.default_rng(40)
+    ss = random_independent_set(rng, 2, 2, TargetMap.CONJUGATE)
+    probe = ProbeSpec.phase_vector([0.0, 1.0, 2.0])
+    for policy in GammaPolicy:
+        with pytest.raises(InvalidProbe, match="3 states for 2"):
+            search_gamma(ss, policy, probe)
+    with pytest.raises(InvalidProbe, match="3 states for 2"):
+        grid_oracle_triple(gram(ss), probe)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from qnot import (
+    GammaPolicy,
     Machine,
     ProbeSpec,
     QuditState,
@@ -10,9 +11,11 @@ from qnot import (
     TargetMap,
     ZeroSuccess,
     build_probe_unitary,
+    check_exact_unitary,
     check_exact_with_probe,
     gram,
     run_exact,
+    search_gamma,
     synthesize,
     synthesize_with,
     target_state,
@@ -362,3 +365,33 @@ def test_partial_efficiency_machine_matches_design():
     for rec, g in zip(report.records, gammas):
         assert rec.success_prob == pytest.approx(g, abs=1e-9)
         assert rec.fidelity == pytest.approx(1.0, abs=1e-9)
+
+
+def test_pipeline_builds_no_per_member_state(monkeypatch):
+    """Sets reach their targets as one array expression, not member by member.
+
+    A real NOT set takes the exact path of ``synthesize``; a phased real
+    CONJUGATE set with n = d = 4 takes the probe and general paths.
+    """
+    rng = np.random.default_rng(62)
+    phased = random_set(rng, 4, 4, TargetMap.CONJUGATE, real=True).matrix()
+    phased = phased * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 4))
+    sets = [random_set(rng, 6, 2, TargetMap.NOT, real=True),
+            StateSet.from_amplitudes(phased.T, TargetMap.CONJUGATE)]
+    built = []
+    post_init = QuditState.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(QuditState, "__post_init__", counting_post_init)
+    for ss in sets:
+        check_exact_unitary(ss)
+        verdict = check_exact_with_probe(ss)
+        assert verdict.feasible
+        build_probe_unitary(ss, verdict.witness)
+        machine, _ = synthesize(ss)
+        assert verify_machine(machine, ss, shots=100).all_ok
+        search_gamma(ss, GammaPolicy.EQUAL)
+    assert len(built) == 0

@@ -17,8 +17,11 @@ from qnot import (
     orthogonal_complement,
     target_state,
 )
+from qnot.states import target_amps
 from qnot.serialize import (
     SchemaError,
+    dumps,
+    load,
     state_from_dict,
     state_set_from_dict,
     state_set_to_dict,
@@ -119,6 +122,28 @@ class TestTargetMaps:
             np.testing.assert_allclose(twice.amps, -s.amps, atol=1e-14)
 
 
+@pytest.mark.parametrize("target, dim", [(TargetMap.NOT, 2),
+                                         (TargetMap.CONJUGATE, 2),
+                                         (TargetMap.CONJUGATE, 3)])
+def test_target_matrix_is_the_stacked_per_member_map(target, dim):
+    """Bit for bit, so the signs of exact zeros (|0>, |1>) are pinned too."""
+    rng = np.random.default_rng(49)
+    eye = np.eye(dim)
+    members = [QuditState(eye[k]) for k in range(dim)]
+    members += [QuditState(-eye[0]), QuditState(-1j * eye[1]),
+                random_state(rng, dim), random_state(rng, dim, real=True)]
+    ss = StateSet(tuple(members), target)
+    want = np.stack([target_state(s, ss.target).amps for s in ss], axis=1)
+    got = ss.target_matrix()
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_target_amps_not_rejects_a_qutrit_column():
+    with pytest.raises(WrongDimension, match="qubits only"):
+        target_amps(np.eye(3, 1, dtype=complex), TargetMap.NOT)
+
+
 class TestStateSet:
     def test_mixed_dims_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -160,7 +185,7 @@ class TestGram:
             for _ in range(25):
                 ss = random_set(rng, 3, dim, target)
                 g = gram(ss).matrix
-                t_mat = np.stack([t.amps for t in ss.targets()], axis=1)
+                t_mat = np.stack([target_state(s, ss.target).amps for s in ss], axis=1)
                 np.testing.assert_allclose(t_mat.conj().T @ t_mat,
                                            np.conj(g), atol=1e-12)
 
@@ -174,7 +199,7 @@ def test_gram_psd_and_conjugation_property(pairs_a, pairs_b):
     ss = StateSet((a, b), TargetMap.NOT)
     g = gram(ss).matrix
     assert np.linalg.eigvalsh(g).min() > -1e-12
-    t_mat = np.stack([t.amps for t in ss.targets()], axis=1)
+    t_mat = np.stack([target_state(s, ss.target).amps for s in ss], axis=1)
     assert np.abs(t_mat.conj().T @ t_mat - np.conj(g)).max() < 1e-12
 
 
@@ -206,3 +231,19 @@ class TestJson:
     def test_state_dim_must_be_an_integer(self, dim):
         with pytest.raises(SchemaError):
             state_from_dict({"dim": dim, "amps": [[1.0, 0.0]]})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_writer_refuses_non_finite_floats(value):
+    """The one writer never emits what the one reader refuses."""
+    with pytest.raises(ValueError):
+        dumps({"lambda_min": value})
+
+
+def test_reader_reports_unreadable_files_as_schema_errors(tmp_path):
+    with pytest.raises(SchemaError, match="cannot read"):
+        load(tmp_path / "missing.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    with pytest.raises(SchemaError, match="cannot read"):
+        load(bad)
