@@ -30,7 +30,6 @@ from .errors import (
 from .feasibility import (
     EfficiencyMatrix,
     FeasibilityVerdict,
-    ProbeKind,
     ProbeSpec,
     build_exact_unitary,
     build_probe_unitary,
@@ -41,7 +40,7 @@ from .feasibility import (
     solve_dependent_triple,
     standard_probe,
 )
-from .linalg import HermEig, herm_eig, is_psd, psd_sqrt, unitary_completion
+from .linalg import is_psd, psd_sqrt, unitary_completion
 from .optimizer import (
     GammaPolicy,
     GammaSearchResult,
@@ -74,8 +73,8 @@ __version__ = "0.1.0"
 __all__ = [
     "QuditState", "StateSet", "TargetMap", "GramMatrix",
     "orthogonal_complement", "conjugate", "target_state", "gram",
-    "herm_eig", "HermEig", "is_psd", "psd_sqrt", "unitary_completion",
-    "ProbeSpec", "ProbeKind", "EfficiencyMatrix", "FeasibilityVerdict",
+    "is_psd", "psd_sqrt", "unitary_completion",
+    "ProbeSpec", "EfficiencyMatrix", "FeasibilityVerdict",
     "check_exact_unitary", "check_exact_with_probe", "check_probabilistic",
     "build_exact_unitary", "build_probe_unitary", "constraint_matrix",
     "solve_dependent_triple",

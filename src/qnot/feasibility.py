@@ -15,15 +15,16 @@ Three nested regimes are decided here, each on a finite state family:
   ``G - sqrt(Gamma) (conj(G) * P) sqrt(Gamma)`` is positive semidefinite
   (:func:`check_probabilistic`).
 
-Every machine unitary is built by :func:`branch_unitary`, which writes the
-``(system, probe, member)`` layout once: :func:`build_exact_unitary` and
-:func:`build_probe_unitary` here, and the probabilistic machines of
-:mod:`qnot.synthesis`.
+Every check reads a probe as its Gram matrix ``P``.  A phase-vector probe
+is the rank-one case and also keeps its phases, which is the only kind of
+probe a machine realizes.  Every machine unitary is built by
+:func:`branch_unitary`, which writes the ``(system, probe, member)``
+layout once: :func:`build_exact_unitary` and :func:`build_probe_unitary`
+here, and the probabilistic machines of :mod:`qnot.synthesis`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -35,31 +36,28 @@ from .errors import (
     WrongDimension,
     ZeroOverlap,
 )
-from .linalg import GRAM_TOL, PSD_TOL, smallest_eigenvalue, unitary_completion
-from .states import GramMatrix, QuditState, StateSet, gram, orthogonal_complement
+from .linalg import (GRAM_TOL, HERMITICITY_TOL, PSD_TOL, smallest_eigenvalue,
+                     unitary_completion)
+from .states import (NORM_TOL, GramMatrix, QuditState, StateSet, gram,
+                     orthogonal_complement)
 
 IMAG_TOL = 1e-9
 PARALLEL_TOL = 1e-8
 
 
-class ProbeKind(Enum):
-    PHASE_VECTOR = "phase_vector"
-    FULL_GRAM = "full_gram"
-
-
 @dataclass(frozen=True)
 class ProbeSpec:
-    """Probe state family, given either by phases or by a full Gram matrix.
+    """Probe state family, held as its Gram matrix ``P``.
 
     A phase-vector probe uses a single probe direction per state,
-    ``|P_i> = exp(i phi_i) |P_1>``, so only the phases matter and the
-    probe Gram is ``P[i, j] = exp(i (phi_j - phi_i))``.  A full-Gram probe
-    specifies ``P`` directly; it must be Hermitian PSD with unit diagonal.
+    ``|P_i> = exp(i phi_i) |P_1>``, so ``P`` is the rank-one Gram
+    ``P[i, j] = exp(i (phi_j - phi_i))`` and ``phases`` keeps the ``phi_i``.
+    A full-Gram probe gives ``P`` directly (Hermitian PSD with unit
+    diagonal) and has ``phases`` None.
     """
 
-    kind: ProbeKind
+    matrix: np.ndarray
     phases: Optional[np.ndarray] = None
-    matrix: Optional[np.ndarray] = None
 
     @classmethod
     def phase_vector(cls, phases) -> "ProbeSpec":
@@ -68,32 +66,26 @@ class ProbeSpec:
             raise InvalidProbe("phase vector must be nonempty and finite")
         # only phase differences are observable; pin the first phase to 0
         ph = np.mod(ph - ph[0], 2.0 * np.pi)
-        return cls(ProbeKind.PHASE_VECTOR, phases=ph)
+        u = np.exp(1j * ph)
+        return cls(np.outer(np.conj(u), u), ph)
 
     @classmethod
     def full_gram(cls, matrix) -> "ProbeSpec":
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidProbeGram(f"probe Gram must be square, got {m.shape}")
-        if np.abs(m - m.conj().T).max() > 1e-10:
+        # each test is written to fail on NaN
+        if not np.abs(m - m.conj().T).max() <= HERMITICITY_TOL:
             raise InvalidProbeGram("probe Gram must be Hermitian")
-        if np.abs(np.diag(m) - 1.0).max() > 1e-10:
+        if not np.abs(np.diag(m) - 1.0).max() <= NORM_TOL:
             raise InvalidProbeGram("probe Gram must have unit diagonal")
-        if smallest_eigenvalue(m) < -PSD_TOL:
+        if not smallest_eigenvalue(m) >= -PSD_TOL:
             raise InvalidProbeGram("probe Gram must be positive semidefinite")
-        return cls(ProbeKind.FULL_GRAM, matrix=m)
+        return cls(m)
 
     @property
     def n(self) -> int:
-        if self.kind is ProbeKind.PHASE_VECTOR:
-            return self.phases.size
         return self.matrix.shape[0]
-
-    def gram_matrix(self) -> np.ndarray:
-        if self.kind is ProbeKind.PHASE_VECTOR:
-            u = np.exp(1j * self.phases)
-            return np.outer(np.conj(u), u)
-        return self.matrix
 
 
 def standard_probe(gram_matrix: GramMatrix) -> ProbeSpec:
@@ -104,7 +96,7 @@ def standard_probe(gram_matrix: GramMatrix) -> ProbeSpec:
 
 def machine_phases(probe: ProbeSpec, n: int) -> np.ndarray:
     """Phases of a phase-vector probe for ``n`` states; machines build no other."""
-    if probe.kind is not ProbeKind.PHASE_VECTOR:
+    if probe.phases is None:
         raise InvalidProbe("a machine needs a phase-vector probe")
     if probe.phases.size != n:
         raise InvalidProbe(f"probe has {probe.phases.size} phases for {n} states")
@@ -177,7 +169,7 @@ def check_exact_with_probe(state_set: StateSet) -> FeasibilityVerdict:
         raise ZeroOverlap(int(zero[0, 0]), int(zero[0, 1]))
     witness = standard_probe(gm)
     g = gm.matrix
-    dev = np.abs(g - witness.gram_matrix() * np.conj(g))
+    dev = np.abs(g - witness.matrix * np.conj(g))
     worst = float(dev.max())
     if worst <= GRAM_TOL:
         return FeasibilityVerdict(True, witness=witness)
@@ -246,7 +238,7 @@ def constraint_kernel(g: np.ndarray, probe: ProbeSpec) -> np.ndarray:
     """``K = conj(G) * P``; :class:`InvalidProbe` unless ``P`` matches ``G``."""
     if probe.n != g.shape[0]:
         raise InvalidProbe(f"probe has {probe.n} states for {g.shape[0]} states")
-    return np.conj(g) * probe.gram_matrix()
+    return np.conj(g) * probe.matrix
 
 
 def scaled_constraint(g: np.ndarray, k: np.ndarray, gammas: np.ndarray) -> np.ndarray:
@@ -290,9 +282,9 @@ def solve_dependent_triple(s1: QuditState, s2: QuditState, s3: QuditState,
     for s in (s1, s2, s3):
         if s.dim != 2:
             raise WrongDimension("dependent-triple analysis is for qubits")
-    for gname, gval in (("gamma1", gamma1), ("gamma2", gamma2)):
-        if not (0.0 < gval <= 1.0 + 1e-12):
-            raise ValueError(f"{gname} must lie in (0, 1]")
+    gamma1, gamma2 = EfficiencyMatrix([gamma1, gamma2]).gammas
+    if not np.isfinite(phase):
+        raise ValueError(f"phase = {phase!r} must be finite")
     basis = np.stack([s1.amps, s2.amps], axis=1)
     if np.linalg.svd(basis, compute_uv=False)[-1] < 1e-9:
         raise LinearlyDependentPair("reference states are parallel")

@@ -1,7 +1,9 @@
 """Dense Hermitian linear algebra helpers.
 
-Thin wrappers around numpy's eigensolvers plus the unitary-completion
-routine that the machine constructions are built on: two tuples of vectors
+The one PSD test, the PSD square root and the unitary-completion routine
+that the machine constructions are built on.  The square root takes
+``numpy.linalg.eigh`` as it comes: ``V sqrt(L) V^dag`` does not depend on
+the phases of the eigenvectors, so none are fixed.  Two tuples of vectors
 with identical Gram matrices are related by a unitary, and
 :func:`unitary_completion` produces one in closed form, the polar factor
 of the families' cross product (orthogonal Procrustes, Schonemann 1966).
@@ -17,11 +19,11 @@ system x probe.
 Every PSD decision (:func:`is_psd`, :func:`psd_sqrt`, probe Grams and the
 feasibility and search code) compares :func:`smallest_eigenvalue` against
 ``-PSD_TOL`` (the searches and the probabilistic check at their ``tol``),
-so a matrix one of them accepts is accepted by all of them.
+so a matrix one of them accepts is accepted by all of them.  The Hermitian
+and Gram tests are written so that NaN fails them, so :func:`is_psd`,
+:func:`psd_sqrt` and :func:`unitary_completion` refuse a NaN entry.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,36 +43,10 @@ def _as_complex_matrix(m) -> np.ndarray:
 
 def _require_hermitian(m: np.ndarray) -> np.ndarray:
     dev = np.abs(m - m.conj().T).max() if m.size else 0.0
-    if dev > HERMITICITY_TOL:
+    if not dev <= HERMITICITY_TOL:
         raise NotHermitian(
             f"max |M - M^dag| = {dev:.3e} exceeds {HERMITICITY_TOL:.1e}")
     return m
-
-
-@dataclass
-class HermEig:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; ``eigenvectors[:, k]`` is the
-    unit eigenvector for ``eigenvalues[k]``, with its first component of
-    magnitude above 1e-12 rotated to be real and positive so repeated runs
-    produce identical output.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def herm_eig(m) -> HermEig:
-    """Eigendecomposition of a Hermitian matrix with a fixed phase gauge."""
-    m = _require_hermitian(_as_complex_matrix(m))
-    vals, vecs = np.linalg.eigh(m)
-    big = np.abs(vecs) > 1e-12
-    cols = np.flatnonzero(big.any(axis=0))
-    if cols.size:
-        lead = vecs[big[:, cols].argmax(axis=0), cols]
-        vecs[:, cols] *= np.conj(lead) / np.abs(lead)
-    return HermEig(vals, vecs)
 
 
 def smallest_eigenvalue(m: np.ndarray) -> float:
@@ -97,10 +73,8 @@ def psd_sqrt(m) -> np.ndarray:
     lam_min = smallest_eigenvalue(m)
     if lam_min < -PSD_TOL:
         raise NotPSD(f"smallest eigenvalue {lam_min:.3e} is below -{PSD_TOL:.1e}")
-    dec = herm_eig(m)
-    clipped = np.clip(dec.eigenvalues, 0.0, None)
-    v = dec.eigenvectors
-    return v @ np.diag(np.sqrt(clipped)) @ v.conj().T
+    vals, vecs = np.linalg.eigh(m)
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
 
 
 def gram_of(vectors: np.ndarray) -> np.ndarray:
@@ -155,7 +129,7 @@ def unitary_completion(inputs, outputs) -> np.ndarray:
                              | (y_mat != 0).any(axis=1))
     x_mat, y_mat = x_mat[support], y_mat[support]
     dev = np.abs(gram_of(x_mat) - gram_of(y_mat))
-    if dev.size and dev.max() > GRAM_TOL:
+    if dev.size and not dev.max() <= GRAM_TOL:
         i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
         raise GramMismatch(int(i), int(j), float(dev[i, j]))
     q = np.linalg.qr(np.concatenate([x_mat, y_mat], axis=1))[0]

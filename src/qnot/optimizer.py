@@ -61,6 +61,10 @@ class TripleBoundInput:
             t = getattr(self, name)
             if not (0.0 < t <= 1.0):
                 raise ValueError(f"{name} = {t!r} must lie in (0, 1]")
+        for name in ("theta12", "theta13", "theta23"):
+            theta = getattr(self, name)
+            if not np.isfinite(theta):
+                raise ValueError(f"{name} = {theta!r} must be finite")
 
     @classmethod
     def from_gram(cls, gram_matrix: GramMatrix) -> "TripleBoundInput":

@@ -1,9 +1,10 @@
 """Independent reference implementations used only to check the library.
 
-Nothing here calls into qnot's linear algebra: determinants are cofactor
-expansions, eigenvalues come from characteristic-polynomial roots via the
-companion matrix, PSD-ness from principal minors, and parallelism from a
-least-squares fit.  Deliberately slow and simple.
+Nothing here calls into qnot's linear algebra: PSD-ness comes from
+principal minors (determinants by cofactor expansion), quadratic roots from
+the companion matrix, parallelism from a least-squares fit, and the probe
+congruence and phase residuals from plain loops and grids.  Deliberately
+slow and simple.
 """
 from __future__ import annotations
 
@@ -25,26 +26,6 @@ def cofactor_det(m) -> complex:
         minor = m[np.ix_(rest, cols)]
         total += (-1) ** j * m[0, j] * cofactor_det(minor)
     return total
-
-
-def char_poly_coeffs(m) -> np.ndarray:
-    """Coefficients of det(xI - M), highest power first, via minor sums."""
-    m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[0] = 1.0
-    for k in range(1, n + 1):
-        sigma = 0.0 + 0.0j
-        for idx in itertools.combinations(range(n), k):
-            sigma += cofactor_det(m[np.ix_(idx, idx)])
-        coeffs[k] = (-1) ** k * sigma
-    return coeffs
-
-
-def eig_by_char_poly(m) -> np.ndarray:
-    """Ascending real eigenvalues of a Hermitian matrix via np.roots."""
-    roots = np.roots(char_poly_coeffs(m))
-    return np.sort(roots.real)
 
 
 def psd_by_minors(m, tol: float = 1e-9) -> bool:
@@ -118,20 +99,3 @@ def probe_congruence_loop(th):
                     worst = r
                     worst_idx = [i, j, l]
     return float(worst), worst_idx
-
-
-def phase_gauge_loop(vecs):
-    """Eigenvector columns in the fixed phase gauge, one column at a time.
-
-    Each column is rotated so that its first entry of magnitude above
-    1e-12 becomes real and positive; columns with no such entry stay as
-    they are.  Returns a new array.
-    """
-    vecs = np.array(vecs, dtype=complex)
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            lead = col[nz[0]]
-            vecs[:, k] = col * (np.conj(lead) / np.abs(lead))
-    return vecs

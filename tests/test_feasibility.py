@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -166,7 +168,7 @@ class TestExactWithProbe:
                 continue
             assert verdict.feasible
             g = gram(ss).matrix
-            p = verdict.witness.gram_matrix()
+            p = verdict.witness.matrix
             assert np.abs(g - np.conj(g) * p).max() < 1e-8
 
 
@@ -317,9 +319,24 @@ class TestProbeSpec:
         with pytest.raises(InvalidProbeGram):
             ProbeSpec.full_gram(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("matrix", [
+        [[1.0, np.nan], [np.nan, 1.0]],
+        [[np.nan, 0.0], [0.0, 1.0]],
+        [[1.0, np.inf], [np.inf, 1.0]]])
+    def test_full_gram_refuses_non_finite_entries(self, matrix):
+        with pytest.raises(InvalidProbeGram):
+            ProbeSpec.full_gram(matrix)
+
+    def test_fields_are_matrix_and_phases(self):
+        phased = ProbeSpec.phase_vector([0.0, 1.0])
+        full = ProbeSpec.full_gram(np.eye(2))
+        assert full.phases is None and full.n == phased.n == 2
+        assert [f.name for f in dataclasses.fields(ProbeSpec)] == [
+            "matrix", "phases"]
+
     def test_gram_matrix_of_phase_vector(self):
         p = ProbeSpec.phase_vector([0.0, np.pi / 2])
-        g = p.gram_matrix()
+        g = p.matrix
         assert g[0, 1] == pytest.approx(1j)
         assert np.linalg.eigvalsh(g).min() > -1e-12
 
@@ -476,6 +493,13 @@ class TestDependentTriple:
         s = qubit(1, 1)
         with pytest.raises(LinearlyDependentPair):
             solve_dependent_triple(s, QuditState(-s.amps), s, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("phase", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phase_refused(self, phase):
+        s1, s2 = qubit(1, 0), qubit(1, 1)
+        s3 = qubit(1, 2)
+        with pytest.raises(ValueError, match="phase"):
+            solve_dependent_triple(s1, s2, s3, 0.5, 0.5, phase)
 
     def test_gamma_bounds_validated(self):
         s1, s2 = qubit(1, 0), qubit(1, 1)

@@ -3,23 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_independent_set, random_set, random_state
-from oracles import (
-    cofactor_det,
-    eig_by_char_poly,
-    phase_gauge_loop,
-    psd_by_minors,
-)
+from conftest import random_independent_set, random_state
+from oracles import psd_by_minors
 from qnot import (
     DimensionMismatch,
     GramMismatch,
     InvalidProbeGram,
     NotHermitian,
     NotPSD,
+    NotSquare,
     ProbeSpec,
     TargetMap,
     gram,
-    herm_eig,
     is_psd,
     psd_sqrt,
     unitary_completion,
@@ -29,91 +24,6 @@ from qnot import (
 def random_hermitian(rng, n):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return a + a.conj().T
-
-
-class TestHermEig:
-    def test_identity(self):
-        dec = herm_eig(np.eye(3))
-        np.testing.assert_allclose(dec.eigenvalues, [1, 1, 1], atol=1e-12)
-
-    def test_known_2x2(self):
-        dec = herm_eig([[1.0, 0.5], [0.5, 1.0]])
-        np.testing.assert_allclose(dec.eigenvalues, [0.5, 1.5], atol=1e-12)
-
-    def test_matches_char_poly_roots_on_qutrit_gram(self):
-        rng = np.random.default_rng(11)
-        ss = random_set(rng, 3, 3, TargetMap.CONJUGATE)
-        g = gram(ss).matrix
-        got = herm_eig(g).eigenvalues
-        expected = eig_by_char_poly(g)
-        np.testing.assert_allclose(got, expected, atol=1e-9)
-
-    def test_reconstruction_orthonormality_and_gauge(self):
-        rng = np.random.default_rng(3)
-        for n in (2, 3, 4):
-            m = random_hermitian(rng, n)
-            dec = herm_eig(m)
-            v = dec.eigenvectors
-            np.testing.assert_allclose(
-                v @ np.diag(dec.eigenvalues) @ v.conj().T, m, atol=1e-10)
-            np.testing.assert_allclose(v.conj().T @ v, np.eye(n), atol=1e-10)
-            for k in range(n):
-                lead = v[np.abs(v[:, k]) > 1e-12, k][0]
-                assert lead.real > 0 and abs(lead.imag) < 1e-12
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(4)
-        m = random_hermitian(rng, 4)
-        d1, d2 = herm_eig(m), herm_eig(m)
-        np.testing.assert_array_equal(d1.eigenvalues, d2.eigenvalues)
-        np.testing.assert_array_equal(d1.eigenvectors, d2.eigenvectors)
-
-    def test_gauge_matches_column_loop_bit_for_bit(self):
-        """Same gauge as the per-column loop, including zero-leading columns.
-
-        Every third matrix is block diagonal and every fifth has a zero
-        first row and column, so many eigenvectors start with entries at
-        or below 1e-12 and take their phase from a later entry.
-        """
-        rng = np.random.default_rng(6)
-        zero_leading = 0
-        for n in (3, 10, 24, 48):
-            for trial in range(30):
-                m = random_hermitian(rng, n)
-                if trial % 3 == 0:
-                    m[:n // 2, n // 2:] = 0
-                    m[n // 2:, :n // 2] = 0
-                if trial % 5 == 0:
-                    m[0, :] = 0
-                    m[:, 0] = 0
-                raw = np.linalg.eigh(m)[1]
-                zero_leading += int(np.sum(np.abs(raw[0]) <= 1e-12))
-                got = herm_eig(m).eigenvectors
-                assert got.tobytes() == phase_gauge_loop(raw).tobytes()
-        assert zero_leading > 100
-
-    def test_empty_matrix(self):
-        dec = herm_eig(np.zeros((0, 0)))
-        assert dec.eigenvalues.shape == (0,)
-        assert dec.eigenvectors.shape == (0, 0)
-
-    def test_trace_and_det_invariants(self):
-        rng = np.random.default_rng(5)
-        for n in (2, 3, 4):
-            for _ in range(10):
-                m = random_hermitian(rng, n)
-                vals = herm_eig(m).eigenvalues
-                assert abs(vals.sum() - np.trace(m).real) < 1e-9
-                assert abs(np.prod(vals) - cofactor_det(m).real) < 1e-8
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            herm_eig([[0.0, 1.0], [0.0, 0.0]])
-
-    def test_rejects_non_square(self):
-        from qnot import NotSquare
-        with pytest.raises(NotSquare):
-            herm_eig(np.zeros((2, 3)))
 
 
 class TestIsPsd:
@@ -152,6 +62,14 @@ class TestIsPsd:
         with pytest.raises(NotHermitian):
             is_psd([[0.0, 1.0], [0.0, 0.0]])
 
+    def test_rejects_nan(self):
+        with pytest.raises(NotHermitian):
+            is_psd([[np.nan, 0.0], [0.0, 1.0]])
+
+    def test_rejects_non_square(self):
+        with pytest.raises(NotSquare):
+            is_psd(np.zeros((2, 3)))
+
 
 class TestPsdSqrt:
     def test_identity(self):
@@ -178,6 +96,19 @@ class TestPsdSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSD):
             psd_sqrt(np.diag([1.0, -1e-3]))
+
+    def test_rejects_non_hermitian_and_nan(self):
+        with pytest.raises(NotHermitian):
+            psd_sqrt([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(NotHermitian):
+            psd_sqrt([[1.0, np.nan], [np.nan, 1.0]])
+
+    def test_rejects_non_square(self):
+        with pytest.raises(NotSquare):
+            psd_sqrt(np.zeros((2, 3)))
+
+    def test_empty_matrix(self):
+        assert psd_sqrt(np.zeros((0, 0))).shape == (0, 0)
 
 
 @pytest.mark.parametrize("lam, accepted", [(-5e-10, True), (-2e-9, False)])
@@ -314,6 +245,13 @@ class TestUnitaryCompletion:
         zero = np.zeros(5)
         u = unitary_completion([zero, zero], [zero, zero])
         assert np.array_equal(u, np.eye(5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(GramMismatch):
+            unitary_completion([[bad, 0.0]], [[1.0, 0.0]])
+        with pytest.raises(GramMismatch):
+            unitary_completion([[1.0, 0.0]], [[0.0, bad]])
 
     def test_dimension_mismatches_rejected(self):
         e0, e1 = np.eye(2)

@@ -47,7 +47,7 @@ def test_dense_grid_agrees_with_closed_form():
     """Third route: exhaustive gamma grid, no bisection and no quadratics."""
     inp = TripleBoundInput(0.3, 0.3, 0.3, 0.4, 0.1, 0.2)
     g = inp.gram_matrix().matrix
-    p = inp.probe().gram_matrix()
+    p = inp.probe().matrix
     grid = np.linspace(1e-5, 1.0, 100_000)
     best = 0.0
     for chunk in np.array_split(grid, 10):
@@ -135,6 +135,14 @@ def test_shrinking_overlaps_never_hurts():
             continue
         assert g2 >= g1 - 1e-9
         checked += 1
+
+
+@pytest.mark.parametrize("field", ["theta12", "theta13", "theta23"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_triple_phases_must_be_finite(field, bad):
+    phases = {"theta12": 0.1, "theta13": 0.2, "theta23": 0.3, field: bad}
+    with pytest.raises(ValueError, match=field):
+        TripleBoundInput(0.3, 0.3, 0.3, **phases)
 
 
 def test_degenerate_determinant_raises():
