@@ -18,13 +18,14 @@ Exit codes: 0 success, 2 malformed input, 3 linearly dependent set,
 
 The environment variable ``QNOT_TOL``, a finite number at least 0 (else
 exit 2), replaces the PSD tolerance of 1e-9 in ``check --gamma``, ``oracle``
-and ``gamma-max``.  A looser value never reaches ``synthesize``: no machine
-realizes a point whose constraint matrix has an eigenvalue below -1e-9 (the
-fixed ``linalg.PSD_TOL``), so such a point exits 2 there.
+and ``gamma-max``.  ``synthesize --gamma`` decides with the same
+``check_probabilistic`` at the fixed 1e-9 (``linalg.PSD_TOL``), since no
+machine realizes a point below it; such a point exits 2 there.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -43,10 +44,8 @@ from .feasibility import (
     check_exact_unitary,
     check_exact_with_probe,
     check_probabilistic,
-    constraint_kernel,
-    scaled_constraint,
 )
-from .linalg import PSD_TOL, smallest_eigenvalue
+from .linalg import PSD_TOL
 from .optimizer import (
     GammaPolicy,
     TripleBoundInput,
@@ -162,13 +161,7 @@ def cmd_synthesize(args, tol: float) -> int:
     else:
         machine, report = synthesize(state_set)
         doc = serialize.machine_to_dict(machine)
-        doc["report"] = {
-            "epsilon": report.epsilon,
-            "c": report.c,
-            "d_max": report.d_max,
-            "residual": report.residual,
-            "path": report.path,
-        }
+        doc["report"] = dataclasses.asdict(report)
         lines = [f"machine on {machine.system_dim}x{machine.probe_dim} "
                  f"(system x probe), path={report.path}, "
                  f"gamma={report.epsilon:.6f}"]
@@ -204,13 +197,12 @@ def cmd_gamma_max(args, tol: float) -> int:
     closed = gamma_max_triple(inp, tol)
     oracle = grid_oracle_triple(gm, probe, tol=tol)
     diff = abs(closed - oracle)
-    m = scaled_constraint(gm.matrix, constraint_kernel(gm.matrix, probe),
-                          np.full(3, oracle))
+    boundary = check_probabilistic(state_set, oracle, probe, tol)
     doc = {
         "gamma_max": closed,
         "method": "closed_form",
         "probe_phases": [float(p) for p in probe.phases],
-        "lambda_min_at_boundary": smallest_eigenvalue(m),
+        "lambda_min_at_boundary": boundary.lambda_min,
         "oracle_gamma": oracle,
         "difference": diff,
         "agreement": diff <= GAMMA_MAX_AGREEMENT,

@@ -13,7 +13,7 @@ Three nested regimes are decided here, each on a finite state family:
 * with per-state efficiencies ``gamma_i`` and a probe Gram ``P``, a
   postselecting machine exists iff
   ``G - sqrt(Gamma) (conj(G) * P) sqrt(Gamma)`` is positive semidefinite
-  (:func:`check_probabilistic`).
+  (:func:`check_probabilistic`, which decides every requested point).
 
 Every check reads a probe as its Gram matrix ``P``.  A phase-vector probe
 is the rank-one case and also keeps its phases, which is the only kind of
@@ -45,7 +45,7 @@ IMAG_TOL = 1e-9
 PARALLEL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeSpec:
     """Probe state family, held as its Gram matrix ``P``.
 
@@ -72,8 +72,9 @@ class ProbeSpec:
     @classmethod
     def full_gram(cls, matrix) -> "ProbeSpec":
         m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidProbeGram(f"probe Gram must be square, got {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise InvalidProbeGram(
+                f"probe Gram must be square and nonempty, got {m.shape}")
         # each test is written to fail on NaN
         if not np.abs(m - m.conj().T).max() <= HERMITICITY_TOL:
             raise InvalidProbeGram("probe Gram must be Hermitian")
@@ -103,7 +104,7 @@ def machine_phases(probe: ProbeSpec, n: int) -> np.ndarray:
     return probe.phases
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EfficiencyMatrix:
     """Per-state success probabilities ``gamma_i``, each in ``(0, 1]``."""
 
@@ -119,9 +120,7 @@ class EfficiencyMatrix:
 
     @classmethod
     def coerce(cls, gammas, n: int) -> "EfficiencyMatrix":
-        if isinstance(gammas, EfficiencyMatrix):
-            g = gammas.gammas
-        elif np.isscalar(gammas):
+        if np.isscalar(gammas):
             g = np.full(n, float(gammas))
         else:
             g = np.asarray(gammas, dtype=float).ravel()
@@ -222,14 +221,14 @@ def build_probe_unitary(state_set: StateSet, probe: ProbeSpec) -> np.ndarray:
     return branch_unitary(state_set, np.exp(1j * phases), 2)
 
 
-def constraint_matrix(gram_matrix: GramMatrix | np.ndarray, gammas,
+def constraint_matrix(gram_matrix: GramMatrix, gammas,
                       probe: ProbeSpec) -> np.ndarray:
     """Success-branch constraint matrix ``G - sqrt(Gamma) (conj(G) * P) sqrt(Gamma)``.
 
     Positive semidefiniteness of this matrix is exactly feasibility of a
     probabilistic machine with efficiencies ``gamma_i`` and probe Gram ``P``.
     """
-    g = gram_matrix.matrix if isinstance(gram_matrix, GramMatrix) else np.asarray(gram_matrix)
+    g = gram_matrix.matrix
     eff = EfficiencyMatrix.coerce(gammas, g.shape[0])
     return scaled_constraint(g, constraint_kernel(g, probe), eff.gammas)
 
@@ -244,10 +243,10 @@ def constraint_kernel(g: np.ndarray, probe: ProbeSpec) -> np.ndarray:
 def scaled_constraint(g: np.ndarray, k: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """``G - sqrt(Gamma) K sqrt(Gamma)`` for ``K = conj(G) * P``, unvalidated.
 
-    The one arithmetic of the constraint matrix: :func:`constraint_matrix`,
-    the efficiency searches, the triple bound and :mod:`qnot.synthesis` all
-    build it here, so a point one of them accepts yields the same matrix bit
-    for bit in the others.
+    The one arithmetic of the constraint matrix: :func:`constraint_matrix`
+    and the PSD test of the efficiency searches and the triple bound build
+    it here, so a point one of them accepts yields the same matrix bit for
+    bit in :func:`check_probabilistic` and :mod:`qnot.synthesis`.
     """
     s = np.sqrt(gammas)
     return g - (s[:, None] * k) * s

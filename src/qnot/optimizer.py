@@ -36,8 +36,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateDeterminant, NoFeasiblePoint, NotPSD
-from .feasibility import (ProbeSpec, constraint_kernel, scaled_constraint,
-                          standard_probe)
+from .feasibility import (ProbeSpec, check_probabilistic, constraint_kernel,
+                          scaled_constraint, standard_probe)
 from .linalg import PSD_TOL, smallest_eigenvalue
 from .states import GramMatrix, StateSet, gram
 
@@ -177,7 +177,7 @@ class GammaPolicy(Enum):
     COORDINATE = "coordinate"
 
 
-@dataclass
+@dataclass(eq=False)
 class GammaSearchResult:
     gammas: np.ndarray
     probe: ProbeSpec
@@ -236,6 +236,6 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
             if biggest_move < COORDINATE_CONVERGENCE:
                 break
 
-    lam_min = smallest_eigenvalue(scaled_constraint(g, k, gammas))
+    lam_min = check_probabilistic(state_set, gammas, probe, tol).lambda_min
     return GammaSearchResult(gammas, probe, float(gammas.mean()), evals,
                              lam_min)

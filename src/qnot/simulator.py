@@ -30,7 +30,7 @@ ZERO_SUCCESS = 1e-14     # success probability below which no output exists
 RNG_ALGORITHM = "pcg64"
 
 
-@dataclass
+@dataclass(eq=False)
 class ExactRecord:
     index: Optional[int]
     success_prob: float
@@ -118,11 +118,11 @@ def verify_machine(machine: Machine, state_set: StateSet,
     unitarity error; failures never raise, they are entries in the report.
     With ``shots`` positive, a Monte Carlo record per member is appended
     (one generator seeded with ``seed``, members sampled in order); ``None``
-    or 0 means the exact report alone, and a negative ``shots`` raises
-    :class:`ValueError`.
+    or 0 means the exact report alone, and ``shots`` outside numpy's int64
+    range ``[0, 2**63 - 1]`` raises :class:`ValueError`.
     """
-    if shots is not None and shots < 0:
-        raise ValueError(f"shots must be 0 or positive, got {shots}")
+    if shots is not None and not 0 <= shots <= np.iinfo(np.int64).max:
+        raise ValueError(f"shots must lie in [0, 2**63 - 1], got {shots}")
     if state_set.dim != machine.system_dim:
         raise DimensionMismatch(
             f"set dim {state_set.dim} vs machine system dim {machine.system_dim}")

@@ -26,7 +26,7 @@ class TargetMap(Enum):
     CONJUGATE = "conjugate"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuditState:
     """Normalized pure state on a d-level system."""
 
@@ -130,7 +130,7 @@ class StateSet:
         return target_amps(self.matrix(), self.target)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Gram matrix of a state family together with its polar data.
 

@@ -20,8 +20,11 @@ exactly the missing Gram mass) and ``fill`` a fixed system state.
 :func:`synthesize` gives families whose Gram is entrywise real an exact
 unitary with unit efficiency and no probe.  Other linearly independent
 families get safe equal efficiencies
-``epsilon = ETA * lambda_min(G) / lambda_max(conj(G))`` with ``ETA = 0.999``,
-which keeps ``M = G - epsilon conj(G)`` strictly positive.
+``epsilon = ETA * lambda_min(G) / lambda_max(conj(G))`` with ``ETA = 0.999``
+and the zero-phase probe, which keeps ``M = G - epsilon conj(G)`` strictly
+positive.  :func:`synthesize_with` decides the caller's point with
+:func:`qnot.feasibility.check_probabilistic`; both build through one
+assembly step with ``M`` from :func:`qnot.feasibility.constraint_matrix`.
 
 The machine unitary is stored dense, but it moves only the support of its
 branches, ``s = d + n`` of the ``D = d (n + 1)`` joint coordinates; every
@@ -38,25 +41,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleGamma, InvalidProbe, LinearlyDependent
+from .errors import DimensionMismatch, InfeasibleGamma, LinearlyDependent
 from .feasibility import (
     EfficiencyMatrix,
     ProbeSpec,
     branch_unitary,
     build_exact_unitary,
     check_exact_unitary,
+    check_probabilistic,
     constraint_matrix,
     machine_phases,
-    scaled_constraint,
 )
-from .linalg import PSD_TOL, psd_sqrt, smallest_eigenvalue
-from .states import StateSet, TargetMap, gram
+from .linalg import psd_sqrt
+from .states import GramMatrix, StateSet, TargetMap, gram
 
 ETA = 0.999
 INDEPENDENCE_TOL = 1e-9
 
 
-@dataclass
+@dataclass(eq=False)
 class Machine:
     """Postselecting target-map machine.
 
@@ -80,7 +83,7 @@ class Machine:
         self.branch_phases = np.asarray(self.branch_phases, dtype=float).ravel()
         d = self.system_dim * self.probe_dim
         if self.unitary.shape != (d, d):
-            raise InvalidProbe(
+            raise DimensionMismatch(
                 f"unitary shape {self.unitary.shape} does not match "
                 f"system_dim * probe_dim = {d}")
 
@@ -116,15 +119,18 @@ class SynthesisReport:
     path: str = "general"
 
 
-def _assemble(state_set: StateSet, eff: EfficiencyMatrix,
-              phases: np.ndarray, m_matrix: np.ndarray):
-    """Machine whose failure branches carry ``C = sqrt(M)``, and its residual.
+def _assemble(state_set: StateSet, gram_matrix: GramMatrix, gammas,
+              probe: ProbeSpec):
+    """Machine at efficiencies ``gammas`` with a phase-vector probe, and residual.
 
-    The residual is the Gram deviation of the assembled branches,
-    ``max |C^2 - M|``; the completion itself refuses branches whose Gram
-    misses ``G`` by more than ``linalg.GRAM_TOL``.
+    The failure branches carry ``C = sqrt(M)``, which :func:`psd_sqrt`
+    refuses unless ``M`` passes the PSD test.  The residual is
+    ``max |C^2 - M|``; the completion refuses a Gram miss above ``GRAM_TOL``.
     """
     n = len(state_set)
+    phases = machine_phases(probe, n)
+    eff = EfficiencyMatrix.coerce(gammas, n)
+    m_matrix = constraint_matrix(gram_matrix, eff.gammas, probe)
     c_matrix = psd_sqrt(m_matrix)
     # member i puts amplitude C*_ij on fill x P_{j+1}, with fill = |0>
     weights = np.sqrt(eff.gammas) * np.exp(1j * phases)
@@ -149,8 +155,8 @@ def synthesize(state_set: StateSet):
     the family has Gram rank below its size.
     """
     n = len(state_set)
-    g = gram(state_set).matrix
-    spectrum = np.linalg.eigvalsh(g)
+    gm = gram(state_set)
+    spectrum = np.linalg.eigvalsh(gm.matrix)
     c, d_max = float(spectrum[0]), float(spectrum[-1])
 
     if check_exact_unitary(state_set).feasible:
@@ -166,30 +172,23 @@ def synthesize(state_set: StateSet):
         raise LinearlyDependent(
             f"Gram rank is below {n} (smallest eigenvalue {c:.3e})")
     epsilon = ETA * c / d_max
-    eff = EfficiencyMatrix.coerce(epsilon, n)
-    phases = np.zeros(n)
-    # zero probe phases: P is all ones, so K = conj(G)
-    m_matrix = scaled_constraint(g, np.conj(g), eff.gammas)
-    machine, residual = _assemble(state_set, eff, phases, m_matrix)
-    report = SynthesisReport(epsilon, c, d_max, residual)
-    return machine, report
+    machine, residual = _assemble(state_set, gm, epsilon,
+                                  ProbeSpec.phase_vector(np.zeros(n)))
+    return machine, SynthesisReport(epsilon, c, d_max, residual)
 
 
 def synthesize_with(state_set: StateSet, gammas, probe: ProbeSpec) -> Machine:
     """Machine with caller-chosen efficiencies and probe phases.
 
-    The probe must be of phase-vector kind and the requested point must be
-    feasible (constraint matrix PSD), otherwise :class:`InfeasibleGamma`
-    is raised.  Dependent families are fine here; the completion handles
-    rank deficiency.
+    The probe must be of phase-vector kind (else :class:`InvalidProbe`),
+    and :func:`check_probabilistic` at its default tolerance must accept the
+    point (else :class:`InfeasibleGamma`).  Dependent families are fine
+    here; the completion handles rank deficiency.
     """
-    n = len(state_set)
-    phases = machine_phases(probe, n)
-    eff = EfficiencyMatrix.coerce(gammas, n)
-    m_matrix = constraint_matrix(gram(state_set), eff, probe)
-    lam_min = smallest_eigenvalue(m_matrix)
-    if lam_min < -PSD_TOL:
+    # a probe no machine realizes is refused before the efficiencies are read
+    machine_phases(probe, len(state_set))
+    verdict = check_probabilistic(state_set, gammas, probe)
+    if not verdict.feasible:
         raise InfeasibleGamma(
-            f"constraint matrix has eigenvalue {lam_min:.3e}")
-    machine, _ = _assemble(state_set, eff, phases, m_matrix)
-    return machine
+            f"constraint matrix has eigenvalue {verdict.lambda_min:.3e}")
+    return _assemble(state_set, gram(state_set), gammas, probe)[0]

@@ -1,5 +1,6 @@
 """End-to-end command line tests driven through ``main(argv)``."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,7 +102,7 @@ def test_synthesize_then_simulate_roundtrip(tmp_path, capsys):
                  "--output", machine_path])
     capsys.readouterr()
     assert code == 0
-    saved = json.loads(open(machine_path).read())
+    saved = json.loads(Path(machine_path).read_text())
     assert saved["report"]["path"] in ("exact", "general")
     code, doc = run(capsys, ["simulate", "--input", set_path,
                              "--machine", machine_path, "--shots", "2000"])
@@ -172,7 +173,7 @@ def test_simulate_corrupted_machine_exits_4(tmp_path, capsys):
     machine_path = str(tmp_path / "machine.json")
     main(["synthesize", "--input", set_path, "--output", machine_path])
     capsys.readouterr()
-    doc = json.loads(open(machine_path).read())
+    doc = json.loads(Path(machine_path).read_text())
     doc["unitary"][0][0] = [doc["unitary"][0][0][0] + 1e-3,
                             doc["unitary"][0][0][1]]
     bad_path = write_doc(tmp_path, "bad_machine.json", doc)
@@ -198,7 +199,7 @@ def test_simulate_mismatched_machine_exits_2(tmp_path, capsys, field, value):
     machine_path = str(tmp_path / "machine.json")
     main(["synthesize", "--input", set_path, "--output", machine_path])
     capsys.readouterr()
-    doc = json.loads(open(machine_path).read())
+    doc = json.loads(Path(machine_path).read_text())
     doc[field] = value
     # an infinite value is written as 1e999, which parses to inf without
     # passing through parse_constant
@@ -235,6 +236,24 @@ def test_simulate_shot_count(tmp_path, capsys, shots, code, mode):
     assert got == code
     if mode is not None:
         assert doc["mode"] == mode and doc["shots"] is None
+
+
+@pytest.mark.parametrize("shots, code", [("99999999999999999999", 2),
+                                         ("9223372036854775807", 0)])
+def test_simulate_shot_count_must_fit_in_int64(tmp_path, capsys, shots, code):
+    """numpy draws counts as int64: a larger count exits 2, the largest runs."""
+    set_path = write_doc(tmp_path, "set.json", CANONICAL_PAIR)
+    machine_path = str(tmp_path / "machine.json")
+    main(["synthesize", "--input", set_path, "--output", machine_path])
+    capsys.readouterr()
+    got = main(["simulate", "--input", set_path, "--machine", machine_path,
+                "--shots", shots])
+    captured = capsys.readouterr()
+    assert got == code
+    if code == 2:
+        assert "shots" in captured.err and captured.out == ""
+    else:
+        assert json.loads(captured.out)["shots"] == int(shots)
 
 
 def test_gamma_max_agrees_with_frozen_value(tmp_path, capsys):

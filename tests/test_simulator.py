@@ -286,6 +286,23 @@ def test_unitarity_error_of_identity_is_zero():
     assert machine.unitarity_error() == 0.0
 
 
+def test_machine_of_wrong_size_raises_dimension_mismatch():
+    with pytest.raises(DimensionMismatch, match="does not match"):
+        Machine(2, 2, TargetMap.NOT, np.eye(6), np.ones(2), np.zeros(2))
+
+
+def test_shot_count_must_fit_in_int64():
+    rng = np.random.default_rng(23)
+    ss = random_independent_set(rng, 2, 2, TargetMap.NOT)
+    machine, _ = synthesize(ss)
+    for shots in (2**63, 2**64):
+        with pytest.raises(ValueError, match="shots"):
+            verify_machine(machine, ss, shots=shots)
+    top = verify_machine(machine, ss, shots=2**63 - 1)
+    assert top.shots == 2**63 - 1
+    assert all(0 <= m.successes <= top.shots for m in top.mc_records)
+
+
 def test_verify_machine_flags_zero_success_member():
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     u = np.kron(np.eye(2), x)

@@ -13,17 +13,20 @@ from conftest import (
 )
 from oracles import quadratic_roots
 from qnot import (
+    EfficiencyMatrix,
     GammaPolicy,
     InfeasibleGamma,
     InvalidProbe,
     LinearlyDependent,
     ProbeSpec,
+    QuditState,
     StateSet,
     TargetMap,
     check_probabilistic,
     gram,
     search_gamma,
     solve_dependent_triple,
+    standard_probe,
     synthesize,
     synthesize_with,
     verify_machine,
@@ -191,3 +194,34 @@ class TestMachine:
                                           machine.branch_phases)
             assert back.target is machine.target
             assert back.probe_dim == machine.probe_dim
+
+
+def _pair() -> StateSet:
+    return random_independent_set(np.random.default_rng(77), 2, 2,
+                                  TargetMap.NOT)
+
+
+# each builds a fresh instance with the same field values on every call
+ARRAY_DATACLASSES = {
+    "QuditState": lambda: QuditState([0.6, 0.8j]),
+    "GramMatrix": lambda: gram(_pair()),
+    "ProbeSpec": lambda: ProbeSpec.phase_vector([0.0, 1.0]),
+    "EfficiencyMatrix": lambda: EfficiencyMatrix([0.5, 0.25]),
+    "Machine": lambda: synthesize(_pair())[0],
+    "ExactRecord": lambda: verify_machine(synthesize(_pair())[0],
+                                          _pair()).records[0],
+    "GammaSearchResult": lambda: search_gamma(_pair()),
+    # equal fields but for the witness probe, which compares by identity
+    "FeasibilityVerdict": lambda: check_probabilistic(
+        _pair(), 0.1, standard_probe(gram(_pair()))),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_DATACLASSES.values(),
+                         ids=ARRAY_DATACLASSES)
+def test_dataclasses_holding_arrays_compare_and_hash(make):
+    """``==`` answers (identity for a dataclass with an array field) and
+    ``hash`` works, where numpy's elementwise ``==`` used to raise."""
+    a, b = make(), make()
+    assert a == a and not a == b and a != b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
