@@ -28,7 +28,6 @@ from .errors import (
     ZeroSuccess,
 )
 from .feasibility import (
-    EfficiencyMatrix,
     FeasibilityVerdict,
     ProbeSpec,
     build_exact_unitary,
@@ -74,7 +73,7 @@ __all__ = [
     "QuditState", "StateSet", "TargetMap", "GramMatrix",
     "orthogonal_complement", "conjugate", "target_state", "gram",
     "is_psd", "psd_sqrt", "unitary_completion",
-    "ProbeSpec", "EfficiencyMatrix", "FeasibilityVerdict",
+    "ProbeSpec", "FeasibilityVerdict",
     "check_exact_unitary", "check_exact_with_probe", "check_probabilistic",
     "build_exact_unitary", "build_probe_unitary", "constraint_matrix",
     "solve_dependent_triple",

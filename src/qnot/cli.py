@@ -17,9 +17,10 @@ Exit codes: 0 success, 2 malformed input, 3 linearly dependent set,
 ``--format text`` is the human-readable form.
 
 The environment variable ``QNOT_TOL``, a finite number at least 0 (else
-exit 2), replaces the PSD tolerance of 1e-9 in ``check --gamma``, ``oracle``
-and ``gamma-max``.  ``synthesize --gamma`` decides with the same
-``check_probabilistic`` at the fixed 1e-9 (``linalg.PSD_TOL``), since no
+exit 2 for every subcommand), replaces the PSD tolerance of 1e-9 in
+``check --gamma`` and ``oracle``.  ``gamma-max`` compares its closed form
+and oracle at the fixed 1e-9 (``linalg.PSD_TOL``), and ``synthesize
+--gamma`` decides with ``check_probabilistic`` at the same 1e-9, since no
 machine realizes a point below it; such a point exits 2 there.
 """
 from __future__ import annotations
@@ -194,10 +195,10 @@ def cmd_gamma_max(args, tol: float) -> int:
     gm = gram(state_set)
     inp = TripleBoundInput.from_gram(gm)
     probe = inp.probe()
-    closed = gamma_max_triple(inp, tol)
-    oracle = grid_oracle_triple(gm, probe, tol=tol)
+    closed = gamma_max_triple(inp)
+    oracle = grid_oracle_triple(gm, probe)
     diff = abs(closed - oracle)
-    boundary = check_probabilistic(state_set, oracle, probe, tol)
+    boundary = check_probabilistic(state_set, oracle, probe)
     doc = {
         "gamma_max": closed,
         "method": "closed_form",

@@ -104,29 +104,17 @@ def machine_phases(probe: ProbeSpec, n: int) -> np.ndarray:
     return probe.phases
 
 
-@dataclass(frozen=True, eq=False)
-class EfficiencyMatrix:
-    """Per-state success probabilities ``gamma_i``, each in ``(0, 1]``."""
-
-    gammas: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.gammas, dtype=float).ravel()
-        object.__setattr__(self, "gammas", g)
-        if g.size == 0:
-            raise ValueError("need at least one efficiency")
-        if not np.all((g > 0.0) & (g <= 1.0 + 1e-12)):
-            raise ValueError("efficiencies must lie in (0, 1]")
-
-    @classmethod
-    def coerce(cls, gammas, n: int) -> "EfficiencyMatrix":
-        if np.isscalar(gammas):
-            g = np.full(n, float(gammas))
-        else:
-            g = np.asarray(gammas, dtype=float).ravel()
-        if g.size != n:
-            raise ValueError(f"expected {n} efficiencies, got {g.size}")
-        return cls(g)
+def efficiencies(gammas, n: int) -> np.ndarray:
+    """``n`` efficiencies ``gamma_i`` in ``(0, 1]``; a scalar is broadcast."""
+    if np.isscalar(gammas):
+        g = np.full(n, float(gammas))
+    else:
+        g = np.asarray(gammas, dtype=float).ravel()
+    if g.size != n:
+        raise ValueError(f"expected {n} efficiencies, got {g.size}")
+    if not np.all((g > 0.0) & (g <= 1.0 + 1e-12)):
+        raise ValueError("efficiencies must lie in (0, 1]")
+    return g
 
 
 @dataclass(frozen=True)
@@ -229,8 +217,8 @@ def constraint_matrix(gram_matrix: GramMatrix, gammas,
     probabilistic machine with efficiencies ``gamma_i`` and probe Gram ``P``.
     """
     g = gram_matrix.matrix
-    eff = EfficiencyMatrix.coerce(gammas, g.shape[0])
-    return scaled_constraint(g, constraint_kernel(g, probe), eff.gammas)
+    return scaled_constraint(g, constraint_kernel(g, probe),
+                             efficiencies(gammas, g.shape[0]))
 
 
 def constraint_kernel(g: np.ndarray, probe: ProbeSpec) -> np.ndarray:
@@ -281,7 +269,7 @@ def solve_dependent_triple(s1: QuditState, s2: QuditState, s3: QuditState,
     for s in (s1, s2, s3):
         if s.dim != 2:
             raise WrongDimension("dependent-triple analysis is for qubits")
-    gamma1, gamma2 = EfficiencyMatrix([gamma1, gamma2]).gammas
+    gamma1, gamma2 = efficiencies([gamma1, gamma2], 2)
     if not np.isfinite(phase):
         raise ValueError(f"phase = {phase!r} must be finite")
     basis = np.stack([s1.amps, s2.amps], axis=1)

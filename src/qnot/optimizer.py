@@ -26,7 +26,9 @@ probe makes these certified lower bounds on what an optimal probe could do.
 
 Every feasibility decision here builds the constraint matrix with
 :func:`qnot.feasibility.scaled_constraint` and tests it with
-:func:`qnot.linalg.smallest_eigenvalue` against ``-tol``.
+:func:`qnot.linalg.smallest_eigenvalue` against ``-tol`` in
+:func:`search_gamma`, and against the fixed ``-PSD_TOL`` in the triple
+bound and its oracle, so those two always compare at one tolerance.
 """
 from __future__ import annotations
 
@@ -102,12 +104,12 @@ class TripleBoundInput:
 
 
 def _feasible(g: np.ndarray, k: np.ndarray, gammas: np.ndarray,
-              tol: float) -> bool:
+              tol: float = PSD_TOL) -> bool:
     """The PSD test of the constraint matrix at efficiencies ``gammas``."""
     return smallest_eigenvalue(scaled_constraint(g, k, gammas)) >= -tol
 
 
-def gamma_max_triple(inp: TripleBoundInput, tol: float = PSD_TOL) -> float:
+def gamma_max_triple(inp: TripleBoundInput) -> float:
     """Closed-form largest equal efficiency for a triple, oracle-arbitrated.
 
     Raises :class:`NotPSD` when the overlap data is not a valid Gram at
@@ -138,7 +140,7 @@ def gamma_max_triple(inp: TripleBoundInput, tol: float = PSD_TOL) -> float:
     # only a value the PSD test accepted
     for val in sorted(set(candidates), reverse=True):
         for point in (val, val - 1e-9):
-            if point > 0.0 and _feasible(g, k, np.full(3, point), tol):
+            if point > 0.0 and _feasible(g, k, np.full(3, point)):
                 return float(point)
     raise DegenerateDeterminant(
         f"no root of the boundary quadratics passes the PSD test "
@@ -163,13 +165,12 @@ def _bisect_boundary(feasible, lo: float = 0.0, steps: int = 70) -> float:
     return lo
 
 
-def grid_oracle_triple(gram_matrix: GramMatrix, probe: ProbeSpec,
-                       tol: float = PSD_TOL) -> float:
+def grid_oracle_triple(gram_matrix: GramMatrix, probe: ProbeSpec) -> float:
     """Bisection boundary of equal-efficiency feasibility; no closed form."""
     g = gram_matrix.matrix
     k = constraint_kernel(g, probe)
     n = gram_matrix.n
-    return _bisect_boundary(lambda v: _feasible(g, k, np.full(n, v), tol))
+    return _bisect_boundary(lambda v: _feasible(g, k, np.full(n, v)))
 
 
 class GammaPolicy(Enum):

@@ -43,13 +43,13 @@ import numpy as np
 
 from .errors import DimensionMismatch, InfeasibleGamma, LinearlyDependent
 from .feasibility import (
-    EfficiencyMatrix,
     ProbeSpec,
     branch_unitary,
     build_exact_unitary,
     check_exact_unitary,
     check_probabilistic,
     constraint_matrix,
+    efficiencies,
     machine_phases,
 )
 from .linalg import psd_sqrt
@@ -129,14 +129,14 @@ def _assemble(state_set: StateSet, gram_matrix: GramMatrix, gammas,
     """
     n = len(state_set)
     phases = machine_phases(probe, n)
-    eff = EfficiencyMatrix.coerce(gammas, n)
-    m_matrix = constraint_matrix(gram_matrix, eff.gammas, probe)
+    gammas = efficiencies(gammas, n)
+    m_matrix = constraint_matrix(gram_matrix, gammas, probe)
     c_matrix = psd_sqrt(m_matrix)
     # member i puts amplitude C*_ij on fill x P_{j+1}, with fill = |0>
-    weights = np.sqrt(eff.gammas) * np.exp(1j * phases)
+    weights = np.sqrt(gammas) * np.exp(1j * phases)
     unitary = branch_unitary(state_set, weights, n + 1, np.conj(c_matrix).T)
     machine = Machine(state_set.dim, n + 1, state_set.target, unitary,
-                      eff.gammas.copy(), phases.copy())
+                      gammas.copy(), phases.copy())
     return machine, float(np.abs(c_matrix @ c_matrix - m_matrix).max())
 
 

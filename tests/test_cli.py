@@ -1,14 +1,19 @@
 """End-to-end command line tests driven through ``main(argv)``."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qnot import TripleBoundInput
+from qnot import TargetMap, TripleBoundInput
 from qnot.cli import main
 
-from conftest import near_dependent_triple, worked_triple
+from conftest import near_dependent_triple, random_set, worked_triple
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 CANONICAL_PAIR = {
     "target": "not",
@@ -439,7 +444,8 @@ def test_env_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys,
     assert "QNOT_TOL" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", TOL_COMMANDS[2:], ids=" ".join)
+@pytest.mark.parametrize("command", [["oracle", "--policy", "coordinate"]],
+                         ids=" ".join)
 def test_env_tolerance_tightens_the_boundary(tmp_path, capsys, monkeypatch,
                                              command):
     path = write_doc(tmp_path, "set.json", hard_triple_doc())
@@ -450,6 +456,24 @@ def test_env_tolerance_tightens_the_boundary(tmp_path, capsys, monkeypatch,
     code, tight = run(capsys, argv)
     assert code == 0
     assert tight["lambda_min_at_boundary"] >= -1e-12
+
+
+@pytest.mark.parametrize("seed", range(100, 106))
+def test_gamma_max_does_not_read_the_env_tolerance(tmp_path, capsys,
+                                                   monkeypatch, seed):
+    """Closed form and oracle compare at one fixed tolerance, so no
+    QNOT_TOL can move the oracle alone past the agreement bound (exit 5)."""
+    ss = random_set(np.random.default_rng(seed), 3, 3, TargetMap.CONJUGATE)
+    path = write_doc(tmp_path, "set.json", state_set_doc([s.amps for s in ss]))
+    outputs = []
+    for value in (None, "1e-12", "0.01"):
+        if value is None:
+            monkeypatch.delenv("QNOT_TOL", raising=False)
+        else:
+            monkeypatch.setenv("QNOT_TOL", value)
+        assert main(["gamma-max", "--input", path]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_gamma_max_reports_the_probe_oracle_reports(tmp_path, capsys):
@@ -481,6 +505,47 @@ def synthesized_machine(tmp_path, capsys):
     code, machine = run(capsys, ["synthesize", "--input", set_path])
     assert code == 0
     return set_path, machine
+
+
+def _edited(doc, fields):
+    """``doc`` with ``fields`` set, and those given as None removed."""
+    doc = dict(doc, **fields)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+@pytest.mark.parametrize("command, set_fields, machine_fields, message", [
+    (["check"], {"states": [{"dim": 2, "amps": [[1, 0, 0], [0, 0, 0]]}]},
+     None, "expected [re, im] pairs, got entries of length 3"),
+    (["check"], {"states": [{"dim": 2}]}, None,
+     "state document needs 'dim' and 'amps'"),
+    (["check"], {"states": [{"dim": 3, "amps": [[1, 0], [0, 0]]}]}, None,
+     "declared dim 3 but 2 amplitudes"),
+    (["check"], {"states": None}, None,
+     "state set document needs 'target' and 'states'"),
+    (["check"], {"states": []}, None, "'states' must be a nonempty list"),
+    (["simulate"], {}, {"gammas": None}, "machine document needs keys"),
+    (["simulate"], {}, {"target": "flip"}, "unknown target 'flip'"),
+    (["check", "--gamma", "0.5,0.5"], hard_triple_doc(), None,
+     "expected 3 efficiencies, got 2"),
+    (["synthesize", "--gamma", "0.1,0.1,0.1", "--phases", "0,1"],
+     hard_triple_doc(), None, "probe has 2 phases for 3 states"),
+], ids=["pair-of-three", "state-without-amps", "dim-mismatch",
+        "set-without-states", "empty-states", "machine-without-gammas",
+        "machine-target-flip", "gamma-count", "phase-count"])
+def test_malformed_document_or_request_exits_2(tmp_path, capsys, command,
+                                               set_fields, machine_fields,
+                                               message):
+    set_path = write_doc(tmp_path, "set.json",
+                         _edited(CANONICAL_PAIR, set_fields))
+    argv = [command[0], "--input", set_path, *command[1:]]
+    if machine_fields is not None:
+        _, machine = synthesized_machine(tmp_path, capsys)
+        argv += ["--machine", write_doc(tmp_path, "machine.json",
+                                        _edited(machine, machine_fields))]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("dim", [None, "2", 2.9])
@@ -589,3 +654,23 @@ def test_env_tolerance_does_not_reach_synthesize(tmp_path, capsys,
     assert main(["synthesize", "--input", path,
                  "--gamma", gamma, "--phases", phases]) == 2
     capsys.readouterr()
+
+
+def test_cli_runs_as_a_module(tmp_path):
+    """``python -m qnot.cli`` as a child process: one JSON line, and the
+    environment tolerance refused before any subcommand runs."""
+    path = write_doc(tmp_path, "set.json", CANONICAL_PAIR)
+    env = {k: v for k, v in os.environ.items() if k != "QNOT_TOL"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "qnot.cli", "check", "--input", path]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["exact_with_probe"]["feasible"] is True
+    proc = subprocess.run(argv, env=dict(env, QNOT_TOL="nan"),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "QNOT_TOL" in proc.stderr

@@ -3,10 +3,10 @@ import inspect
 
 import qnot
 
-# The functions the command line's QNOT_TOL reaches; every other threshold
-# is a module constant.
-TOL_OWNERS = ("check_probabilistic", "search_gamma", "gamma_max_triple",
-              "grid_oracle_triple")
+# The functions the command line's QNOT_TOL reaches, through ``check
+# --gamma`` and ``oracle``; every other threshold, the triple bound's
+# included, is a module constant.
+TOL_OWNERS = ("check_probabilistic", "search_gamma")
 
 
 def test_every_exported_name_resolves():

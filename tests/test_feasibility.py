@@ -18,7 +18,6 @@ from oracles import (
     quadratic_roots,
 )
 from qnot import (
-    EfficiencyMatrix,
     GammaPolicy,
     GramMismatch,
     InvalidProbe,
@@ -28,6 +27,7 @@ from qnot import (
     QuditState,
     StateSet,
     TargetMap,
+    WrongDimension,
     ZeroOverlap,
     build_exact_unitary,
     build_probe_unitary,
@@ -43,6 +43,7 @@ from qnot import (
     synthesize_with,
     target_state,
 )
+from qnot.feasibility import efficiencies
 
 
 def states_for_gram(g, dim, target):
@@ -350,19 +351,21 @@ class TestProbeSpec:
 
 
 class TestEfficiencyMatrix:
+    """The diagonal ``Gamma`` of efficiencies, held as its vector."""
+
     def test_bounds(self):
         with pytest.raises(ValueError):
-            EfficiencyMatrix(np.array([0.0, 0.5]))
+            efficiencies(np.array([0.0, 0.5]), 2)
         with pytest.raises(ValueError):
-            EfficiencyMatrix(np.array([1.5]))
-        assert EfficiencyMatrix.coerce(0.5, 3).gammas.tolist() == [0.5] * 3
+            efficiencies(np.array([1.5]), 1)
+        assert efficiencies(0.5, 3).tolist() == [0.5] * 3
 
 
 @pytest.mark.parametrize("gammas", [[np.nan, 0.5], [0.5, np.nan],
                                     [np.nan, np.nan]])
 def test_efficiencies_must_not_be_nan(gammas):
     with pytest.raises(ValueError, match=r"\(0, 1\]"):
-        EfficiencyMatrix(np.array(gammas))
+        efficiencies(np.array(gammas), 2)
 
 
 @pytest.mark.parametrize("phases", [[np.nan, 0.0], [0.0, np.nan],
@@ -513,3 +516,13 @@ class TestDependentTriple:
         s1, s2 = qubit(1, 0), qubit(1, 1)
         with pytest.raises(ValueError):
             solve_dependent_triple(s1, s2, s1, 0.0, 1.0, 0.0)
+
+    def test_qutrits_refused(self):
+        s = QuditState(np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(WrongDimension):
+            solve_dependent_triple(s, s, s, 0.5, 0.5, 0.0)
+
+    def test_branch_off_the_target_line_has_no_solution(self):
+        # with these efficiencies and phase, v leaves s3_perp's span by 0.14
+        s1, s2, s3 = qubit(1, 0), qubit(1, 1), qubit(1, 2)
+        assert solve_dependent_triple(s1, s2, s3, 0.5, 0.9, 0.3) is None

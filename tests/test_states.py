@@ -62,6 +62,10 @@ class TestQuditState:
         s = QuditState.normalized([3.0, 4.0])
         np.testing.assert_allclose(s.amps, [0.6, 0.8])
 
+    def test_normalized_refuses_the_zero_vector(self):
+        with pytest.raises(InvalidState, match="zero vector"):
+            QuditState.normalized([0, 0])
+
     def test_overlap_conjugate_linearity(self):
         a = qubit(1, 1j)
         b = qubit(1, 0)

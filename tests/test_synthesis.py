@@ -13,7 +13,6 @@ from conftest import (
 )
 from oracles import quadratic_roots
 from qnot import (
-    EfficiencyMatrix,
     GammaPolicy,
     InfeasibleGamma,
     InvalidProbe,
@@ -206,7 +205,6 @@ ARRAY_DATACLASSES = {
     "QuditState": lambda: QuditState([0.6, 0.8j]),
     "GramMatrix": lambda: gram(_pair()),
     "ProbeSpec": lambda: ProbeSpec.phase_vector([0.0, 1.0]),
-    "EfficiencyMatrix": lambda: EfficiencyMatrix([0.5, 0.25]),
     "Machine": lambda: synthesize(_pair())[0],
     "ExactRecord": lambda: verify_machine(synthesize(_pair())[0],
                                           _pair()).records[0],
