@@ -11,10 +11,10 @@ Subcommands, each accepting only the options listed for it::
 Every subcommand also takes ``--output FILE`` and ``--format json|text``.
 ``--phases`` without ``--gamma`` on ``check`` or ``synthesize`` exits 2.
 
-Exit codes: 0 success, 2 malformed input, 3 linearly dependent set,
-4 simulation contract violation, 5 closed form vs oracle disagreement,
-6 degenerate determinant.  JSON output is compact (no indentation);
-``--format text`` is the human-readable form.
+Exit codes: 0 success, 2 malformed input or an unwritable ``--output``,
+3 linearly dependent set, 4 simulation contract violation, 5 closed form
+vs oracle disagreement, 6 degenerate determinant.  JSON output is compact
+(no indentation); ``--format text`` is the human-readable form.
 
 The environment variable ``QNOT_TOL``, a finite number at least 0 (else
 exit 2 for every subcommand), replaces the PSD tolerance of 1e-9 in
@@ -36,7 +36,6 @@ from . import serialize
 from .errors import (
     DegenerateDeterminant,
     LinearlyDependent,
-    LinearlyDependentPair,
     QnotError,
     ZeroOverlap,
 )
@@ -83,8 +82,7 @@ def _emit(doc: dict, args, text_lines=None) -> None:
     else:
         payload = serialize.dumps(doc)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
+        serialize.write(args.output, payload)
     else:
         sys.stdout.write(payload)
 
@@ -218,8 +216,7 @@ def cmd_gamma_max(args, tol: float) -> int:
 def cmd_oracle(args, tol: float) -> int:
     state_set = _load_set(args.input)
     gm = gram(state_set)
-    policy = (GammaPolicy.COORDINATE if args.policy == "coordinate"
-              else GammaPolicy.EQUAL)
+    policy = GammaPolicy(args.policy)
     probe = _probe_from_args(args, gm)
     result = search_gamma(state_set, policy, probe, tol)
     doc = {
@@ -292,7 +289,7 @@ def main(argv=None) -> int:
     except DegenerateDeterminant as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 6
-    except (LinearlyDependent, LinearlyDependentPair) as exc:
+    except LinearlyDependent as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (QnotError, ValueError) as exc:

@@ -1,23 +1,21 @@
 """Largest achievable efficiencies for probabilistic machines.
 
-For a triple with overlap magnitudes ``t_ij`` and phases ``theta_ij`` and
-the doubled-phase probe (``<P_1|P_2> = e^{2i theta_12}``,
-``<P_1|P_3> = e^{2i theta_13}``), equal efficiencies ``gamma`` are feasible
-on an interval ``(0, gamma_max]``.  Writing ``delta = theta_12 - theta_13 +
-theta_23``, ``s = t_23^2 sin^2(delta)`` and
+For a triple with overlap magnitudes ``t_ij``, phases ``theta_ij`` and the
+doubled-phase probe ``P`` (``<P_1|P_j> = e^{2i theta_1j}``), equal
+efficiencies ``gamma`` are feasible while ``M = G - gamma K`` is PSD;
+``K = conj(G) * P`` is PSD, so they form an interval ``(0, gamma_max]``.
+With ``delta = theta_12 - theta_13 + theta_23``, ``s = t_23^2 sin^2(delta)``
+and ``a = -1 + t12^2 + t13^2 + t23^2 - 2 t12 t13 t23 cos(delta)`` (minus
+the Gram determinant, negative for independent triples),
 
-    a = -1 + t12^2 + t13^2 + t23^2 - 2 t12 t13 t23 cos(delta)
-    b = t23^2 - 1
+    det M = -(1 - gamma) (a gamma^2 + 2 (2 s - a) gamma + a),
 
-(``a`` is minus the Gram determinant, negative for independent triples),
-the boundary is a root of ``q g^2 + 2 g (2 s - q) + q = 0`` for ``q`` in
-``{a, b}``.  :func:`gamma_max_triple` evaluates every root of both
-quadratics and returns the largest one the PSD test accepts, at the root
-or 1e-9 inside it, rather than trusting any single printed branch; the
-returned value is always the tested one.  When no root certifies
-(a nearly dependent triple) it raises rather than return an unchecked
-number.  :func:`grid_oracle_triple` is the independent check: pure
-bisection against the PSD criterion.
+and the quadratic's roots multiply to 1: ``gamma_max`` is the one in
+``(0, 1]``, ``1 + (2 sqrt(s^2 - a s) - 2 s) / a``.  :func:`gamma_max_triple`
+returns it, or 1e-9 inside it, whichever the PSD test accepts first, and
+raises when neither passes (a nearly dependent triple).
+:func:`grid_oracle_triple` is the independent check: pure bisection
+against the PSD criterion.
 
 For general families :func:`search_gamma` runs the same bisection with a
 shared efficiency (policy ``EQUAL``), optionally followed by cyclic
@@ -82,12 +80,9 @@ class TripleBoundInput:
 
     @property
     def a(self) -> float:
+        """Minus the Gram determinant: the boundary quadratic's coefficient."""
         return (-1.0 + self.t12 ** 2 + self.t13 ** 2 + self.t23 ** 2
                 - 2.0 * self.t12 * self.t13 * self.t23 * np.cos(self.delta))
-
-    @property
-    def b(self) -> float:
-        return self.t23 ** 2 - 1.0
 
     def gram_matrix(self) -> GramMatrix:
         g12 = self.t12 * np.exp(1j * self.theta12)
@@ -110,12 +105,12 @@ def _feasible(g: np.ndarray, k: np.ndarray, gammas: np.ndarray,
 
 
 def gamma_max_triple(inp: TripleBoundInput) -> float:
-    """Closed-form largest equal efficiency for a triple, oracle-arbitrated.
+    """Closed-form largest equal efficiency for a triple, PSD-certified.
 
     Raises :class:`NotPSD` when the overlap data is not a valid Gram at
     all, and :class:`DegenerateDeterminant` when the triple is too close to
     dependent for the closed form: the Gram determinant sits below 1e-12 in
-    magnitude, or no root of either quadratic passes the PSD test.
+    magnitude, or neither the root nor 1e-9 inside it passes the PSD test.
     """
     g = inp.gram_matrix().matrix
     if smallest_eigenvalue(g) < -PSD_TOL:
@@ -125,26 +120,16 @@ def gamma_max_triple(inp: TripleBoundInput) -> float:
         raise DegenerateDeterminant(
             f"|det| = {abs(a):.3e} is below {DET_TOL:.1e}")
     s = inp.t23 ** 2 * np.sin(inp.delta) ** 2
-    candidates = []
-    for q in (a, inp.b):
-        if abs(q) < DET_TOL:
-            continue
-        disc = s * s - q * s
-        root = np.sqrt(max(disc, 0.0))
-        for sign in (1.0, -1.0):
-            val = 1.0 + (sign * 2.0 * root - 2.0 * s) / q
-            if 0.0 < val <= 1.0 + 1e-9:
-                candidates.append(min(val, 1.0))
+    root = np.sqrt(max(s * s - a * s, 0.0))
+    val = min(1.0 + (2.0 * root - 2.0 * s) / a, 1.0)
     k = constraint_kernel(g, inp.probe())
-    # a root can sit a hair past the edge; step 1e-9 inside, and return
+    # the root can sit a hair past the edge; step 1e-9 inside, and return
     # only a value the PSD test accepted
-    for val in sorted(set(candidates), reverse=True):
-        for point in (val, val - 1e-9):
-            if point > 0.0 and _feasible(g, k, np.full(3, point)):
-                return float(point)
+    for point in (val, val - 1e-9):
+        if point > 0.0 and _feasible(g, k, np.full(3, point)):
+            return float(point)
     raise DegenerateDeterminant(
-        f"no root of the boundary quadratics passes the PSD test "
-        f"(|det| = {abs(a):.3e})")
+        f"the root of det M fails the PSD test (|det| = {abs(a):.3e})")
 
 
 def _bisect_boundary(feasible, lo: float = 0.0, steps: int = 70) -> float:
@@ -203,6 +188,8 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
     to ``-tol``, cannot tell a shared efficiency that small from 0.  A
     probe of the wrong size raises :class:`InvalidProbe`.
     """
+    if not isinstance(policy, GammaPolicy):
+        raise ValueError(f"policy must be a GammaPolicy, got {policy!r}")
     gm = gram(state_set)
     if probe is None:
         probe = standard_probe(gm)

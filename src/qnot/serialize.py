@@ -177,9 +177,17 @@ def dumps(doc) -> str:
     return json.dumps(doc, allow_nan=False) + "\n"
 
 
+def write(path, text: str) -> None:
+    """The one file writer; a path it cannot write is a SchemaError."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from None
+
+
 def dump(doc, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps(doc))
+    write(path, dumps(doc))
 
 
 def _reject_constant(name: str):

@@ -96,6 +96,8 @@ class StateSet:
     target: TargetMap
 
     def __post_init__(self):
+        if not isinstance(self.target, TargetMap):
+            raise ValueError(f"target must be a TargetMap, got {self.target!r}")
         states = tuple(self.states)
         object.__setattr__(self, "states", states)
         if not states:

@@ -78,6 +78,8 @@ class Machine:
     branch_phases: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.target, TargetMap):
+            raise ValueError(f"target must be a TargetMap, got {self.target!r}")
         self.unitary = np.asarray(self.unitary, dtype=complex)
         self.gammas = np.asarray(self.gammas, dtype=float).ravel()
         self.branch_phases = np.asarray(self.branch_phases, dtype=float).ravel()

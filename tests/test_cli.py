@@ -422,6 +422,16 @@ def test_output_file_roundtrip(tmp_path, capsys):
     assert doc["exact_with_probe"]["feasible"] is True
 
 
+@pytest.mark.parametrize("command", ["check", "synthesize"])
+@pytest.mark.parametrize("output", ["missing_dir/out.json", "."])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, output):
+    set_path = write_doc(tmp_path, "set.json", CANONICAL_PAIR)
+    code = main([command, "--input", set_path,
+                 "--output", str(tmp_path / output)])
+    assert code == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
 def test_env_tolerance_must_be_numeric(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QNOT_TOL", "not-a-number")
     path = write_doc(tmp_path, "set.json", CANONICAL_PAIR)

@@ -23,6 +23,7 @@ from qnot import (
 from qnot.states import GramMatrix
 
 from conftest import random_independent_set, worked_triple
+from oracles import cofactor_det
 
 # Boundary for all-|overlap| 0.3, phases (0.4, 0.1, 0.2), computed by
 # bisecting the PSD criterion directly at resolution 1e6 before the closed
@@ -41,6 +42,24 @@ def test_frozen_equal_overlap_boundary():
     assert gamma_max_triple(inp) == pytest.approx(FROZEN_03_TRIPLE, abs=1e-6)
     oracle = grid_oracle_triple(inp.gram_matrix(), inp.probe())
     assert oracle == pytest.approx(FROZEN_03_TRIPLE, abs=1e-6)
+
+
+def test_constraint_determinant_factors_through_one_quadratic():
+    """det(G - gK) = -(1 - g)(a g^2 + 2(2s - a) g + a); the 2x2 minor on
+    states 2 and 3 is -(b g^2 + 2(2s - b) g + b) with b = t23^2 - 1.  By
+    interlacing M stops being PSD no later than that minor, so only the
+    first quadratic sets the bound."""
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        inp = _random_polar_input(rng)
+        a, b = inp.a, inp.t23 ** 2 - 1.0
+        s = inp.t23 ** 2 * np.sin(inp.delta) ** 2
+        for g in (0.1, 0.3, 0.5, 0.7, 0.9):
+            m = constraint_matrix(inp.gram_matrix(), g, inp.probe())
+            det = -(1.0 - g) * (a * g * g + 2.0 * (2.0 * s - a) * g + a)
+            minor = -(b * g * g + 2.0 * (2.0 * s - b) * g + b)
+            assert abs(cofactor_det(m) - det) < 1e-12
+            assert abs(cofactor_det(m[1:, 1:]) - minor) < 1e-12
 
 
 def test_dense_grid_agrees_with_closed_form():
@@ -154,9 +173,9 @@ def test_degenerate_determinant_raises():
 
 
 # Near-dependent triples (|det| 8.1e-9 and 2.2e-10, above the 1e-12 cut)
-# where no root of the boundary quadratics passes the PSD test: the a-root
-# is 1.37e-8 with lambda_min(M) = -3.0e-9 on the first and 0 on the second,
-# while the oracle finds 1.0e-8 and 1.7e-8.
+# where neither the root of det M nor 1e-9 inside it passes the PSD test:
+# the root is 1.37e-8 with lambda_min(M) = -3.0e-9 on the first and 0 on
+# the second, while the oracle finds 1.0e-8 and 1.7e-8.
 UNCERTIFIED_TRIPLES = [
     TripleBoundInput(0.6184814218435851, 0.7582248613524998,
                      0.5885760250323195, 5.486196772758945,
@@ -267,6 +286,13 @@ def test_search_certifies_nothing_at_an_invalid_tolerance(tol):
     ss = random_independent_set(rng, 3, 3, TargetMap.CONJUGATE)
     with pytest.raises(NoFeasiblePoint):
         search_gamma(ss, tol=tol)
+
+
+def test_search_policy_must_be_a_gamma_policy():
+    ss = random_independent_set(np.random.default_rng(1), 4, 4,
+                                TargetMap.CONJUGATE)
+    with pytest.raises(ValueError, match="policy"):
+        search_gamma(ss, "coordinate")
 
 
 def test_search_honors_custom_probe():

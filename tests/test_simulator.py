@@ -291,6 +291,11 @@ def test_machine_of_wrong_size_raises_dimension_mismatch():
         Machine(2, 2, TargetMap.NOT, np.eye(6), np.ones(2), np.zeros(2))
 
 
+def test_machine_target_must_be_a_target_map():
+    with pytest.raises(ValueError, match="target"):
+        Machine(2, 1, "not", np.eye(2), np.ones(1), np.zeros(1))
+
+
 def test_shot_count_must_fit_in_int64():
     rng = np.random.default_rng(23)
     ss = random_independent_set(rng, 2, 2, TargetMap.NOT)

@@ -20,6 +20,7 @@ from qnot import (
 from qnot.states import target_amps
 from qnot.serialize import (
     SchemaError,
+    dump,
     dumps,
     load,
     state_from_dict,
@@ -162,6 +163,12 @@ class TestStateSet:
         with pytest.raises(DimensionMismatch):
             StateSet((), TargetMap.NOT)
 
+    def test_target_must_be_a_target_map(self):
+        # a bare string would reach target_amps and get the spin flip
+        states = (qubit(1, 0), qubit(1, 1j))
+        with pytest.raises(ValueError, match="target"):
+            StateSet(states, "conjugate")
+
 
 class TestGram:
     def test_known_pair(self):
@@ -251,3 +258,16 @@ def test_reader_reports_unreadable_files_as_schema_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(SchemaError, match="cannot read"):
         load(bad)
+
+
+def test_dump_then_load_round_trips(tmp_path):
+    rng = np.random.default_rng(48)
+    doc = state_set_to_dict(random_set(rng, 3, 3, TargetMap.CONJUGATE))
+    dump(doc, tmp_path / "set.json")
+    assert load(tmp_path / "set.json") == doc
+
+
+@pytest.mark.parametrize("name", ["missing_dir/out.json", "."])
+def test_writer_reports_unwritable_paths_as_schema_errors(tmp_path, name):
+    with pytest.raises(SchemaError, match="cannot write"):
+        dump({"feasible": True}, tmp_path / name)
