@@ -222,7 +222,7 @@ def cmd_oracle(args, tol: float) -> int:
     doc = {
         "gammas": [float(g) for g in result.gammas],
         "mean_gamma": result.mean_gamma,
-        "method": "bisection" if policy is GammaPolicy.EQUAL else "coordinate",
+        "method": policy.value,
         "probe_phases": [float(p) for p in result.probe.phases],
         "lambda_min_at_boundary": result.boundary_lambda_min,
         "iterations": result.iterations,

@@ -14,24 +14,29 @@ and the quadratic's roots multiply to 1: ``gamma_max`` is the one in
 ``(0, 1]``, ``1 + (2 sqrt(s^2 - a s) - 2 s) / a``.  :func:`gamma_max_triple`
 returns it, or 1e-9 inside it, whichever the PSD test accepts first, and
 raises when neither passes (a nearly dependent triple).
-:func:`grid_oracle_triple` is the independent check: pure bisection
-against the PSD criterion.
+:func:`grid_oracle_triple` is the independent check: pure bisection.  Both
+take the PSD test (:func:`qnot.linalg.smallest_eigenvalue` of
+:func:`qnot.feasibility.scaled_constraint`) at the fixed ``-PSD_TOL``.
 
-For general families :func:`search_gamma` runs the same bisection with a
-shared efficiency (policy ``EQUAL``), optionally followed by cyclic
-per-state coordinate ascent (policy ``COORDINATE``).  The doubled-phase
-probe makes these certified lower bounds on what an optimal probe could do.
-
-Every feasibility decision here builds the constraint matrix with
-:func:`qnot.feasibility.scaled_constraint` and tests it with
-:func:`qnot.linalg.smallest_eigenvalue` against ``-tol`` in
-:func:`search_gamma`, and against the fixed ``-PSD_TOL`` in the triple
-bound and its oracle, so those two always compare at one tolerance.
+:func:`search_gamma` returns the edge of that test at ``-tol``, where
+``M + tol I`` stops being PSD: ``gamma = 1`` if accepted, else in closed
+form when G passes Cholesky.  Policy ``EQUAL`` shares
+``min(1, 1 / lambda_max(L^-1 K L^-dag))``, ``L L^dag = G + tol I``.  Policy
+``COORDINATE`` then raises one ``x = sqrt(gamma_i)`` at a time: with ``A``
+the shifted ``M`` without row and column ``i``, ``g = G[-i, i]`` and
+``h = sqrt(gamma_-i) K[-i, i]``, the Schur complement keeps the point
+feasible while ``-(K_ii + h^dag A^-1 h) x^2 + 2 Re(g^dag A^-1 h) x + G_ii +
+tol - g^dag A^-1 g >= 0``, so one solve against ``[g, h]`` gives the larger
+root, capped at 1.  A candidate is kept once the PSD test accepts it, else
+retreated toward the last certified value along :data:`RETREAT`.  A G that
+fails Cholesky (or a singular ``A``) is bisected instead.  With the
+doubled-phase probe these are certified lower bounds for an optimal probe.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -43,6 +48,8 @@ from .states import GramMatrix, StateSet, gram
 
 DET_TOL = 1e-12
 COORDINATE_CONVERGENCE = 1e-6
+# steps t of a closed-form candidate c back toward v0, to c - t (c - v0)
+RETREAT = (0.0, 2.0 ** -44, 2.0 ** -34, 2.0 ** -24, 2.0 ** -14, 0.5)
 
 
 @dataclass(frozen=True)
@@ -133,11 +140,7 @@ def gamma_max_triple(inp: TripleBoundInput) -> float:
 
 
 def _bisect_boundary(feasible, lo: float = 0.0, steps: int = 70) -> float:
-    """Largest value in ``[lo, 1]`` a monotone predicate accepts.
-
-    ``1.0`` is tested first; otherwise ``steps`` halvings of ``[lo, 1]``
-    follow, and the last accepted value (``lo`` if none) is returned.
-    """
+    """Largest value in ``[lo, 1]`` a monotone ``feasible`` accepts."""
     if feasible(1.0):
         return 1.0
     hi = 1.0
@@ -165,6 +168,8 @@ class GammaPolicy(Enum):
 
 @dataclass(eq=False)
 class GammaSearchResult:
+    """``iterations``: the PSD tests, EQUAL eigenproblems and Schur solves."""
+
     gammas: np.ndarray
     probe: ProbeSpec
     mean_gamma: float
@@ -172,21 +177,26 @@ class GammaSearchResult:
     boundary_lambda_min: float
 
 
+def _retreat(feasible, c: float, v0: float) -> float:
+    """First ``c - t (c - v0)``, ``t`` in :data:`RETREAT`, that ``feasible``
+    accepts; else ``v0``, the last certified value (``t = 1``)."""
+    if c > v0:
+        for t in RETREAT:
+            v = c - t * (c - v0)
+            if feasible(v):
+                return v
+    return v0
+
+
 def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
                  probe: ProbeSpec | None = None,
                  tol: float = PSD_TOL) -> GammaSearchResult:
-    """Feasible efficiency vector found by bisection and coordinate ascent.
+    """Largest efficiencies the PSD test at ``tol`` accepts (module doc).
 
-    ``EQUAL`` bisects one shared efficiency; ``COORDINATE`` then raises
-    each ``gamma_i`` in turn (holding the others) until a full sweep moves
-    no coordinate by more than 1e-6.  Every point kept was tested feasible
-    with the arithmetic and the PSD test that
-    :func:`qnot.synthesis.synthesize_with` applies, so a returned point
-    (with ``tol`` at its default) always builds a machine.  Raises
-    :class:`NoFeasiblePoint` when no shared efficiency above ``tol`` (and
-    above 0) passes the test: the PSD test, which accepts eigenvalues down
-    to ``-tol``, cannot tell a shared efficiency that small from 0.  A
-    probe of the wrong size raises :class:`InvalidProbe`.
+    Each point kept passed :func:`check_probabilistic`'s test, so one found
+    at the default ``tol`` builds a machine.  :class:`NoFeasiblePoint` for a
+    ``tol`` not >= 0 or no shared efficiency above ``tol`` (the test cannot
+    tell it from 0); :class:`InvalidProbe` for a probe of the wrong size.
     """
     if not isinstance(policy, GammaPolicy):
         raise ValueError(f"policy must be a GammaPolicy, got {policy!r}")
@@ -196,34 +206,65 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
     g = gm.matrix
     k = constraint_kernel(g, probe)
     n = gm.n
-    evals = 0
+    if not tol >= 0.0:
+        raise NoFeasiblePoint(f"tol = {tol!r} certifies no point")
+    calls = 0
+    gammas = np.zeros(n)
 
-    def feasible_vec(vec) -> bool:
-        nonlocal evals
-        evals += 1
-        return _feasible(g, k, vec, tol)
+    def feasible(v, i=slice(None)) -> bool:
+        """The PSD test at ``gammas`` with entry ``i`` (default all) at v."""
+        nonlocal calls
+        calls += 1
+        trial = gammas.copy()
+        trial[i] = v
+        return _feasible(g, k, trial, tol)
 
-    equal = _bisect_boundary(lambda v: feasible_vec(np.full(n, v)))
-    if not equal > max(tol, 0.0):
+    def bisect_step(i) -> float:
+        return _bisect_boundary(partial(feasible, i=i), lo=gammas[i], steps=60)
+
+    def schur_step(i) -> float:
+        nonlocal calls
+        if gammas[i] >= 1.0:
+            return gammas[i]
+        rest = np.arange(n) != i
+        a = scaled_constraint(g, k, gammas)[np.ix_(rest, rest)]
+        gh = np.stack([g[rest, i], np.sqrt(gammas[rest]) * k[rest, i]], 1)
+        calls += 1
+        try:
+            q = gh.conj().T @ np.linalg.solve(a + tol * np.eye(n - 1), gh)
+        except np.linalg.LinAlgError:
+            return bisect_step(i)
+        alpha, beta = k[i, i].real + q[1, 1].real, q[0, 1].real
+        disc = beta * beta + alpha * (g[i, i].real + tol - q[0, 0].real)
+        x = min((beta + np.sqrt(max(disc, 0.0))) / alpha, 1.0)
+        return _retreat(partial(feasible, i=i), x * x, gammas[i])
+
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        equal, step = _bisect_boundary(feasible), bisect_step
+    else:
+        equal, step = 1.0, schur_step
+        if not feasible(1.0):
+            low = np.linalg.cholesky(g + tol * np.eye(n))
+            c = np.linalg.solve(low, np.linalg.solve(low, k).conj().T)
+            calls += 1
+            lam_max = np.linalg.eigvalsh(c + c.conj().T)[-1] / 2.0
+            equal = _retreat(feasible, min(1.0, 1.0 / lam_max), 0.0)
+    if not equal > tol:
         raise NoFeasiblePoint("no feasible efficiencies certified")
-    gammas = np.full(n, equal)
+    gammas[:] = equal
 
     if policy is GammaPolicy.COORDINATE:
         for _ in range(200):
             biggest_move = 0.0
             for i in range(n):
-                trial = gammas.copy()
-
-                def feasible_at(v) -> bool:
-                    trial[i] = v
-                    return feasible_vec(trial)
-
-                best = _bisect_boundary(feasible_at, lo=gammas[i], steps=60)
+                best = step(i)
                 biggest_move = max(biggest_move, best - gammas[i])
                 gammas[i] = best
             if biggest_move < COORDINATE_CONVERGENCE:
                 break
 
     lam_min = check_probabilistic(state_set, gammas, probe, tol).lambda_min
-    return GammaSearchResult(gammas, probe, float(gammas.mean()), evals,
+    return GammaSearchResult(gammas, probe, float(gammas.mean()), calls,
                              lam_min)

@@ -99,3 +99,24 @@ def probe_congruence_loop(th):
                     worst = r
                     worst_idx = [i, j, l]
     return float(worst), worst_idx
+
+
+def equal_edge_bisection(g, k, tol: float) -> float:
+    """Largest shared efficiency with ``lambda_min(G - gamma K) >= -tol``.
+
+    ``1.0`` if it passes, else 70 halvings of ``[0, 1]``; ``G - gamma K``
+    is formed directly, not through the library's scaled constraint.
+    """
+    g = np.asarray(g, dtype=complex)
+    k = np.asarray(k, dtype=complex)
+
+    def ok(gamma):
+        return np.linalg.eigvalsh(g - gamma * k).min() >= -tol
+
+    if ok(1.0):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(70):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo

@@ -290,7 +290,7 @@ def test_oracle_equal_policy_on_pair(tmp_path, capsys):
     assert code == 0
     assert doc["gamma_max"] == 1.0
     assert doc["gammas"] == [1.0, 1.0]
-    assert doc["method"] == "bisection"
+    assert doc["method"] == "equal"
 
 
 def test_oracle_without_a_certified_efficiency_exits_2(tmp_path, capsys):

@@ -13,6 +13,7 @@ from qnot import (
     StateSet,
     TargetMap,
     TripleBoundInput,
+    check_probabilistic,
     constraint_matrix,
     gamma_max_triple,
     gram,
@@ -22,8 +23,8 @@ from qnot import (
 )
 from qnot.states import GramMatrix
 
-from conftest import random_independent_set, worked_triple
-from oracles import cofactor_det
+from conftest import random_independent_set, random_set, worked_triple
+from oracles import cofactor_det, equal_edge_bisection
 
 # Boundary for all-|overlap| 0.3, phases (0.4, 0.1, 0.2), computed by
 # bisecting the PSD criterion directly at resolution 1e6 before the closed
@@ -267,6 +268,70 @@ def test_search_matches_triple_closed_form():
     res = search_gamma(ss)
     closed = gamma_max_triple(TripleBoundInput.from_gram(gram(ss)))
     assert res.gammas[0] == pytest.approx(closed, abs=1e-5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+@pytest.mark.parametrize("extra", [0, 2])
+def test_equal_edge_matches_a_bisection_oracle(n, extra):
+    """The shifted-Cholesky edge against 70 halvings of G - gamma K."""
+    d = max(n + extra, 2)
+    ss = random_independent_set(np.random.default_rng(100 * n + extra), n, d,
+                                TargetMap.CONJUGATE)
+    g = gram(ss).matrix
+    for tol in (1e-12, 1e-9, 1e-2):
+        res = search_gamma(ss, tol=tol)
+        oracle = equal_edge_bisection(g, np.conj(g) * res.probe.matrix, tol)
+        assert np.ptp(res.gammas) == 0.0
+        assert abs(res.gammas[0] - oracle) <= 1e-9, (tol, res.gammas[0])
+
+
+def test_equal_search_is_one_eigenproblem_and_its_checks():
+    """gamma = 1 tested, one eigvalsh, one accepted candidate (was ~70)."""
+    ss = random_independent_set(np.random.default_rng(3), 10, 10,
+                                TargetMap.CONJUGATE)
+    assert search_gamma(ss).iterations <= 3
+
+
+@pytest.mark.parametrize("n, d", [(3, 3), (4, 4), (6, 8), (10, 10)])
+def test_coordinate_step_reaches_the_boundary(n, d):
+    """Raising any searched gamma_i < 1 by 1e-5 leaves the feasible set."""
+    for seed in range(60):
+        ss = random_independent_set(np.random.default_rng(seed), n, d,
+                                    TargetMap.CONJUGATE)
+        res = search_gamma(ss, GammaPolicy.COORDINATE)
+        for i in np.flatnonzero(res.gammas < 1.0):
+            raised = res.gammas.copy()
+            raised[i] = min(raised[i] + 1e-5, 1.0)
+            assert not check_probabilistic(ss, raised, res.probe).feasible
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_real_dependent_family_keeps_unit_efficiency(d):
+    """n = d + 1 real states: gamma = 1 is tested before any closed form,
+    which on a G that passes Cholesky only by rounding is meaningless."""
+    for seed in range(10):
+        ss = random_set(np.random.default_rng(seed), d + 1, d,
+                        TargetMap.CONJUGATE, real=True)
+        for policy in GammaPolicy:
+            for tol in (0.0, 1e-9):
+                res = search_gamma(ss, policy, tol=tol)
+                assert np.array_equal(res.gammas, np.ones(d + 1))
+
+
+def test_coordinate_step_survives_a_singular_schur_block():
+    """A state orthogonal to the rest reaches gamma = 1, which zeroes its
+    row of M; at tol = 0 the next step's block is singular and is bisected."""
+    s = 1.0 / np.sqrt(2.0)
+    ss = StateSet((QuditState([1.0, 0.0, 0.0]),
+                   QuditState([0.0, 0.6, 0.8j]),
+                   QuditState([0.0, s, s])), TargetMap.CONJUGATE)
+    res = search_gamma(ss, GammaPolicy.COORDINATE, tol=0.0)
+    assert res.gammas[0] == 1.0
+    assert res.boundary_lambda_min >= 0.0
+    for i in (1, 2):
+        raised = res.gammas.copy()
+        raised[i] = min(raised[i] + 1e-5, 1.0)
+        assert not check_probabilistic(ss, raised, res.probe, 0.0).feasible
 
 
 def test_search_refuses_an_efficiency_within_the_tolerance():
