@@ -16,6 +16,10 @@ Exit codes: 0 success, 2 malformed input or an unwritable ``--output``,
 vs oracle disagreement, 6 degenerate determinant.  JSON output is compact
 (no indentation); ``--format text`` is the human-readable form.
 
+``check --gamma`` reports an infeasible point's ``violation`` as
+``lambda_min`` of the constraint matrix ``M`` and ``null_miss``, how far
+``M`` misses zero on the Gram's null space (feasible at most 1e-8).
+
 The environment variable ``QNOT_TOL``, a finite number at least 0 (else
 exit 2 for every subcommand), replaces the PSD tolerance of 1e-9 in
 ``check --gamma`` and ``oracle``.  ``gamma-max`` compares its closed form

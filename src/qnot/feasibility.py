@@ -12,8 +12,11 @@ Three nested regimes are decided here, each on a finite state family:
   applies, so :func:`check_exact_with_probe` decides with that test;
 * with per-state efficiencies ``gamma_i`` and a probe Gram ``P``, a
   postselecting machine exists iff
-  ``G - sqrt(Gamma) (conj(G) * P) sqrt(Gamma)`` is positive semidefinite
-  (:func:`check_probabilistic`, which decides every requested point).
+  ``M = G - sqrt(Gamma) (conj(G) * P) sqrt(Gamma)`` is positive
+  semidefinite (:func:`check_probabilistic`, which decides every requested
+  point).  On the null space ``N`` of ``G``, ``M N = -sqrt(Gamma) K
+  sqrt(Gamma) N``, so ``M`` must vanish there, which no test at ``-tol``
+  sees; the check tests that residual too.
 
 Every check reads a probe as its Gram matrix ``P``.  A phase-vector probe
 is the rank-one case and also keeps its phases, which is the only kind of
@@ -36,8 +39,8 @@ from .errors import (
     WrongDimension,
     ZeroOverlap,
 )
-from .linalg import (GRAM_TOL, HERMITICITY_TOL, PSD_TOL, smallest_eigenvalue,
-                     unitary_completion)
+from .linalg import (GRAM_TOL, HERMITICITY_TOL, PSD_TOL, range_null,
+                     smallest_eigenvalue, unitary_completion)
 from .states import (NORM_TOL, GramMatrix, QuditState, StateSet, gram,
                      orthogonal_complement)
 
@@ -240,15 +243,26 @@ def scaled_constraint(g: np.ndarray, k: np.ndarray, gammas: np.ndarray) -> np.nd
     return g - (s[:, None] * k) * s
 
 
+def null_miss(k: np.ndarray, gammas: np.ndarray, null: np.ndarray) -> float:
+    """``max |K diag(sqrt(gamma) / max sqrt(gamma)) N|``: 0 iff ``M N = 0``."""
+    s = np.sqrt(gammas)
+    return float(np.abs(k @ (s[:, None] / s.max() * null)).max(initial=0.0))
+
+
 def check_probabilistic(state_set: StateSet, gammas, probe: ProbeSpec,
                         tol: float = PSD_TOL) -> FeasibilityVerdict:
-    """Probabilistic machine with efficiencies ``gamma_i`` and given probe."""
-    m = constraint_matrix(gram(state_set), gammas, probe)
-    lam_min = smallest_eigenvalue(m)
-    if lam_min >= -tol:
+    """Probabilistic machine with efficiencies ``gamma_i`` and given probe:
+    ``lambda_min(M) >= -tol`` and :func:`null_miss` at most ``GRAM_TOL``."""
+    g = gram(state_set).matrix
+    k = constraint_kernel(g, probe)
+    gammas = efficiencies(gammas, g.shape[0])
+    lam_min = smallest_eigenvalue(scaled_constraint(g, k, gammas))
+    miss = null_miss(k, gammas, range_null(g)[1])
+    if lam_min >= -tol and miss <= GRAM_TOL:
         return FeasibilityVerdict(True, witness=probe, lambda_min=lam_min)
     return FeasibilityVerdict(
-        False, witness=probe, violation={"lambda_min": lam_min},
+        False, witness=probe,
+        violation={"lambda_min": lam_min, "null_miss": miss},
         lambda_min=lam_min)
 
 

@@ -19,8 +19,9 @@ system x probe.
 Every PSD decision (:func:`is_psd`, :func:`psd_sqrt`, probe Grams and the
 feasibility and search code) compares :func:`smallest_eigenvalue` against
 ``-PSD_TOL`` (the searches and the probabilistic check at their ``tol``),
-so a matrix one of them accepts is accepted by all of them.  The Hermitian
-and Gram tests are written so that NaN fails them, so :func:`is_psd`,
+so a matrix one of them accepts is accepted by all of them.  Every rank
+decision is :func:`null_count` on a Gram's spectrum.  The Hermitian and
+Gram tests are written so that NaN fails them, so :func:`is_psd`,
 :func:`psd_sqrt` and :func:`unitary_completion` refuse a NaN entry.
 """
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import DimensionMismatch, GramMismatch, NotHermitian, NotPSD, NotSq
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-9
 GRAM_TOL = 1e-8
+RANK_TOL = 1e-10
 
 
 def _as_complex_matrix(m) -> np.ndarray:
@@ -55,6 +57,20 @@ def smallest_eigenvalue(m: np.ndarray) -> float:
     The one PSD test: a matrix is accepted when this is at least ``-PSD_TOL``.
     """
     return float(np.linalg.eigvalsh(m).min()) if m.size else 0.0
+
+
+def null_count(spectrum: np.ndarray) -> int:
+    """The one rank decision: how many of an ascending PSD spectrum are zero,
+    ``lambda <= RANK_TOL * n * lambda_max``."""
+    return int(np.count_nonzero(spectrum <= RANK_TOL * spectrum.size
+                                * spectrum[-1]))
+
+
+def range_null(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal range and null bases ``(B, N)`` of PSD ``g``, one ``eigh``."""
+    vals, vecs = np.linalg.eigh(g)
+    k = null_count(vals)
+    return vecs[:, k:], vecs[:, :k]
 
 
 def is_psd(m) -> bool:

@@ -13,24 +13,28 @@ the Gram determinant, negative for independent triples),
 and the quadratic's roots multiply to 1: ``gamma_max`` is the one in
 ``(0, 1]``, ``1 + (2 sqrt(s^2 - a s) - 2 s) / a``.  :func:`gamma_max_triple`
 returns it, or 1e-9 inside it, whichever the PSD test accepts first, and
-raises when neither passes (a nearly dependent triple).
-:func:`grid_oracle_triple` is the independent check: pure bisection.  Both
-take the PSD test (:func:`qnot.linalg.smallest_eigenvalue` of
-:func:`qnot.feasibility.scaled_constraint`) at the fixed ``-PSD_TOL``.
+raises for a triple the rank decision calls dependent or when neither
+passes.  :func:`grid_oracle_triple` is the independent check: pure
+bisection.  Both take the PSD test (:func:`qnot.linalg.smallest_eigenvalue`
+of :func:`qnot.feasibility.scaled_constraint`) at the fixed ``-PSD_TOL``.
 
-:func:`search_gamma` returns the edge of that test at ``-tol``, where
-``M + tol I`` stops being PSD: ``gamma = 1`` if accepted, else in closed
-form when G passes Cholesky.  Policy ``EQUAL`` shares
-``min(1, 1 / lambda_max(L^-1 K L^-dag))``, ``L L^dag = G + tol I``.  Policy
-``COORDINATE`` then raises one ``x = sqrt(gamma_i)`` at a time: with ``A``
-the shifted ``M`` without row and column ``i``, ``g = G[-i, i]`` and
+:func:`search_gamma` returns the edge of :func:`check_probabilistic`'s test
+at ``-tol``.  With ``B``, ``N`` the range and null bases of G, ``M`` must
+vanish on ``N``, which depends only on the probe and the ratios of the
+``gamma_i``: a probe that fails it has no feasible point.  Otherwise
+``gamma = 1`` if accepted, else ``EQUAL`` shares ``min(1, 1 /
+lambda_max(L^-1 B^dag K B L^-dag))``, ``L L^dag = B^dag G B + tol I`` (G
+and K as they are at full rank).  ``COORDINATE`` then raises one
+``x = sqrt(gamma_i)`` at a time, for ``i`` off the support of ``N``: with
+``A`` the shifted ``M`` without row and column ``i``, ``g = G[-i, i]`` and
 ``h = sqrt(gamma_-i) K[-i, i]``, the Schur complement keeps the point
 feasible while ``-(K_ii + h^dag A^-1 h) x^2 + 2 Re(g^dag A^-1 h) x + G_ii +
-tol - g^dag A^-1 g >= 0``, so one solve against ``[g, h]`` gives the larger
-root, capped at 1.  A candidate is kept once the PSD test accepts it, else
-retreated toward the last certified value along :data:`RETREAT`.  A G that
-fails Cholesky (or a singular ``A``) is bisected instead.  With the
-doubled-phase probe these are certified lower bounds for an optimal probe.
+tol - g^dag A^-1 g >= 0``; one solve against ``[g, h]`` (least squares for a
+singular ``A``) gives the larger root, capped at 1.  A rise below
+:data:`COORDINATE_CONVERGENCE` is not taken; any other candidate is kept
+once the PSD test accepts it, else retreated toward the last certified
+value along :data:`RETREAT`.  With the doubled-phase probe these are
+certified lower bounds for an optimal probe.
 """
 from __future__ import annotations
 
@@ -42,11 +46,11 @@ import numpy as np
 
 from .errors import DegenerateDeterminant, NoFeasiblePoint, NotPSD
 from .feasibility import (ProbeSpec, check_probabilistic, constraint_kernel,
-                          scaled_constraint, standard_probe)
-from .linalg import PSD_TOL, smallest_eigenvalue
+                          null_miss, scaled_constraint, standard_probe)
+from .linalg import (GRAM_TOL, PSD_TOL, null_count, range_null,
+                     smallest_eigenvalue)
 from .states import GramMatrix, StateSet, gram
 
-DET_TOL = 1e-12
 COORDINATE_CONVERGENCE = 1e-6
 # steps t of a closed-form candidate c back toward v0, to c - t (c - v0)
 RETREAT = (0.0, 2.0 ** -44, 2.0 ** -34, 2.0 ** -24, 2.0 ** -14, 0.5)
@@ -115,17 +119,18 @@ def gamma_max_triple(inp: TripleBoundInput) -> float:
     """Closed-form largest equal efficiency for a triple, PSD-certified.
 
     Raises :class:`NotPSD` when the overlap data is not a valid Gram at
-    all, and :class:`DegenerateDeterminant` when the triple is too close to
-    dependent for the closed form: the Gram determinant sits below 1e-12 in
-    magnitude, or neither the root nor 1e-9 inside it passes the PSD test.
+    all, and :class:`DegenerateDeterminant` when the rank decision calls the
+    triple dependent, or neither the root nor 1e-9 inside it passes the PSD
+    test.
     """
     g = inp.gram_matrix().matrix
-    if smallest_eigenvalue(g) < -PSD_TOL:
+    spectrum = np.linalg.eigvalsh(g)
+    if spectrum[0] < -PSD_TOL:
         raise NotPSD("overlap data is not a positive semidefinite Gram")
     a = inp.a
-    if abs(a) < DET_TOL:
+    if null_count(spectrum):
         raise DegenerateDeterminant(
-            f"|det| = {abs(a):.3e} is below {DET_TOL:.1e}")
+            f"Gram rank is below 3 (|det| = {abs(a):.3e})")
     s = inp.t23 ** 2 * np.sin(inp.delta) ** 2
     root = np.sqrt(max(s * s - a * s, 0.0))
     val = min(1.0 + (2.0 * root - 2.0 * s) / a, 1.0)
@@ -139,26 +144,21 @@ def gamma_max_triple(inp: TripleBoundInput) -> float:
         f"the root of det M fails the PSD test (|det| = {abs(a):.3e})")
 
 
-def _bisect_boundary(feasible, lo: float = 0.0, steps: int = 70) -> float:
-    """Largest value in ``[lo, 1]`` a monotone ``feasible`` accepts."""
-    if feasible(1.0):
-        return 1.0
-    hi = 1.0
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def grid_oracle_triple(gram_matrix: GramMatrix, probe: ProbeSpec) -> float:
     """Bisection boundary of equal-efficiency feasibility; no closed form."""
     g = gram_matrix.matrix
     k = constraint_kernel(g, probe)
     n = gram_matrix.n
-    return _bisect_boundary(lambda v: _feasible(g, k, np.full(n, v)))
+    if _feasible(g, k, np.ones(n)):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(70):
+        mid = 0.5 * (lo + hi)
+        if _feasible(g, k, np.full(n, mid)):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 class GammaPolicy(Enum):
@@ -191,12 +191,13 @@ def _retreat(feasible, c: float, v0: float) -> float:
 def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
                  probe: ProbeSpec | None = None,
                  tol: float = PSD_TOL) -> GammaSearchResult:
-    """Largest efficiencies the PSD test at ``tol`` accepts (module doc).
+    """Largest efficiencies :func:`check_probabilistic` accepts at ``tol``.
 
-    Each point kept passed :func:`check_probabilistic`'s test, so one found
-    at the default ``tol`` builds a machine.  :class:`NoFeasiblePoint` for a
-    ``tol`` not >= 0 or no shared efficiency above ``tol`` (the test cannot
-    tell it from 0); :class:`InvalidProbe` for a probe of the wrong size.
+    See the module doc.  Each point kept passed that test, so one found at
+    the default ``tol`` builds a machine.  :class:`NoFeasiblePoint` for a
+    ``tol`` not >= 0, a probe that fails the null test, or no shared
+    efficiency above ``tol`` (the test cannot tell it from 0);
+    :class:`InvalidProbe` for a probe of the wrong size.
     """
     if not isinstance(policy, GammaPolicy):
         raise ValueError(f"policy must be a GammaPolicy, got {policy!r}")
@@ -208,6 +209,10 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
     n = gm.n
     if not tol >= 0.0:
         raise NoFeasiblePoint(f"tol = {tol!r} certifies no point")
+    basis, null = range_null(g)
+    if not null_miss(k, np.ones(n), null) <= GRAM_TOL:
+        raise NoFeasiblePoint(
+            "this probe leaves M nonzero on the null space of G")
     calls = 0
     gammas = np.zeros(n)
 
@@ -219,47 +224,47 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
         trial[i] = v
         return _feasible(g, k, trial, tol)
 
-    def bisect_step(i) -> float:
-        return _bisect_boundary(partial(feasible, i=i), lo=gammas[i], steps=60)
-
     def schur_step(i) -> float:
         nonlocal calls
         if gammas[i] >= 1.0:
             return gammas[i]
         rest = np.arange(n) != i
         a = scaled_constraint(g, k, gammas)[np.ix_(rest, rest)]
+        a += tol * np.eye(n - 1)
         gh = np.stack([g[rest, i], np.sqrt(gammas[rest]) * k[rest, i]], 1)
         calls += 1
         try:
-            q = gh.conj().T @ np.linalg.solve(a + tol * np.eye(n - 1), gh)
+            sol = np.linalg.solve(a, gh)
         except np.linalg.LinAlgError:
-            return bisect_step(i)
+            sol = np.linalg.lstsq(a, gh, rcond=None)[0]
+        q = gh.conj().T @ sol
         alpha, beta = k[i, i].real + q[1, 1].real, q[0, 1].real
         disc = beta * beta + alpha * (g[i, i].real + tol - q[0, 0].real)
         x = min((beta + np.sqrt(max(disc, 0.0))) / alpha, 1.0)
+        if not x * x - gammas[i] >= COORDINATE_CONVERGENCE:
+            return gammas[i]
         return _retreat(partial(feasible, i=i), x * x, gammas[i])
 
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        equal, step = _bisect_boundary(feasible), bisect_step
-    else:
-        equal, step = 1.0, schur_step
-        if not feasible(1.0):
-            low = np.linalg.cholesky(g + tol * np.eye(n))
-            c = np.linalg.solve(low, np.linalg.solve(low, k).conj().T)
-            calls += 1
-            lam_max = np.linalg.eigvalsh(c + c.conj().T)[-1] / 2.0
-            equal = _retreat(feasible, min(1.0, 1.0 / lam_max), 0.0)
+    equal = 1.0
+    if not feasible(1.0):
+        g_b, k_b = (g, k) if not null.size else (
+            basis.conj().T @ g @ basis, basis.conj().T @ k @ basis)
+        low = np.linalg.cholesky(g_b + tol * np.eye(g_b.shape[0]))
+        c = np.linalg.solve(low, np.linalg.solve(low, k_b).conj().T)
+        calls += 1
+        lam_max = np.linalg.eigvalsh(c + c.conj().T)[-1] / 2.0
+        equal = _retreat(feasible, min(1.0, 1.0 / lam_max), 0.0)
     if not equal > tol:
         raise NoFeasiblePoint("no feasible efficiencies certified")
     gammas[:] = equal
 
     if policy is GammaPolicy.COORDINATE:
+        free = np.flatnonzero(np.abs(null).max(axis=1, initial=0.0)
+                              <= GRAM_TOL)
         for _ in range(200):
             biggest_move = 0.0
-            for i in range(n):
-                best = step(i)
+            for i in free:
+                best = schur_step(i)
                 biggest_move = max(biggest_move, best - gammas[i])
                 gammas[i] = best
             if biggest_move < COORDINATE_CONVERGENCE:

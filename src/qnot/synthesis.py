@@ -22,9 +22,11 @@ unitary with unit efficiency and no probe.  Other linearly independent
 families get safe equal efficiencies
 ``epsilon = ETA * lambda_min(G) / lambda_max(conj(G))`` with ``ETA = 0.999``
 and the zero-phase probe, which keeps ``M = G - epsilon conj(G)`` strictly
-positive.  :func:`synthesize_with` decides the caller's point with
-:func:`qnot.feasibility.check_probabilistic`; both build through one
-assembly step with ``M`` from :func:`qnot.feasibility.constraint_matrix`.
+positive; a family is dependent when :func:`qnot.linalg.null_count`, the
+one rank decision, zeroes part of that spectrum.  :func:`synthesize_with`
+decides the caller's point with :func:`qnot.feasibility.check_probabilistic`;
+both build through one assembly step with ``M`` from
+:func:`qnot.feasibility.constraint_matrix`.
 
 The machine unitary is stored dense, but it moves only the support of its
 branches, ``s = d + n`` of the ``D = d (n + 1)`` joint coordinates; every
@@ -52,11 +54,10 @@ from .feasibility import (
     efficiencies,
     machine_phases,
 )
-from .linalg import psd_sqrt
+from .linalg import null_count, psd_sqrt
 from .states import GramMatrix, StateSet, TargetMap, gram
 
 ETA = 0.999
-INDEPENDENCE_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -154,7 +155,7 @@ def synthesize(state_set: StateSet):
     ``epsilon`` below 1.
 
     Raises :class:`LinearlyDependent` when the general path is needed and
-    the family has Gram rank below its size.
+    the rank decision puts the Gram's rank below the family's size.
     """
     n = len(state_set)
     gm = gram(state_set)
@@ -170,7 +171,7 @@ def synthesize(state_set: StateSet):
         report = SynthesisReport(1.0, c, d_max, residual, path="exact")
         return machine, report
 
-    if c <= INDEPENDENCE_TOL:
+    if null_count(spectrum):
         raise LinearlyDependent(
             f"Gram rank is below {n} (smallest eigenvalue {c:.3e})")
     epsilon = ETA * c / d_max

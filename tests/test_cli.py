@@ -100,6 +100,22 @@ def test_check_with_efficiencies(tmp_path, capsys):
     assert doc["probabilistic"]["feasible"] is True
 
 
+def test_check_reports_the_null_miss_of_a_dependent_set(tmp_path, capsys):
+    """{|0>, |1>, |+i>} at gamma ~ 1e-9 with the doubled-phase probe:
+    lambda_min(M) is within -1e-9, but M misses zero on null(G) by 1."""
+    s = 1.0 / np.sqrt(2.0)
+    doc = state_set_doc([np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+                         np.array([s, 1j * s])])
+    path = write_doc(tmp_path, "set.json", doc)
+    code, out = run(capsys, ["check", "--input", path, "--gamma",
+                             ",".join(["1.00000002722922e-9"] * 3)])
+    assert code == 0
+    verdict = out["probabilistic"]
+    assert verdict["feasible"] is False
+    assert verdict["violation"]["lambda_min"] >= -1e-9
+    assert verdict["violation"]["null_miss"] == pytest.approx(1.0)
+
+
 def test_synthesize_then_simulate_roundtrip(tmp_path, capsys):
     set_path = write_doc(tmp_path, "set.json", CANONICAL_PAIR)
     machine_path = str(tmp_path / "machine.json")

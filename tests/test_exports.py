@@ -1,5 +1,7 @@
-"""The package's public names."""
+"""The package's public names and tolerance constants."""
+import ast
 import inspect
+from pathlib import Path
 
 import qnot
 
@@ -7,6 +9,17 @@ import qnot
 # --gamma`` and ``oracle``; every other threshold, the triple bound's
 # included, is a module constant.
 TOL_OWNERS = ("check_probabilistic", "search_gamma")
+
+
+# Every module-level ``*_TOL`` constant; a new tolerance knob fails here
+# until it is registered.
+TOLERANCES = {
+    "feasibility.IMAG_TOL", "feasibility.PARALLEL_TOL",
+    "linalg.GRAM_TOL", "linalg.HERMITICITY_TOL", "linalg.PSD_TOL",
+    "linalg.RANK_TOL",
+    "simulator.FIDELITY_TOL", "simulator.PROB_TOL", "simulator.UNITARITY_TOL",
+    "states.NORM_TOL",
+}
 
 
 def test_every_exported_name_resolves():
@@ -43,3 +56,15 @@ def test_tol_only_where_qnot_tol_reaches():
         if tolerances:
             found[name] = tolerances
     assert found == {name: ["tol"] for name in TOL_OWNERS}
+
+
+def test_tolerance_constants_are_registered():
+    found = set()
+    for path in Path(qnot.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            found.update(f"{path.stem}.{t.id}" for t in targets
+                         if isinstance(t, ast.Name) and t.id.endswith("_TOL"))
+    assert found == TOLERANCES

@@ -388,15 +388,42 @@ def test_non_finite_efficiencies_reach_no_verdict_or_machine():
 
 class TestProbabilistic:
     def test_vanishing_efficiencies_always_feasible(self):
-        # the constraint matrix tends to the PSD Gram; the first-order dip
-        # is -gamma * lambda_max of the subtracted part, so gammas well
-        # below the PSD tolerance are always accepted
+        # on an independent family the constraint matrix tends to the
+        # positive definite Gram, so tiny efficiencies are always accepted
+        rng = np.random.default_rng(57)
+        for _ in range(20):
+            ss = random_independent_set(rng, 3, 3, TargetMap.CONJUGATE)
+            probe = ProbeSpec.phase_vector(rng.uniform(0, 2 * np.pi, 3))
+            verdict = check_probabilistic(ss, np.full(3, 1e-10), probe)
+            assert verdict.feasible
+
+    def test_vanishing_efficiencies_refused_on_dependent_families(self):
+        """Three qubit states are dependent: for v in null(G),
+        v^dag M v = -||T(w * v)||^2 at any efficiencies, so a probe that
+        leaves T(w * v) nonzero is refused however small gamma is.  The
+        lambda_min test alone accepted all 20, and every machine built
+        from them failed verification."""
         rng = np.random.default_rng(57)
         for _ in range(20):
             ss = random_set(rng, 3, 2, TargetMap.NOT)
             probe = ProbeSpec.phase_vector(rng.uniform(0, 2 * np.pi, 3))
             verdict = check_probabilistic(ss, np.full(3, 1e-10), probe)
-            assert verdict.feasible
+            assert verdict.lambda_min >= -1e-9
+            assert not verdict.feasible
+            assert verdict.violation["null_miss"] > 1e-8
+
+    def test_refuses_an_efficiency_within_the_tolerance(self):
+        """{|0>, |1>, |+i>} with the doubled-phase probe: lambda_min(M) =
+        -9.9999996e-10 passes the test at -1e-9, but M misses zero on the
+        null space of G by 1, and no machine exists there."""
+        s = 1.0 / np.sqrt(2.0)
+        ss = StateSet((QuditState([1.0, 0.0]), QuditState([0.0, 1.0]),
+                       QuditState([s, 1j * s])), TargetMap.CONJUGATE)
+        verdict = check_probabilistic(ss, 1.00000002722922e-9,
+                                      standard_probe(gram(ss)))
+        assert verdict.lambda_min >= -1e-9
+        assert not verdict.feasible
+        assert verdict.violation["null_miss"] == pytest.approx(1.0)
 
     def test_exact_regime_embeds_at_unit_efficiency(self):
         # probe-feasible family + witness probe => gamma = 1 feasible with
@@ -433,14 +460,17 @@ class TestProbabilistic:
 
     def test_scalar_scaling_preserves_feasibility(self):
         rng = np.random.default_rng(60)
+        checked = 0
         for _ in range(20):
-            ss = random_set(rng, 3, 2, TargetMap.NOT)
+            ss = random_independent_set(rng, 3, 3, TargetMap.CONJUGATE)
             probe = ProbeSpec.phase_vector(rng.uniform(0, 2 * np.pi, 3))
-            gammas = rng.uniform(0.05, 1.0, 3)
+            gammas = rng.uniform(0.01, 0.5, 3)
             if not check_probabilistic(ss, gammas, probe).feasible:
                 continue
+            checked += 1
             for s in (0.9, 0.5, 0.1):
                 assert check_probabilistic(ss, s * gammas, probe).feasible
+        assert checked >= 5
 
 
 class TestDependentTriple:

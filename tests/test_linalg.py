@@ -19,6 +19,7 @@ from qnot import (
     psd_sqrt,
     unitary_completion,
 )
+from qnot.linalg import RANK_TOL, null_count, range_null
 
 
 def random_hermitian(rng, n):
@@ -335,3 +336,32 @@ def test_subspace_completion_property(seed, dim, shape, pad):
     off = np.setdiff1d(np.arange(dim), rows)
     assert np.array_equal(u[off], np.eye(dim)[off])
     assert np.array_equal(u[:, off], np.eye(dim)[:, off])
+
+
+class TestRankDecision:
+    def test_zeroes_eigenvalues_relative_to_the_largest(self):
+        scale = RANK_TOL * 3 * 2.0
+        assert null_count(np.array([0.0, 1.0, 2.0])) == 1
+        assert null_count(np.array([scale, 1.0, 2.0])) == 1
+        assert null_count(np.array([2.0 * scale, 1.0, 2.0])) == 0
+        # scaling the matrix does not change the decision
+        assert null_count(1e-6 * np.array([scale, 1.0, 2.0])) == 1
+
+    def test_near_parallel_pair_has_rank_one(self):
+        rng = np.random.default_rng(563)
+        a = rng.normal(size=2) + 1j * rng.normal(size=2)
+        b = a + 1e-9 * (rng.normal(size=2) + 1j * rng.normal(size=2))
+        psi = np.stack([a / np.linalg.norm(a), b / np.linalg.norm(b)], 1)
+        g = psi.conj().T @ psi
+        basis, null = range_null(g)
+        assert basis.shape == null.shape == (2, 1)
+        assert np.abs(g @ null).max() < 1e-8
+        np.testing.assert_allclose(basis.conj().T @ basis, [[1.0]])
+
+    def test_independent_family_has_no_null_space(self):
+        rng = np.random.default_rng(15)
+        g = gram(random_independent_set(rng, 4, 5,
+                                        TargetMap.CONJUGATE)).matrix
+        basis, null = range_null(g)
+        assert null.shape == (4, 0)
+        assert basis.shape == (4, 4)

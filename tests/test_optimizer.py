@@ -20,11 +20,13 @@ from qnot import (
     grid_oracle_triple,
     search_gamma,
     standard_probe,
+    synthesize_with,
+    verify_machine,
 )
 from qnot.states import GramMatrix
 
 from conftest import random_independent_set, random_set, worked_triple
-from oracles import cofactor_det, equal_edge_bisection
+from oracles import cofactor_det, equal_edge_bisection, quadratic_roots
 
 # Boundary for all-|overlap| 0.3, phases (0.4, 0.1, 0.2), computed by
 # bisecting the PSD criterion directly at resolution 1e6 before the closed
@@ -320,7 +322,8 @@ def test_real_dependent_family_keeps_unit_efficiency(d):
 
 def test_coordinate_step_survives_a_singular_schur_block():
     """A state orthogonal to the rest reaches gamma = 1, which zeroes its
-    row of M; at tol = 0 the next step's block is singular and is bisected."""
+    row of M; at tol = 0 the next step's block is singular, and its Schur
+    complement is taken by least squares (the generalized one)."""
     s = 1.0 / np.sqrt(2.0)
     ss = StateSet((QuditState([1.0, 0.0, 0.0]),
                    QuditState([0.0, 0.6, 0.8j]),
@@ -335,13 +338,98 @@ def test_coordinate_step_survives_a_singular_schur_block():
 
 
 def test_search_refuses_an_efficiency_within_the_tolerance():
-    """{|0>, |1>, |+i>} has no conjugation machine; the bisection still
-    finds gamma = 1e-9, accepted only because lambda_min(M) = -1e-9."""
+    """{|0>, |1>, |+i>} has no doubled-phase conjugation machine: that probe
+    leaves M nonzero on null(G), so no gamma qualifies, although the PSD
+    test alone accepts gamma up to about 1e-9.  Phases (0, pi, 0) null
+    T(w * v), and there both policies reach a perfect machine."""
     s = 1.0 / np.sqrt(2.0)
     ss = StateSet((QuditState([1.0, 0.0]), QuditState([0.0, 1.0]),
                    QuditState([s, 1j * s])), TargetMap.CONJUGATE)
-    with pytest.raises(NoFeasiblePoint):
-        search_gamma(ss)
+    for policy in GammaPolicy:
+        with pytest.raises(NoFeasiblePoint, match="null space"):
+            search_gamma(ss, policy)
+        probe = ProbeSpec.phase_vector([0.0, np.pi, 0.0])
+        res = search_gamma(ss, policy, probe)
+        assert np.array_equal(res.gammas, np.ones(3))
+        assert verify_machine(synthesize_with(ss, res.gammas, probe),
+                              ss).all_ok
+
+
+def _null_phase_probe(ss: StateSet) -> ProbeSpec:
+    """Phases -2 arg(v_i) for the null vector v of the qubit triple's
+    amplitudes: the target columns T of NOT(psi_i) have null vector
+    conj(v), so T(w * v) = 0 for w_i = exp(-2i arg v_i)."""
+    v = np.linalg.svd(ss.matrix())[2][-1].conj()
+    return ProbeSpec.phase_vector(-2.0 * np.angle(v))
+
+
+@pytest.mark.parametrize("phi", [0.3, 0.7, 1.2])
+def test_dependent_worked_triple_reaches_the_analytic_root(phi):
+    """With the probe that nulls T(w * v) the search runs on range(G) and
+    returns the smaller root of g^2/2 + (sin phi - 2) g + 1/2; no
+    coordinate can move alone, so COORDINATE stays at the EQUAL point."""
+    ss = worked_triple(phi)
+    probe = _null_phase_probe(ss)
+    root = quadratic_roots(0.5, np.sin(phi) - 2.0, 0.5)[0]
+    for policy in GammaPolicy:
+        res = search_gamma(ss, policy, probe)
+        assert np.abs(res.gammas - root).max() <= 1e-8
+        assert verify_machine(synthesize_with(ss, res.gammas, probe),
+                              ss).all_ok
+
+
+def test_coordinate_moves_only_states_outside_the_null_space():
+    """worked_triple(0.3) in a qutrit plus |2>: the null vector of G does
+    not touch the fourth state, whose efficiency alone rises to 1."""
+    w = worked_triple(0.3)
+    ss = StateSet(tuple(QuditState(np.r_[s.amps, 0.0]) for s in w.states)
+                  + (QuditState([0.0, 0.0, 1.0]),), TargetMap.CONJUGATE)
+    probe = ProbeSpec.phase_vector(np.r_[_null_phase_probe(w).phases, 0.0])
+    root = quadratic_roots(0.5, np.sin(0.3) - 2.0, 0.5)[0]
+    for tol in (1e-9, 0.0):
+        eq = search_gamma(ss, GammaPolicy.EQUAL, probe, tol)
+        co = search_gamma(ss, GammaPolicy.COORDINATE, probe, tol)
+        assert np.abs(eq.gammas - root).max() <= 1e-8
+        assert np.array_equal(co.gammas[:3], eq.gammas[:3])
+        assert co.gammas[3] == 1.0
+        assert verify_machine(synthesize_with(ss, co.gammas, probe),
+                              ss).all_ok
+
+
+def test_searched_points_on_dependent_sets_build_verified_machines():
+    """Random complex conjugate sets with more states than dimensions.
+    With the doubled-phase probe the parent returned tolerance artifacts
+    here (gamma ~ 1e-6) whose machines failed verification; now every
+    search is refused, or returns a point that builds and verifies."""
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        d = int(rng.integers(2, 4))
+        ss = random_set(rng, d + int(rng.integers(1, 3)), d,
+                        TargetMap.CONJUGATE)
+        for policy in GammaPolicy:
+            try:
+                res = search_gamma(ss, policy)
+            except NoFeasiblePoint:
+                continue
+            machine = synthesize_with(ss, res.gammas, res.probe)
+            assert verify_machine(machine, ss).all_ok
+
+
+def test_equal_search_on_near_parallel_pairs_at_zero_tolerance():
+    """Pairs 1e-9 from parallel have a Gram singular to rounding; the rank
+    decision takes them to range(G), where the edge is gamma ~ 1.  The
+    closed form on the full G refused 21 of these 200 at tol = 0 and
+    returned gamma as low as 5.6e-17."""
+    rng = np.random.default_rng(563)
+    for _ in range(200):
+        a = rng.normal(size=2) + 1j * rng.normal(size=2)
+        b = a + 1e-9 * (rng.normal(size=2) + 1j * rng.normal(size=2))
+        ss = StateSet((QuditState.normalized(a), QuditState.normalized(b)),
+                      TargetMap.CONJUGATE)
+        res = search_gamma(ss, GammaPolicy.EQUAL, tol=0.0)
+        assert res.gammas.min() >= 0.9999999
+        assert verify_machine(synthesize_with(ss, res.gammas, res.probe),
+                              ss).all_ok
 
 
 @pytest.mark.parametrize("tol", [-1.0, float("nan")])
