@@ -21,9 +21,10 @@ Three nested regimes are decided here, each on a finite state family:
 Every check reads a probe as its Gram matrix ``P``.  A phase-vector probe
 is the rank-one case and also keeps its phases, which is the only kind of
 probe a machine realizes.  Every machine unitary is built by
-:func:`branch_unitary`, which writes the ``(system, probe, member)``
-layout once: :func:`build_exact_unitary` and :func:`build_probe_unitary`
-here, and the probabilistic machines of :mod:`qnot.synthesis`.
+:func:`branch_block`, which writes the ``(system, probe, member)`` layout
+once and returns the unitary as the block on the coordinates it moves:
+:func:`build_exact_unitary` and :func:`build_probe_unitary` here embed it
+in a dense array, and :mod:`qnot.synthesis` keeps the block.
 """
 from __future__ import annotations
 
@@ -39,8 +40,8 @@ from .errors import (
     WrongDimension,
     ZeroOverlap,
 )
-from .linalg import (GRAM_TOL, HERMITICITY_TOL, PSD_TOL, range_null,
-                     smallest_eigenvalue, unitary_completion)
+from .linalg import (GRAM_TOL, HERMITICITY_TOL, PSD_TOL, completion_block,
+                     embed_block, range_null, smallest_eigenvalue)
 from .states import (NORM_TOL, GramMatrix, QuditState, StateSet, gram,
                      orthogonal_complement)
 
@@ -168,9 +169,10 @@ def check_exact_with_probe(state_set: StateSet) -> FeasibilityVerdict:
         False, violation={"indices": [int(i), int(j)], "residual": worst})
 
 
-def branch_unitary(state_set: StateSet, weights, probe_dim: int,
-                   failure=None) -> np.ndarray:
-    """Machine unitary on system x probe from its branch targets.
+def branch_block(state_set: StateSet, weights, probe_dim: int,
+                 failure=None) -> tuple[np.ndarray, np.ndarray]:
+    """Machine unitary on system x probe from its branch targets, as the
+    ``(support, block)`` of :func:`qnot.linalg.completion_block`.
 
     Member ``i`` enters as ``psi_i x |0>`` and leaves as
     ``weights_i target_i x |0> + sum_j failure[j, i] |0> x |j+1>``.
@@ -185,8 +187,8 @@ def branch_unitary(state_set: StateSet, weights, probe_dim: int,
     outs[:, 0, :] = state_set.target_matrix() * weights
     if failure is not None:
         outs[0, 1:, :] = failure
-    return unitary_completion(ins.reshape(d * probe_dim, n).T,
-                              outs.reshape(d * probe_dim, n).T)
+    return completion_block(ins.reshape(d * probe_dim, n),
+                            outs.reshape(d * probe_dim, n))
 
 
 def build_exact_unitary(state_set: StateSet) -> np.ndarray:
@@ -195,7 +197,7 @@ def build_exact_unitary(state_set: StateSet) -> np.ndarray:
     Propagates :class:`GramMismatch` when the Gram matrix is not real,
     i.e. when :func:`check_exact_unitary` is infeasible.
     """
-    return branch_unitary(state_set, 1.0, 1)
+    return embed_block(state_set.dim, *branch_block(state_set, 1.0, 1))
 
 
 def build_probe_unitary(state_set: StateSet, probe: ProbeSpec) -> np.ndarray:
@@ -209,7 +211,8 @@ def build_probe_unitary(state_set: StateSet, probe: ProbeSpec) -> np.ndarray:
     compensate the Gram conjugation.
     """
     phases = machine_phases(probe, len(state_set))
-    return branch_unitary(state_set, np.exp(1j * phases), 2)
+    return embed_block(2 * state_set.dim,
+                       *branch_block(state_set, np.exp(1j * phases), 2))
 
 
 def constraint_matrix(gram_matrix: GramMatrix, gammas,

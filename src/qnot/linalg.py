@@ -9,12 +9,14 @@ with identical Gram matrices are related by a unitary, and
 of the families' cross product (orthogonal Procrustes, Schonemann 1966).
 It completes only inside the joint span of the two families, and computes
 only on their support, the ``s`` coordinates where some vector of either
-family is nonzero: for ``k`` vectors of dimension ``D`` it costs
-``O(s^2 k)``, not ``O(D^2 k)``, plus writing the ``D x D`` identity around
-the ``s x s`` block.  The polar factor is unitary to rounding at any rank,
-so no rank tolerance decides which vectors count as independent.  Machine
-branches touch ``s = d + n`` of the ``D = d (n + 1)`` coordinates of
-system x probe.
+family is nonzero: for ``k`` vectors of dimension ``D``,
+:func:`completion_block` returns that support and the ``s x s`` block at
+``O(s^2 k)``, not ``O(D^2 k)``, and builds no ``D x D`` array; only the
+dense form, :func:`unitary_completion`, writes the identity around the
+block (:func:`embed_block`).  The polar factor is unitary to rounding at
+any rank, so no rank tolerance decides which vectors count as
+independent.  Machine branches touch ``s = d + n`` of the
+``D = d (n + 1)`` coordinates of system x probe.
 
 Every PSD decision (:func:`is_psd`, :func:`psd_sqrt`, probe Grams and the
 feasibility and search code) compares :func:`smallest_eigenvalue` against
@@ -98,23 +100,19 @@ def gram_of(vectors: np.ndarray) -> np.ndarray:
     return vectors.conj().T @ vectors
 
 
+def embed_block(dim: int, support: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The ``dim x dim`` identity with ``block`` on the rows and columns ``support``."""
+    u = np.eye(dim, dtype=complex)
+    u[np.ix_(support, support)] = block
+    return u
+
+
 def unitary_completion(inputs, outputs) -> np.ndarray:
     """Unitary ``U`` with ``U @ inputs[i] == outputs[i]`` for every pair.
 
-    The completion acts only inside the joint span of the two families and
-    only on their support, the ``s`` rows where some input or output entry
-    is nonzero (exactly); every other row and column of ``U`` is exactly the
-    identity's, and an all-zero family gives the identity.  On the support,
-    with ``X`` and ``Y`` the families as columns and ``Q`` an orthonormal
-    basis of ``[X Y]`` (thin QR), ``U = I + Q (R - I) Q^dag`` where ``R``
-    is the polar factor of ``(Q^dag Y)(Q^dag X)^dag``: from its SVD
-    ``W S V^dag``, ``R = W V^dag`` (orthogonal Procrustes).  Equal Grams
-    make ``Q^dag Y = R0 Q^dag X`` for a unitary ``R0``, and every polar
-    factor agrees with ``R0`` on the span of ``Q^dag X``, so ``R`` sends
-    each input to its output.  As a product of SVD factors ``R`` is unitary
-    to rounding whatever the rank of the families, so no rank tolerance is
-    needed.  For ``k`` vectors the cost is ``O(s^2 k)``, plus writing the
-    ``D x D`` identity around the ``s x s`` block.
+    The dense form of :func:`completion_block`: every row and column of
+    ``U`` outside the support is exactly the identity's, and an all-zero
+    family gives the identity.
 
     Parameters
     ----------
@@ -140,7 +138,28 @@ def unitary_completion(inputs, outputs) -> np.ndarray:
                                 f"{y_mat.shape[::-1]} (vectors x length)")
     if not x_mat.size:
         raise DimensionMismatch("need at least one input/output pair")
-    dim = x_mat.shape[0]
+    return embed_block(x_mat.shape[0], *completion_block(x_mat, y_mat))
+
+
+def completion_block(x_mat: np.ndarray, y_mat: np.ndarray):
+    """``(support, block)`` of the unitary sending each column of ``x_mat``
+    to the same column of ``y_mat`` (complex ``D x k`` arrays).
+
+    ``support`` holds, ascending, the ``s`` rows where some input or output
+    entry is nonzero (exactly) and ``block`` is ``U`` on those rows and
+    columns; every other row and column of ``U`` is the identity's.  On the
+    support, with ``X`` and ``Y`` the families as columns and ``Q`` an
+    orthonormal basis of ``[X Y]`` (thin QR), ``U = I + Q (R - I) Q^dag``
+    where ``R`` is the polar factor of ``(Q^dag Y)(Q^dag X)^dag``: from its
+    SVD ``W S V^dag``, ``R = W V^dag`` (orthogonal Procrustes).  Equal
+    Grams make ``Q^dag Y = R0 Q^dag X`` for a unitary ``R0``, and every
+    polar factor agrees with ``R0`` on the span of ``Q^dag X``, so ``R``
+    sends each input to its output.  As a product of SVD factors ``R`` is
+    unitary to rounding whatever the rank of the families, so no rank
+    tolerance is needed.  The cost is ``O(s^2 k)``.  Raises
+    :class:`GramMismatch` when some pair of inner products disagrees
+    beyond :data:`GRAM_TOL`.
+    """
     support = np.flatnonzero((x_mat != 0).any(axis=1)
                              | (y_mat != 0).any(axis=1))
     x_mat, y_mat = x_mat[support], y_mat[support]
@@ -155,6 +174,4 @@ def unitary_completion(inputs, outputs) -> np.ndarray:
     r[np.diag_indices_from(r)] -= 1.0
     block = (q @ r) @ qh
     block[np.diag_indices_from(block)] += 1.0
-    u = np.eye(dim, dtype=complex)
-    u[np.ix_(support, support)] = block
-    return u
+    return support, block

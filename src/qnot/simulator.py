@@ -3,11 +3,13 @@
 The exact path applies the machine unitary to ``state x probe_0``,
 projects on the success outcome (probe back in state 0) and compares the
 postselected system state against the target map; a whole set goes
-through one product with the ``d x d`` success block of the unitary and
-one comparison with :func:`qnot.states.target_amps` of its columns.  The
-report's unitarity error is :meth:`qnot.synthesis.Machine.unitarity_error`,
-which checks ``U^dag U = I`` only on the indices the unitary moves, so
-verifying a machine costs no ``D^3`` product.  The one Monte Carlo path is
+through one product with the ``d x d`` success block of the unitary,
+:meth:`qnot.synthesis.Machine.success_block`, and one comparison with
+:func:`qnot.states.target_amps` of its columns.  The report's unitarity
+error is :meth:`qnot.synthesis.Machine.unitarity_error`, which checks
+``U^dag U = I`` only on the indices the unitary moves.  Both read a
+synthesized machine's ``s x s`` block, so verifying it builds no ``D x D``
+array and costs no ``D^3`` product.  The one Monte Carlo path is
 :func:`verify_machine` with ``shots`` set: it draws each member's success
 count from the exact probability with numpy's PCG64 generator, seeded
 explicitly, so every report is reproducible.
@@ -78,8 +80,7 @@ def _run_columns(machine: Machine, amps: np.ndarray, targets: np.ndarray):
     fidelity and phase against its target column, all masked once over the
     set: every one is zero where the probability is below ``ZERO_SUCCESS``.
     """
-    p = machine.probe_dim
-    blocks = machine.unitary[::p, ::p] @ amps
+    blocks = machine.success_block() @ amps
     probs = np.sum(np.abs(blocks) ** 2, axis=0)
     alive = probs >= ZERO_SUCCESS
     outputs = np.zeros_like(blocks)

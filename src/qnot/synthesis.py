@@ -9,7 +9,7 @@ For a family with Gram matrix ``G``, probe phases ``phi`` and efficiencies
     M = G - sqrt(Gamma) (conj(G) * P) sqrt(Gamma)   is PSD,
 
 and an explicit unitary follows from Gram-matched completion
-(:func:`qnot.feasibility.branch_unitary`): the image of the i-th prepared
+(:func:`qnot.feasibility.branch_block`): the image of the i-th prepared
 input is
 
     sqrt(gamma_i) e^{i phi_i} (target_i x P_0)  +  sum_j C*_ij (fill x P_j)
@@ -28,14 +28,19 @@ decides the caller's point with :func:`qnot.feasibility.check_probabilistic`;
 both build through one assembly step with ``M`` from
 :func:`qnot.feasibility.constraint_matrix`.
 
-The machine unitary is stored dense, but it moves only the support of its
-branches, ``s = d + n`` of the ``D = d (n + 1)`` joint coordinates; every
-other row and column is exactly the identity's.
-:meth:`Machine.unitarity_error` uses that for any unitary, built or
-loaded: it finds the indices whose row or column differs from the
-identity by exact comparison and checks ``V^dag V = I`` on that block
-alone, ``O(D^2 + s^3)`` instead of the ``O(D^3)`` of ``U^dag U``, for the
-same value up to rounding.
+The machine unitary moves only the support of its branches, ``s = d + n``
+of the ``D = d (n + 1)`` joint coordinates; every other row and column is
+exactly the identity's.  A synthesized machine stores just that support
+and the ``s x s`` block on it, so synthesis and verification build no
+``D x D`` array: :meth:`Machine.unitarity_error` checks ``V^dag V = I`` on
+the block at ``O(s^3)`` instead of the ``O(D^3)`` of ``U^dag U``, and
+:meth:`Machine.success_block` reads ``U[::p, ::p]`` off it at
+``O(d^2 + s^2)``.  Once a dense unitary exists (passed in, loaded, or
+built by the first read of :attr:`Machine.unitary`), it is the machine's
+unitary: the success block is its strided view, and the unitarity check
+scans it for the indices whose row or column differs from the identity,
+by exact comparison, at ``O(D^2 + s^3)``, so an edit anywhere is still
+checked.
 """
 from __future__ import annotations
 
@@ -46,21 +51,19 @@ import numpy as np
 from .errors import DimensionMismatch, InfeasibleGamma, LinearlyDependent
 from .feasibility import (
     ProbeSpec,
-    branch_unitary,
-    build_exact_unitary,
+    branch_block,
     check_exact_unitary,
     check_probabilistic,
     constraint_matrix,
     efficiencies,
     machine_phases,
 )
-from .linalg import null_count, psd_sqrt
+from .linalg import embed_block, null_count, psd_sqrt
 from .states import GramMatrix, StateSet, TargetMap, gram
 
 ETA = 0.999
 
 
-@dataclass(eq=False)
 class Machine:
     """Postselecting target-map machine.
 
@@ -68,27 +71,70 @@ class Machine:
     system index major (component ``i * probe_dim + j``).  Success means
     finding the probe in basis state 0; the projector onto that event is
     ``I_system x |0><0|``.  ``gammas`` are the designed per-member success
-    probabilities and ``branch_phases`` the designed success-branch phases.
+    probabilities and ``branch_phases`` the designed success-branch phases,
+    one finite value each per member.
+
+    A machine built by :meth:`from_block` holds only ``(support, block)``;
+    reading :attr:`unitary` builds the dense array once and keeps it, and
+    from then on that array, edits included, is the machine's unitary.
     """
 
-    system_dim: int
-    probe_dim: int
-    target: TargetMap
-    unitary: np.ndarray
-    gammas: np.ndarray
-    branch_phases: np.ndarray
+    def __init__(self, system_dim: int, probe_dim: int, target: TargetMap,
+                 unitary, gammas, branch_phases):
+        self._design(system_dim, probe_dim, target, gammas, branch_phases)
+        self.unitary = unitary
 
-    def __post_init__(self):
-        if not isinstance(self.target, TargetMap):
-            raise ValueError(f"target must be a TargetMap, got {self.target!r}")
-        self.unitary = np.asarray(self.unitary, dtype=complex)
-        self.gammas = np.asarray(self.gammas, dtype=float).ravel()
-        self.branch_phases = np.asarray(self.branch_phases, dtype=float).ravel()
-        d = self.system_dim * self.probe_dim
-        if self.unitary.shape != (d, d):
+    @classmethod
+    def from_block(cls, system_dim: int, probe_dim: int, target: TargetMap,
+                   support, block, gammas, branch_phases) -> "Machine":
+        """Machine whose unitary is ``block`` on the ascending indices
+        ``support`` and the identity elsewhere."""
+        machine = cls.__new__(cls)
+        machine._design(system_dim, probe_dim, target, gammas, branch_phases)
+        s = np.asarray(support, dtype=np.intp).ravel()
+        machine._support, machine._block = s, np.asarray(block, dtype=complex)
+        steps = np.diff(s, prepend=-1, append=machine.total_dim)
+        if machine._block.shape != (s.size, s.size) or (steps <= 0).any():
             raise DimensionMismatch(
-                f"unitary shape {self.unitary.shape} does not match "
+                f"block {machine._block.shape} on {s.size} ascending indices "
+                f"below {machine.total_dim} expected")
+        return machine
+
+    def _design(self, system_dim, probe_dim, target, gammas, branch_phases):
+        if not isinstance(target, TargetMap):
+            raise ValueError(f"target must be a TargetMap, got {target!r}")
+        for name, value in (("system_dim", system_dim),
+                            ("probe_dim", probe_dim)):
+            if (not isinstance(value, (int, np.integer))
+                    or isinstance(value, bool) or value < 1):
+                raise ValueError(f"{name} must be a positive int, got {value!r}")
+        self.system_dim, self.probe_dim = int(system_dim), int(probe_dim)
+        self.target = target
+        self.gammas = np.asarray(gammas, dtype=float).ravel()
+        self.branch_phases = np.asarray(branch_phases, dtype=float).ravel()
+        if self.gammas.size != self.branch_phases.size:
+            raise DimensionMismatch(f"{self.branch_phases.size} branch phases "
+                                    f"for {self.gammas.size} gammas")
+        if not (np.isfinite(self.gammas).all()
+                and np.isfinite(self.branch_phases).all()):
+            raise ValueError("gammas and branch_phases must be finite")
+        self._dense = None
+
+    @property
+    def unitary(self) -> np.ndarray:
+        if self._dense is None:
+            self._dense = embed_block(self.total_dim, self._support, self._block)
+        return self._dense
+
+    @unitary.setter
+    def unitary(self, value):
+        u = np.asarray(value, dtype=complex)
+        d = self.total_dim
+        if u.shape != (d, d):
+            raise DimensionMismatch(
+                f"unitary shape {u.shape} does not match "
                 f"system_dim * probe_dim = {d}")
+        self._dense = u
 
     @property
     def total_dim(self) -> int:
@@ -100,17 +146,30 @@ class Machine:
         An index whose row and column are exactly those of the identity
         contributes exactly 0 to ``U^dag U - I``, so with ``S`` the other
         indices the error is ``max |V^dag V - I|`` for ``V = U[S, S]``.
-        An entry that differs from the identity's (NaN included) puts its
-        row and its column in ``S``, so no corruption escapes the check.
+        A block-held machine has ``S`` and ``V`` stored.  A dense unitary is
+        scanned exactly: an entry that differs from the identity's (NaN
+        included) puts its row and its column in ``S``, so no edit escapes.
         """
-        u = self.unitary
-        moved = u != 0
-        np.fill_diagonal(moved, np.diagonal(u) != 1)
-        s = np.flatnonzero(moved.any(axis=0) | moved.any(axis=1))
+        u = self._dense
+        if u is None:
+            s, v = self._support, self._block
+        else:
+            moved = u != 0
+            np.fill_diagonal(moved, np.diagonal(u) != 1)
+            s = np.flatnonzero(moved.any(axis=0) | moved.any(axis=1))
+            v = u[np.ix_(s, s)]
         if not s.size:
             return 0.0
-        v = u[np.ix_(s, s)]
         return float(np.abs(v.conj().T @ v - np.eye(s.size)).max())
+
+    def success_block(self) -> np.ndarray:
+        """``U[::p, ::p]``: system to system with the probe kept in state 0."""
+        p = self.probe_dim
+        if self._dense is not None:
+            return self._dense[::p, ::p]
+        keep = self._support % p == 0
+        return embed_block(self.system_dim, self._support[keep] // p,
+                           self._block[np.ix_(keep, keep)])
 
 
 @dataclass
@@ -137,9 +196,10 @@ def _assemble(state_set: StateSet, gram_matrix: GramMatrix, gammas,
     c_matrix = psd_sqrt(m_matrix)
     # member i puts amplitude C*_ij on fill x P_{j+1}, with fill = |0>
     weights = np.sqrt(gammas) * np.exp(1j * phases)
-    unitary = branch_unitary(state_set, weights, n + 1, np.conj(c_matrix).T)
-    machine = Machine(state_set.dim, n + 1, state_set.target, unitary,
-                      gammas.copy(), phases.copy())
+    support, block = branch_block(state_set, weights, n + 1,
+                                  np.conj(c_matrix).T)
+    machine = Machine.from_block(state_set.dim, n + 1, state_set.target,
+                                 support, block, gammas.copy(), phases.copy())
     return machine, float(np.abs(c_matrix @ c_matrix - m_matrix).max())
 
 
@@ -163,11 +223,13 @@ def synthesize(state_set: StateSet):
     c, d_max = float(spectrum[0]), float(spectrum[-1])
 
     if check_exact_unitary(state_set).feasible:
-        unitary = build_exact_unitary(state_set)
+        support, block = branch_block(state_set, 1.0, 1)
+        # the residual of the dense d x d product, as the machine file records it
+        unitary = embed_block(state_set.dim, support, block)
         residual = float(np.abs(unitary @ state_set.matrix()
                                 - state_set.target_matrix()).max())
-        machine = Machine(state_set.dim, 1, state_set.target, unitary,
-                          np.ones(n), np.zeros(n))
+        machine = Machine.from_block(state_set.dim, 1, state_set.target,
+                                     support, block, np.ones(n), np.zeros(n))
         report = SynthesisReport(1.0, c, d_max, residual, path="exact")
         return machine, report
 

@@ -351,7 +351,7 @@ def test_verify_machine_requires_matching_design():
     for gammas in (np.zeros(0), machine.gammas[:1],
                    np.append(machine.gammas, 1.0)):
         short = Machine(machine.system_dim, machine.probe_dim, machine.target,
-                        machine.unitary, gammas, machine.branch_phases)
+                        machine.unitary, gammas, np.zeros(gammas.size))
         with pytest.raises(MachineMismatch):
             verify_machine(short, ss)
     other = StateSet(ss.states, TargetMap.CONJUGATE)
