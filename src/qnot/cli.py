@@ -158,12 +158,12 @@ def cmd_synthesize(args, tol: float) -> int:
     point = _requested_point(args, state_set)
     if point is not None:
         machine = synthesize_with(state_set, *point)
-        doc = serialize.machine_to_dict(machine)
+        doc = serialize.machine_doc(machine)
         lines = [f"machine on {machine.system_dim}x{machine.probe_dim} "
                  f"(system x probe), requested efficiencies honored"]
     else:
         machine, report = synthesize(state_set)
-        doc = serialize.machine_to_dict(machine)
+        doc = serialize.machine_doc(machine)
         doc["report"] = dataclasses.asdict(report)
         lines = [f"machine on {machine.system_dim}x{machine.probe_dim} "
                  f"(system x probe), path={report.path}, "

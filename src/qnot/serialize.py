@@ -4,7 +4,13 @@ Complex numbers travel as ``[re, im]`` pairs, and a complex array as the
 nested lists of its pairs.  Floats are emitted with Python's shortest
 round-trip repr, so parsing a written file reproduces every amplitude
 bit-for-bit (well inside the 1e-12 contract).  Documents are written
-without indentation, because only then does :mod:`json` use its C encoder.
+compact, on :mod:`json`'s C encoder, except for a complex matrix held as
+an array at the top level of a document, such as a machine's unitary.
+:func:`dumps` prints that one itself, byte for byte as the encoder prints
+its nested lists: a machine unitary moves only ``s = d + n`` of its
+``D = d (n + 1)`` coordinates, so all but about ``s^2`` of its ``D^2``
+entries are exactly 0 or 1, whose text is a constant, and only the rest go
+through ``repr``.
 """
 from __future__ import annotations
 
@@ -28,6 +34,58 @@ def _complex_lists(z) -> list:
     """Nested lists of ``[re, im]`` pairs, one per entry of ``z``."""
     z = np.asarray(z, dtype=complex)
     return np.stack([z.real, z.imag], -1).tolist()
+
+
+_ONE_BITS = np.array([1.0, 0.0]).view(np.uint64)  # 1 + 0j, bit for bit
+_ZERO_TEXT = "[0.0, 0.0]"
+_ONE_TEXT = "[1.0, 0.0]"
+
+
+def _is_complex_matrix(value) -> bool:
+    return (isinstance(value, np.ndarray) and value.dtype.kind == "c"
+            and value.ndim == 2)
+
+
+def _zero_run(count: int) -> str:
+    return (_ZERO_TEXT + ", ") * (count - 1) + _ZERO_TEXT
+
+
+def _complex_matrix_rows(z: np.ndarray) -> list:
+    """``json.dumps(_complex_lists(z))`` as a list of pieces to concatenate.
+
+    Cells are told apart by their bits, so ``-0.0`` is never printed as
+    ``0.0``: an exact ``+0`` cell is the constant ``[0.0, 0.0]``, an exact
+    ``1`` (imaginary part ``+0``) is ``[1.0, 0.0]``, and only the others go
+    through ``float.__repr__``, as in the encoder.  A row is its runs of
+    zero cells and its other cells, joined once.  A non-finite entry raises
+    :class:`ValueError`, as ``json.dumps(allow_nan=False)`` does.
+    """
+    pairs = np.ascontiguousarray(z, dtype=complex).view(float).reshape(
+        z.shape + (2,))
+    if not np.isfinite(pairs).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    bits = pairs.view(np.uint64)
+    rows, cols = np.nonzero(bits[..., 0] | bits[..., 1])  # all but +0 + 0j
+    one = (bits[rows, cols] == _ONE_BITS).all(axis=-1)
+    cells = np.full(rows.size, _ONE_TEXT, dtype=object)
+    cells[~one] = [f"[{x!r}, {y!r}]" for x, y
+                   in pairs[rows[~one], cols[~one]].tolist()]
+    bounds = np.searchsorted(rows, np.arange(z.shape[0] + 1)).tolist()
+    cols, cells = cols.tolist(), cells.tolist()
+    width = z.shape[1]
+    pieces = ["["]
+    for r in range(z.shape[0]):
+        row, last = [], -1
+        for k in range(bounds[r], bounds[r + 1]):
+            if cols[k] > last + 1:
+                row.append(_zero_run(cols[k] - last - 1))
+            row.append(cells[k])
+            last = cols[k]
+        if width > last + 1:
+            row.append(_zero_run(width - last - 1))
+        pieces.append(("[" if r == 0 else ", [") + ", ".join(row) + "]")
+    pieces.append("]")
+    return pieces
 
 
 def _int(value, what: str) -> int:
@@ -110,15 +168,23 @@ def state_set_from_dict(doc) -> StateSet:
     return StateSet(tuple(state_from_dict(s) for s in states), target)
 
 
-def machine_to_dict(machine: Machine) -> dict:
+def machine_doc(machine: Machine) -> dict:
+    """The machine document with ``"unitary"`` as the complex array, for
+    :func:`dumps`; :func:`machine_to_dict` is its JSON-native form."""
     return {
         "system_dim": machine.system_dim,
         "probe_dim": machine.probe_dim,
         "target": machine.target.value,
-        "unitary": _complex_lists(machine.unitary),
+        "unitary": machine.unitary,
         "gammas": [float(g) for g in machine.gammas],
         "phases": [float(p) for p in machine.branch_phases],
     }
+
+
+def machine_to_dict(machine: Machine) -> dict:
+    doc = machine_doc(machine)
+    doc["unitary"] = _complex_lists(doc["unitary"])
+    return doc
 
 
 def machine_from_dict(doc) -> Machine:
@@ -170,11 +236,28 @@ def report_to_dict(report: SimulationReport) -> dict:
 
 
 def dumps(doc) -> str:
-    """The one JSON writer: compact text on the C encoder, newline-terminated.
+    """The one JSON writer: compact text, newline-terminated.
 
-    A non-finite float raises :class:`ValueError`, as :func:`load` refuses it.
+    A dict document may hold a complex 2-d array as a top-level value
+    (under a string key); it is printed exactly as ``json.dumps`` prints
+    :func:`_complex_lists` of it, without building those lists.  Everything
+    else goes through the C encoder.  A non-finite float raises
+    :class:`ValueError`, as :func:`load` refuses it.
     """
-    return json.dumps(doc, allow_nan=False) + "\n"
+    if not (isinstance(doc, dict)
+            and any(map(_is_complex_matrix, doc.values()))):
+        return json.dumps(doc, allow_nan=False) + "\n"
+    pieces = ["{"]
+    for i, (key, value) in enumerate(doc.items()):
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str beside an array, got {key!r}")
+        pieces.append((", " if i else "") + json.dumps(key) + ": ")
+        if _is_complex_matrix(value):
+            pieces += _complex_matrix_rows(value)
+        else:
+            pieces.append(json.dumps(value, allow_nan=False))
+    pieces.append("}\n")
+    return "".join(pieces)
 
 
 def write(path, text: str) -> None:

@@ -16,6 +16,7 @@ explicitly, so every report is reproducible.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -106,6 +107,16 @@ def run_exact(machine: Machine, state: QuditState,
                        float(phases[0]), outputs[:, 0])
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int; a bool or a non-integer is a ValueError."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def verify_machine(machine: Machine, state_set: StateSet,
                    shots: Optional[int] = None,
                    seed: int = 42) -> SimulationReport:
@@ -119,11 +130,16 @@ def verify_machine(machine: Machine, state_set: StateSet,
     unitarity error; failures never raise, they are entries in the report.
     With ``shots`` positive, a Monte Carlo record per member is appended
     (one generator seeded with ``seed``, members sampled in order); ``None``
-    or 0 means the exact report alone, and ``shots`` outside numpy's int64
-    range ``[0, 2**63 - 1]`` raises :class:`ValueError`.
+    or 0 means the exact report alone.  ``shots`` and ``seed`` are stored as
+    Python ints; a bool, a value that is not an integer (``2.5``, ``5.0``),
+    or ``shots`` outside numpy's int64 range ``[0, 2**63 - 1]`` raises
+    :class:`ValueError`.
     """
-    if shots is not None and not 0 <= shots <= np.iinfo(np.int64).max:
-        raise ValueError(f"shots must lie in [0, 2**63 - 1], got {shots}")
+    seed = _integer(seed, "seed")
+    if shots is not None:
+        shots = _integer(shots, "shots")
+        if not 0 <= shots <= np.iinfo(np.int64).max:
+            raise ValueError(f"shots must lie in [0, 2**63 - 1], got {shots}")
     if state_set.dim != machine.system_dim:
         raise DimensionMismatch(
             f"set dim {state_set.dim} vs machine system dim {machine.system_dim}")

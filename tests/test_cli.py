@@ -1,4 +1,5 @@
 """End-to-end command line tests driven through ``main(argv)``."""
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,10 +9,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qnot import TargetMap, TripleBoundInput
+from qnot import (
+    TargetMap,
+    TripleBoundInput,
+    gram,
+    serialize,
+    standard_probe,
+    synthesize,
+    synthesize_with,
+)
 from qnot.cli import main
 
-from conftest import near_dependent_triple, random_set, worked_triple
+from conftest import (
+    near_dependent_triple,
+    random_set,
+    random_state,
+    worked_triple,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -662,6 +676,52 @@ def test_machine_file_keeps_re_im_layout(tmp_path, capsys):
     doc = json.loads(text)
     d = doc["system_dim"] * doc["probe_dim"]
     assert np.asarray(doc["unitary"], dtype=float).shape == (d, d, 2)
+
+
+def _set_path_and_request(tmp_path, case):
+    """A set file and the ``synthesize`` options of one of its three paths."""
+    rng = np.random.default_rng(44)
+    if case == "gamma":
+        doc = hard_triple_doc()
+        ss = serialize.state_set_from_dict(doc)
+        phases = standard_probe(gram(ss)).phases
+        return (write_doc(tmp_path, "set.json", doc),
+                ["--gamma", "0.7,0.7,0.7",
+                 "--phases", ",".join(repr(float(p)) for p in phases)])
+    amps = [random_state(rng, 4, real=case == "exact").amps for _ in range(4)]
+    return write_doc(tmp_path, "set.json", state_set_doc(amps)), []
+
+
+@pytest.mark.parametrize("case", ["general", "exact", "gamma"])
+def test_machine_file_bytes_are_the_encoders(tmp_path, capsys, case):
+    """The file is json.dumps of the JSON-native machine document, byte for
+    byte, and reads back as a machine that verifies; text output is one
+    line."""
+    set_path, request = _set_path_and_request(tmp_path, case)
+    ss = serialize.state_set_from_dict(serialize.load(set_path))
+    if request:
+        machine = synthesize_with(ss, np.full(3, 0.7),
+                                  standard_probe(gram(ss)))
+        doc = serialize.machine_to_dict(machine)
+        summary = "requested efficiencies honored"
+    else:
+        machine, report = synthesize(ss)
+        assert report.path == case
+        doc = {**serialize.machine_to_dict(machine),
+               "report": dataclasses.asdict(report)}
+        summary = f"path={case}, gamma={report.epsilon:.6f}"
+    machine_path = tmp_path / "machine.json"
+    assert main(["synthesize", "--input", set_path, *request,
+                 "--output", str(machine_path)]) == 0
+    assert machine_path.read_text() == json.dumps(doc) + "\n"
+    code, sim = run(capsys, ["simulate", "--input", set_path,
+                             "--machine", str(machine_path)])
+    assert code == 0 and sim["all_ok"]
+    assert main(["synthesize", "--input", set_path, *request,
+                 "--format", "text"]) == 0
+    assert capsys.readouterr().out == (
+        f"machine on {machine.system_dim}x{machine.probe_dim} "
+        f"(system x probe), {summary}\n")
 
 
 def test_env_tolerance_does_not_reach_synthesize(tmp_path, capsys,

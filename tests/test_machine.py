@@ -28,7 +28,12 @@ from qnot import (
     verify_machine,
 )
 from qnot.linalg import completion_block
-from qnot.serialize import dumps, machine_from_dict, machine_to_dict
+from qnot.serialize import (
+    dumps,
+    machine_doc,
+    machine_from_dict,
+    machine_to_dict,
+)
 
 
 def _branches(ss, machine):
@@ -125,6 +130,7 @@ def test_machine_file_bytes_do_not_depend_on_the_storage(case):
                     machine.gammas, machine.branch_phases)
     text = dumps(machine_to_dict(machine))
     assert text == dumps(machine_to_dict(dense))
+    assert text == dumps(machine_doc(machine)) == dumps(machine_doc(dense))
     assert verify_machine(machine_from_dict(json.loads(text)), ss).all_ok
 
 

@@ -1,4 +1,6 @@
 """Exact and Monte Carlo simulation of synthesized machines."""
+import json
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from qnot import (
     verify_machine,
 )
 from qnot.errors import DimensionMismatch, MachineMismatch
+from qnot.serialize import dumps, report_to_dict
 
 from conftest import (
     qubit,
@@ -306,6 +309,34 @@ def test_shot_count_must_fit_in_int64():
     top = verify_machine(machine, ss, shots=2**63 - 1)
     assert top.shots == 2**63 - 1
     assert all(0 <= m.successes <= top.shots for m in top.mc_records)
+
+
+@pytest.mark.parametrize("kwargs", [{"shots": 2.5}, {"shots": 5.0},
+                                    {"shots": True}, {"shots": np.True_},
+                                    {"shots": "5"}, {"shots": 5, "seed": True},
+                                    {"shots": 5, "seed": 1.5},
+                                    {"shots": 5, "seed": None}])
+def test_shot_count_and_seed_must_be_integers(kwargs):
+    rng = np.random.default_rng(23)
+    ss = random_independent_set(rng, 2, 2, TargetMap.NOT)
+    machine, _ = synthesize(ss)
+    name = "seed" if "seed" in kwargs else "shots"
+    with pytest.raises(ValueError, match=name):
+        verify_machine(machine, ss, **kwargs)
+
+
+def test_numpy_integer_shots_and_seed_are_stored_as_ints():
+    rng = np.random.default_rng(23)
+    ss = random_independent_set(rng, 2, 2, TargetMap.NOT)
+    machine, _ = synthesize(ss)
+    report = verify_machine(machine, ss, shots=np.int64(5), seed=np.int32(7))
+    assert type(report.shots) is int and type(report.seed) is int
+    assert all(type(m.shots) is int and type(m.seed) is int
+               for m in report.mc_records)
+    doc = json.loads(dumps(report_to_dict(report)))
+    assert doc["shots"] == 5 and doc["seed"] == 7
+    assert report.mc_records == verify_machine(machine, ss, shots=5,
+                                               seed=7).mc_records
 
 
 def test_verify_machine_flags_zero_success_member():
