@@ -37,13 +37,12 @@ from .errors import (
     InvalidProbe,
     InvalidProbeGram,
     LinearlyDependentPair,
-    WrongDimension,
     ZeroOverlap,
 )
 from .linalg import (GRAM_TOL, HERMITICITY_TOL, PSD_TOL, completion_block,
-                     embed_block, range_null, smallest_eigenvalue)
-from .states import (NORM_TOL, GramMatrix, QuditState, StateSet, gram,
-                     orthogonal_complement)
+                     embed_block, gram_of, null_count, range_null,
+                     smallest_eigenvalue)
+from .states import NORM_TOL, GramMatrix, QuditState, StateSet, TargetMap, gram
 
 IMAG_TOL = 1e-9
 PARALLEL_TOL = 1e-8
@@ -131,14 +130,7 @@ class FeasibilityVerdict:
 
 def check_exact_unitary(state_set: StateSet) -> FeasibilityVerdict:
     """Exact target map by a plain unitary exists iff the Gram is real."""
-    g = gram(state_set).matrix
-    imag = np.abs(g.imag)
-    worst = float(imag.max())
-    if worst <= IMAG_TOL:
-        return FeasibilityVerdict(True)
-    i, j = np.unravel_index(int(np.argmax(imag)), imag.shape)
-    return FeasibilityVerdict(
-        False, violation={"indices": [int(i), int(j)], "residual": worst})
+    return _worst_entry(np.abs(gram(state_set).matrix.imag), IMAG_TOL)
 
 
 def check_exact_with_probe(state_set: StateSet) -> FeasibilityVerdict:
@@ -160,9 +152,15 @@ def check_exact_with_probe(state_set: StateSet) -> FeasibilityVerdict:
         raise ZeroOverlap(int(zero[0, 0]), int(zero[0, 1]))
     witness = standard_probe(gm)
     g = gm.matrix
-    dev = np.abs(g - witness.matrix * np.conj(g))
+    return _worst_entry(np.abs(g - witness.matrix * np.conj(g)), GRAM_TOL,
+                        witness)
+
+
+def _worst_entry(dev: np.ndarray, tol: float,
+                 witness: Optional[ProbeSpec] = None) -> FeasibilityVerdict:
+    """Feasible iff all ``dev <= tol``, else a violation at the worst entry."""
     worst = float(dev.max())
-    if worst <= GRAM_TOL:
+    if worst <= tol:
         return FeasibilityVerdict(True, witness=witness)
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
     return FeasibilityVerdict(
@@ -261,12 +259,9 @@ def check_probabilistic(state_set: StateSet, gammas, probe: ProbeSpec,
     gammas = efficiencies(gammas, g.shape[0])
     lam_min = smallest_eigenvalue(scaled_constraint(g, k, gammas))
     miss = null_miss(k, gammas, range_null(g)[1])
-    if lam_min >= -tol and miss <= GRAM_TOL:
-        return FeasibilityVerdict(True, witness=probe, lambda_min=lam_min)
-    return FeasibilityVerdict(
-        False, witness=probe,
-        violation={"lambda_min": lam_min, "null_miss": miss},
-        lambda_min=lam_min)
+    feasible = lam_min >= -tol and miss <= GRAM_TOL
+    violation = None if feasible else {"lambda_min": lam_min, "null_miss": miss}
+    return FeasibilityVerdict(feasible, probe, violation, lam_min)
 
 
 def solve_dependent_triple(s1: QuditState, s2: QuditState, s3: QuditState,
@@ -281,21 +276,22 @@ def solve_dependent_triple(s1: QuditState, s2: QuditState, s3: QuditState,
 
     must be parallel to ``s3_perp`` with norm at most 1.  Returns the pair
     ``(gamma3, chi)`` with ``v = sqrt(gamma3) exp(i chi) s3_perp``, or
-    ``None`` when the constraint cannot be met.
+    ``None`` when the constraint cannot be met.  Raises
+    :class:`LinearlyDependentPair` when the rank decision, ``null_count``
+    of the pair's Gram, is not 0.
     """
-    for s in (s1, s2, s3):
-        if s.dim != 2:
-            raise WrongDimension("dependent-triple analysis is for qubits")
+    # a NOT set refuses states that are not qubits
+    triple = StateSet((s1, s2, s3), TargetMap.NOT)
     gamma1, gamma2 = efficiencies([gamma1, gamma2], 2)
     if not np.isfinite(phase):
         raise ValueError(f"phase = {phase!r} must be finite")
-    basis = np.stack([s1.amps, s2.amps], axis=1)
-    if np.linalg.svd(basis, compute_uv=False)[-1] < 1e-9:
+    psi, perp = triple.matrix(), triple.target_matrix()
+    if null_count(np.linalg.eigh(gram_of(psi[:, :2]))[0]):
         raise LinearlyDependentPair("reference states are parallel")
-    alpha, beta = np.linalg.solve(basis, s3.amps)
-    v = (alpha * np.sqrt(gamma1) * orthogonal_complement(s1).amps
-         + beta * np.exp(1j * phase) * np.sqrt(gamma2) * orthogonal_complement(s2).amps)
-    t3 = orthogonal_complement(s3).amps
+    alpha, beta = np.linalg.solve(psi[:, :2], psi[:, 2])
+    v = (alpha * np.sqrt(gamma1) * perp[:, 0]
+         + beta * np.exp(1j * phase) * np.sqrt(gamma2) * perp[:, 1])
+    t3 = perp[:, 2]
     lam = np.vdot(t3, v)
     if np.linalg.norm(v - lam * t3) > PARALLEL_TOL:
         return None

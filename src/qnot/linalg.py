@@ -22,7 +22,8 @@ Every PSD decision (:func:`is_psd`, :func:`psd_sqrt`, probe Grams and the
 feasibility and search code) compares :func:`smallest_eigenvalue` against
 ``-PSD_TOL`` (the searches and the probabilistic check at their ``tol``),
 so a matrix one of them accepts is accepted by all of them.  Every rank
-decision is :func:`null_count` on a Gram's spectrum.  The Hermitian and
+decision is :func:`null_count` of a Gram's ``eigh`` spectrum, as in
+:func:`range_null`, never of ``eigvalsh`` or an SVD.  The Hermitian and
 Gram tests are written so that NaN fails them, so :func:`is_psd`,
 :func:`psd_sqrt` and :func:`unitary_completion` refuse a NaN entry.
 """
@@ -62,8 +63,8 @@ def smallest_eigenvalue(m: np.ndarray) -> float:
 
 
 def null_count(spectrum: np.ndarray) -> int:
-    """The one rank decision: how many of an ascending PSD spectrum are zero,
-    ``lambda <= RANK_TOL * n * lambda_max``."""
+    """The one rank decision: how many of an ascending ``eigh`` spectrum are
+    zero, ``lambda <= RANK_TOL * n * lambda_max``."""
     return int(np.count_nonzero(spectrum <= RANK_TOL * spectrum.size
                                 * spectrum[-1]))
 

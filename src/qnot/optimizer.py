@@ -45,8 +45,8 @@ from functools import partial
 import numpy as np
 
 from .errors import DegenerateDeterminant, NoFeasiblePoint, NotPSD
-from .feasibility import (ProbeSpec, check_probabilistic, constraint_kernel,
-                          null_miss, scaled_constraint, standard_probe)
+from .feasibility import (ProbeSpec, constraint_kernel, null_miss,
+                          scaled_constraint, standard_probe)
 from .linalg import (GRAM_TOL, PSD_TOL, null_count, range_null,
                      smallest_eigenvalue)
 from .states import GramMatrix, StateSet, gram
@@ -124,11 +124,10 @@ def gamma_max_triple(inp: TripleBoundInput) -> float:
     test.
     """
     g = inp.gram_matrix().matrix
-    spectrum = np.linalg.eigvalsh(g)
-    if spectrum[0] < -PSD_TOL:
+    if smallest_eigenvalue(g) < -PSD_TOL:
         raise NotPSD("overlap data is not a positive semidefinite Gram")
     a = inp.a
-    if null_count(spectrum):
+    if null_count(np.linalg.eigh(g)[0]):
         raise DegenerateDeterminant(
             f"Gram rank is below 3 (|det| = {abs(a):.3e})")
     s = inp.t23 ** 2 * np.sin(inp.delta) ** 2
@@ -270,6 +269,6 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
             if biggest_move < COORDINATE_CONVERGENCE:
                 break
 
-    lam_min = check_probabilistic(state_set, gammas, probe, tol).lambda_min
+    lam_min = smallest_eigenvalue(scaled_constraint(g, k, gammas))
     return GammaSearchResult(gammas, probe, float(gammas.mean()), calls,
                              lam_min)

@@ -28,12 +28,16 @@ class TargetMap(Enum):
 
 @dataclass(frozen=True, eq=False)
 class QuditState:
-    """Normalized pure state on a d-level system."""
+    """Normalized pure state on a d-level system, with read-only ``amps``."""
 
     amps: np.ndarray
 
     def __post_init__(self):
         amps = np.asarray(self.amps, dtype=complex).ravel()
+        # copy only a view: a strided or cast input is a fresh array already
+        if not amps.flags.owndata:
+            amps = amps.copy()
+        amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
         if amps.size < 2:
             raise WrongDimension("qudit dimension must be at least 2")
@@ -94,6 +98,7 @@ class StateSet:
 
     states: tuple[QuditState, ...]
     target: TargetMap
+    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.target, TargetMap):
@@ -102,11 +107,14 @@ class StateSet:
         object.__setattr__(self, "states", states)
         if not states:
             raise DimensionMismatch("state set must contain at least one state")
-        dim = states[0].dim
-        for s in states:
-            if s.dim != dim:
-                raise DimensionMismatch("all states must share one dimension")
-        if self.target is TargetMap.NOT and dim != 2:
+        if not all(isinstance(s, QuditState) for s in states):
+            raise ValueError("members must be QuditState instances")
+        if len({s.dim for s in states}) != 1:
+            raise DimensionMismatch("all states must share one dimension")
+        matrix = np.stack([s.amps for s in states], axis=1)
+        matrix.flags.writeable = False
+        object.__setattr__(self, "_matrix", matrix)
+        if self.target is TargetMap.NOT and self.dim != 2:
             raise WrongDimension("NOT target requires qubit states")
 
     def __len__(self) -> int:
@@ -117,15 +125,15 @@ class StateSet:
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self._matrix.shape[0]
 
     @classmethod
     def from_amplitudes(cls, rows, target: TargetMap) -> "StateSet":
         return cls(tuple(map(QuditState, rows)), target)
 
     def matrix(self) -> np.ndarray:
-        """States stacked as columns of a dim-by-n matrix."""
-        return np.stack([s.amps for s in self.states], axis=1)
+        """States stacked as columns of a dim-by-n matrix (read-only)."""
+        return self._matrix
 
     def target_matrix(self) -> np.ndarray:
         """Target states stacked as columns, like :meth:`matrix`."""

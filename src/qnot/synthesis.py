@@ -23,10 +23,10 @@ families get safe equal efficiencies
 ``epsilon = ETA * lambda_min(G) / lambda_max(conj(G))`` with ``ETA = 0.999``
 and the zero-phase probe, which keeps ``M = G - epsilon conj(G)`` strictly
 positive; a family is dependent when :func:`qnot.linalg.null_count`, the
-one rank decision, zeroes part of that spectrum.  :func:`synthesize_with`
-decides the caller's point with :func:`qnot.feasibility.check_probabilistic`;
-both build through one assembly step with ``M`` from
-:func:`qnot.feasibility.constraint_matrix`.
+one rank decision, zeroes part of the Gram's ``eigh`` spectrum.
+:func:`synthesize_with` decides the caller's point with
+:func:`qnot.feasibility.check_probabilistic`; both build through one
+assembly step with ``M`` from :func:`qnot.feasibility.constraint_matrix`.
 
 The machine unitary moves only the support of its branches, ``s = d + n``
 of the ``D = d (n + 1)`` joint coordinates; every other row and column is
@@ -91,7 +91,10 @@ class Machine:
         ``support`` and the identity elsewhere."""
         machine = cls.__new__(cls)
         machine._design(system_dim, probe_dim, target, gammas, branch_phases)
-        s = np.asarray(support, dtype=np.intp).ravel()
+        s = np.asarray(support).ravel()
+        if s.size and s.dtype.kind not in "iu":
+            raise DimensionMismatch(f"support dtype {s.dtype} is not integral")
+        s = s.astype(np.intp)
         machine._support, machine._block = s, np.asarray(block, dtype=complex)
         steps = np.diff(s, prepend=-1, append=machine.total_dim)
         if machine._block.shape != (s.size, s.size) or (steps <= 0).any():
@@ -219,19 +222,17 @@ def synthesize(state_set: StateSet):
     """
     n = len(state_set)
     gm = gram(state_set)
-    spectrum = np.linalg.eigvalsh(gm.matrix)
+    spectrum = np.linalg.eigh(gm.matrix)[0]
     c, d_max = float(spectrum[0]), float(spectrum[-1])
 
     if check_exact_unitary(state_set).feasible:
-        support, block = branch_block(state_set, 1.0, 1)
-        # the residual of the dense d x d product, as the machine file records it
-        unitary = embed_block(state_set.dim, support, block)
-        residual = float(np.abs(unitary @ state_set.matrix()
-                                - state_set.target_matrix()).max())
         machine = Machine.from_block(state_set.dim, 1, state_set.target,
-                                     support, block, np.ones(n), np.zeros(n))
-        report = SynthesisReport(1.0, c, d_max, residual, path="exact")
-        return machine, report
+                                     *branch_block(state_set, 1.0, 1),
+                                     np.ones(n), np.zeros(n))
+        # the residual of the dense d x d product, as the machine file records it
+        residual = float(np.abs(machine.success_block() @ state_set.matrix()
+                                - state_set.target_matrix()).max())
+        return machine, SynthesisReport(1.0, c, d_max, residual, path="exact")
 
     if null_count(spectrum):
         raise LinearlyDependent(

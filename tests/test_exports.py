@@ -21,6 +21,21 @@ TOLERANCES = {
     "states.NORM_TOL",
 }
 
+# Every ``eigvalsh``, ``eigh`` and ``svd`` call, as ``(solver, module.function)``.
+# A rank decision reads an ``eigh`` spectrum; ``eigvalsh`` serves only the
+# PSD test and EQUAL's lambda_max, and the SVD only the polar factor, so a
+# new call fails here until it is registered.
+EIGENSOLVERS = {
+    ("eigvalsh", "linalg.smallest_eigenvalue"),
+    ("eigvalsh", "optimizer.search_gamma"),
+    ("eigh", "feasibility.solve_dependent_triple"),
+    ("eigh", "linalg.psd_sqrt"),
+    ("eigh", "linalg.range_null"),
+    ("eigh", "optimizer.gamma_max_triple"),
+    ("eigh", "synthesis.synthesize"),
+    ("svd", "linalg.completion_block"),
+}
+
 
 def test_every_exported_name_resolves():
     """``import qnot`` does not check ``__all__``; a stale entry shows here."""
@@ -68,3 +83,26 @@ def test_tolerance_constants_are_registered():
             found.update(f"{path.stem}.{t.id}" for t in targets
                          if isinstance(t, ast.Name) and t.id.endswith("_TOL"))
     assert found == TOLERANCES
+
+
+def _solver_calls(node, module: str, scope: tuple = ()):
+    """``(solver, module.scope)`` for each eigensolver call under ``node``."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        scope = scope + (node.name,)
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(
+            func, "id", None)
+        if name in ("eigvalsh", "eigh", "svd"):
+            yield name, ".".join((module,) + scope)
+    for child in ast.iter_child_nodes(node):
+        yield from _solver_calls(child, module, scope)
+
+
+def test_eigensolver_calls_are_registered():
+    found = set()
+    for path in Path(qnot.__file__).parent.glob("*.py"):
+        found.update(_solver_calls(ast.parse(path.read_text()), path.stem))
+    assert found == EIGENSOLVERS
+    assert {where for solver, where in found if solver == "eigvalsh"} == {
+        "linalg.smallest_eigenvalue", "optimizer.search_gamma"}

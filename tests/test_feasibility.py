@@ -44,6 +44,7 @@ from qnot import (
     target_state,
 )
 from qnot.feasibility import efficiencies
+from qnot.linalg import gram_of, range_null
 
 
 def states_for_gram(g, dim, target):
@@ -534,6 +535,16 @@ class TestDependentTriple:
         s = qubit(1, 1)
         with pytest.raises(LinearlyDependentPair):
             solve_dependent_triple(s, QuditState(-s.amps), s, 1.0, 1.0, 0.0)
+
+    def test_near_parallel_pair_refused_as_range_null_calls_it(self):
+        """sigma_min of the pair is 7e-7: far above the old SVD cut at
+        1e-9, but its Gram's null space is what the rank decision sees."""
+        s1, s2 = qubit(1, 0), qubit(1, 1e-6)
+        pair = np.stack([s1.amps, s2.amps], axis=1)
+        assert np.linalg.svd(pair, compute_uv=False)[-1] > 1e-7
+        assert range_null(gram_of(pair))[1].shape[1] == 1
+        with pytest.raises(LinearlyDependentPair):
+            solve_dependent_triple(s1, s2, qubit(1, 2), 0.5, 0.5, 0.0)
 
     @pytest.mark.parametrize("phase", [np.nan, np.inf, -np.inf])
     def test_non_finite_phase_refused(self, phase):

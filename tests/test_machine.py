@@ -184,7 +184,8 @@ def test_machine_takes_numpy_integer_dimensions():
 
 @pytest.mark.parametrize("support, block", [
     ([0, 1], np.eye(3)), ([1, 0], np.eye(2)), ([0, 4], np.eye(2)),
-    ([-1, 0], np.eye(2)), ([1, 1], np.eye(2))])
+    ([-1, 0], np.eye(2)), ([1, 1], np.eye(2)), ([0.4, 1.9], np.eye(2)),
+    ([0.0, np.nan], np.eye(2)), ([True, False], np.eye(2))])
 def test_block_must_sit_on_ascending_indices_of_the_machine(support, block):
     with pytest.raises(DimensionMismatch):
         Machine.from_block(2, 2, TargetMap.NOT, support, block, np.ones(1),

@@ -76,6 +76,20 @@ class TestQuditState:
         with pytest.raises(DimensionMismatch):
             qubit(1, 0).overlap(QuditState(np.array([1.0, 0, 0])))
 
+    def test_amplitudes_are_frozen(self):
+        s = qubit(1, 1j)
+        with pytest.raises(ValueError, match="read-only"):
+            s.amps[0] = 5
+
+    def test_editing_the_callers_array_leaves_the_state_alone(self):
+        flat = np.array([0.6, 0.8j])
+        rows = np.array([[1.0, 0.0], [0.6, 0.8j]])
+        s = QuditState(flat)
+        t = StateSet.from_amplitudes(rows, TargetMap.NOT).states[1]
+        flat[0], rows[1, 0] = 5.0, 5.0
+        np.testing.assert_array_equal(s.amps, [0.6, 0.8j])
+        np.testing.assert_array_equal(t.amps, [0.6, 0.8j])
+
 
 class TestTargetMaps:
     def test_complement_of_basis_states(self):
@@ -162,6 +176,19 @@ class TestStateSet:
     def test_empty_rejected(self):
         with pytest.raises(DimensionMismatch):
             StateSet((), TargetMap.NOT)
+
+    def test_members_must_be_states(self):
+        with pytest.raises(ValueError, match="QuditState"):
+            StateSet(([1, 0], [0, 1]), TargetMap.NOT)
+
+    def test_matrix_is_read_only_and_stacked_once(self):
+        ss = StateSet((qubit(1, 0), qubit(1, 1j)), TargetMap.NOT)
+        assert ss.matrix() is ss.matrix()
+        with pytest.raises(ValueError, match="read-only"):
+            ss.matrix()[0, 0] = 5
+        # the edit that once made the set's Gram read 25
+        with pytest.raises(ValueError, match="read-only"):
+            ss.states[0].amps[0] = 5
 
     def test_target_must_be_a_target_map(self):
         # a bare string would reach target_amps and get the spin flip

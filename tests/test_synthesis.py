@@ -30,6 +30,7 @@ from qnot import (
     synthesize_with,
     verify_machine,
 )
+from qnot.linalg import range_null
 from qnot.serialize import dumps, machine_from_dict, machine_to_dict
 
 
@@ -83,6 +84,34 @@ class TestSynthesize:
         ss = worked_triple(0.4)  # three qubit states are never independent
         with pytest.raises(LinearlyDependent):
             synthesize(ss)
+
+    def test_refuses_exactly_the_families_range_null_calls_dependent(self):
+        """Bisect the noise on the last member of ``combination + e noise``
+        to the rank edge, where an ``eigvalsh`` spectrum can count a null
+        eigenvalue that the ``eigh`` one does not, or the other way round."""
+        rng = np.random.default_rng(1)
+        for n in (3, 4, 5, 6) * 3:
+            psi = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            coef = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
+            noise = rng.normal(size=n) + 1j * rng.normal(size=n)
+
+            def family(e):
+                psi[:, -1] = psi[:, :-1] @ coef + e * noise
+                rows = (psi / np.linalg.norm(psi, axis=0)).T
+                ss = StateSet.from_amplitudes(rows, TargetMap.CONJUGATE)
+                return ss, range_null(gram(ss).matrix)[1].shape[1] > 0
+
+            lo, hi = 0.0, 1.0
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if family(mid)[1] else (lo, mid)
+            for e in (lo, hi):
+                ss, dependent = family(e)
+                if dependent:
+                    with pytest.raises(LinearlyDependent):
+                        synthesize(ss)
+                else:
+                    assert_all_green(synthesize(ss)[0], ss)
 
     def test_dependent_real_family_takes_exact_path(self):
         # three qubit states are dependent, but a real Gram needs no probe
