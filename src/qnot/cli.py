@@ -20,18 +20,15 @@ vs oracle disagreement, 6 degenerate determinant.  JSON output is compact
 ``lambda_min`` of the constraint matrix ``M`` and ``null_miss``, how far
 ``M`` misses zero on the Gram's null space (feasible at most 1e-8).
 
-The environment variable ``QNOT_TOL``, a finite number at least 0 (else
-exit 2 for every subcommand), replaces the PSD tolerance of 1e-9 in
-``check --gamma`` and ``oracle``.  ``gamma-max`` compares its closed form
-and oracle at the fixed 1e-9 (``linalg.PSD_TOL``), and ``synthesize
---gamma`` decides with ``check_probabilistic`` at the same 1e-9, since no
-machine realizes a point below it; such a point exits 2 there.
+Every subcommand decides PSD questions at the one fixed threshold 1e-9
+(``linalg.PSD_TOL``), and no environment variable moves it, so a point
+that ``check --gamma`` accepts or ``oracle`` prints builds with
+``synthesize --gamma``.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 import numpy as np
@@ -49,7 +46,6 @@ from .feasibility import (
     check_exact_with_probe,
     check_probabilistic,
 )
-from .linalg import PSD_TOL
 from .optimizer import (
     GammaPolicy,
     TripleBoundInput,
@@ -67,7 +63,7 @@ GAMMA_MAX_AGREEMENT = 1e-5
 
 def _parse_floats(text: str) -> np.ndarray:
     try:
-        return np.array([float(x) for x in text.split(",") if x.strip() != ""])
+        return np.array([float(x) for x in text.split(",")])
     except ValueError:
         raise serialize.SchemaError(f"cannot parse float list {text!r}") from None
 
@@ -116,7 +112,7 @@ def _gram_text(gm) -> list[str]:
     return lines
 
 
-def cmd_check(args, tol: float) -> int:
+def cmd_check(args) -> int:
     state_set = _load_set(args.input)
     gm = gram(state_set)
     doc = {}
@@ -131,7 +127,7 @@ def cmd_check(args, tol: float) -> int:
                                    "reason": str(exc)}
     point = _requested_point(args, state_set)
     if point is not None:
-        v3 = check_probabilistic(state_set, *point, tol)
+        v3 = check_probabilistic(state_set, *point)
         doc["probabilistic"] = serialize.verdict_to_dict(v3)
 
     lines = _gram_text(gm)
@@ -153,7 +149,7 @@ def cmd_check(args, tol: float) -> int:
     return 0
 
 
-def cmd_synthesize(args, tol: float) -> int:
+def cmd_synthesize(args) -> int:
     state_set = _load_set(args.input)
     point = _requested_point(args, state_set)
     if point is not None:
@@ -172,7 +168,7 @@ def cmd_synthesize(args, tol: float) -> int:
     return 0
 
 
-def cmd_simulate(args, tol: float) -> int:
+def cmd_simulate(args) -> int:
     if not args.machine:
         raise serialize.SchemaError("simulate needs --machine")
     state_set = _load_set(args.input)
@@ -190,7 +186,7 @@ def cmd_simulate(args, tol: float) -> int:
     return 0 if report.all_ok else 4
 
 
-def cmd_gamma_max(args, tol: float) -> int:
+def cmd_gamma_max(args) -> int:
     state_set = _load_set(args.input)
     if len(state_set) != 3:
         raise serialize.SchemaError("gamma-max needs exactly three states")
@@ -217,12 +213,12 @@ def cmd_gamma_max(args, tol: float) -> int:
     return 0 if diff <= GAMMA_MAX_AGREEMENT else 5
 
 
-def cmd_oracle(args, tol: float) -> int:
+def cmd_oracle(args) -> int:
     state_set = _load_set(args.input)
     gm = gram(state_set)
     policy = GammaPolicy(args.policy)
     probe = _probe_from_args(args, gm)
-    result = search_gamma(state_set, policy, probe, tol)
+    result = search_gamma(state_set, policy, probe)
     doc = {
         "gammas": [float(g) for g in result.gammas],
         "mean_gamma": result.mean_gamma,
@@ -282,14 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        tol = float(os.environ.get("QNOT_TOL", PSD_TOL))
-        if not (np.isfinite(tol) and tol >= 0.0):
-            raise ValueError
-    except ValueError:
-        print("QNOT_TOL must be a finite number at least 0", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args, tol)
+        return args.func(args)
     except DegenerateDeterminant as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 6

@@ -15,8 +15,8 @@ Three nested regimes are decided here, each on a finite state family:
   ``M = G - sqrt(Gamma) (conj(G) * P) sqrt(Gamma)`` is positive
   semidefinite (:func:`check_probabilistic`, which decides every requested
   point).  On the null space ``N`` of ``G``, ``M N = -sqrt(Gamma) K
-  sqrt(Gamma) N``, so ``M`` must vanish there, which no test at ``-tol``
-  sees; the check tests that residual too.
+  sqrt(Gamma) N``, so ``M`` must vanish there, which no test at
+  ``-PSD_TOL`` sees; the check tests that residual too.
 
 Every check reads a probe as its Gram matrix ``P``.  A phase-vector probe
 is the rank-one case and also keeps its phases, which is the only kind of
@@ -250,16 +250,16 @@ def null_miss(k: np.ndarray, gammas: np.ndarray, null: np.ndarray) -> float:
     return float(np.abs(k @ (s[:, None] / s.max() * null)).max(initial=0.0))
 
 
-def check_probabilistic(state_set: StateSet, gammas, probe: ProbeSpec,
-                        tol: float = PSD_TOL) -> FeasibilityVerdict:
+def check_probabilistic(state_set: StateSet, gammas,
+                        probe: ProbeSpec) -> FeasibilityVerdict:
     """Probabilistic machine with efficiencies ``gamma_i`` and given probe:
-    ``lambda_min(M) >= -tol`` and :func:`null_miss` at most ``GRAM_TOL``."""
+    ``lambda_min(M) >= -PSD_TOL`` and :func:`null_miss` at most ``GRAM_TOL``."""
     g = gram(state_set).matrix
     k = constraint_kernel(g, probe)
     gammas = efficiencies(gammas, g.shape[0])
     lam_min = smallest_eigenvalue(scaled_constraint(g, k, gammas))
     miss = null_miss(k, gammas, range_null(g)[1])
-    feasible = lam_min >= -tol and miss <= GRAM_TOL
+    feasible = lam_min >= -PSD_TOL and miss <= GRAM_TOL
     violation = None if feasible else {"lambda_min": lam_min, "null_miss": miss}
     return FeasibilityVerdict(feasible, probe, violation, lam_min)
 

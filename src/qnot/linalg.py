@@ -20,8 +20,8 @@ independent.  Machine branches touch ``s = d + n`` of the
 
 Every PSD decision (:func:`is_psd`, :func:`psd_sqrt`, probe Grams and the
 feasibility and search code) compares :func:`smallest_eigenvalue` against
-``-PSD_TOL`` (the searches and the probabilistic check at their ``tol``),
-so a matrix one of them accepts is accepted by all of them.  Every rank
+``-PSD_TOL``, so a matrix one of them accepts is accepted by all of them;
+no caller and no environment variable moves it.  Every rank
 decision is :func:`null_count` of a Gram's ``eigh`` spectrum, as in
 :func:`range_null`, never of ``eigvalsh`` or an SVD.  The Hermitian and
 Gram tests are written so that NaN fails them, so :func:`is_psd`,

@@ -18,19 +18,19 @@ passes.  :func:`grid_oracle_triple` is the independent check: pure
 bisection.  Both take the PSD test (:func:`qnot.linalg.smallest_eigenvalue`
 of :func:`qnot.feasibility.scaled_constraint`) at the fixed ``-PSD_TOL``.
 
-:func:`search_gamma` returns the edge of :func:`check_probabilistic`'s test
-at ``-tol``.  With ``B``, ``N`` the range and null bases of G, ``M`` must
-vanish on ``N``, which depends only on the probe and the ratios of the
-``gamma_i``: a probe that fails it has no feasible point.  Otherwise
-``gamma = 1`` if accepted, else ``EQUAL`` shares ``min(1, 1 /
-lambda_max(L^-1 B^dag K B L^-dag))``, ``L L^dag = B^dag G B + tol I`` (G
-and K as they are at full rank).  ``COORDINATE`` then raises one
+:func:`search_gamma` returns the edge of the same test, which
+:func:`check_probabilistic` applies.  With ``B``, ``N`` the range and null
+bases of G, ``M`` must vanish on ``N``, which depends only on the probe and
+the ratios of the ``gamma_i``: a probe that fails it has no feasible point.
+Otherwise ``gamma = 1`` if accepted, else ``EQUAL`` shares ``min(1, 1 /
+lambda_max(L^-1 B^dag K B L^-dag))``, ``L L^dag = B^dag G B + PSD_TOL I``
+(G and K as they are at full rank).  ``COORDINATE`` then raises one
 ``x = sqrt(gamma_i)`` at a time, for ``i`` off the support of ``N``: with
 ``A`` the shifted ``M`` without row and column ``i``, ``g = G[-i, i]`` and
 ``h = sqrt(gamma_-i) K[-i, i]``, the Schur complement keeps the point
 feasible while ``-(K_ii + h^dag A^-1 h) x^2 + 2 Re(g^dag A^-1 h) x + G_ii +
-tol - g^dag A^-1 g >= 0``; one solve against ``[g, h]`` (least squares for a
-singular ``A``) gives the larger root, capped at 1.  A rise below
+PSD_TOL - g^dag A^-1 g >= 0``; one solve against ``[g, h]`` (least squares
+for a singular ``A``) gives the larger root, capped at 1.  A rise below
 :data:`COORDINATE_CONVERGENCE` is not taken; any other candidate is kept
 once the PSD test accepts it, else retreated toward the last certified
 value along :data:`RETREAT`.  With the doubled-phase probe these are
@@ -109,10 +109,9 @@ class TripleBoundInput:
                                        2.0 * self.theta13])
 
 
-def _feasible(g: np.ndarray, k: np.ndarray, gammas: np.ndarray,
-              tol: float = PSD_TOL) -> bool:
+def _feasible(g: np.ndarray, k: np.ndarray, gammas: np.ndarray) -> bool:
     """The PSD test of the constraint matrix at efficiencies ``gammas``."""
-    return smallest_eigenvalue(scaled_constraint(g, k, gammas)) >= -tol
+    return smallest_eigenvalue(scaled_constraint(g, k, gammas)) >= -PSD_TOL
 
 
 def gamma_max_triple(inp: TripleBoundInput) -> float:
@@ -188,15 +187,13 @@ def _retreat(feasible, c: float, v0: float) -> float:
 
 
 def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
-                 probe: ProbeSpec | None = None,
-                 tol: float = PSD_TOL) -> GammaSearchResult:
-    """Largest efficiencies :func:`check_probabilistic` accepts at ``tol``.
+                 probe: ProbeSpec | None = None) -> GammaSearchResult:
+    """Largest efficiencies :func:`check_probabilistic` accepts.
 
-    See the module doc.  Each point kept passed that test, so one found at
-    the default ``tol`` builds a machine.  :class:`NoFeasiblePoint` for a
-    ``tol`` not >= 0, a probe that fails the null test, or no shared
-    efficiency above ``tol`` (the test cannot tell it from 0);
-    :class:`InvalidProbe` for a probe of the wrong size.
+    See the module doc.  Each point kept passed that test, so it builds a
+    machine.  :class:`NoFeasiblePoint` for a probe that fails the null test,
+    or no shared efficiency above ``PSD_TOL`` (the test cannot tell it from
+    0); :class:`InvalidProbe` for a probe of the wrong size.
     """
     if not isinstance(policy, GammaPolicy):
         raise ValueError(f"policy must be a GammaPolicy, got {policy!r}")
@@ -206,8 +203,6 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
     g = gm.matrix
     k = constraint_kernel(g, probe)
     n = gm.n
-    if not tol >= 0.0:
-        raise NoFeasiblePoint(f"tol = {tol!r} certifies no point")
     basis, null = range_null(g)
     if not null_miss(k, np.ones(n), null) <= GRAM_TOL:
         raise NoFeasiblePoint(
@@ -221,7 +216,7 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
         calls += 1
         trial = gammas.copy()
         trial[i] = v
-        return _feasible(g, k, trial, tol)
+        return _feasible(g, k, trial)
 
     def schur_step(i) -> float:
         nonlocal calls
@@ -229,7 +224,7 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
             return gammas[i]
         rest = np.arange(n) != i
         a = scaled_constraint(g, k, gammas)[np.ix_(rest, rest)]
-        a += tol * np.eye(n - 1)
+        a += PSD_TOL * np.eye(n - 1)
         gh = np.stack([g[rest, i], np.sqrt(gammas[rest]) * k[rest, i]], 1)
         calls += 1
         try:
@@ -238,7 +233,7 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
             sol = np.linalg.lstsq(a, gh, rcond=None)[0]
         q = gh.conj().T @ sol
         alpha, beta = k[i, i].real + q[1, 1].real, q[0, 1].real
-        disc = beta * beta + alpha * (g[i, i].real + tol - q[0, 0].real)
+        disc = beta * beta + alpha * (g[i, i].real + PSD_TOL - q[0, 0].real)
         x = min((beta + np.sqrt(max(disc, 0.0))) / alpha, 1.0)
         if not x * x - gammas[i] >= COORDINATE_CONVERGENCE:
             return gammas[i]
@@ -248,12 +243,12 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
     if not feasible(1.0):
         g_b, k_b = (g, k) if not null.size else (
             basis.conj().T @ g @ basis, basis.conj().T @ k @ basis)
-        low = np.linalg.cholesky(g_b + tol * np.eye(g_b.shape[0]))
+        low = np.linalg.cholesky(g_b + PSD_TOL * np.eye(g_b.shape[0]))
         c = np.linalg.solve(low, np.linalg.solve(low, k_b).conj().T)
         calls += 1
         lam_max = np.linalg.eigvalsh(c + c.conj().T)[-1] / 2.0
         equal = _retreat(feasible, min(1.0, 1.0 / lam_max), 0.0)
-    if not equal > tol:
+    if not equal > PSD_TOL:
         raise NoFeasiblePoint("no feasible efficiencies certified")
     gammas[:] = equal
 

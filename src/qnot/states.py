@@ -33,10 +33,8 @@ class QuditState:
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex).ravel()
-        # copy only a view: a strided or cast input is a fresh array already
-        if not amps.flags.owndata:
-            amps = amps.copy()
+        # flatten always copies, so no caller's array can reach the state
+        amps = np.asarray(self.amps, dtype=complex).flatten()
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
         if amps.size < 2:

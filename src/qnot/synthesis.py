@@ -247,9 +247,9 @@ def synthesize_with(state_set: StateSet, gammas, probe: ProbeSpec) -> Machine:
     """Machine with caller-chosen efficiencies and probe phases.
 
     The probe must be of phase-vector kind (else :class:`InvalidProbe`),
-    and :func:`check_probabilistic` at its default tolerance must accept the
-    point (else :class:`InfeasibleGamma`).  Dependent families are fine
-    here; the completion handles rank deficiency.
+    and :func:`check_probabilistic` must accept the point (else
+    :class:`InfeasibleGamma`).  Dependent families are fine here; the
+    completion handles rank deficiency.
     """
     # a probe no machine realizes is refused before the efficiencies are read
     machine_phases(probe, len(state_set))

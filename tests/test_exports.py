@@ -5,10 +5,9 @@ from pathlib import Path
 
 import qnot
 
-# The functions the command line's QNOT_TOL reaches, through ``check
-# --gamma`` and ``oracle``; every other threshold, the triple bound's
-# included, is a module constant.
-TOL_OWNERS = ("check_probabilistic", "search_gamma")
+# The public callables that take a tolerance: none.  Every threshold is a
+# module constant, so a PSD question gets one answer in every module.
+TOL_OWNERS = ()
 
 
 # Every module-level ``*_TOL`` constant; a new tolerance knob fails here
@@ -64,6 +63,7 @@ def _is_tolerance(param: str) -> bool:
 
 
 def test_tol_only_where_qnot_tol_reaches():
+    """QNOT_TOL is no longer read, so no public callable takes a ``tol``."""
     found = {}
     for name, obj in _public_callables():
         params = inspect.signature(obj).parameters
@@ -106,3 +106,24 @@ def test_eigensolver_calls_are_registered():
     assert found == EIGENSOLVERS
     assert {where for solver, where in found if solver == "eigvalsh"} == {
         "linalg.smallest_eigenvalue", "optimizer.search_gamma"}
+
+
+def _environment_reads(tree):
+    """Line of each ``os.environ`` or ``os.getenv`` reference under ``tree``,
+    as an attribute, a bare name or a ``from os import``."""
+    for node in ast.walk(tree):
+        name = (node.attr if isinstance(node, ast.Attribute)
+                else node.id if isinstance(node, ast.Name)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name in ("environ", "environb", "getenv", "getenvb"):
+            yield node.lineno
+
+
+def test_no_module_reads_the_environment():
+    """No knob can come back through an environment variable unregistered."""
+    found = {}
+    for path in Path(qnot.__file__).parent.glob("*.py"):
+        lines = list(_environment_reads(ast.parse(path.read_text())))
+        if lines:
+            found[path.stem] = lines
+    assert found == {}

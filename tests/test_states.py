@@ -80,6 +80,11 @@ class TestQuditState:
         s = qubit(1, 1j)
         with pytest.raises(ValueError, match="read-only"):
             s.amps[0] = 5
+        # it owns its array, so no writable base reaches it either: from a
+        # list, a strided real row and a complex column alike
+        for amps in ([0.6, 0.8], np.array([[0.6, 0.2], [0.8, 0.1]])[:, 0],
+                     np.array([[0.6], [0.8j]])):
+            assert QuditState(amps).amps.flags.owndata
 
     def test_editing_the_callers_array_leaves_the_state_alone(self):
         flat = np.array([0.6, 0.8j])

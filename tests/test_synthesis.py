@@ -190,7 +190,7 @@ class TestSynthesizeWith:
 def test_searched_points_build_machines(policy):
     """Every point the search returns passes the test synthesis applies.
 
-    The search stops on the edge lambda_min = -tol, so a second PSD test
+    The search stops on the edge lambda_min = -PSD_TOL, so a second PSD test
     in other arithmetic rejected many of these points.
     """
     for seed in range(60):
