@@ -20,10 +20,10 @@ vs oracle disagreement, 6 degenerate determinant.  JSON output is compact
 ``lambda_min`` of the constraint matrix ``M`` and ``null_miss``, how far
 ``M`` misses zero on the Gram's null space (feasible at most 1e-8).
 
-Every subcommand decides PSD questions at the one fixed threshold 1e-9
-(``linalg.PSD_TOL``), and no environment variable moves it, so a point
-that ``check --gamma`` accepts or ``oracle`` prints builds with
-``synthesize --gamma``.
+Every subcommand decides a point by ``feasibility.point_rule``,
+``lambda_min(M) >= -1e-9 min(gamma)``, which no environment variable moves,
+so a point that ``check --gamma`` accepts or ``oracle`` prints builds with
+``synthesize --gamma`` and ``simulate`` verifies it.
 """
 from __future__ import annotations
 

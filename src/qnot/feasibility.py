@@ -13,10 +13,10 @@ Three nested regimes are decided here, each on a finite state family:
 * with per-state efficiencies ``gamma_i`` and a probe Gram ``P``, a
   postselecting machine exists iff
   ``M = G - sqrt(Gamma) (conj(G) * P) sqrt(Gamma)`` is positive
-  semidefinite (:func:`check_probabilistic`, which decides every requested
-  point).  On the null space ``N`` of ``G``, ``M N = -sqrt(Gamma) K
-  sqrt(Gamma) N``, so ``M`` must vanish there, which no test at
-  ``-PSD_TOL`` sees; the check tests that residual too.
+  semidefinite; every point is decided by :func:`point_rule`.  On the
+  null space ``N`` of ``G``, ``M N = -sqrt(Gamma) K sqrt(Gamma) N``, so
+  ``M`` must vanish there, which that rule can miss;
+  :func:`check_probabilistic` tests that residual too.
 
 Every check reads a probe as its Gram matrix ``P``.  A phase-vector probe
 is the rank-one case and also keeps its phases, which is the only kind of
@@ -244,6 +244,14 @@ def scaled_constraint(g: np.ndarray, k: np.ndarray, gammas: np.ndarray) -> np.nd
     return g - (s[:, None] * k) * s
 
 
+def point_rule(g: np.ndarray, k: np.ndarray, gammas: np.ndarray) -> tuple[bool, float]:
+    """``(lambda_min(M) >= -PSD_TOL min(gamma), lambda_min(M))``, the one PSD
+    test of a point: the slack scales with ``min(gamma)``, so a machine built
+    where it holds loses at most about ``PSD_TOL`` of any member's fidelity."""
+    lam_min = smallest_eigenvalue(scaled_constraint(g, k, gammas))
+    return bool(lam_min >= -PSD_TOL * gammas.min()), lam_min
+
+
 def null_miss(k: np.ndarray, gammas: np.ndarray, null: np.ndarray) -> float:
     """``max |K diag(sqrt(gamma) / max sqrt(gamma)) N|``: 0 iff ``M N = 0``."""
     s = np.sqrt(gammas)
@@ -253,13 +261,13 @@ def null_miss(k: np.ndarray, gammas: np.ndarray, null: np.ndarray) -> float:
 def check_probabilistic(state_set: StateSet, gammas,
                         probe: ProbeSpec) -> FeasibilityVerdict:
     """Probabilistic machine with efficiencies ``gamma_i`` and given probe:
-    ``lambda_min(M) >= -PSD_TOL`` and :func:`null_miss` at most ``GRAM_TOL``."""
+    :func:`point_rule` and :func:`null_miss` at most ``GRAM_TOL``."""
     g = gram(state_set).matrix
     k = constraint_kernel(g, probe)
     gammas = efficiencies(gammas, g.shape[0])
-    lam_min = smallest_eigenvalue(scaled_constraint(g, k, gammas))
+    psd, lam_min = point_rule(g, k, gammas)
     miss = null_miss(k, gammas, range_null(g)[1])
-    feasible = lam_min >= -PSD_TOL and miss <= GRAM_TOL
+    feasible = psd and miss <= GRAM_TOL
     violation = None if feasible else {"lambda_min": lam_min, "null_miss": miss}
     return FeasibilityVerdict(feasible, probe, violation, lam_min)
 

@@ -18,10 +18,10 @@ any rank, so no rank tolerance decides which vectors count as
 independent.  Machine branches touch ``s = d + n`` of the
 ``D = d (n + 1)`` coordinates of system x probe.
 
-Every PSD decision (:func:`is_psd`, :func:`psd_sqrt`, probe Grams and the
-feasibility and search code) compares :func:`smallest_eigenvalue` against
-``-PSD_TOL``, so a matrix one of them accepts is accepted by all of them;
-no caller and no environment variable moves it.  Every rank
+Every PSD decision compares :func:`smallest_eigenvalue` against
+``-PSD_TOL`` (:func:`is_psd`, :func:`psd_sqrt`, probe Grams), or, for a
+constraint matrix, against ``-PSD_TOL min(gamma)``
+(:func:`qnot.feasibility.point_rule`); no caller moves it.  Every rank
 decision is :func:`null_count` of a Gram's ``eigh`` spectrum, as in
 :func:`range_null`, never of ``eigvalsh`` or an SVD.  The Hermitian and
 Gram tests are written so that NaN fails them, so :func:`is_psd`,

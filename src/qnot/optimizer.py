@@ -12,43 +12,40 @@ the Gram determinant, negative for independent triples),
 
 and the quadratic's roots multiply to 1: ``gamma_max`` is the one in
 ``(0, 1]``, ``1 + (2 sqrt(s^2 - a s) - 2 s) / a``.  :func:`gamma_max_triple`
-returns it, or 1e-9 inside it, whichever the PSD test accepts first, and
-raises for a triple the rank decision calls dependent or when neither
-passes.  :func:`grid_oracle_triple` is the independent check: pure
-bisection.  Both take the PSD test (:func:`qnot.linalg.smallest_eigenvalue`
-of :func:`qnot.feasibility.scaled_constraint`) at the fixed ``-PSD_TOL``.
+returns the first point of its retreat toward 0 (:data:`RETREAT`) that
+:func:`point_rule` accepts, or raises if the triple is dependent or none
+does; :func:`grid_oracle_triple`, the independent check, bisects on it.
 
-:func:`search_gamma` returns the edge of the same test, which
+:func:`search_gamma` returns the edge of the same rule, which
 :func:`check_probabilistic` applies.  With ``B``, ``N`` the range and null
 bases of G, ``M`` must vanish on ``N``, which depends only on the probe and
 the ratios of the ``gamma_i``: a probe that fails it has no feasible point.
 Otherwise ``gamma = 1`` if accepted, else ``EQUAL`` shares ``min(1, 1 /
-lambda_max(L^-1 B^dag K B L^-dag))``, ``L L^dag = B^dag G B + PSD_TOL I``
-(G and K as they are at full rank).  ``COORDINATE`` then raises one
-``x = sqrt(gamma_i)`` at a time, for ``i`` off the support of ``N``: with
-``A`` the shifted ``M`` without row and column ``i``, ``g = G[-i, i]`` and
-``h = sqrt(gamma_-i) K[-i, i]``, the Schur complement keeps the point
-feasible while ``-(K_ii + h^dag A^-1 h) x^2 + 2 Re(g^dag A^-1 h) x + G_ii +
-PSD_TOL - g^dag A^-1 g >= 0``; one solve against ``[g, h]`` (least squares
-for a singular ``A``) gives the larger root, capped at 1.  A rise below
+lambda_max(L^-1 (B^dag K B - PSD_TOL I) L^-dag))``, ``L L^dag = B^dag G B``
+(G and K as they are at full rank), the rule's edge rearranged.
+``COORDINATE`` then raises one ``x = sqrt(gamma_i)`` at a time, for ``i``
+off the support of ``N``: with ``e = PSD_TOL min(gamma)``, ``A`` =
+``M + e I`` without row and column ``i``, ``g = G[-i, i]`` and ``h =
+sqrt(gamma_-i) K[-i, i]``, the Schur complement keeps the point feasible
+while ``-(K_ii + h^dag A^-1 h) x^2 + 2 Re(g^dag A^-1 h) x + G_ii + e -
+g^dag A^-1 g >= 0``; one solve against ``[g, h]`` (least squares for a
+singular ``A``) gives the larger root, capped at 1.  A rise below
 :data:`COORDINATE_CONVERGENCE` is not taken; any other candidate is kept
-once the PSD test accepts it, else retreated toward the last certified
-value along :data:`RETREAT`.  With the doubled-phase probe these are
-certified lower bounds for an optimal probe.
+once the rule accepts it, else retreated toward the last certified value
+along :data:`RETREAT`.  With the doubled-phase probe these are certified
+lower bounds for an optimal probe.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
 from .errors import DegenerateDeterminant, NoFeasiblePoint, NotPSD
-from .feasibility import (ProbeSpec, constraint_kernel, null_miss,
+from .feasibility import (ProbeSpec, constraint_kernel, null_miss, point_rule,
                           scaled_constraint, standard_probe)
-from .linalg import (GRAM_TOL, PSD_TOL, null_count, range_null,
-                     smallest_eigenvalue)
+from .linalg import GRAM_TOL, PSD_TOL, is_psd, null_count, range_null
 from .states import GramMatrix, StateSet, gram
 
 COORDINATE_CONVERGENCE = 1e-6
@@ -109,21 +106,16 @@ class TripleBoundInput:
                                        2.0 * self.theta13])
 
 
-def _feasible(g: np.ndarray, k: np.ndarray, gammas: np.ndarray) -> bool:
-    """The PSD test of the constraint matrix at efficiencies ``gammas``."""
-    return smallest_eigenvalue(scaled_constraint(g, k, gammas)) >= -PSD_TOL
-
-
 def gamma_max_triple(inp: TripleBoundInput) -> float:
     """Closed-form largest equal efficiency for a triple, PSD-certified.
 
     Raises :class:`NotPSD` when the overlap data is not a valid Gram at
     all, and :class:`DegenerateDeterminant` when the rank decision calls the
-    triple dependent, or neither the root nor 1e-9 inside it passes the PSD
-    test.
+    triple dependent, or no rung of the retreat from the root toward 0
+    passes :func:`point_rule`.
     """
     g = inp.gram_matrix().matrix
-    if smallest_eigenvalue(g) < -PSD_TOL:
+    if not is_psd(g):
         raise NotPSD("overlap data is not a positive semidefinite Gram")
     a = inp.a
     if null_count(np.linalg.eigh(g)[0]):
@@ -131,15 +123,13 @@ def gamma_max_triple(inp: TripleBoundInput) -> float:
             f"Gram rank is below 3 (|det| = {abs(a):.3e})")
     s = inp.t23 ** 2 * np.sin(inp.delta) ** 2
     root = np.sqrt(max(s * s - a * s, 0.0))
-    val = min(1.0 + (2.0 * root - 2.0 * s) / a, 1.0)
     k = constraint_kernel(g, inp.probe())
-    # the root can sit a hair past the edge; step 1e-9 inside, and return
-    # only a value the PSD test accepted
-    for point in (val, val - 1e-9):
-        if point > 0.0 and _feasible(g, k, np.full(3, point)):
-            return float(point)
+    val = _retreat(lambda v: point_rule(g, k, np.full(3, v))[0],
+                   min(1.0 + (2.0 * root - 2.0 * s) / a, 1.0), 0.0)
+    if val > 0.0:
+        return float(val)
     raise DegenerateDeterminant(
-        f"the root of det M fails the PSD test (|det| = {abs(a):.3e})")
+        f"no retreat from the root of det M passes (|det| = {abs(a):.3e})")
 
 
 def grid_oracle_triple(gram_matrix: GramMatrix, probe: ProbeSpec) -> float:
@@ -147,12 +137,12 @@ def grid_oracle_triple(gram_matrix: GramMatrix, probe: ProbeSpec) -> float:
     g = gram_matrix.matrix
     k = constraint_kernel(g, probe)
     n = gram_matrix.n
-    if _feasible(g, k, np.ones(n)):
+    if point_rule(g, k, np.ones(n))[0]:
         return 1.0
     lo, hi = 0.0, 1.0
     for _ in range(70):
         mid = 0.5 * (lo + hi)
-        if _feasible(g, k, np.full(n, mid)):
+        if point_rule(g, k, np.full(n, mid))[0]:
             lo = mid
         else:
             hi = mid
@@ -166,7 +156,7 @@ class GammaPolicy(Enum):
 
 @dataclass(eq=False)
 class GammaSearchResult:
-    """``iterations``: the PSD tests, EQUAL eigenproblems and Schur solves."""
+    """``iterations``: the rule tests, EQUAL eigenproblems and Schur solves."""
 
     gammas: np.ndarray
     probe: ProbeSpec
@@ -190,10 +180,10 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
                  probe: ProbeSpec | None = None) -> GammaSearchResult:
     """Largest efficiencies :func:`check_probabilistic` accepts.
 
-    See the module doc.  Each point kept passed that test, so it builds a
-    machine.  :class:`NoFeasiblePoint` for a probe that fails the null test,
-    or no shared efficiency above ``PSD_TOL`` (the test cannot tell it from
-    0); :class:`InvalidProbe` for a probe of the wrong size.
+    See the module doc.  Each point kept passed :func:`point_rule`, so it
+    builds a machine that verifies.  :class:`NoFeasiblePoint` for a probe
+    that fails the null test, or no shared efficiency above ``PSD_TOL``;
+    :class:`InvalidProbe` for a probe of the wrong size.
     """
     if not isinstance(policy, GammaPolicy):
         raise ValueError(f"policy must be a GammaPolicy, got {policy!r}")
@@ -211,20 +201,21 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
     gammas = np.zeros(n)
 
     def feasible(v, i=slice(None)) -> bool:
-        """The PSD test at ``gammas`` with entry ``i`` (default all) at v."""
+        """The point rule at ``gammas`` with entry ``i`` (default all) at v."""
         nonlocal calls
         calls += 1
         trial = gammas.copy()
         trial[i] = v
-        return _feasible(g, k, trial)
+        return point_rule(g, k, trial)[0]
 
     def schur_step(i) -> float:
         nonlocal calls
         if gammas[i] >= 1.0:
             return gammas[i]
         rest = np.arange(n) != i
+        slack = PSD_TOL * gammas.min()
         a = scaled_constraint(g, k, gammas)[np.ix_(rest, rest)]
-        a += PSD_TOL * np.eye(n - 1)
+        a += slack * np.eye(n - 1)
         gh = np.stack([g[rest, i], np.sqrt(gammas[rest]) * k[rest, i]], 1)
         calls += 1
         try:
@@ -233,18 +224,19 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
             sol = np.linalg.lstsq(a, gh, rcond=None)[0]
         q = gh.conj().T @ sol
         alpha, beta = k[i, i].real + q[1, 1].real, q[0, 1].real
-        disc = beta * beta + alpha * (g[i, i].real + PSD_TOL - q[0, 0].real)
+        disc = beta * beta + alpha * (g[i, i].real + slack - q[0, 0].real)
         x = min((beta + np.sqrt(max(disc, 0.0))) / alpha, 1.0)
         if not x * x - gammas[i] >= COORDINATE_CONVERGENCE:
             return gammas[i]
-        return _retreat(partial(feasible, i=i), x * x, gammas[i])
+        return _retreat(lambda v: feasible(v, i), x * x, gammas[i])
 
     equal = 1.0
     if not feasible(1.0):
         g_b, k_b = (g, k) if not null.size else (
             basis.conj().T @ g @ basis, basis.conj().T @ k @ basis)
-        low = np.linalg.cholesky(g_b + PSD_TOL * np.eye(g_b.shape[0]))
-        c = np.linalg.solve(low, np.linalg.solve(low, k_b).conj().T)
+        low = np.linalg.cholesky(g_b)
+        c = np.linalg.solve(low, np.linalg.solve(
+            low, k_b - PSD_TOL * np.eye(g_b.shape[0])).conj().T)
         calls += 1
         lam_max = np.linalg.eigvalsh(c + c.conj().T)[-1] / 2.0
         equal = _retreat(feasible, min(1.0, 1.0 / lam_max), 0.0)
@@ -264,6 +256,5 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
             if biggest_move < COORDINATE_CONVERGENCE:
                 break
 
-    lam_min = smallest_eigenvalue(scaled_constraint(g, k, gammas))
     return GammaSearchResult(gammas, probe, float(gammas.mean()), calls,
-                             lam_min)
+                             point_rule(g, k, gammas)[1])

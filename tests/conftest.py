@@ -56,6 +56,17 @@ def near_dependent_triple() -> StateSet:
                     TargetMap.CONJUGATE)
 
 
+def random_near_dependent_triple(rng) -> StateSet:
+    """Complex conjugate qutrit triple whose third state is a random complex
+    mix of the first two plus complex noise of size 10^U(-9, -2)."""
+    x = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    mix = rng.normal(size=2) + 1j * rng.normal(size=2)
+    eps = 10.0 ** rng.uniform(-9, -2)
+    third = x @ mix + eps * (rng.normal(size=3) + 1j * rng.normal(size=3))
+    return StateSet(tuple(QuditState.normalized(v) for v in (*x.T, third)),
+                    TargetMap.CONJUGATE)
+
+
 def worked_triple(phi: float, q: float | None = None) -> StateSet:
     """Dependent qubit triple used in the closed-form boundary checks.
 

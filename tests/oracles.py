@@ -102,7 +102,7 @@ def probe_congruence_loop(th):
 
 
 def equal_edge_bisection(g, k, tol: float) -> float:
-    """Largest shared efficiency with ``lambda_min(G - gamma K) >= -tol``.
+    """Largest shared efficiency with ``lambda_min(G - gamma K) >= -tol gamma``.
 
     ``1.0`` if it passes, else 70 halvings of ``[0, 1]``; ``G - gamma K``
     is formed directly, not through the library's scaled constraint.
@@ -111,7 +111,7 @@ def equal_edge_bisection(g, k, tol: float) -> float:
     k = np.asarray(k, dtype=complex)
 
     def ok(gamma):
-        return np.linalg.eigvalsh(g - gamma * k).min() >= -tol
+        return np.linalg.eigvalsh(g - gamma * k).min() >= -tol * gamma
 
     if ok(1.0):
         return 1.0

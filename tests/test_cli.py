@@ -22,6 +22,7 @@ from qnot.cli import main
 
 from conftest import (
     near_dependent_triple,
+    random_near_dependent_triple,
     random_set,
     random_state,
     worked_triple,
@@ -750,6 +751,33 @@ def test_every_oracle_point_builds_and_simulates(tmp_path, capsys):
             code, sim = run(capsys, ["simulate", "--input", path,
                                      "--machine", machine_path])
             assert code == 0 and sim["all_ok"], (name, policy)
+
+
+def test_near_dependent_oracle_point_simulates_or_is_refused(tmp_path,
+                                                             capsys):
+    """``oracle``, ``synthesize --gamma --phases``, ``simulate`` on the
+    second triple of a seeded near-dependent draw.  With the old edge
+    lambda_min(M) >= -PSD_TOL, ``oracle`` printed gamma = 7.7e-9 there and
+    ``simulate`` exited 4; now the point builds a machine that verifies,
+    or ``oracle`` refuses with exit 2."""
+    rng = np.random.default_rng(5)
+    random_near_dependent_triple(rng)
+    doc = state_set_doc([s.amps for s in random_near_dependent_triple(rng)])
+    path = write_doc(tmp_path, "set.json", doc)
+    for policy in ("equal", "coordinate"):
+        code, found = run(capsys, ["oracle", "--input", path,
+                                   "--policy", policy])
+        if code == 2:
+            continue
+        assert code == 0
+        machine_path = str(tmp_path / f"{policy}.machine.json")
+        assert main(["synthesize", "--input", path,
+                     "--gamma", ",".join(map(repr, found["gammas"])),
+                     "--phases", ",".join(map(repr, found["probe_phases"])),
+                     "--output", machine_path]) == 0
+        code, sim = run(capsys, ["simulate", "--input", path,
+                                 "--machine", machine_path])
+        assert code == 0 and sim["all_ok"], (policy, found["gammas"])
 
 
 def test_cli_runs_as_a_module(tmp_path):

@@ -35,6 +35,17 @@ EIGENSOLVERS = {
     ("svd", "linalg.completion_block"),
 }
 
+# Every function that reads ``PSD_TOL``.  Only ``feasibility.point_rule``
+# compares the constraint matrix's lambda_min with it; the others test a
+# matrix that is not M (a probe Gram, a square root's argument) or aim a
+# closed form at that rule's edge, so a second edge fails here until it is
+# registered.
+PSD_TOL_READERS = {
+    "feasibility.ProbeSpec.full_gram", "feasibility.point_rule",
+    "linalg.is_psd", "linalg.psd_sqrt",
+    "optimizer.search_gamma", "optimizer.search_gamma.schur_step",
+}
+
 
 def test_every_exported_name_resolves():
     """``import qnot`` does not check ``__all__``; a stale entry shows here."""
@@ -85,27 +96,56 @@ def test_tolerance_constants_are_registered():
     assert found == TOLERANCES
 
 
-def _solver_calls(node, module: str, scope: tuple = ()):
-    """``(solver, module.scope)`` for each eigensolver call under ``node``."""
+def _scoped(node, where: str):
+    """``(module.scope, node)`` for each node under ``node``; the scope is
+    the innermost enclosing function or class."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-        scope = scope + (node.name,)
+        where = f"{where}.{node.name}"
+    yield where, node
+    for child in ast.iter_child_nodes(node):
+        yield from _scoped(child, where)
+
+
+def _module_nodes():
+    for path in Path(qnot.__file__).parent.glob("*.py"):
+        yield from _scoped(ast.parse(path.read_text()), path.stem)
+
+
+def _called(node):
+    """Name of the function a call node calls, else None."""
     if isinstance(node, ast.Call):
         func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else getattr(
+        return func.attr if isinstance(func, ast.Attribute) else getattr(
             func, "id", None)
-        if name in ("eigvalsh", "eigh", "svd"):
-            yield name, ".".join((module,) + scope)
-    for child in ast.iter_child_nodes(node):
-        yield from _solver_calls(child, module, scope)
+    return None
+
+
+def _reads_psd_tol(node) -> bool:
+    return any(isinstance(n, ast.Name) and n.id == "PSD_TOL"
+               and isinstance(n.ctx, ast.Load) for n in ast.walk(node))
 
 
 def test_eigensolver_calls_are_registered():
-    found = set()
-    for path in Path(qnot.__file__).parent.glob("*.py"):
-        found.update(_solver_calls(ast.parse(path.read_text()), path.stem))
+    found = {(_called(node), where) for where, node in _module_nodes()
+             if _called(node) in ("eigvalsh", "eigh", "svd")}
     assert found == EIGENSOLVERS
     assert {where for solver, where in found if solver == "eigvalsh"} == {
         "linalg.smallest_eigenvalue", "optimizer.search_gamma"}
+
+
+def test_one_function_holds_the_point_rule():
+    """Each reader of ``PSD_TOL`` is registered, and the one that compares
+    against it where the constraint matrix is built is the point rule."""
+    readers, compares, builds = set(), set(), set()
+    for where, node in _module_nodes():
+        if isinstance(node, ast.Name) and _reads_psd_tol(node):
+            readers.add(where)
+        if isinstance(node, ast.Compare) and _reads_psd_tol(node):
+            compares.add(where)
+        if _called(node) in ("scaled_constraint", "constraint_matrix"):
+            builds.add(where)
+    assert readers == PSD_TOL_READERS
+    assert compares & builds == {"feasibility.point_rule"}
 
 
 def _environment_reads(tree):

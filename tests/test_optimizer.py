@@ -9,6 +9,7 @@ from qnot import (
     NoFeasiblePoint,
     NotPSD,
     ProbeSpec,
+    QnotError,
     QuditState,
     StateSet,
     TargetMap,
@@ -26,7 +27,8 @@ from qnot import (
 from qnot.linalg import PSD_TOL
 from qnot.states import GramMatrix
 
-from conftest import random_independent_set, random_set, worked_triple
+from conftest import (random_independent_set, random_near_dependent_triple,
+                      random_set, worked_triple)
 from oracles import cofactor_det, equal_edge_bisection, quadratic_roots
 
 # Boundary for all-|overlap| 0.3, phases (0.4, 0.1, 0.2), computed by
@@ -176,10 +178,10 @@ def test_degenerate_determinant_raises():
         gamma_max_triple(dependent)
 
 
-# Near-dependent triples (|det| 8.1e-9 and 2.2e-10, above the 1e-12 cut)
-# where neither the root of det M nor 1e-9 inside it passes the PSD test:
-# the root is 1.37e-8 with lambda_min(M) = -3.0e-9 on the first and 0 on
-# the second, while the oracle finds 1.0e-8 and 1.7e-8.
+# Near-dependent triples, |det| 8.1e-9 and 2.2e-10.  On the first the root
+# of det M, 1.37e-8, has lambda_min(M) = -3.0e-9, past the point rule's
+# -PSD_TOL gamma, and the retreat's last rung, half the root, passes; the
+# oracle finds 8.4e-9.  The rank decision calls the second dependent.
 UNCERTIFIED_TRIPLES = [
     TripleBoundInput(0.6184814218435851, 0.7582248613524998,
                      0.5885760250323195, 5.486196772758945,
@@ -190,26 +192,51 @@ UNCERTIFIED_TRIPLES = [
 ]
 
 
-@pytest.mark.parametrize("inp", UNCERTIFIED_TRIPLES,
-                         ids=["det-8e-9", "det-2e-10"])
+def _triple_states(inp: TripleBoundInput) -> StateSet:
+    """Conjugate qutrit triple with the Gram of ``inp``: rows of conj(L)."""
+    amps = np.conj(np.linalg.cholesky(inp.gram_matrix().matrix))
+    return StateSet(tuple(QuditState.normalized(a) for a in amps),
+                    TargetMap.CONJUGATE)
+
+
+def _verifies(ss: StateSet, gammas, probe) -> bool:
+    """The point passes ``check_probabilistic`` and its machine verifies."""
+    return (check_probabilistic(ss, gammas, probe).feasible
+            and verify_machine(synthesize_with(ss, gammas, probe), ss).all_ok)
+
+
+def _bound_builds_a_verified_machine(inp: TripleBoundInput) -> float:
+    gamma = gamma_max_triple(inp)
+    assert _verifies(_triple_states(inp), gamma, inp.probe())
+    return gamma
+
+
+@pytest.mark.parametrize("inp", UNCERTIFIED_TRIPLES[1:], ids=["det-2e-10"])
 def test_uncertified_boundary_raises(inp):
     with pytest.raises(DegenerateDeterminant):
         gamma_max_triple(inp)
 
 
+def test_root_past_the_edge_retreats_to_a_verified_bound():
+    """The det-8e-9 triple: the root fails, half of it builds and verifies."""
+    gamma = _bound_builds_a_verified_machine(UNCERTIFIED_TRIPLES[0])
+    assert gamma == pytest.approx(6.86e-9, rel=1e-3)
+
+
 # Near-dependent qutrit triple whose a-root 2.466e-8 has lambda_min(M)
-# = -1.87e-9; 1e-9 inside it, 2.366e-8 passes the PSD test.
+# = -1.87e-9.  1e-9 inside it, 2.366e-8 has lambda_min(M) >= -PSD_TOL, but
+# a machine built there has fidelity 0.999998; the retreat's half root
+# 1.23e-8 passes the point rule and verifies.
 EDGE_ROOT_TRIPLE = TripleBoundInput(
     0.3892444485631532, 0.3587690037753581, 0.8888065421252748,
     0.7933075239697203, 2.2340284076542902, 0.15664014312309466)
 
 
 def test_returned_bound_passes_the_psd_test():
-    gamma = gamma_max_triple(EDGE_ROOT_TRIPLE)
-    assert gamma == pytest.approx(2.366e-8, rel=1e-3)
+    gamma = _bound_builds_a_verified_machine(EDGE_ROOT_TRIPLE)
     m = constraint_matrix(EDGE_ROOT_TRIPLE.gram_matrix(), gamma,
                           EDGE_ROOT_TRIPLE.probe())
-    assert np.linalg.eigvalsh(m).min() >= -1e-9
+    assert np.linalg.eigvalsh(m).min() >= -PSD_TOL * gamma
 
 
 def test_invalid_gram_data_raises():
@@ -276,7 +303,7 @@ def test_search_matches_triple_closed_form():
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
 @pytest.mark.parametrize("extra", [0, 2])
 def test_equal_edge_matches_a_bisection_oracle(n, extra):
-    """The shifted-Cholesky edge against 70 halvings of G - gamma K."""
+    """The Cholesky edge against 70 halvings of G - gamma K at -PSD_TOL gamma."""
     d = max(n + extra, 2)
     ss = random_independent_set(np.random.default_rng(100 * n + extra), n, d,
                                 TargetMap.CONJUGATE)
@@ -321,15 +348,15 @@ def test_real_dependent_family_keeps_unit_efficiency(d):
 
 def test_coordinate_step_survives_a_singular_schur_block():
     """A state orthogonal to the rest reaches gamma = 1, which zeroes its
-    row of M; the next step's block is then singular but for the PSD_TOL
-    shift, and the other two still reach the edge."""
+    row of M; the next step's block is then singular but for the
+    PSD_TOL min(gamma) shift, and the other two still reach the edge."""
     s = 1.0 / np.sqrt(2.0)
     ss = StateSet((QuditState([1.0, 0.0, 0.0]),
                    QuditState([0.0, 0.6, 0.8j]),
                    QuditState([0.0, s, s])), TargetMap.CONJUGATE)
     res = search_gamma(ss, GammaPolicy.COORDINATE)
     assert res.gammas[0] == 1.0
-    assert res.boundary_lambda_min >= -PSD_TOL
+    assert res.boundary_lambda_min >= -PSD_TOL * res.gammas.min()
     for i in (1, 2):
         raised = res.gammas.copy()
         raised[i] = min(raised[i] + 1e-5, 1.0)
@@ -410,6 +437,59 @@ def test_searched_points_on_dependent_sets_build_verified_machines():
                 continue
             machine = synthesize_with(ss, res.gammas, res.probe)
             assert verify_machine(machine, ss).all_ok
+
+
+def test_every_certified_point_builds_a_verified_machine():
+    """Each search and triple bound is refused or builds a machine that
+    verifies, on independent, dependent and near-dependent sets.  With the
+    old edge lambda_min(M) >= -PSD_TOL, a machine lost about PSD_TOL / gamma
+    of fidelity: the second near-dependent triple failed at gamma 7.7e-9."""
+    rng = np.random.default_rng(5)
+    sets = [random_near_dependent_triple(rng) for _ in range(200)]
+    rng = np.random.default_rng(6)
+    sets += [random_independent_set(rng, n, n + 1, TargetMap.CONJUGATE)
+             for n in (2, 3, 4, 6) for _ in range(5)]
+    sets += [random_set(rng, d + 1, d, TargetMap.CONJUGATE)
+             for d in (2, 3) for _ in range(10)]
+    certified = 0  # points that reached the build
+    for ss in sets:
+        for policy in GammaPolicy:
+            try:
+                res = search_gamma(ss, policy)
+            except QnotError:
+                continue
+            assert _verifies(ss, res.gammas, res.probe)
+            certified += 1
+        if len(ss) == 3:
+            try:
+                gamma = gamma_max_triple(TripleBoundInput.from_gram(gram(ss)))
+            except QnotError:
+                continue
+            assert _verifies(ss, gamma, standard_probe(gram(ss)))
+            certified += 1
+    assert certified >= 150
+
+
+def test_schur_solve_falls_back_to_least_squares(monkeypatch):
+    """A Schur block that ``solve`` calls singular goes to ``lstsq``, and
+    COORDINATE still ends on a point the rule accepts that verifies."""
+    ss = random_independent_set(np.random.default_rng(9), 4, 4,
+                                TargetMap.CONJUGATE)
+    solve = np.linalg.solve
+    forced = []
+
+    def singular_schur_block(a, b):
+        if b.shape == (3, 2):
+            forced.append(a.shape)
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_schur_block)
+    res = search_gamma(ss, GammaPolicy.COORDINATE)
+    monkeypatch.undo()
+    assert forced
+    assert _verifies(ss, res.gammas, res.probe)
+    assert res.mean_gamma >= search_gamma(ss).mean_gamma
 
 
 def test_equal_search_on_near_parallel_pairs():

@@ -190,8 +190,9 @@ class TestSynthesizeWith:
 def test_searched_points_build_machines(policy):
     """Every point the search returns passes the test synthesis applies.
 
-    The search stops on the edge lambda_min = -PSD_TOL, so a second PSD test
-    in other arithmetic rejected many of these points.
+    The search stops at most on the point rule's edge, lambda_min(M) =
+    -PSD_TOL min(gamma), so a second PSD test in other arithmetic rejected
+    many of these points.
     """
     for seed in range(60):
         ss = random_independent_set(np.random.default_rng(seed), 10, 10,
