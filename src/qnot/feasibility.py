@@ -238,18 +238,26 @@ def scaled_constraint(g: np.ndarray, k: np.ndarray, gammas: np.ndarray) -> np.nd
     The one arithmetic of the constraint matrix: :func:`constraint_matrix`
     and the PSD test of the efficiency searches and the triple bound build
     it here, so a point one of them accepts yields the same matrix bit for
-    bit in :func:`check_probabilistic` and :mod:`qnot.synthesis`.
+    bit in :func:`check_probabilistic` and :mod:`qnot.synthesis`.  A stack
+    of points ``gammas`` of shape ``(..., n)`` gives the stack of matrices
+    ``(..., n, n)``, each entry computed as for that point alone.
     """
     s = np.sqrt(gammas)
-    return g - (s[:, None] * k) * s
+    return g - (s[..., :, None] * k) * s[..., None, :]
 
 
-def point_rule(g: np.ndarray, k: np.ndarray, gammas: np.ndarray) -> tuple[bool, float]:
+def point_rule(g: np.ndarray, k: np.ndarray, gammas: np.ndarray):
     """``(lambda_min(M) >= -PSD_TOL min(gamma), lambda_min(M))``, the one PSD
     test of a point: the slack scales with ``min(gamma)``, so a machine built
-    where it holds loses at most about ``PSD_TOL`` of any member's fidelity."""
+    where it holds loses at most about ``PSD_TOL`` of any member's fidelity.
+
+    One point ``(n,)`` gives a ``bool`` and a ``float``; a stack of points
+    ``(..., n)`` gives arrays over the leading axes, each entry bit for bit
+    the answer for that point alone.
+    """
     lam_min = smallest_eigenvalue(scaled_constraint(g, k, gammas))
-    return bool(lam_min >= -PSD_TOL * gammas.min()), lam_min
+    ok = lam_min >= -PSD_TOL * gammas.min(axis=-1)
+    return (bool(ok), lam_min) if gammas.ndim == 1 else (ok, lam_min)
 
 
 def null_miss(k: np.ndarray, gammas: np.ndarray, null: np.ndarray) -> float:

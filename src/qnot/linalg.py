@@ -54,12 +54,17 @@ def _require_hermitian(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def smallest_eigenvalue(m: np.ndarray) -> float:
+def smallest_eigenvalue(m: np.ndarray):
     """Smallest eigenvalue of a Hermitian matrix (0 for an empty one).
 
     The one PSD test: a matrix is accepted when this is at least ``-PSD_TOL``.
+    One ``n x n`` matrix gives a float; a stack ``(..., n, n)`` gives an
+    array over the leading axes, each entry bit for bit the float that
+    matrix gives alone (``eigvalsh`` solves a stack one matrix at a time).
     """
-    return float(np.linalg.eigvalsh(m).min()) if m.size else 0.0
+    lam = (np.linalg.eigvalsh(m).min(axis=-1) if m.shape[-1]
+           else np.zeros(m.shape[:-2]))
+    return float(lam) if m.ndim == 2 else lam
 
 
 def null_count(spectrum: np.ndarray) -> int:

@@ -15,6 +15,14 @@ and the quadratic's roots multiply to 1: ``gamma_max`` is the one in
 returns the first point of its retreat toward 0 (:data:`RETREAT`) that
 :func:`point_rule` accepts, or raises if the triple is dependent or none
 does; :func:`grid_oracle_triple`, the independent check, bisects on it.
+Its :data:`HALVINGS` halvings of ``[0, 1]`` are the sequential ``mid =
+(lo + hi) / 2`` ones, but one stacked :func:`point_rule` call tests every
+point ``lo + (hi - lo) j / 2^LEVELS`` the next :data:`LEVELS` halvings can
+reach, and the outcomes are walked as the bisection would.  The bracket's
+width is a power of two, so each such point is its exact value rounded
+once, as the sequential midpoint is: the two agree bit for bit until a
+midpoint rounds onto ``lo`` or ``hi``, after which no halving moves the
+bracket, and the oracle stops there.
 
 :func:`search_gamma` returns the edge of the same rule, which
 :func:`check_probabilistic` applies.  With ``B``, ``N`` the range and null
@@ -32,8 +40,11 @@ g^dag A^-1 g >= 0``; one solve against ``[g, h]`` (least squares for a
 singular ``A``) gives the larger root, capped at 1.  A rise below
 :data:`COORDINATE_CONVERGENCE` is not taken; any other candidate is kept
 once the rule accepts it, else retreated toward the last certified value
-along :data:`RETREAT`.  With the doubled-phase probe these are certified
-lower bounds for an optimal probe.
+along :data:`RETREAT`.  A step is a function of the point alone, so
+``COORDINATE`` skips ``i`` while the point is the one at which ``i``'s last
+step made no move: the sweeps, and so the result, are those of a search
+that steps every ``i`` every sweep.  With the doubled-phase probe these
+are certified lower bounds for an optimal probe.
 """
 from __future__ import annotations
 
@@ -49,6 +60,10 @@ from .linalg import GRAM_TOL, PSD_TOL, is_psd, null_count, range_null
 from .states import GramMatrix, StateSet, gram
 
 COORDINATE_CONVERGENCE = 1e-6
+# the oracle's halvings of [0, 1], decided LEVELS at a time; LEVELS divides
+# HALVINGS, or the last round would halve past the sequential bisection
+HALVINGS = 70
+LEVELS = 2
 # steps t of a closed-form candidate c back toward v0, to c - t (c - v0)
 RETREAT = (0.0, 2.0 ** -44, 2.0 ** -34, 2.0 ** -24, 2.0 ** -14, 0.5)
 
@@ -133,19 +148,32 @@ def gamma_max_triple(inp: TripleBoundInput) -> float:
 
 
 def grid_oracle_triple(gram_matrix: GramMatrix, probe: ProbeSpec) -> float:
-    """Bisection boundary of equal-efficiency feasibility; no closed form."""
+    """Bisection boundary of equal-efficiency feasibility; no closed form.
+
+    :data:`HALVINGS` halvings of ``[0, 1]``, :data:`LEVELS` per stacked
+    :func:`point_rule` call (see the module doc); it stops at the first
+    midpoint that equals an end, where no halving moves the bracket.
+    """
     g = gram_matrix.matrix
     k = constraint_kernel(g, probe)
     n = gram_matrix.n
     if point_rule(g, k, np.ones(n))[0]:
         return 1.0
     lo, hi = 0.0, 1.0
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        if point_rule(g, k, np.full(n, mid))[0]:
-            lo = mid
-        else:
-            hi = mid
+    steps = np.arange(1, 2 ** LEVELS) / 2 ** LEVELS
+    for _ in range(HALVINGS // LEVELS):
+        mids = lo + (hi - lo) * steps
+        ok = point_rule(g, k, np.repeat(mids[:, None], n, axis=1))[0]
+        at = 0  # lo is the round's point j = at (the old lo is j = 0)
+        for level in reversed(range(LEVELS)):
+            m = at + 2 ** level
+            mid = float(mids[m - 1])
+            if mid in (lo, hi):
+                return lo
+            if ok[m - 1]:
+                lo, at = mid, m
+            else:
+                hi = mid
     return lo
 
 
@@ -156,7 +184,8 @@ class GammaPolicy(Enum):
 
 @dataclass(eq=False)
 class GammaSearchResult:
-    """``iterations``: the rule tests, EQUAL eigenproblems and Schur solves."""
+    """``iterations``: the evaluations the search made, its rule tests,
+    EQUAL's eigenproblem and its Schur solves; a skipped step makes none."""
 
     gammas: np.ndarray
     probe: ProbeSpec
@@ -208,15 +237,20 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
         trial[i] = v
         return point_rule(g, k, trial)[0]
 
+    col = np.arange(n - 1)
+    others = col + (col >= np.arange(n)[:, None])  # row i: every index but i
+    gh = np.empty((n - 1, 2), complex)
+
     def schur_step(i) -> float:
         nonlocal calls
         if gammas[i] >= 1.0:
             return gammas[i]
-        rest = np.arange(n) != i
+        rest = others[i]
         slack = PSD_TOL * gammas.min()
-        a = scaled_constraint(g, k, gammas)[np.ix_(rest, rest)]
-        a += slack * np.eye(n - 1)
-        gh = np.stack([g[rest, i], np.sqrt(gammas[rest]) * k[rest, i]], 1)
+        a = scaled_constraint(g, k, gammas)[rest[:, None], rest]
+        a.flat[::n] += slack  # the diagonal of the (n - 1) x (n - 1) block
+        gh[:, 0] = g[rest, i]
+        gh[:, 1] = np.sqrt(gammas[rest]) * k[rest, i]
         calls += 1
         try:
             sol = np.linalg.solve(a, gh)
@@ -247,12 +281,21 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
     if policy is GammaPolicy.COORDINATE:
         free = np.flatnonzero(np.abs(null).max(axis=1, initial=0.0)
                               <= GRAM_TOL)
+        moves = 0
+        # the number of moves made when each i last stepped without moving
+        still = [-1] * n
         for _ in range(200):
             biggest_move = 0.0
             for i in free:
+                if still[i] == moves:
+                    continue
                 best = schur_step(i)
+                if best == gammas[i]:
+                    still[i] = moves
+                    continue
                 biggest_move = max(biggest_move, best - gammas[i])
                 gammas[i] = best
+                moves += 1
             if biggest_move < COORDINATE_CONVERGENCE:
                 break
 

@@ -43,7 +43,8 @@ from qnot import (
     synthesize_with,
     target_state,
 )
-from qnot.feasibility import efficiencies
+from qnot.feasibility import (constraint_kernel, efficiencies, point_rule,
+                              scaled_constraint)
 from qnot.linalg import gram_of, range_null
 
 
@@ -385,6 +386,30 @@ def test_non_finite_efficiencies_reach_no_verdict_or_machine():
         check_probabilistic(ss, [np.nan, np.nan], probe)
     with pytest.raises(ValueError, match=r"\(0, 1\]"):
         synthesize_with(ss, [np.nan, np.nan], probe)
+
+
+@pytest.mark.parametrize("n", [3, 4, 10])
+def test_a_stack_of_points_gets_the_answers_of_single_calls(n):
+    """An ``(m, n)`` stack gives, bit for bit, the verdicts and lambda_min
+    of m single calls; points straddle the EQUAL edge, so both verdicts
+    occur.  One point still gives a Python bool and float."""
+    rng = np.random.default_rng(80 + n)
+    ss = random_independent_set(rng, n, n, TargetMap.CONJUGATE)
+    g = gram(ss).matrix
+    k = constraint_kernel(g, standard_probe(gram(ss)))
+    edge = search_gamma(ss).gammas
+    points = np.minimum(edge * rng.uniform(0.98, 1.02, (60, n)), 1.0)
+    ok, lam = point_rule(g, k, points)
+    assert ok.shape == lam.shape == (60,)
+    assert 0 < ok.sum() < 60
+    singles = [point_rule(g, k, p) for p in points]
+    assert all(type(o) is bool and type(x) is float for o, x in singles)
+    assert [o for o, _ in singles] == ok.tolist()
+    assert [x.hex() for _, x in singles] == [float(x).hex() for x in lam]
+    stacked = scaled_constraint(g, k, points.reshape(3, 20, n))
+    assert stacked.shape == (3, 20, n, n)
+    assert all(np.array_equal(m, scaled_constraint(g, k, p)) for m, p in
+               zip(stacked.reshape(60, n, n), points))
 
 
 class TestProbabilistic:

@@ -19,7 +19,7 @@ from qnot import (
     psd_sqrt,
     unitary_completion,
 )
-from qnot.linalg import RANK_TOL, null_count, range_null
+from qnot.linalg import RANK_TOL, null_count, range_null, smallest_eigenvalue
 
 
 def random_hermitian(rng, n):
@@ -110,6 +110,25 @@ class TestPsdSqrt:
 
     def test_empty_matrix(self):
         assert psd_sqrt(np.zeros((0, 0))).shape == (0, 0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 10])
+def test_smallest_eigenvalue_of_a_stack_is_that_of_each_matrix(n):
+    """A stack over leading axes gives each matrix's own float, bit for bit."""
+    rng = np.random.default_rng(70 + n)
+    stack = np.array([random_hermitian(rng, n) for _ in range(24)])
+    stack = stack.reshape(2, 12, n, n)
+    lam = smallest_eigenvalue(stack)
+    assert lam.shape == (2, 12)
+    singles = [smallest_eigenvalue(m) for m in stack.reshape(24, n, n)]
+    assert all(type(x) is float for x in singles)
+    assert [float(x).hex() for x in lam.ravel()] == [x.hex() for x in singles]
+
+
+def test_smallest_eigenvalue_of_an_empty_matrix_is_zero():
+    lam = smallest_eigenvalue(np.zeros((0, 0)))
+    assert type(lam) is float and lam == 0.0
+    assert np.array_equal(smallest_eigenvalue(np.zeros((3, 0, 0))), np.zeros(3))
 
 
 @pytest.mark.parametrize("lam, accepted", [(-5e-10, True), (-2e-9, False)])

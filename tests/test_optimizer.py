@@ -1,4 +1,7 @@
 """Closed-form and searched efficiency maxima."""
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,8 @@ from qnot import (
     synthesize_with,
     verify_machine,
 )
+from qnot import optimizer
+from qnot.feasibility import constraint_kernel, point_rule
 from qnot.linalg import PSD_TOL
 from qnot.states import GramMatrix
 
@@ -48,6 +53,58 @@ def test_frozen_equal_overlap_boundary():
     assert gamma_max_triple(inp) == pytest.approx(FROZEN_03_TRIPLE, abs=1e-6)
     oracle = grid_oracle_triple(inp.gram_matrix(), inp.probe())
     assert oracle == pytest.approx(FROZEN_03_TRIPLE, abs=1e-6)
+
+
+def _plain_bisection(gram_matrix: GramMatrix, probe: ProbeSpec) -> float:
+    """The oracle as 70 sequential halvings, one point_rule call each
+    (``oracles.equal_edge_bisection`` forms ``G - gamma K``, other bits)."""
+    g = gram_matrix.matrix
+    k = constraint_kernel(g, probe)
+    n = gram_matrix.n
+    if point_rule(g, k, np.ones(n))[0]:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(70):
+        mid = 0.5 * (lo + hi)
+        if point_rule(g, k, np.full(n, mid))[0]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_stacked_oracle_equals_the_plain_bisection():
+    """The stacked rounds land on the sequential midpoints bit for bit; the
+    near-dependent triples, whose gamma reaches 1e-9, use every halving."""
+    rng = np.random.default_rng(51)
+    sets = [random_independent_set(rng, 3, 3, TargetMap.CONJUGATE)
+            for _ in range(100)]
+    sets += [random_near_dependent_triple(rng) for _ in range(100)]
+    tiny = 0
+    for ss in sets:
+        gm = gram(ss)
+        probe = standard_probe(gm)
+        oracle = grid_oracle_triple(gm, probe)
+        assert oracle == _plain_bisection(gm, probe)
+        tiny += 0.0 < oracle < 2.0 ** -20
+    assert tiny >= 10
+
+
+def test_oracle_decides_levels_halvings_per_rule_call(monkeypatch):
+    calls = []
+    rule = optimizer.point_rule
+
+    def counted(g, k, gammas):
+        calls.append(gammas.shape)
+        return rule(g, k, gammas)
+
+    monkeypatch.setattr(optimizer, "point_rule", counted)
+    inp = TripleBoundInput(0.3, 0.3, 0.3, 0.4, 0.1, 0.2)
+    oracle = grid_oracle_triple(inp.gram_matrix(), inp.probe())
+    assert oracle == pytest.approx(FROZEN_03_TRIPLE, abs=1e-6)
+    assert optimizer.HALVINGS % optimizer.LEVELS == 0
+    assert len(calls) <= optimizer.HALVINGS // optimizer.LEVELS + 1
+    assert calls[1] == (2 ** optimizer.LEVELS - 1, 3)
 
 
 def test_constraint_determinant_factors_through_one_quadratic():
@@ -471,25 +528,54 @@ def test_every_certified_point_builds_a_verified_machine():
 
 
 def test_schur_solve_falls_back_to_least_squares(monkeypatch):
-    """A Schur block that ``solve`` calls singular goes to ``lstsq``, and
+    """Every Schur solve raises ``LinAlgError`` and goes to ``lstsq``, and
     COORDINATE still ends on a point the rule accepts that verifies."""
-    ss = random_independent_set(np.random.default_rng(9), 4, 4,
-                                TargetMap.CONJUGATE)
     solve = np.linalg.solve
-    forced = []
+    for n in (4, 10):
+        ss = random_independent_set(np.random.default_rng(9), n, n,
+                                    TargetMap.CONJUGATE)
+        forced = []
 
-    def singular_schur_block(a, b):
-        if b.shape == (3, 2):
-            forced.append(a.shape)
-            raise np.linalg.LinAlgError("Singular matrix")
-        return solve(a, b)
+        def singular_schur_block(a, b):
+            if b.shape == (n - 1, 2):
+                forced.append(a.shape)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", singular_schur_block)
-    res = search_gamma(ss, GammaPolicy.COORDINATE)
-    monkeypatch.undo()
-    assert forced
-    assert _verifies(ss, res.gammas, res.probe)
-    assert res.mean_gamma >= search_gamma(ss).mean_gamma
+        monkeypatch.setattr(np.linalg, "solve", singular_schur_block)
+        res = search_gamma(ss, GammaPolicy.COORDINATE)
+        monkeypatch.undo()
+        assert forced
+        assert _verifies(ss, res.gammas, res.probe)
+        assert res.mean_gamma >= search_gamma(ss).mean_gamma
+
+
+# COORDINATE gammas of the first _coordinate_sets as float.hex, recorded
+# when every coordinate was stepped in every sweep
+PINNED_GAMMAS = json.loads(
+    Path(__file__).with_name("coordinate_gammas.json").read_text())
+
+
+def _coordinate_sets(count: int):
+    rng = np.random.default_rng(11)
+    return [random_independent_set(rng, 10, 10, TargetMap.CONJUGATE)
+            for _ in range(count)]
+
+
+def test_skipped_steps_leave_coordinate_gammas_bit_identical():
+    for ss, pinned in zip(_coordinate_sets(len(PINNED_GAMMAS)),
+                          PINNED_GAMMAS):
+        res = search_gamma(ss, GammaPolicy.COORDINATE)
+        assert [float(g).hex() for g in res.gammas] == pinned
+
+
+def test_coordinate_repeats_no_step_at_an_unchanged_point():
+    """A step is a function of the point, so one that made no move is not
+    made again there: mean evaluations 28.655 stepping every coordinate in
+    every sweep, 24.495 with the skip."""
+    iterations = [search_gamma(ss, GammaPolicy.COORDINATE).iterations
+                  for ss in _coordinate_sets(200)]
+    assert np.mean(iterations) <= 24.5
 
 
 def test_equal_search_on_near_parallel_pairs():
