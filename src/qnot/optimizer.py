@@ -11,10 +11,12 @@ the Gram determinant, negative for independent triples),
     det M = -(1 - gamma) (a gamma^2 + 2 (2 s - a) gamma + a),
 
 and the quadratic's roots multiply to 1: ``gamma_max`` is the one in
-``(0, 1]``, ``1 + (2 sqrt(s^2 - a s) - 2 s) / a``.  :func:`gamma_max_triple`
+``(0, 1]``, ``1 + (2 sqrt(s^2 - a s) - 2 s) / a``, or without cancellation
+``1 / (sqrt(x) + sqrt(1 + x))^2``, ``x = -s / a``.  :func:`gamma_max_triple`
 returns the first point of its retreat toward 0 (:data:`RETREAT`) that
-:func:`point_rule` accepts, or raises if the triple is dependent or none
-does; :func:`grid_oracle_triple`, the independent check, bisects on it.
+:func:`point_rule` accepts on the triple's own Gram, or raises if the
+triple is dependent or none does; :func:`grid_oracle_triple`, the
+independent check, bisects on it.
 Its :data:`HALVINGS` halvings of ``[0, 1]`` are the sequential ``mid =
 (lo + hi) / 2`` ones, but one stacked :func:`point_rule` call tests every
 point ``lo + (hi - lo) j / 2^LEVELS`` the next :data:`LEVELS` halvings can
@@ -48,7 +50,7 @@ are certified lower bounds for an optimal probe.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -70,7 +72,8 @@ RETREAT = (0.0, 2.0 ** -44, 2.0 ** -34, 2.0 ** -24, 2.0 ** -14, 0.5)
 
 @dataclass(frozen=True)
 class TripleBoundInput:
-    """Polar overlap data of three pairwise nonorthogonal states."""
+    """Polar overlap data of three pairwise nonorthogonal states; built by
+    :meth:`from_gram`, it keeps that Gram for :meth:`gram_matrix`."""
 
     t12: float
     t13: float
@@ -78,6 +81,8 @@ class TripleBoundInput:
     theta12: float
     theta13: float
     theta23: float
+    _gram: GramMatrix | None = field(default=None, init=False, compare=False,
+                                     repr=False)
 
     def __post_init__(self):
         for name in ("t12", "t13", "t23"):
@@ -95,7 +100,9 @@ class TripleBoundInput:
             raise ValueError("triple bound needs exactly three states")
         t = gram_matrix.magnitudes
         th = gram_matrix.phases
-        return cls(t[0, 1], t[0, 2], t[1, 2], th[0, 1], th[0, 2], th[1, 2])
+        inp = cls(t[0, 1], t[0, 2], t[1, 2], th[0, 1], th[0, 2], th[1, 2])
+        object.__setattr__(inp, "_gram", gram_matrix)
+        return inp
 
     @property
     def delta(self) -> float:
@@ -108,6 +115,8 @@ class TripleBoundInput:
                 - 2.0 * self.t12 * self.t13 * self.t23 * np.cos(self.delta))
 
     def gram_matrix(self) -> GramMatrix:
+        if self._gram is not None:
+            return self._gram
         g12 = self.t12 * np.exp(1j * self.theta12)
         g13 = self.t13 * np.exp(1j * self.theta13)
         g23 = self.t23 * np.exp(1j * self.theta23)
@@ -136,11 +145,10 @@ def gamma_max_triple(inp: TripleBoundInput) -> float:
     if null_count(np.linalg.eigh(g)[0]):
         raise DegenerateDeterminant(
             f"Gram rank is below 3 (|det| = {abs(a):.3e})")
-    s = inp.t23 ** 2 * np.sin(inp.delta) ** 2
-    root = np.sqrt(max(s * s - a * s, 0.0))
+    x = -inp.t23 ** 2 * np.sin(inp.delta) ** 2 / a
     k = constraint_kernel(g, inp.probe())
     val = _retreat(lambda v: point_rule(g, k, np.full(3, v))[0],
-                   min(1.0 + (2.0 * root - 2.0 * s) / a, 1.0), 0.0)
+                   1.0 / (np.sqrt(x) + np.sqrt(1.0 + x)) ** 2, 0.0)
     if val > 0.0:
         return float(val)
     raise DegenerateDeterminant(
@@ -228,14 +236,17 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
             "this probe leaves M nonzero on the null space of G")
     calls = 0
     gammas = np.zeros(n)
+    edge = 0.0  # lambda_min(M) at the last point the rule accepted
 
     def feasible(v, i=slice(None)) -> bool:
         """The point rule at ``gammas`` with entry ``i`` (default all) at v."""
-        nonlocal calls
+        nonlocal calls, edge
         calls += 1
         trial = gammas.copy()
         trial[i] = v
-        return point_rule(g, k, trial)[0]
+        ok, lam = point_rule(g, k, trial)
+        edge = lam if ok else edge
+        return ok
 
     col = np.arange(n - 1)
     others = col + (col >= np.arange(n)[:, None])  # row i: every index but i
@@ -299,5 +310,5 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
             if biggest_move < COORDINATE_CONVERGENCE:
                 break
 
-    return GammaSearchResult(gammas, probe, float(gammas.mean()), calls,
-                             point_rule(g, k, gammas)[1])
+    # every accepted point is kept, so the last one is the result
+    return GammaSearchResult(gammas, probe, float(gammas.mean()), calls, edge)

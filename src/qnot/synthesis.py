@@ -30,17 +30,16 @@ assembly step with ``M`` from :func:`qnot.feasibility.constraint_matrix`.
 
 The machine unitary moves only the support of its branches, ``s = d + n``
 of the ``D = d (n + 1)`` joint coordinates; every other row and column is
-exactly the identity's.  A synthesized machine stores just that support
-and the ``s x s`` block on it, so synthesis and verification build no
-``D x D`` array: :meth:`Machine.unitarity_error` checks ``V^dag V = I`` on
-the block at ``O(s^3)`` instead of the ``O(D^3)`` of ``U^dag U``, and
-:meth:`Machine.success_block` reads ``U[::p, ::p]`` off it at
-``O(d^2 + s^2)``.  Once a dense unitary exists (passed in, loaded, or
-built by the first read of :attr:`Machine.unitary`), it is the machine's
-unitary: the success block is its strided view, and the unitarity check
-scans it for the indices whose row or column differs from the identity,
-by exact comparison, at ``O(D^2 + s^3)``, so an edit anywhere is still
-checked.
+exactly the identity's.  A machine stores ascending indices ``support`` and
+the block on them, nothing else.  Synthesis keeps the ``s x s`` block, so
+synthesis and verification build no ``D x D`` array.  A dense unitary
+(passed in, loaded, or built by the first read of :attr:`Machine.unitary`)
+is the full-support block.  :meth:`Machine.unitarity_error` scans the block
+by exact comparison for the indices whose row or column differs from the
+identity's and checks ``V^dag V = I`` on them, at ``O(s^3)`` instead of the
+``O(D^3)`` of ``U^dag U`` (``O(D^2 + s^3)`` for a dense block, so an edit
+anywhere is still checked); :meth:`Machine.success_block` reads
+``U[::p, ::p]`` off the block at ``O(d^2 + s^2)``.
 """
 from __future__ import annotations
 
@@ -74,9 +73,10 @@ class Machine:
     probabilities and ``branch_phases`` the designed success-branch phases,
     one finite value each per member.
 
-    A machine built by :meth:`from_block` holds only ``(support, block)``;
-    reading :attr:`unitary` builds the dense array once and keeps it, and
-    from then on that array, edits included, is the machine's unitary.
+    The unitary is held as ``(support, block)``.  A dense unitary, given
+    or built by the first read of :attr:`unitary`, is the block on every
+    index, and from then on that array, edits included, is the machine's
+    unitary.
     """
 
     def __init__(self, system_dim: int, probe_dim: int, target: TargetMap,
@@ -121,13 +121,14 @@ class Machine:
         if not (np.isfinite(self.gammas).all()
                 and np.isfinite(self.branch_phases).all()):
             raise ValueError("gammas and branch_phases must be finite")
-        self._dense = None
 
     @property
     def unitary(self) -> np.ndarray:
-        if self._dense is None:
-            self._dense = embed_block(self.total_dim, self._support, self._block)
-        return self._dense
+        # ascending distinct indices below D: all of them iff there are D
+        if self._support.size < self.total_dim:
+            self.unitary = embed_block(self.total_dim, self._support,
+                                       self._block)
+        return self._block
 
     @unitary.setter
     def unitary(self, value):
@@ -137,7 +138,7 @@ class Machine:
             raise DimensionMismatch(
                 f"unitary shape {u.shape} does not match "
                 f"system_dim * probe_dim = {d}")
-        self._dense = u
+        self._support, self._block = np.arange(d), u
 
     @property
     def total_dim(self) -> int:
@@ -149,30 +150,26 @@ class Machine:
         An index whose row and column are exactly those of the identity
         contributes exactly 0 to ``U^dag U - I``, so with ``S`` the other
         indices the error is ``max |V^dag V - I|`` for ``V = U[S, S]``.
-        A block-held machine has ``S`` and ``V`` stored.  A dense unitary is
-        scanned exactly: an entry that differs from the identity's (NaN
-        included) puts its row and its column in ``S``, so no edit escapes.
+        The block is scanned exactly: an entry that differs from the
+        identity's (NaN included) puts its row and its column in ``S``, so
+        no edit escapes.
         """
-        u = self._dense
-        if u is None:
-            s, v = self._support, self._block
-        else:
-            moved = u != 0
-            np.fill_diagonal(moved, np.diagonal(u) != 1)
-            s = np.flatnonzero(moved.any(axis=0) | moved.any(axis=1))
-            v = u[np.ix_(s, s)]
+        v = self._block
+        moved = v != 0
+        np.fill_diagonal(moved, np.diagonal(v) != 1)
+        s = np.flatnonzero(moved.any(axis=0) | moved.any(axis=1))
         if not s.size:
             return 0.0
+        if s.size < v.shape[0]:
+            v = v[np.ix_(s, s)]
         return float(np.abs(v.conj().T @ v - np.eye(s.size)).max())
 
     def success_block(self) -> np.ndarray:
         """``U[::p, ::p]``: system to system with the probe kept in state 0."""
-        p = self.probe_dim
-        if self._dense is not None:
-            return self._dense[::p, ::p]
-        keep = self._support % p == 0
-        return embed_block(self.system_dim, self._support[keep] // p,
-                           self._block[np.ix_(keep, keep)])
+        keep = np.flatnonzero(self._support % self.probe_dim == 0)
+        return embed_block(self.system_dim,
+                           self._support[keep] // self.probe_dim,
+                           self._block[keep[:, None], keep])
 
 
 @dataclass

@@ -82,9 +82,20 @@ def _dependent(rng, n, dim):
     return synthesize_with(ss, 0.7, standard_probe(gram(ss))), ss
 
 
+def _padded(rng, n, dim):
+    """States with a zero last entry: the block misses a system index."""
+    inner = random_independent_set(rng, n, dim - 1, TargetMap.CONJUGATE)
+    ss = StateSet(tuple(QuditState(np.r_[s.amps, 0.0]) for s in inner.states),
+                  TargetMap.CONJUGATE)
+    machine = synthesize(ss)[0]
+    assert machine.success_block().shape == (dim, dim)
+    return machine, ss
+
+
 CASES = [(_general, 2, 2), (_general, 3, 4), (_general, 5, 5),
          (_exact, 2, 2), (_exact, 4, 3), (_exact, 6, 5),
-         (_dependent, 3, 2), (_dependent, 5, 3), (_dependent, 7, 4)]
+         (_dependent, 3, 2), (_dependent, 5, 3), (_dependent, 7, 4),
+         (_padded, 2, 3), (_padded, 3, 5)]
 IDS = [f"{make.__name__[1:]}-{n}x{dim}" for make, n, dim in CASES]
 
 
@@ -93,20 +104,33 @@ def _build(case, seed):
     return make(np.random.default_rng(seed), n, dim)
 
 
+def _report_facts(report):
+    """Every field of a report and of its records, arrays as bytes."""
+    records = [vars(r) for r in report.records + report.mc_records]
+    return [vars(report) | {"records": None, "mc_records": None}] + [
+        {k: v.tobytes() if isinstance(v, np.ndarray) else v
+         for k, v in r.items()} for r in records]
+
+
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 def test_block_machine_matches_the_dense_completion(case):
     machine, ss = _build(case, 41)
     ins, outs = _branches(ss, machine)
-    dense = unitary_completion(ins.T, outs.T)
+    dense_u = unitary_completion(ins.T, outs.T)
+    dense = Machine(machine.system_dim, machine.probe_dim, machine.target,
+                    dense_u, machine.gammas, machine.branch_phases)
     # read the block before the dense unitary exists
     success, error = machine.success_block(), machine.unitarity_error()
-    assert verify_machine(machine, ss).all_ok
-    p = machine.probe_dim
-    np.testing.assert_array_equal(machine.unitary, dense)
-    np.testing.assert_array_equal(success, dense[::p, ::p])
-    full = np.abs(dense.conj().T @ dense - np.eye(dense.shape[0])).max()
-    assert abs(error - full) <= 1e-12
-    assert abs(machine.unitarity_error() - full) <= 1e-12
+    reports = [verify_machine(machine, ss), verify_machine(machine, ss, shots=500)]
+    assert reports[0].all_ok
+    np.testing.assert_array_equal(success, dense.success_block())
+    assert error == dense.unitarity_error()
+    assert [_report_facts(r) for r in reports] == [
+        _report_facts(verify_machine(dense, ss)),
+        _report_facts(verify_machine(dense, ss, shots=500))]
+    np.testing.assert_array_equal(machine.unitary, dense_u)
+    np.testing.assert_array_equal(success, machine.success_block())
+    assert machine.unitarity_error() == error
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)

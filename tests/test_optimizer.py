@@ -236,9 +236,10 @@ def test_degenerate_determinant_raises():
 
 
 # Near-dependent triples, |det| 8.1e-9 and 2.2e-10.  On the first the root
-# of det M, 1.37e-8, has lambda_min(M) = -3.0e-9, past the point rule's
-# -PSD_TOL gamma, and the retreat's last rung, half the root, passes; the
-# oracle finds 8.4e-9.  The rank decision calls the second dependent.
+# of det M in its cancelling form, 1 + (2 sqrt(s^2 - a s) - 2 s) / a, is
+# 1.37e-8, with lambda_min(M) = -3.0e-9 past the point rule's -PSD_TOL gamma;
+# the stable form gives 8.374e-9, which the rule accepts, and the oracle
+# finds 8.374e-9.  The rank decision calls the second dependent.
 UNCERTIFIED_TRIPLES = [
     TripleBoundInput(0.6184814218435851, 0.7582248613524998,
                      0.5885760250323195, 5.486196772758945,
@@ -275,15 +276,17 @@ def test_uncertified_boundary_raises(inp):
 
 
 def test_root_past_the_edge_retreats_to_a_verified_bound():
-    """The det-8e-9 triple: the root fails, half of it builds and verifies."""
+    """The det-8e-9 triple: the stable root is the retreat's first rung, and
+    it builds and verifies; the cancelling root failed, and half of it,
+    6.86e-9, was kept."""
     gamma = _bound_builds_a_verified_machine(UNCERTIFIED_TRIPLES[0])
-    assert gamma == pytest.approx(6.86e-9, rel=1e-3)
+    assert gamma == pytest.approx(8.374e-9, rel=1e-3)
 
 
-# Near-dependent qutrit triple whose a-root 2.466e-8 has lambda_min(M)
-# = -1.87e-9.  1e-9 inside it, 2.366e-8 has lambda_min(M) >= -PSD_TOL, but
-# a machine built there has fidelity 0.999998; the retreat's half root
-# 1.23e-8 passes the point rule and verifies.
+# Near-dependent qutrit triple whose cancelling root 2.466e-8 has
+# lambda_min(M) = -1.87e-9.  1e-9 inside it, 2.366e-8 has lambda_min(M) >=
+# -PSD_TOL, but a machine built there has fidelity 0.999998.  The stable
+# root 2.342e-8 (oracle 2.342e-8) passes the point rule and verifies.
 EDGE_ROOT_TRIPLE = TripleBoundInput(
     0.3892444485631532, 0.3587690037753581, 0.8888065421252748,
     0.7933075239697203, 2.2340284076542902, 0.15664014312309466)
@@ -527,6 +530,39 @@ def test_every_certified_point_builds_a_verified_machine():
     assert certified >= 150
 
 
+def test_triple_bound_keeps_the_edge_on_near_dependent_triples():
+    """The root without cancellation, certified on the set's own Gram, is
+    within 10 % of the oracle wherever it is certified.  The cancelling root
+    fell back to half of itself on 192 of 773 such triples of this sweep
+    (3000 triples); certifying on the Gram rebuilt from polar data refused
+    95 stable roots on the set's own Gram."""
+    rng = np.random.default_rng(5)
+    certified = 0
+    for _ in range(400):
+        ss = random_near_dependent_triple(rng)
+        gm = gram(ss)
+        try:
+            gamma = gamma_max_triple(TripleBoundInput.from_gram(gm))
+        except QnotError:
+            continue
+        probe = standard_probe(gm)
+        assert gamma >= 0.9 * grid_oracle_triple(gm, probe)
+        assert _verifies(ss, gamma, probe)
+        certified += 1
+    assert certified >= 80
+
+
+def test_triple_input_keeps_the_gram_it_was_built_from():
+    gm = gram(random_independent_set(np.random.default_rng(2), 3, 3,
+                                     TargetMap.CONJUGATE))
+    inp = TripleBoundInput.from_gram(gm)
+    polar = TripleBoundInput(inp.t12, inp.t13, inp.t23, inp.theta12,
+                             inp.theta13, inp.theta23)
+    assert inp.gram_matrix() is gm
+    assert inp == polar and repr(inp) == repr(polar)
+    assert np.abs(polar.gram_matrix().matrix - gm.matrix).max() <= 1e-15
+
+
 def test_schur_solve_falls_back_to_least_squares(monkeypatch):
     """Every Schur solve raises ``LinAlgError`` and goes to ``lstsq``, and
     COORDINATE still ends on a point the rule accepts that verifies."""
@@ -576,6 +612,49 @@ def test_coordinate_repeats_no_step_at_an_unchanged_point():
     iterations = [search_gamma(ss, GammaPolicy.COORDINATE).iterations
                   for ss in _coordinate_sets(200)]
     assert np.mean(iterations) <= 24.5
+
+
+def test_search_reports_the_edge_of_its_last_accepted_test(monkeypatch):
+    """``boundary_lambda_min`` is the rule's value at the result, taken
+    from the test that accepted it: the search calls the rule once per
+    feasibility test, which is each evaluation but the Schur solves and
+    EQUAL's eigenproblem (made when gamma = 1 is refused)."""
+    verdicts, solves = [], []
+    scaled_constraint = optimizer.scaled_constraint
+
+    def counted_rule(g, k, gammas):
+        out = point_rule(g, k, gammas)
+        verdicts.append(out[0])
+        return out
+
+    def counted_schur(g, k, gammas):
+        solves.append(gammas)
+        return scaled_constraint(g, k, gammas)
+
+    monkeypatch.setattr(optimizer, "point_rule", counted_rule)
+    monkeypatch.setattr(optimizer, "scaled_constraint", counted_schur)
+    for ss in _coordinate_sets(200):
+        g, probe = gram(ss).matrix, standard_probe(gram(ss))
+        for policy in GammaPolicy:
+            verdicts.clear(), solves.clear()
+            res = search_gamma(ss, policy)
+            eigenproblem = not verdicts[0]
+            assert len(verdicts) == res.iterations - len(solves) - eigenproblem
+            fresh = point_rule(g, constraint_kernel(g, probe), res.gammas)
+            assert res.boundary_lambda_min == fresh[1]
+
+
+def test_unreached_search_refuses_with_no_certified_efficiency():
+    """The 278th near-dependent triple of ``default_rng(5)`` passes the null
+    test, but its equal-efficiency edge, about 4e-10 (the triple bound and
+    the oracle agree), is not above ``PSD_TOL``, so both policies refuse."""
+    rng = np.random.default_rng(5)
+    for _ in range(277):
+        random_near_dependent_triple(rng)
+    ss = random_near_dependent_triple(rng)
+    for policy in GammaPolicy:
+        with pytest.raises(NoFeasiblePoint, match="certified"):
+            search_gamma(ss, policy)
 
 
 def test_equal_search_on_near_parallel_pairs():
