@@ -21,8 +21,9 @@ Three nested regimes are decided here, each on a finite state family:
 Every check reads a probe as its Gram matrix ``P``.  A phase-vector probe
 is the rank-one case and also keeps its phases, which is the only kind of
 probe a machine realizes.  Every machine unitary is built by
-:func:`branch_block`, which writes the ``(system, probe, member)`` layout
-once and returns the unitary as the block on the coordinates it moves:
+:func:`branch_block`, which writes the branches on the only joint rows
+they touch, (system 0, any probe) and (any system, probe 0), and returns
+the unitary as the block on the coordinates it moves:
 :func:`build_exact_unitary` and :func:`build_probe_unitary` here embed it
 in a dense array, and :mod:`qnot.synthesis` keeps the block.
 """
@@ -130,7 +131,12 @@ class FeasibilityVerdict:
 
 def check_exact_unitary(state_set: StateSet) -> FeasibilityVerdict:
     """Exact target map by a plain unitary exists iff the Gram is real."""
-    return _worst_entry(np.abs(gram(state_set).matrix.imag), IMAG_TOL)
+    return _real_gram(gram(state_set))
+
+
+def _real_gram(gram_matrix: GramMatrix) -> FeasibilityVerdict:
+    """:func:`check_exact_unitary` on a Gram already at hand."""
+    return _worst_entry(np.abs(gram_matrix.matrix.imag), IMAG_TOL)
 
 
 def check_exact_with_probe(state_set: StateSet) -> FeasibilityVerdict:
@@ -173,20 +179,25 @@ def branch_block(state_set: StateSet, weights, probe_dim: int,
     ``(support, block)`` of :func:`qnot.linalg.completion_block`.
 
     Member ``i`` enters as ``psi_i x |0>`` and leaves as
-    ``weights_i target_i x |0> + sum_j failure[j, i] |0> x |j+1>``.
-    Inputs and outputs are ``(system, probe, member)`` arrays; flattening
-    the first two axes gives the system-major joint index.  Propagates
-    :class:`GramMismatch` when the branches do not reproduce the Gram.
+    ``weights_i target_i x |0> + sum_j failure[j, i] |0> x |j+1>``, so a
+    branch touches only the joint indices (system 0, any probe) and (any
+    system, probe 0), ``probe_dim + d - 1`` ascending rows of the
+    system-major joint index; the completion runs on those rows alone.
+    Propagates :class:`GramMismatch` when the branches do not reproduce
+    the Gram.
     """
     d, n = state_set.dim, len(state_set)
-    ins = np.zeros((d, probe_dim, n), complex)
-    ins[:, 0, :] = state_set.matrix()
-    outs = np.zeros((d, probe_dim, n), complex)
-    outs[:, 0, :] = state_set.target_matrix() * weights
+    rows = np.concatenate([np.arange(probe_dim),
+                           np.arange(probe_dim, d * probe_dim, probe_dim)])
+    system = rows % probe_dim == 0  # the rows (i, 0)
+    ins = np.zeros((rows.size, n), complex)
+    ins[system] = state_set.matrix()
+    outs = np.zeros((rows.size, n), complex)
+    outs[system] = state_set.target_matrix() * weights
     if failure is not None:
-        outs[0, 1:, :] = failure
-    return completion_block(ins.reshape(d * probe_dim, n),
-                            outs.reshape(d * probe_dim, n))
+        outs[1:probe_dim] = failure
+    support, block = completion_block(ins, outs)
+    return rows[support], block
 
 
 def build_exact_unitary(state_set: StateSet) -> np.ndarray:

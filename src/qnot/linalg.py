@@ -7,16 +7,19 @@ the phases of the eigenvectors, so none are fixed.  Two tuples of vectors
 with identical Gram matrices are related by a unitary, and
 :func:`unitary_completion` produces one in closed form, the polar factor
 of the families' cross product (orthogonal Procrustes, Schonemann 1966).
-It completes only inside the joint span of the two families, and computes
-only on their support, the ``s`` coordinates where some vector of either
-family is nonzero: for ``k`` vectors of dimension ``D``,
-:func:`completion_block` returns that support and the ``s x s`` block at
-``O(s^2 k)``, not ``O(D^2 k)``, and builds no ``D x D`` array; only the
-dense form, :func:`unitary_completion`, writes the identity around the
-block (:func:`embed_block`).  The polar factor is unitary to rounding at
-any rank, so no rank tolerance decides which vectors count as
+It computes only on the families' support, the ``s`` coordinates where
+some vector of either family is nonzero: for ``k`` vectors of dimension
+``D``, :func:`completion_block` returns that support and the ``s x s``
+block, and builds no ``D x D`` array; only the dense form,
+:func:`unitary_completion`, writes the identity around the block
+(:func:`embed_block`).  When ``s <= 2k`` the block is the polar factor
+itself, an SVD of ``s x s``; when ``s > 2k`` one QR of the two families
+shrinks that SVD to ``2k x 2k``, and the block then completes only inside
+their joint span, at ``O(s^2 k)``.  The polar factor is unitary to
+rounding at any rank, so no rank tolerance decides which vectors count as
 independent.  Machine branches touch ``s = d + n`` of the
-``D = d (n + 1)`` coordinates of system x probe.
+``D = d (n + 1)`` coordinates of system x probe, so a machine on the
+general path takes the QR only when ``d > n``.
 
 Every PSD decision compares :func:`smallest_eigenvalue` against
 ``-PSD_TOL`` (:func:`is_psd`, :func:`psd_sqrt`, probe Grams), or, for a
@@ -153,16 +156,18 @@ def completion_block(x_mat: np.ndarray, y_mat: np.ndarray):
 
     ``support`` holds, ascending, the ``s`` rows where some input or output
     entry is nonzero (exactly) and ``block`` is ``U`` on those rows and
-    columns; every other row and column of ``U`` is the identity's.  On the
-    support, with ``X`` and ``Y`` the families as columns and ``Q`` an
-    orthonormal basis of ``[X Y]`` (thin QR), ``U = I + Q (R - I) Q^dag``
-    where ``R`` is the polar factor of ``(Q^dag Y)(Q^dag X)^dag``: from its
-    SVD ``W S V^dag``, ``R = W V^dag`` (orthogonal Procrustes).  Equal
-    Grams make ``Q^dag Y = R0 Q^dag X`` for a unitary ``R0``, and every
-    polar factor agrees with ``R0`` on the span of ``Q^dag X``, so ``R``
-    sends each input to its output.  As a product of SVD factors ``R`` is
-    unitary to rounding whatever the rank of the families, so no rank
-    tolerance is needed.  The cost is ``O(s^2 k)``.  Raises
+    columns; every other row and column of ``U`` is the identity's.  With
+    ``X`` and ``Y`` the families on the support as columns, equal Grams
+    make ``Y = R0 X`` for a unitary ``R0``, so ``A = Y X^dag = R0 X X^dag``
+    and every polar factor of ``A`` agrees with ``R0`` on the span of
+    ``X``: from the SVD ``W S V^dag`` of ``A``, ``R = W V^dag`` sends each
+    input to its output (orthogonal Procrustes).  When ``s <= 2k`` the
+    block is ``R`` itself, at ``O(s^2 k + s^3)``.  When ``s > 2k`` a thin
+    QR ``Q`` of ``[X Y]`` shrinks the SVD to ``2k x 2k``: ``R`` is taken
+    of ``(Q^dag Y)(Q^dag X)^dag`` and ``U = I + Q (R - I) Q^dag``
+    completes only inside the joint span, at ``O(s^2 k)``.  As a product
+    of SVD factors ``R`` is unitary to rounding whatever the rank of the
+    families, so no rank tolerance is needed.  Raises
     :class:`GramMismatch` when some pair of inner products disagrees
     beyond :data:`GRAM_TOL`.
     """
@@ -173,6 +178,10 @@ def completion_block(x_mat: np.ndarray, y_mat: np.ndarray):
     if dev.size and not dev.max() <= GRAM_TOL:
         i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
         raise GramMismatch(int(i), int(j), float(dev[i, j]))
+    if support.size <= 2 * x_mat.shape[1]:
+        # a QR would give a square Q: any basis of the support does as well
+        w, _, vh = np.linalg.svd(y_mat @ x_mat.conj().T)
+        return support, w @ vh
     q = np.linalg.qr(np.concatenate([x_mat, y_mat], axis=1))[0]
     qh = q.conj().T
     w, _, vh = np.linalg.svd((qh @ y_mat) @ (qh @ x_mat).conj().T)

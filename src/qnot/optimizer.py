@@ -219,7 +219,7 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
 
     See the module doc.  Each point kept passed :func:`point_rule`, so it
     builds a machine that verifies.  :class:`NoFeasiblePoint` for a probe
-    that fails the null test, or no shared efficiency above ``PSD_TOL``;
+    that fails the null test, or when no rung of EQUAL's retreat passes;
     :class:`InvalidProbe` for a probe of the wrong size.
     """
     if not isinstance(policy, GammaPolicy):
@@ -285,7 +285,7 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
         calls += 1
         lam_max = np.linalg.eigvalsh(c + c.conj().T)[-1] / 2.0
         equal = _retreat(feasible, min(1.0, 1.0 / lam_max), 0.0)
-    if not equal > PSD_TOL:
+    if equal == 0.0:
         raise NoFeasiblePoint("no feasible efficiencies certified")
     gammas[:] = equal
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -140,25 +141,30 @@ class StateSet:
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Gram matrix of a state family together with its polar data.
+    """Gram matrix of a state family, with its polar data on first read.
 
     ``magnitudes[i, j]`` is ``|<i|j>|`` and ``phases[i, j]`` its argument
     folded into ``[0, 2*pi)``.  Entries with vanishing magnitude get phase
-    zero; nothing downstream consumes the phase of a zero.
+    zero; nothing downstream consumes the phase of a zero.  The checks, the
+    efficiency searches and synthesis read only ``matrix``, so the polar
+    data is computed once, by the first caller that reads it.
     """
 
     matrix: np.ndarray
-    magnitudes: np.ndarray = field(init=False, repr=False)
-    phases: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        mags = np.abs(m)
-        phis = np.mod(np.angle(m), 2.0 * np.pi)
-        phis[mags < 1e-15] = 0.0
-        object.__setattr__(self, "magnitudes", mags)
-        object.__setattr__(self, "phases", phis)
+        object.__setattr__(self, "matrix",
+                           np.asarray(self.matrix, dtype=complex))
+
+    @cached_property
+    def magnitudes(self) -> np.ndarray:
+        return np.abs(self.matrix)
+
+    @cached_property
+    def phases(self) -> np.ndarray:
+        phis = np.mod(np.angle(self.matrix), 2.0 * np.pi)
+        phis[self.magnitudes < 1e-15] = 0.0
+        return phis
 
     @property
     def n(self) -> int:

@@ -24,22 +24,26 @@ families get safe equal efficiencies
 and the zero-phase probe, which keeps ``M = G - epsilon conj(G)`` strictly
 positive; a family is dependent when :func:`qnot.linalg.null_count`, the
 one rank decision, zeroes part of the Gram's ``eigh`` spectrum.
-:func:`synthesize_with` decides the caller's point with
+:func:`synthesize` computes the Gram once: its real-Gram test, the
+spectrum and ``M`` all read that one matrix.  :func:`synthesize_with`
+decides the caller's point with
 :func:`qnot.feasibility.check_probabilistic`; both build through one
 assembly step with ``M`` from :func:`qnot.feasibility.constraint_matrix`.
 
 The machine unitary moves only the support of its branches, ``s = d + n``
 of the ``D = d (n + 1)`` joint coordinates; every other row and column is
 exactly the identity's.  A machine stores ascending indices ``support`` and
-the block on them, nothing else.  Synthesis keeps the ``s x s`` block, so
-synthesis and verification build no ``D x D`` array.  A dense unitary
-(passed in, loaded, or built by the first read of :attr:`Machine.unitary`)
-is the full-support block.  :meth:`Machine.unitarity_error` scans the block
-by exact comparison for the indices whose row or column differs from the
-identity's and checks ``V^dag V = I`` on them, at ``O(s^3)`` instead of the
-``O(D^3)`` of ``U^dag U`` (``O(D^2 + s^3)`` for a dense block, so an edit
-anywhere is still checked); :meth:`Machine.success_block` reads
-``U[::p, ::p]`` off the block at ``O(d^2 + s^2)``.
+the block on them, nothing else.  Synthesis writes the branches on those
+``d + n`` rows alone and keeps the ``s x s`` block, so synthesis and
+verification build no ``D x D`` array, and no ``D x n`` one.  A dense
+unitary (passed in, loaded, or built by the first read of
+:attr:`Machine.unitary`) is the full-support block.
+:meth:`Machine.unitarity_error` scans the block by exact comparison for the
+indices whose row or column differs from the identity's and checks
+``V^dag V = I`` on them, at ``O(s^3)`` instead of the ``O(D^3)`` of
+``U^dag U`` (``O(D^2 + s^3)`` for a dense block, so an edit anywhere is
+still checked); :meth:`Machine.success_block` reads ``U[::p, ::p]`` off the
+block at ``O(d^2 + s^2)``.
 """
 from __future__ import annotations
 
@@ -50,8 +54,8 @@ import numpy as np
 from .errors import DimensionMismatch, InfeasibleGamma, LinearlyDependent
 from .feasibility import (
     ProbeSpec,
+    _real_gram,
     branch_block,
-    check_exact_unitary,
     check_probabilistic,
     constraint_matrix,
     efficiencies,
@@ -222,7 +226,7 @@ def synthesize(state_set: StateSet):
     spectrum = np.linalg.eigh(gm.matrix)[0]
     c, d_max = float(spectrum[0]), float(spectrum[-1])
 
-    if check_exact_unitary(state_set).feasible:
+    if _real_gram(gm).feasible:
         machine = Machine.from_block(state_set.dim, 1, state_set.target,
                                      *branch_block(state_set, 1.0, 1),
                                      np.ones(n), np.zeros(n))

@@ -20,10 +20,11 @@ TOLERANCES = {
     "states.NORM_TOL",
 }
 
-# Every ``eigvalsh``, ``eigh`` and ``svd`` call, as ``(solver, module.function)``.
-# A rank decision reads an ``eigh`` spectrum; ``eigvalsh`` serves only the
-# PSD test and EQUAL's lambda_max, and the SVD only the polar factor, so a
-# new call fails here until it is registered.
+# Every ``eigvalsh``, ``eigh``, ``svd`` and ``qr`` call, as
+# ``(solver, module.function)``.  A rank decision reads an ``eigh`` spectrum;
+# ``eigvalsh`` serves only the PSD test and EQUAL's lambda_max, the SVD only
+# the polar factor, and the QR only the completion's shrinking of that SVD,
+# so a new call fails here until it is registered.
 EIGENSOLVERS = {
     ("eigvalsh", "linalg.smallest_eigenvalue"),
     ("eigvalsh", "optimizer.search_gamma"),
@@ -33,6 +34,7 @@ EIGENSOLVERS = {
     ("eigh", "optimizer.gamma_max_triple"),
     ("eigh", "synthesis.synthesize"),
     ("svd", "linalg.completion_block"),
+    ("qr", "linalg.completion_block"),
 }
 
 # Every function that reads ``PSD_TOL``.  Only ``feasibility.point_rule``
@@ -127,7 +129,7 @@ def _reads_psd_tol(node) -> bool:
 
 def test_eigensolver_calls_are_registered():
     found = {(_called(node), where) for where, node in _module_nodes()
-             if _called(node) in ("eigvalsh", "eigh", "svd")}
+             if _called(node) in ("eigvalsh", "eigh", "svd", "qr")}
     assert found == EIGENSOLVERS
     assert {where for solver, where in found if solver == "eigvalsh"} == {
         "linalg.smallest_eigenvalue", "optimizer.search_gamma"}

@@ -43,9 +43,9 @@ from qnot import (
     synthesize_with,
     target_state,
 )
-from qnot.feasibility import (constraint_kernel, efficiencies, point_rule,
-                              scaled_constraint)
-from qnot.linalg import gram_of, range_null
+from qnot.feasibility import (branch_block, constraint_kernel, efficiencies,
+                              point_rule, scaled_constraint)
+from qnot.linalg import completion_block, gram_of, psd_sqrt, range_null
 
 
 def states_for_gram(g, dim, target):
@@ -592,3 +592,83 @@ class TestDependentTriple:
         # with these efficiencies and phase, v leaves s3_perp's span by 0.14
         s1, s2, s3 = qubit(1, 0), qubit(1, 1), qubit(1, 2)
         assert solve_dependent_triple(s1, s2, s3, 0.5, 0.9, 0.3) is None
+
+
+def _full_branches(ss, weights, probe_dim, failure):
+    """The branches on all ``D = d probe_dim`` joint rows, zeros included:
+    the ``(system, probe, member)`` construction ``branch_block`` replaced."""
+    d, n = ss.dim, len(ss)
+    ins = np.zeros((d, probe_dim, n), complex)
+    ins[:, 0, :] = ss.matrix()
+    outs = np.zeros((d, probe_dim, n), complex)
+    outs[:, 0, :] = ss.target_matrix() * weights
+    if failure is not None:
+        outs[0, 1:, :] = failure
+    return ins.reshape(d * probe_dim, n), outs.reshape(d * probe_dim, n)
+
+
+def _padded(ss):
+    """The set with a zero amplitude appended to every member."""
+    return StateSet(tuple(QuditState(np.r_[s.amps, 0.0]) for s in ss),
+                    ss.target)
+
+
+def _exact_branches(rng, n, dim):
+    ss = random_set(rng, n, dim, TargetMap.CONJUGATE, real=True)
+    return ss, 1.0, 1, None
+
+
+def _probe_branches(rng, n, probe_dim):
+    """A NOT set with the witness phases; ``probe_dim = n + 1`` puts the
+    exact probe machine on the general path's rows, with no failure."""
+    phases = np.pi * rng.random(n)
+    ss = StateSet(tuple(QuditState(random_state(rng, 2, real=True).amps
+                                   * np.exp(1j * ph)) for ph in phases),
+                  TargetMap.NOT)
+    witness = check_exact_with_probe(ss).witness
+    return ss, np.exp(1j * witness.phases), probe_dim, None
+
+
+def _general_branches(rng, n, dim):
+    ss = random_independent_set(rng, n, dim, TargetMap.CONJUGATE)
+    gammas = np.full(n, 0.5 * search_gamma(ss).gammas.min())
+    probe = standard_probe(gram(ss))
+    c = psd_sqrt(constraint_matrix(gram(ss), gammas, probe))
+    return (ss, np.sqrt(gammas) * np.exp(1j * probe.phases), n + 1,
+            np.conj(c).T)
+
+
+BRANCHES = {
+    "exact-3x4": lambda rng: _exact_branches(rng, 3, 4),
+    "exact-6x3": lambda rng: _exact_branches(rng, 6, 3),
+    "not-probe-4": lambda rng: _probe_branches(rng, 4, 2),
+    "not-probe-on-n+1": lambda rng: _probe_branches(rng, 3, 4),
+    "general-3x3": lambda rng: _general_branches(rng, 3, 3),
+    "general-2x5": lambda rng: _general_branches(rng, 2, 5),
+    "general-5x5": lambda rng: _general_branches(rng, 5, 5),
+}
+
+
+@pytest.mark.parametrize("make", BRANCHES.values(), ids=BRANCHES)
+@pytest.mark.parametrize("pad", [False, True], ids=["plain", "padded"])
+def test_branch_block_is_the_completion_of_the_full_branches(make, pad):
+    """Only rows (0, j) and (i, 0) are built, and the result is bit for bit
+    the completion of all ``D`` rows, whose untouched rows are zero."""
+    ss, weights, probe_dim, failure = make(np.random.default_rng(61))
+    if pad and ss.target is TargetMap.NOT:
+        # a qubit cannot be padded: a member with a zero amplitude instead
+        zero = QuditState(np.array([0.0, np.exp(0.3j)]))
+        ss = StateSet((zero, *ss.states[1:]), ss.target)
+        weights = np.exp(1j * check_exact_with_probe(ss).witness.phases)
+    elif pad:
+        # the Gram, and so the failure branches, stay those of the set
+        ss = _padded(ss)
+    support, block = branch_block(ss, weights, probe_dim, failure)
+    full_support, full_block = completion_block(
+        *_full_branches(ss, weights, probe_dim, failure))
+    np.testing.assert_array_equal(support, full_support)
+    np.testing.assert_array_equal(block, full_block)
+    u = np.eye(ss.dim * probe_dim, dtype=complex)
+    u[np.ix_(support, support)] = block
+    ins, outs = _full_branches(ss, weights, probe_dim, failure)
+    assert np.abs(u @ ins - outs).max() < 1e-12

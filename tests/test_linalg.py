@@ -19,7 +19,8 @@ from qnot import (
     psd_sqrt,
     unitary_completion,
 )
-from qnot.linalg import RANK_TOL, null_count, range_null, smallest_eigenvalue
+from qnot.linalg import (RANK_TOL, completion_block, null_count, range_null,
+                         smallest_eigenvalue)
 
 
 def random_hermitian(rng, n):
@@ -287,6 +288,59 @@ class TestUnitaryCompletion:
             unitary_completion([e0, np.ones(3)], [e0, np.ones(3)])
         with pytest.raises(DimensionMismatch):
             unitary_completion([], [])
+
+
+# (s, k, rank): s support rows, k vectors spanning ``rank`` dimensions
+COMPLETION_SHAPES = {
+    "square-qr-free": (4, 4, 4),
+    "s=2k": (6, 3, 3),
+    "rank-deficient": (6, 4, 2),
+    "dependent-k>s": (3, 7, 3),
+    "dependent-rank-1": (4, 6, 1),
+    "s>2k": (9, 3, 3),
+    "s>2k-rank-deficient": (11, 4, 2),
+}
+
+
+@pytest.mark.parametrize("shape", COMPLETION_SHAPES.values(),
+                         ids=COMPLETION_SHAPES)
+def test_completion_in_both_regimes(shape, monkeypatch):
+    """``s <= 2k`` takes the polar factor on the support directly; ``s >
+    2k`` shrinks it with one QR.  Both map every input to its output, are
+    unitary, leave the identity off the support and refuse a Gram miss."""
+    s, k, rank = shape
+    qr_calls, qr = [], np.linalg.qr
+
+    def counted_qr(a, *args):
+        qr_calls.append(a.shape)
+        return qr(a, *args)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    rng = np.random.default_rng(35)
+    basis = rng.normal(size=(s, rank)) + 1j * rng.normal(size=(s, rank))
+    x = basis @ (rng.normal(size=(rank, k)) + 1j * rng.normal(size=(rank, k)))
+    x /= np.linalg.norm(x, axis=0)
+    v = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+    y = np.linalg.qr(v)[0] @ x
+    qr_calls.clear()
+    support, block = completion_block(x, y)
+    assert qr_calls == ([] if s <= 2 * k else [(s, 2 * k)])
+    np.testing.assert_array_equal(support, np.arange(s))
+    assert np.abs(block @ x - y).max() < 1e-12
+    assert np.abs(block.conj().T @ block - np.eye(s)).max() < 1e-13
+    dim = s + 5
+    rows = np.sort(rng.choice(dim, size=s, replace=False))
+    x_pad = np.zeros((dim, k), complex)
+    y_pad = np.zeros((dim, k), complex)
+    x_pad[rows], y_pad[rows] = x, y
+    u = unitary_completion(x_pad.T, y_pad.T)
+    off = np.setdiff1d(np.arange(dim), rows)
+    assert np.array_equal(u[off], np.eye(dim)[off])
+    assert np.array_equal(u[:, off], np.eye(dim)[:, off])
+    assert np.abs(u @ x_pad - y_pad).max() < 1e-12
+    y[:, -1] *= 1.5
+    with pytest.raises(GramMismatch):
+        completion_block(x, y)
 
 
 @settings(max_examples=40, deadline=None)

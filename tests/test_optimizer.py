@@ -33,7 +33,7 @@ from qnot.linalg import PSD_TOL
 from qnot.states import GramMatrix
 
 from conftest import (random_independent_set, random_near_dependent_triple,
-                      random_set, worked_triple)
+                      random_set, random_state, worked_triple)
 from oracles import cofactor_det, equal_edge_bisection, quadratic_roots
 
 # Boundary for all-|overlap| 0.3, phases (0.4, 0.1, 0.2), computed by
@@ -644,17 +644,38 @@ def test_search_reports_the_edge_of_its_last_accepted_test(monkeypatch):
             assert res.boundary_lambda_min == fresh[1]
 
 
-def test_unreached_search_refuses_with_no_certified_efficiency():
+def test_search_keeps_a_tiny_certified_efficiency():
     """The 278th near-dependent triple of ``default_rng(5)`` passes the null
-    test, but its equal-efficiency edge, about 4e-10 (the triple bound and
-    the oracle agree), is not above ``PSD_TOL``, so both policies refuse."""
+    test, and its equal-efficiency edge, about 4e-10, is below ``PSD_TOL``.
+    The point rule accepts it, so both policies return the triple bound (a
+    floor at ``PSD_TOL`` refused it) and the machine there verifies."""
     rng = np.random.default_rng(5)
     for _ in range(277):
         random_near_dependent_triple(rng)
     ss = random_near_dependent_triple(rng)
+    bound = gamma_max_triple(TripleBoundInput.from_gram(gram(ss)))
+    assert bound < PSD_TOL
+    for policy in GammaPolicy:
+        res = search_gamma(ss, policy)
+        np.testing.assert_allclose(res.gammas, bound, rtol=1e-6)
+        assert verify_machine(synthesize_with(ss, res.gammas, res.probe),
+                              ss).all_ok
+
+
+def test_search_refuses_when_no_retreat_rung_is_certified():
+    """A real dependent triple with the full-Gram probe ``(1 - e) J + e I``,
+    ``e = 5e-9``: ``K N = e N`` on the null vector ``N`` of ``G`` passes the
+    null test, but ``lambda_min(M) = -e gamma`` at every equal point, below
+    ``-PSD_TOL gamma``, so no rung of EQUAL's retreat passes."""
+    rng = np.random.default_rng(8)
+    a, b = (random_state(rng, 2, real=True).amps for _ in range(2))
+    ss = StateSet(tuple(map(QuditState.normalized, (a, b, a + b))),
+                  TargetMap.CONJUGATE)
+    e = 5e-9
+    probe = ProbeSpec.full_gram((1.0 - e) * np.ones((3, 3)) + e * np.eye(3))
     for policy in GammaPolicy:
         with pytest.raises(NoFeasiblePoint, match="certified"):
-            search_gamma(ss, policy)
+            search_gamma(ss, policy, probe)
 
 
 def test_equal_search_on_near_parallel_pairs():

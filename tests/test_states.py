@@ -222,6 +222,21 @@ class TestGram:
         assert g.phases[0, 1] == 0.0
         assert (g.phases >= 0).all() and (g.phases < 2 * np.pi).all()
 
+    def test_polar_data_is_computed_on_first_read(self):
+        """``magnitudes`` and ``phases`` are the eager formulas, computed
+        once when first read; an entry below 1e-15 has phase 0."""
+        rng = np.random.default_rng(46)
+        m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        m[0, 1], m[1, 2], m[2, 3], m[3, 4] = 0.0, -0.0, 3e-16j, -2e-15
+        g = GramMatrix(m)
+        assert "magnitudes" not in vars(g) and "phases" not in vars(g)
+        phases = np.mod(np.angle(m), 2.0 * np.pi)
+        phases[np.abs(m) < 1e-15] = 0.0
+        np.testing.assert_array_equal(g.phases, phases)
+        np.testing.assert_array_equal(g.magnitudes, np.abs(m))
+        assert g.phases is g.phases and g.magnitudes is g.magnitudes
+        assert g.phases[2, 3] == 0.0 and g.phases[3, 4] == np.pi
+
     def test_target_family_has_conjugate_gram(self):
         rng = np.random.default_rng(45)
         for target, dim in ((TargetMap.NOT, 2), (TargetMap.CONJUGATE, 3)):

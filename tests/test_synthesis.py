@@ -253,3 +253,24 @@ def test_dataclasses_holding_arrays_compare_and_hash(make):
     a, b = make(), make()
     assert a == a and not a == b and a != b
     assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["exact", "general"])
+def test_synthesize_builds_one_gram(real, monkeypatch):
+    """The real-Gram test and the general path read the Gram that
+    ``synthesize`` already holds, whichever module's ``gram`` is called."""
+    from qnot import feasibility, optimizer, synthesis
+    calls = []
+
+    def counted_gram(state_set):
+        calls.append(state_set)
+        return gram(state_set)
+
+    for module in (feasibility, optimizer, synthesis):
+        monkeypatch.setattr(module, "gram", counted_gram)
+    ss = random_set(np.random.default_rng(78), 3, 3, TargetMap.CONJUGATE,
+                    real=real)
+    machine, report = synthesize(ss)
+    assert report.path == ("exact" if real else "general")
+    assert calls == [ss]
+    assert_all_green(machine, ss)
