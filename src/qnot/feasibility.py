@@ -281,7 +281,13 @@ def check_probabilistic(state_set: StateSet, gammas,
                         probe: ProbeSpec) -> FeasibilityVerdict:
     """Probabilistic machine with efficiencies ``gamma_i`` and given probe:
     :func:`point_rule` and :func:`null_miss` at most ``GRAM_TOL``."""
-    g = gram(state_set).matrix
+    return _probabilistic(gram(state_set), gammas, probe)
+
+
+def _probabilistic(gram_matrix: GramMatrix, gammas,
+                   probe: ProbeSpec) -> FeasibilityVerdict:
+    """:func:`check_probabilistic` on a Gram already at hand."""
+    g = gram_matrix.matrix
     k = constraint_kernel(g, probe)
     gammas = efficiencies(gammas, g.shape[0])
     psd, lam_min = point_rule(g, k, gammas)

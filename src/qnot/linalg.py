@@ -3,8 +3,9 @@
 The one PSD test, the PSD square root and the unitary-completion routine
 that the machine constructions are built on.  The square root takes
 ``numpy.linalg.eigh`` as it comes: ``V sqrt(L) V^dag`` does not depend on
-the phases of the eigenvectors, so none are fixed.  Two tuples of vectors
-with identical Gram matrices are related by a unitary, and
+the phases of the eigenvectors, so none are fixed; synthesis factors
+``M`` with it only where Cholesky refuses a singular ``M``.  Two tuples
+of vectors with identical Gram matrices are related by a unitary, and
 :func:`unitary_completion` produces one in closed form, the polar factor
 of the families' cross product (orthogonal Procrustes, Schonemann 1966).
 It computes only on the families' support, the ``s`` coordinates where
@@ -13,13 +14,15 @@ some vector of either family is nonzero: for ``k`` vectors of dimension
 block, and builds no ``D x D`` array; only the dense form,
 :func:`unitary_completion`, writes the identity around the block
 (:func:`embed_block`).  When ``s <= 2k`` the block is the polar factor
-itself, an SVD of ``s x s``; when ``s > 2k`` one QR of the two families
+itself, from an SVD of the ``s x c`` columns of the cross product that
+the ``c`` input rows reach; when ``s > 2k`` one QR of the two families
 shrinks that SVD to ``2k x 2k``, and the block then completes only inside
 their joint span, at ``O(s^2 k)``.  The polar factor is unitary to
 rounding at any rank, so no rank tolerance decides which vectors count as
 independent.  Machine branches touch ``s = d + n`` of the
-``D = d (n + 1)`` coordinates of system x probe, so a machine on the
-general path takes the QR only when ``d > n``.
+``D = d (n + 1)`` coordinates of system x probe, of which only the ``d``
+system rows carry an input, so a machine on the general path takes an
+``s x d`` SVD when ``d <= n`` and the QR when ``d > n``.
 
 Every PSD decision compares :func:`smallest_eigenvalue` against
 ``-PSD_TOL`` (:func:`is_psd`, :func:`psd_sqrt`, probe Grams), or, for a
@@ -162,26 +165,39 @@ def completion_block(x_mat: np.ndarray, y_mat: np.ndarray):
     and every polar factor of ``A`` agrees with ``R0`` on the span of
     ``X``: from the SVD ``W S V^dag`` of ``A``, ``R = W V^dag`` sends each
     input to its output (orthogonal Procrustes).  When ``s <= 2k`` the
-    block is ``R`` itself, at ``O(s^2 k + s^3)``.  When ``s > 2k`` a thin
-    QR ``Q`` of ``[X Y]`` shrinks the SVD to ``2k x 2k``: ``R`` is taken
-    of ``(Q^dag Y)(Q^dag X)^dag`` and ``U = I + Q (R - I) Q^dag``
-    completes only inside the joint span, at ``O(s^2 k)``.  As a product
-    of SVD factors ``R`` is unitary to rounding whatever the rank of the
-    families, so no rank tolerance is needed.  Raises
-    :class:`GramMismatch` when some pair of inner products disagrees
-    beyond :data:`GRAM_TOL`.
+    block is ``R`` itself, at ``O(s^2 k + s^3)``.  ``A`` is zero on the
+    columns of the support rows no input reaches, so when there are such
+    rows the SVD is taken of the ``s x c`` columns the ``c`` others give,
+    ``W S V^dag`` with ``W`` square: ``R`` is ``W[:, :c] V^dag`` on those
+    columns and ``W[:, c:]`` on the rest, again a polar factor of ``A``.
+    When every support row carries an input, the SVD is of ``A`` whole.
+    When ``s > 2k`` a thin QR ``Q`` of ``[X Y]`` shrinks the SVD to
+    ``2k x 2k``: ``R`` is taken of ``(Q^dag Y)(Q^dag X)^dag`` and
+    ``U = I + Q (R - I) Q^dag`` completes only inside the joint span, at
+    ``O(s^2 k)``.  As a product of SVD factors ``R`` is unitary to
+    rounding whatever the rank of the families, so no rank tolerance is
+    needed.  Raises :class:`GramMismatch` when some pair of inner products
+    disagrees beyond :data:`GRAM_TOL`.
     """
-    support = np.flatnonzero((x_mat != 0).any(axis=1)
-                             | (y_mat != 0).any(axis=1))
-    x_mat, y_mat = x_mat[support], y_mat[support]
+    used = (x_mat != 0).any(axis=1)
+    support = np.flatnonzero(used | (y_mat != 0).any(axis=1))
+    x_mat, y_mat, used = x_mat[support], y_mat[support], used[support]
     dev = np.abs(gram_of(x_mat) - gram_of(y_mat))
     if dev.size and not dev.max() <= GRAM_TOL:
         i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
         raise GramMismatch(int(i), int(j), float(dev[i, j]))
     if support.size <= 2 * x_mat.shape[1]:
         # a QR would give a square Q: any basis of the support does as well
-        w, _, vh = np.linalg.svd(y_mat @ x_mat.conj().T)
-        return support, w @ vh
+        if used.all():
+            w, _, vh = np.linalg.svd(y_mat @ x_mat.conj().T)
+            return support, w @ vh
+        # Y X^dag is zero on the columns no input reaches
+        c = int(np.count_nonzero(used))
+        w, _, vh = np.linalg.svd(y_mat @ x_mat[used].conj().T)
+        block = np.empty((support.size, support.size), complex)
+        block[:, used] = w[:, :c] @ vh
+        block[:, ~used] = w[:, c:]
+        return support, block
     q = np.linalg.qr(np.concatenate([x_mat, y_mat], axis=1))[0]
     qh = q.conj().T
     w, _, vh = np.linalg.svd((qh @ y_mat) @ (qh @ x_mat).conj().T)

@@ -155,9 +155,12 @@ def verify_machine(machine: Machine, state_set: StateSet,
         machine, state_set.matrix(), state_set.target_matrix())
     oks = ((fidelities >= 1.0 - FIDELITY_TOL)
            & (np.abs(probs - machine.gammas) <= PROB_TOL))
-    records = [ExactRecord(i, float(probs[i]), float(fidelities[i]),
-                           float(phases[i]), outputs[:, i], bool(oks[i]))
-               for i in range(n)]
+    # one tolist() per column gives the Python floats and bools, not a
+    # numpy scalar converted per field
+    prob_list = probs.tolist()
+    records = [ExactRecord(i, *fields) for i, fields in enumerate(zip(
+        prob_list, fidelities.tolist(), phases.tolist(), outputs.T,
+        oks.tolist()))]
     report = SimulationReport("exact", records, machine.unitarity_error())
     if shots:
         rng = np.random.default_rng(seed)
@@ -166,6 +169,6 @@ def verify_machine(machine: Machine, state_set: StateSet,
         report.shots = shots
         successes = rng.binomial(shots, np.clip(probs, 0.0, 1.0)).tolist()
         report.mc_records = [
-            MonteCarloRecord(i, float(probs[i]), shots, k, k / shots, seed)
-            for i, k in enumerate(successes)]
+            MonteCarloRecord(i, p, shots, k, k / shots, seed)
+            for i, (p, k) in enumerate(zip(prob_list, successes))]
     return report

@@ -12,10 +12,14 @@ and an explicit unitary follows from Gram-matched completion
 (:func:`qnot.feasibility.branch_block`): the image of the i-th prepared
 input is
 
-    sqrt(gamma_i) e^{i phi_i} (target_i x P_0)  +  sum_j C*_ij (fill x P_j)
+    sqrt(gamma_i) e^{i phi_i} (target_i x P_0)  +  sum_j F_ji (fill x P_{j+1})
 
-with ``C`` the PSD square root of ``M`` (so the failure branches restore
-exactly the missing Gram mass) and ``fill`` a fixed system state.
+with ``fill`` a fixed system state and ``F`` any matrix with
+``F^dag F = M``, so the failure branches restore exactly the missing Gram
+mass.  ``F`` is ``L^dag`` of the Cholesky factor ``M = L L^dag``; where
+Cholesky refuses a singular ``M`` (dependent families, a search's edge
+point) it is the PSD square root.  Neither factor decides anything: the
+point is decided before, and the completion refuses a Gram miss.
 
 :func:`synthesize` gives families whose Gram is entrywise real an exact
 unitary with unit efficiency and no probe.  Other linearly independent
@@ -26,9 +30,10 @@ positive; a family is dependent when :func:`qnot.linalg.null_count`, the
 one rank decision, zeroes part of the Gram's ``eigh`` spectrum.
 :func:`synthesize` computes the Gram once: its real-Gram test, the
 spectrum and ``M`` all read that one matrix.  :func:`synthesize_with`
-decides the caller's point with
-:func:`qnot.feasibility.check_probabilistic`; both build through one
-assembly step with ``M`` from :func:`qnot.feasibility.constraint_matrix`.
+decides the caller's point by the test of
+:func:`qnot.feasibility.check_probabilistic`, on the one Gram it then
+builds from; both build through one assembly step with ``M`` from
+:func:`qnot.feasibility.constraint_matrix`.
 
 The machine unitary moves only the support of its branches, ``s = d + n``
 of the ``D = d (n + 1)`` joint coordinates; every other row and column is
@@ -54,9 +59,9 @@ import numpy as np
 from .errors import DimensionMismatch, InfeasibleGamma, LinearlyDependent
 from .feasibility import (
     ProbeSpec,
+    _probabilistic,
     _real_gram,
     branch_block,
-    check_probabilistic,
     constraint_matrix,
     efficiencies,
     machine_phases,
@@ -178,6 +183,12 @@ class Machine:
 
 @dataclass
 class SynthesisReport:
+    """:func:`synthesize`'s choices and health.  ``epsilon`` is the equal
+    efficiency and ``c``, ``d_max`` are the Gram's extreme eigenvalues.
+    ``residual`` is ``max |F^dag F - M|`` of the failure amplitudes on the
+    general path, and ``max |U_s Psi - T|`` of the success block on the
+    set's matrix ``Psi`` and targets ``T`` on the exact path."""
+
     epsilon: float
     c: float
     d_max: float
@@ -189,22 +200,32 @@ def _assemble(state_set: StateSet, gram_matrix: GramMatrix, gammas,
               probe: ProbeSpec):
     """Machine at efficiencies ``gammas`` with a phase-vector probe, and residual.
 
-    The failure branches carry ``C = sqrt(M)``, which :func:`psd_sqrt`
-    refuses unless ``M`` passes the PSD test.  The residual is
-    ``max |C^2 - M|``; the completion refuses a Gram miss above ``GRAM_TOL``.
+    The failure branches carry ``F`` of :func:`_failure_amplitudes`, with
+    ``F^dag F = M``.  The residual is ``max |F^dag F - M|``; the completion
+    refuses a Gram miss above ``GRAM_TOL``.  Which factor ``F`` is says
+    nothing about the point, which the caller has decided.
     """
     n = len(state_set)
     phases = machine_phases(probe, n)
     gammas = efficiencies(gammas, n)
     m_matrix = constraint_matrix(gram_matrix, gammas, probe)
-    c_matrix = psd_sqrt(m_matrix)
-    # member i puts amplitude C*_ij on fill x P_{j+1}, with fill = |0>
+    failure = _failure_amplitudes(m_matrix)
+    # member i puts amplitude F_ji on fill x P_{j+1}, with fill = |0>
     weights = np.sqrt(gammas) * np.exp(1j * phases)
-    support, block = branch_block(state_set, weights, n + 1,
-                                  np.conj(c_matrix).T)
+    support, block = branch_block(state_set, weights, n + 1, failure)
     machine = Machine.from_block(state_set.dim, n + 1, state_set.target,
                                  support, block, gammas.copy(), phases.copy())
-    return machine, float(np.abs(c_matrix @ c_matrix - m_matrix).max())
+    return machine, float(np.abs(failure.conj().T @ failure - m_matrix).max())
+
+
+def _failure_amplitudes(m_matrix: np.ndarray) -> np.ndarray:
+    """``F`` with ``F^dag F = M``: ``L^dag`` of the Cholesky factor
+    ``M = L L^dag``, or ``conj(sqrt(M)).T`` from :func:`psd_sqrt` when
+    Cholesky refuses a singular ``M``."""
+    try:
+        return np.linalg.cholesky(m_matrix).conj().T
+    except np.linalg.LinAlgError:
+        return np.conj(psd_sqrt(m_matrix)).T
 
 
 def synthesize(state_set: StateSet):
@@ -248,14 +269,16 @@ def synthesize_with(state_set: StateSet, gammas, probe: ProbeSpec) -> Machine:
     """Machine with caller-chosen efficiencies and probe phases.
 
     The probe must be of phase-vector kind (else :class:`InvalidProbe`),
-    and :func:`check_probabilistic` must accept the point (else
-    :class:`InfeasibleGamma`).  Dependent families are fine here; the
-    completion handles rank deficiency.
+    and :func:`qnot.feasibility.check_probabilistic` must accept the point
+    (else :class:`InfeasibleGamma`); it decides on the Gram the machine is
+    built from.  Dependent families are fine here; the completion handles
+    rank deficiency.
     """
     # a probe no machine realizes is refused before the efficiencies are read
     machine_phases(probe, len(state_set))
-    verdict = check_probabilistic(state_set, gammas, probe)
+    gm = gram(state_set)
+    verdict = _probabilistic(gm, gammas, probe)
     if not verdict.feasible:
         raise InfeasibleGamma(
             f"constraint matrix has eigenvalue {verdict.lambda_min:.3e}")
-    return _assemble(state_set, gram(state_set), gammas, probe)[0]
+    return _assemble(state_set, gm, gammas, probe)[0]

@@ -20,11 +20,12 @@ TOLERANCES = {
     "states.NORM_TOL",
 }
 
-# Every ``eigvalsh``, ``eigh``, ``svd`` and ``qr`` call, as
+# Every ``eigvalsh``, ``eigh``, ``svd``, ``qr`` and ``cholesky`` call, as
 # ``(solver, module.function)``.  A rank decision reads an ``eigh`` spectrum;
 # ``eigvalsh`` serves only the PSD test and EQUAL's lambda_max, the SVD only
-# the polar factor, and the QR only the completion's shrinking of that SVD,
-# so a new call fails here until it is registered.
+# the polar factor, the QR only the completion's shrinking of that SVD, and
+# the Cholesky factor only EQUAL's lambda_max and the failure amplitudes,
+# never a verdict, so a new call fails here until it is registered.
 EIGENSOLVERS = {
     ("eigvalsh", "linalg.smallest_eigenvalue"),
     ("eigvalsh", "optimizer.search_gamma"),
@@ -35,6 +36,8 @@ EIGENSOLVERS = {
     ("eigh", "synthesis.synthesize"),
     ("svd", "linalg.completion_block"),
     ("qr", "linalg.completion_block"),
+    ("cholesky", "optimizer.search_gamma"),
+    ("cholesky", "synthesis._failure_amplitudes"),
 }
 
 # Every function that reads ``PSD_TOL``.  Only ``feasibility.point_rule``
@@ -129,7 +132,7 @@ def _reads_psd_tol(node) -> bool:
 
 def test_eigensolver_calls_are_registered():
     found = {(_called(node), where) for where, node in _module_nodes()
-             if _called(node) in ("eigvalsh", "eigh", "svd", "qr")}
+             if _called(node) in ("eigvalsh", "eigh", "svd", "qr", "cholesky")}
     assert found == EIGENSOLVERS
     assert {where for solver, where in found if solver == "eigvalsh"} == {
         "linalg.smallest_eigenvalue", "optimizer.search_gamma"}

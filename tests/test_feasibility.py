@@ -298,8 +298,8 @@ def test_branch_layout(builder):
         g = psi.conj().T @ psi
         s = np.sqrt(gammas) * np.exp(1j * phases)
         m = g - np.conj(s)[:, None] * np.conj(g) * s
-        vals, vecs = np.linalg.eigh(m)
-        c = (vecs * np.sqrt(vals)) @ vecs.conj().T
+        # positive definite at 0.9 of the search's point: M = C C^dag
+        c = np.linalg.cholesky(m)
     for i, (s_i, t_i) in enumerate(
             zip(ss, (target_state(s, ss.target) for s in ss))):
         out = (u @ np.kron(s_i.amps, np.eye(p)[0])).reshape(dim, p)

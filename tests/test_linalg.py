@@ -302,6 +302,16 @@ COMPLETION_SHAPES = {
 }
 
 
+def _families(rng, s, k, rank):
+    """``k`` unit vectors on all ``s`` rows spanning ``rank`` dimensions, and
+    their images under a random unitary."""
+    basis = rng.normal(size=(s, rank)) + 1j * rng.normal(size=(s, rank))
+    x = basis @ (rng.normal(size=(rank, k)) + 1j * rng.normal(size=(rank, k)))
+    x /= np.linalg.norm(x, axis=0)
+    v = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+    return x, np.linalg.qr(v)[0] @ x
+
+
 @pytest.mark.parametrize("shape", COMPLETION_SHAPES.values(),
                          ids=COMPLETION_SHAPES)
 def test_completion_in_both_regimes(shape, monkeypatch):
@@ -317,11 +327,7 @@ def test_completion_in_both_regimes(shape, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
     rng = np.random.default_rng(35)
-    basis = rng.normal(size=(s, rank)) + 1j * rng.normal(size=(s, rank))
-    x = basis @ (rng.normal(size=(rank, k)) + 1j * rng.normal(size=(rank, k)))
-    x /= np.linalg.norm(x, axis=0)
-    v = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
-    y = np.linalg.qr(v)[0] @ x
+    x, y = _families(rng, s, k, rank)
     qr_calls.clear()
     support, block = completion_block(x, y)
     assert qr_calls == ([] if s <= 2 * k else [(s, 2 * k)])
@@ -341,6 +347,83 @@ def test_completion_in_both_regimes(shape, monkeypatch):
     y[:, -1] *= 1.5
     with pytest.raises(GramMismatch):
         completion_block(x, y)
+
+
+def _general_layout(pad):
+    """A general-path machine's branches on the rows they touch: the inputs
+    and success branches on the rows (i, 0), the failure amplitudes on the
+    n rows (0, j) that no input reaches.  ``pad`` trailing system rows are
+    zero in every vector, so they fall off the support."""
+    rng = np.random.default_rng(36)
+    n, d = 4 - pad, 4
+    psi = np.zeros((d, n), complex)
+    psi[:d - pad] = random_independent_set(rng, n, d - pad,
+                                           TargetMap.CONJUGATE).matrix()
+    g = psi.conj().T @ psi
+    lam = np.linalg.eigvalsh(g)
+    gamma = 0.5 * lam[0] / lam[-1]
+    x, y = np.zeros((2, n + d, n), complex)
+    system = np.r_[0, n + 1:n + d]
+    x[system] = psi
+    y[system] = np.sqrt(gamma) * np.conj(psi)
+    y[1:n + 1] = np.linalg.cholesky(g - gamma * np.conj(g)).conj().T
+    return x, y
+
+
+SPARE_ROW_CASES = {
+    "general": lambda: _general_layout(0),
+    "zero-padded": lambda: _general_layout(1),
+    "not-qubit": lambda: (np.array([[1.0 + 0j], [0.0]]),
+                          np.array([[0.0 + 0j], [1.0]])),
+}
+
+
+@pytest.mark.parametrize("make", SPARE_ROW_CASES.values(),
+                         ids=SPARE_ROW_CASES)
+def test_completion_on_the_input_columns(make, monkeypatch):
+    """Support rows that no input reaches (``s <= 2k``): the SVD runs on the
+    ``s x c`` columns of ``Y X^dag`` that inputs reach, and the block still
+    maps every input, is unitary, leaves the identity off the support and
+    refuses a Gram miss."""
+    x, y = make()
+    svd_shapes, svd = [], np.linalg.svd
+
+    def counted_svd(a, *args):
+        svd_shapes.append(a.shape)
+        return svd(a, *args)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    support, block = completion_block(x, y)
+    s, used = support.size, (x[support] != 0).any(axis=1)
+    assert s <= 2 * x.shape[1] and 0 < used.sum() < s
+    assert svd_shapes == [(s, used.sum())]
+    assert np.abs(block @ x[support] - y[support]).max() < 1e-12
+    assert np.abs(block.conj().T @ block - np.eye(s)).max() < 1e-13
+    rng = np.random.default_rng(37)
+    dim = x.shape[0] + 5
+    rows = np.sort(rng.choice(dim, size=x.shape[0], replace=False))
+    x_pad, y_pad = np.zeros((2, dim, x.shape[1]), complex)
+    x_pad[rows], y_pad[rows] = x, y
+    u = unitary_completion(x_pad.T, y_pad.T)
+    off = np.setdiff1d(np.arange(dim), rows[support])
+    assert np.array_equal(u[off], np.eye(dim)[off])
+    assert np.array_equal(u[:, off], np.eye(dim)[:, off])
+    np.testing.assert_array_equal(u[np.ix_(rows[support], rows[support])],
+                                  block)
+    y[:, -1] *= 1.5
+    with pytest.raises(GramMismatch):
+        completion_block(x, y)
+
+
+@pytest.mark.parametrize(
+    "shape", [v for v in COMPLETION_SHAPES.values() if v[0] <= 2 * v[1]],
+    ids=[key for key, v in COMPLETION_SHAPES.items() if v[0] <= 2 * v[1]])
+def test_inputs_on_every_row_keep_the_square_svd(shape):
+    """Where every support row carries an input, the block is the polar
+    factor of the ``s x s`` SVD, bit for bit."""
+    x, y = _families(np.random.default_rng(38), *shape)
+    w, _, vh = np.linalg.svd(y @ x.conj().T)
+    np.testing.assert_array_equal(completion_block(x, y)[1], w @ vh)
 
 
 @settings(max_examples=40, deadline=None)

@@ -20,7 +20,6 @@ from qnot import (
     TargetMap,
     constraint_matrix,
     gram,
-    psd_sqrt,
     standard_probe,
     synthesize,
     synthesize_with,
@@ -34,6 +33,7 @@ from qnot.serialize import (
     machine_from_dict,
     machine_to_dict,
 )
+from qnot.synthesis import _failure_amplitudes
 
 
 def _branches(ss, machine):
@@ -46,10 +46,10 @@ def _branches(ss, machine):
         outs[:, 0, :] = ss.target_matrix()
     else:
         probe = ProbeSpec.phase_vector(machine.branch_phases)
-        c = psd_sqrt(constraint_matrix(gram(ss), machine.gammas, probe))
         outs[:, 0, :] = ss.target_matrix() * (
             np.sqrt(machine.gammas) * np.exp(1j * machine.branch_phases))
-        outs[0, 1:, :] = np.conj(c).T
+        outs[0, 1:, :] = _failure_amplitudes(
+            constraint_matrix(gram(ss), machine.gammas, probe))
     return ins.reshape(d * p, n), outs.reshape(d * p, n)
 
 

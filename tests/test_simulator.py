@@ -364,6 +364,32 @@ def test_verify_machine_monte_carlo_records():
         assert abs(m.empirical - m.exact_prob) <= 4 * sigma + 1e-9
 
 
+def test_report_fields_keep_their_values_and_types():
+    """Each record field is the Python float, bool or column that the
+    per-member conversion of numpy scalars gives."""
+    from qnot.simulator import FIDELITY_TOL, PROB_TOL, _run_columns
+    rng = np.random.default_rng(27)
+    ss = random_independent_set(rng, 4, 4, TargetMap.CONJUGATE)
+    machine, _ = synthesize(ss)
+    machine.gammas[1] *= 0.5
+    report = verify_machine(machine, ss, shots=300, seed=9)
+    probs, outputs, fidelities, phases = _run_columns(
+        machine, ss.matrix(), ss.target_matrix())
+    oks = ((fidelities >= 1.0 - FIDELITY_TOL)
+           & (np.abs(probs - machine.gammas) <= PROB_TOL))
+    assert report.flagged() == [1]
+    for i, rec in enumerate(report.records):
+        got = (rec.index, rec.success_prob, rec.fidelity, rec.global_phase,
+               rec.ok)
+        assert got == (i, float(probs[i]), float(fidelities[i]),
+                       float(phases[i]), bool(oks[i]))
+        assert [type(v) for v in got] == [int, float, float, float, bool]
+        np.testing.assert_array_equal(rec.output_state, outputs[:, i])
+    for i, rec in enumerate(report.mc_records):
+        assert rec.exact_prob == float(probs[i])
+        assert type(rec.exact_prob) is float and type(rec.successes) is int
+
+
 def test_verify_machine_dimension_check():
     rng = np.random.default_rng(23)
     ss = random_independent_set(rng, 2, 2, TargetMap.NOT)

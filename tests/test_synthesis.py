@@ -22,7 +22,9 @@ from qnot import (
     StateSet,
     TargetMap,
     check_probabilistic,
+    constraint_matrix,
     gram,
+    psd_sqrt,
     search_gamma,
     solve_dependent_triple,
     standard_probe,
@@ -30,7 +32,7 @@ from qnot import (
     synthesize_with,
     verify_machine,
 )
-from qnot.linalg import range_null
+from qnot.linalg import range_null, smallest_eigenvalue
 from qnot.serialize import dumps, machine_from_dict, machine_to_dict
 
 
@@ -273,4 +275,76 @@ def test_synthesize_builds_one_gram(real, monkeypatch):
     machine, report = synthesize(ss)
     assert report.path == ("exact" if real else "general")
     assert calls == [ss]
+    assert_all_green(machine, ss)
+
+
+def test_synthesize_with_builds_one_gram(monkeypatch):
+    """The point's verdict and the machine read one Gram."""
+    from qnot import feasibility, optimizer, synthesis
+    ss = random_independent_set(np.random.default_rng(79), 3, 3,
+                                TargetMap.CONJUGATE)
+    found = search_gamma(ss, GammaPolicy.COORDINATE)
+    calls = []
+
+    def counted_gram(state_set):
+        calls.append(state_set)
+        return gram(state_set)
+
+    for module in (feasibility, optimizer, synthesis):
+        monkeypatch.setattr(module, "gram", counted_gram)
+    machine = synthesize_with(ss, 0.9 * found.gammas, found.probe)
+    assert calls == [ss]
+    assert_all_green(machine, ss)
+
+
+def _positive_definite():
+    ss = random_independent_set(np.random.default_rng(80), 4, 4,
+                                TargetMap.CONJUGATE)
+    machine, report = synthesize(ss)
+    assert report.path == "general" and report.residual <= 1e-12
+    return machine, ss
+
+
+def _edge():
+    ss = random_independent_set(np.random.default_rng(81), 3, 3,
+                                TargetMap.CONJUGATE)
+    found = search_gamma(ss, GammaPolicy.COORDINATE)
+    return synthesize_with(ss, found.gammas, found.probe), ss
+
+
+def _dependent():
+    """Seven real qudits of dimension 4 under random global phases: the
+    doubled-phase probe gives ``M = (1 - gamma) G`` of rank 4."""
+    rng = np.random.default_rng(82)
+    ss = StateSet(tuple(QuditState.normalized(
+        rng.normal(size=4) * np.exp(2j * np.pi * rng.random()))
+        for _ in range(7)), TargetMap.CONJUGATE)
+    return synthesize_with(ss, 0.7, standard_probe(gram(ss))), ss
+
+
+@pytest.mark.parametrize("make, square_roots", [
+    (_positive_definite, 0), (_edge, 1), (_dependent, 1)],
+    ids=["positive-definite", "coordinate-edge", "dependent"])
+def test_failure_amplitudes_on_both_sides(make, square_roots, monkeypatch):
+    """Cholesky where it factors ``M``, the PSD square root where it
+    refuses a singular one; either way ``F^dag F = M``, up to the negative
+    eigenvalue the square root clamps at a search's edge."""
+    from qnot import synthesis
+    from qnot.synthesis import _failure_amplitudes
+    calls = []
+
+    def counted_sqrt(m):
+        calls.append(m)
+        return psd_sqrt(m)
+
+    monkeypatch.setattr(synthesis, "psd_sqrt", counted_sqrt)
+    machine, ss = make()
+    assert len(calls) == square_roots
+    m = constraint_matrix(gram(ss), machine.gammas,
+                          ProbeSpec.phase_vector(machine.branch_phases))
+    failure = _failure_amplitudes(m)
+    assert len(calls) == 2 * square_roots
+    clamped = max(0.0, -smallest_eigenvalue(m))
+    assert np.abs(failure.conj().T @ failure - m).max() <= 1e-12 + clamped
+    assert clamped <= (1e-9 * machine.gammas.min() if square_roots else 0.0)
     assert_all_green(machine, ss)
