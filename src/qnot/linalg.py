@@ -166,11 +166,11 @@ def completion_block(x_mat: np.ndarray, y_mat: np.ndarray):
     ``X``: from the SVD ``W S V^dag`` of ``A``, ``R = W V^dag`` sends each
     input to its output (orthogonal Procrustes).  When ``s <= 2k`` the
     block is ``R`` itself, at ``O(s^2 k + s^3)``.  ``A`` is zero on the
-    columns of the support rows no input reaches, so when there are such
-    rows the SVD is taken of the ``s x c`` columns the ``c`` others give,
-    ``W S V^dag`` with ``W`` square: ``R`` is ``W[:, :c] V^dag`` on those
-    columns and ``W[:, c:]`` on the rest, again a polar factor of ``A``.
-    When every support row carries an input, the SVD is of ``A`` whole.
+    columns of the support rows no input reaches, so the SVD is taken of
+    the ``s x c`` columns the ``c`` others give, ``W S V^dag`` with ``W``
+    square: ``R`` is ``W[:, :c] V^dag`` on those columns and ``W[:, c:]``
+    on the rest, again a polar factor of ``A``.  When every support row
+    carries an input (``c = s``) this is the SVD of ``A`` whole.
     When ``s > 2k`` a thin QR ``Q`` of ``[X Y]`` shrinks the SVD to
     ``2k x 2k``: ``R`` is taken of ``(Q^dag Y)(Q^dag X)^dag`` and
     ``U = I + Q (R - I) Q^dag`` completes only inside the joint span, at
@@ -187,10 +187,7 @@ def completion_block(x_mat: np.ndarray, y_mat: np.ndarray):
         i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
         raise GramMismatch(int(i), int(j), float(dev[i, j]))
     if support.size <= 2 * x_mat.shape[1]:
-        # a QR would give a square Q: any basis of the support does as well
-        if used.all():
-            w, _, vh = np.linalg.svd(y_mat @ x_mat.conj().T)
-            return support, w @ vh
+        # a QR would give a square Q: any basis of the support does as well;
         # Y X^dag is zero on the columns no input reaches
         c = int(np.count_nonzero(used))
         w, _, vh = np.linalg.svd(y_mat @ x_mat[used].conj().T)
