@@ -21,9 +21,10 @@ Three nested regimes are decided here, each on a finite state family:
 Every check reads a probe as its Gram matrix ``P``.  A phase-vector probe
 is the rank-one case and also keeps its phases, which is the only kind of
 probe a machine realizes.  Every machine unitary is built by
-:func:`branch_block`, which writes the branches on the only joint rows
-they touch, (system 0, any probe) and (any system, probe 0), and returns
-the unitary as the block on the coordinates it moves:
+:func:`branch_block` on a probe of at most two levels, ``D = 2d``: it
+writes the branches on the only joint rows they touch, (any system, probe
+0) and, for the at most ``d`` failure rows, (system ``j``, probe 1), and
+returns the unitary as the block on the coordinates it moves:
 :func:`build_exact_unitary` and :func:`build_probe_unitary` here embed it
 in a dense array, and :mod:`qnot.synthesis` keeps the block.
 """
@@ -179,23 +180,25 @@ def branch_block(state_set: StateSet, weights, probe_dim: int,
     ``(support, block)`` of :func:`qnot.linalg.completion_block`.
 
     Member ``i`` enters as ``psi_i x |0>`` and leaves as
-    ``weights_i target_i x |0> + sum_j failure[j, i] |0> x |j+1>``, so a
-    branch touches only the joint indices (system 0, any probe) and (any
-    system, probe 0), ``probe_dim + d - 1`` ascending rows of the
-    system-major joint index; the completion runs on those rows alone.
-    Propagates :class:`GramMismatch` when the branches do not reproduce
-    the Gram.
+    ``weights_i target_i x |0> + sum_j failure[j, i] |j> x |1>``, so a
+    branch touches only the joint indices (any system, probe 0) and
+    (system ``j``, probe 1) for the ``f <= d`` rows of ``failure``:
+    ``d + f`` ascending rows of the system-major joint index, on which
+    alone the completion runs.  Propagates :class:`GramMismatch` when the
+    branches do not reproduce the Gram.
     """
     d, n = state_set.dim, len(state_set)
-    rows = np.concatenate([np.arange(probe_dim),
-                           np.arange(probe_dim, d * probe_dim, probe_dim)])
-    system = rows % probe_dim == 0  # the rows (i, 0)
+    f = 0 if failure is None else failure.shape[0]
+    joint = np.arange(d * probe_dim)
+    level = joint % probe_dim
+    keep = (level == 0) | ((level == 1) & (joint < f * probe_dim))
+    rows, system = joint[keep], level[keep] == 0  # system: the rows (i, 0)
     ins = np.zeros((rows.size, n), complex)
     ins[system] = state_set.matrix()
     outs = np.zeros((rows.size, n), complex)
     outs[system] = state_set.target_matrix() * weights
-    if failure is not None:
-        outs[1:probe_dim] = failure
+    if f:
+        outs[~system] = failure
     support, block = completion_block(ins, outs)
     return rows[support], block
 

@@ -3,8 +3,7 @@
 The one PSD test, the PSD square root and the unitary-completion routine
 that the machine constructions are built on.  The square root takes
 ``numpy.linalg.eigh`` as it comes: ``V sqrt(L) V^dag`` does not depend on
-the phases of the eigenvectors, so none are fixed; synthesis factors
-``M`` with it only where Cholesky refuses a singular ``M``.  Two tuples
+the phases of the eigenvectors, so none are fixed.  Two tuples
 of vectors with identical Gram matrices are related by a unitary, and
 :func:`unitary_completion` produces one in closed form, the polar factor
 of the families' cross product (orthogonal Procrustes, Schonemann 1966).
@@ -19,10 +18,10 @@ the ``c`` input rows reach; when ``s > 2k`` one QR of the two families
 shrinks that SVD to ``2k x 2k``, and the block then completes only inside
 their joint span, at ``O(s^2 k)``.  The polar factor is unitary to
 rounding at any rank, so no rank tolerance decides which vectors count as
-independent.  Machine branches touch ``s = d + n`` of the
-``D = d (n + 1)`` coordinates of system x probe, of which only the ``d``
-system rows carry an input, so a machine on the general path takes an
-``s x d`` SVD when ``d <= n`` and the QR when ``d > n``.
+independent.  Machine branches touch ``s = d + min(n, d)`` of the
+``D = 2d`` coordinates of system x probe, of which only the ``d`` system
+rows carry an input, so a machine on the general path takes an ``s x d``
+SVD when ``d <= n`` and the QR when ``d > n``.
 
 Every PSD decision compares :func:`smallest_eigenvalue` against
 ``-PSD_TOL`` (:func:`is_psd`, :func:`psd_sqrt`, probe Grams), or, for a

@@ -9,16 +9,19 @@ For a family with Gram matrix ``G``, probe phases ``phi`` and efficiencies
     M = G - sqrt(Gamma) (conj(G) * P) sqrt(Gamma)   is PSD,
 
 and an explicit unitary follows from Gram-matched completion
-(:func:`qnot.feasibility.branch_block`): the image of the i-th prepared
-input is
+(:func:`qnot.feasibility.branch_block`) on a two-level probe: the image of
+the i-th prepared input is
 
-    sqrt(gamma_i) e^{i phi_i} (target_i x P_0)  +  sum_j F_ji (fill x P_{j+1})
+    sqrt(gamma_i) e^{i phi_i} (target_i x P_0)  +  sum_j F_ji (|j> x P_1)
 
-with ``fill`` a fixed system state and ``F`` any matrix with
-``F^dag F = M``, so the failure branches restore exactly the missing Gram
-mass.  ``F`` is ``L^dag`` of the Cholesky factor ``M = L L^dag``; where
-Cholesky refuses a singular ``M`` (dependent families, a search's edge
-point) it is the PSD square root.  Neither factor decides anything: the
+with ``F`` any matrix with ``F^dag F = M``, so the failure branches restore
+exactly the missing Gram mass (Duan & Guo, PRL 80, 4999, 1998).
+``0 <= M <= G`` gives ``rank M <= d``, so ``F`` needs at most ``d`` rows
+and fits on the ``d`` system states under probe state 1.  ``F`` is
+``L^dag`` of the Cholesky factor ``M = L L^dag`` when ``n <= d``; where
+Cholesky refuses a singular ``M`` (a search's edge point), or ``n > d``
+(a dependent family), it is ``sqrt(Lambda) V^dag`` of the top
+``min(n, d)`` eigenpairs of ``M``.  Neither factor decides anything: the
 point is decided before, and the completion refuses a Gram miss.
 
 :func:`synthesize` gives families whose Gram is entrywise real an exact
@@ -35,12 +38,13 @@ decides the caller's point by the test of
 builds from; both build through one assembly step with ``M`` from
 :func:`qnot.feasibility.constraint_matrix`.
 
-The machine unitary moves only the support of its branches, ``s = d + n``
-of the ``D = d (n + 1)`` joint coordinates; every other row and column is
-exactly the identity's.  A machine stores ascending indices ``support`` and
-the block on them, nothing else.  Synthesis writes the branches on those
-``d + n`` rows alone and keeps the ``s x s`` block, so synthesis and
-verification build no ``D x D`` array, and no ``D x n`` one.  A dense
+Every machine acts on ``D = 2d`` joint coordinates (``D = d`` on the
+exact path, which has no probe), and its unitary moves only the support
+of its branches, at most ``s = d + min(n, d)`` of them; every other row and
+column is exactly the identity's.  A machine stores ascending indices
+``support`` and the block on them, nothing else.  Synthesis writes the
+branches on those rows alone and keeps the ``s x s`` block, so synthesis
+and verification build no ``D x D`` array, and no ``D x n`` one.  A dense
 unitary (passed in, loaded, or built by the first read of
 :attr:`Machine.unitary`) is the full-support block.
 :meth:`Machine.unitarity_error` scans the block by exact comparison for the
@@ -66,7 +70,8 @@ from .feasibility import (
     efficiencies,
     machine_phases,
 )
-from .linalg import embed_block, null_count, psd_sqrt
+# psd_sqrt is not called here; bench/spans.py wraps it under this name
+from .linalg import embed_block, null_count, psd_sqrt  # noqa: F401
 from .states import GramMatrix, StateSet, TargetMap, gram
 
 ETA = 0.999
@@ -209,23 +214,30 @@ def _assemble(state_set: StateSet, gram_matrix: GramMatrix, gammas,
     phases = machine_phases(probe, n)
     gammas = efficiencies(gammas, n)
     m_matrix = constraint_matrix(gram_matrix, gammas, probe)
-    failure = _failure_amplitudes(m_matrix)
-    # member i puts amplitude F_ji on fill x P_{j+1}, with fill = |0>
+    failure = _failure_amplitudes(m_matrix, state_set.dim)
+    # member i puts amplitude F_ji on |j> x |1>
     weights = np.sqrt(gammas) * np.exp(1j * phases)
-    support, block = branch_block(state_set, weights, n + 1, failure)
-    machine = Machine.from_block(state_set.dim, n + 1, state_set.target,
+    support, block = branch_block(state_set, weights, 2, failure)
+    machine = Machine.from_block(state_set.dim, 2, state_set.target,
                                  support, block, gammas.copy(), phases.copy())
     return machine, float(np.abs(failure.conj().T @ failure - m_matrix).max())
 
 
-def _failure_amplitudes(m_matrix: np.ndarray) -> np.ndarray:
-    """``F`` with ``F^dag F = M``: ``L^dag`` of the Cholesky factor
-    ``M = L L^dag``, or ``conj(sqrt(M)).T`` from :func:`psd_sqrt` when
-    Cholesky refuses a singular ``M``."""
-    try:
-        return np.linalg.cholesky(m_matrix).conj().T
-    except np.linalg.LinAlgError:
-        return np.conj(psd_sqrt(m_matrix)).T
+def _failure_amplitudes(m_matrix: np.ndarray, d: int) -> np.ndarray:
+    """``F`` with ``F^dag F = M`` and at most ``d`` rows: ``L^dag`` of the
+    Cholesky factor ``M = L L^dag`` when ``n <= d`` and Cholesky factors
+    ``M``, else ``sqrt(Lambda) V^dag`` of the top ``min(n, d)`` eigenpairs
+    of ``M``, clamped at 0; ``rank M <= d`` makes the pairs left out zero
+    up to rounding."""
+    n = m_matrix.shape[0]
+    if n <= d:
+        try:
+            return np.linalg.cholesky(m_matrix).conj().T
+        except np.linalg.LinAlgError:
+            pass
+    vals, vecs = np.linalg.eigh(m_matrix)
+    vals, vecs = vals[-d:], vecs[:, -d:]  # the top min(n, d) pairs
+    return np.sqrt(np.clip(vals, 0.0, None))[:, None] * vecs.conj().T
 
 
 def synthesize(state_set: StateSet):

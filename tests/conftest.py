@@ -2,6 +2,8 @@ import numpy as np
 
 from qnot import QuditState, StateSet, TargetMap, gram
 
+pytest_plugins = ["pytester"]
+
 # one verdict line per acceptance criterion, printed after the run
 ACCEPTANCE_LINES: list[str] = []
 
@@ -18,6 +20,16 @@ def random_state(rng, dim, real=False) -> QuditState:
     if not real:
         amps = amps + 1j * rng.normal(size=dim)
     return QuditState.normalized(amps)
+
+
+def phased_real_set(rng, n, dim, target) -> StateSet:
+    """Real-amplitude family with a per-state phase: always probe-feasible."""
+    rows = []
+    for _ in range(n):
+        amps = rng.normal(size=dim)
+        amps = amps / np.linalg.norm(amps)
+        rows.append(np.exp(1j * rng.uniform(0, 2 * np.pi)) * amps)
+    return StateSet(tuple(QuditState(r) for r in rows), target)
 
 
 def random_set(rng, n, dim, target, real=False) -> StateSet:

@@ -798,3 +798,21 @@ def test_cli_runs_as_a_module(tmp_path):
                              capture_output=True, text=True, timeout=60)
     assert ignored.returncode == 0, ignored.stderr
     assert ignored.stdout == proc.stdout
+
+
+def test_large_machine_file_is_small_and_verifies(tmp_path, capsys):
+    """n = d = 96: the machine acts on D = 2d = 192, so its file holds
+    192^2 entries, under 2 MB, and ``simulate`` verifies it."""
+    rng = np.random.default_rng(96)
+    set_path = write_doc(tmp_path, "set.json", state_set_doc(
+        [random_state(rng, 96).amps for _ in range(96)]))
+    machine_path = tmp_path / "machine.json"
+    assert main(["synthesize", "--input", set_path,
+                 "--output", str(machine_path)]) == 0
+    assert machine_path.stat().st_size < 2_000_000
+    doc = json.loads(machine_path.read_text())
+    assert (doc["system_dim"], doc["probe_dim"]) == (96, 2)
+    assert doc["report"]["path"] == "general"
+    code, sim = run(capsys, ["simulate", "--input", set_path,
+                             "--machine", str(machine_path)])
+    assert code == 0 and sim["all_ok"]

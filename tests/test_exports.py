@@ -22,7 +22,8 @@ TOLERANCES = {
 
 # Every ``eigvalsh``, ``eigh``, ``svd``, ``qr`` and ``cholesky`` call, as
 # ``(solver, module.function)``.  A rank decision reads an ``eigh`` spectrum;
-# ``eigvalsh`` serves only the PSD test and EQUAL's lambda_max, the SVD only
+# ``eigvalsh`` serves only the PSD test and EQUAL's lambda_max, the failure
+# amplitudes' ``eigh`` only a factor of M, never a verdict, the SVD only
 # the polar factor, the QR only the completion's shrinking of that SVD, and
 # the Cholesky factor only EQUAL's lambda_max and the failure amplitudes,
 # never a verdict, so a new call fails here until it is registered.
@@ -33,6 +34,7 @@ EIGENSOLVERS = {
     ("eigh", "linalg.psd_sqrt"),
     ("eigh", "linalg.range_null"),
     ("eigh", "optimizer.gamma_max_triple"),
+    ("eigh", "synthesis._failure_amplitudes"),
     ("eigh", "synthesis.synthesize"),
     ("svd", "linalg.completion_block"),
     ("qr", "linalg.completion_block"),

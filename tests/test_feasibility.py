@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    phased_real_set,
     qubit,
     random_independent_set,
     random_overlapping_pair,
@@ -58,16 +59,6 @@ def states_for_gram(g, dim, target):
     cols[:n, :] = factor
     return StateSet(tuple(QuditState.normalized(cols[:, i])
                           for i in range(n)), target)
-
-
-def phased_real_set(rng, n, dim, target):
-    """Real-amplitude family with a per-state phase: always probe-feasible."""
-    rows = []
-    for _ in range(n):
-        amps = rng.normal(size=dim)
-        amps = amps / np.linalg.norm(amps)
-        rows.append(np.exp(1j * rng.uniform(0, 2 * np.pi)) * amps)
-    return StateSet(tuple(QuditState(r) for r in rows), target)
 
 
 class TestExactUnitary:
@@ -275,7 +266,7 @@ class TestProbeVerdictBuilds:
 @pytest.mark.parametrize("builder", ["exact", "probe", "probabilistic"])
 def test_branch_layout(builder):
     """U (psi_i x |0>) = sqrt(gamma_i) e^{i phi_i} t_i x |0>
-    + sum_j C*_ij |0> x |j+1>, for every machine builder."""
+    + sum_j C*_ij |j> x |1>, for every machine builder."""
     rng = np.random.default_rng(62)
     n, dim = 3, 3
     if builder == "exact":
@@ -292,8 +283,8 @@ def test_branch_layout(builder):
         probe = standard_probe(gram(ss))
         gammas = 0.9 * search_gamma(ss, GammaPolicy.COORDINATE, probe).gammas
         machine = synthesize_with(ss, gammas, probe)
-        assert machine.probe_dim == n + 1
-        u, p, phases = machine.unitary, n + 1, probe.phases
+        assert machine.probe_dim == 2
+        u, p, phases = machine.unitary, 2, probe.phases
         psi = ss.matrix()
         g = psi.conj().T @ psi
         s = np.sqrt(gammas) * np.exp(1j * phases)
@@ -305,7 +296,7 @@ def test_branch_layout(builder):
         out = (u @ np.kron(s_i.amps, np.eye(p)[0])).reshape(dim, p)
         want = np.zeros((dim, p), complex)
         want[:, 0] = np.sqrt(gammas[i]) * np.exp(1j * phases[i]) * t_i.amps
-        want[0, 1:] = np.conj(c[i])
+        want[:c.shape[1], 1:] = np.conj(c[i])[:, None]
         np.testing.assert_allclose(out, want, atol=1e-10)
 
 
@@ -603,7 +594,7 @@ def _full_branches(ss, weights, probe_dim, failure):
     outs = np.zeros((d, probe_dim, n), complex)
     outs[:, 0, :] = ss.target_matrix() * weights
     if failure is not None:
-        outs[0, 1:, :] = failure
+        outs[:failure.shape[0], 1, :] = failure
     return ins.reshape(d * probe_dim, n), outs.reshape(d * probe_dim, n)
 
 
@@ -619,8 +610,8 @@ def _exact_branches(rng, n, dim):
 
 
 def _probe_branches(rng, n, probe_dim):
-    """A NOT set with the witness phases; ``probe_dim = n + 1`` puts the
-    exact probe machine on the general path's rows, with no failure."""
+    """A NOT set with the witness phases; a ``probe_dim`` above 2 spaces
+    the rows (i, 0) further apart, with no failure."""
     phases = np.pi * rng.random(n)
     ss = StateSet(tuple(QuditState(random_state(rng, 2, real=True).amps
                                    * np.exp(1j * ph)) for ph in phases),
@@ -630,12 +621,22 @@ def _probe_branches(rng, n, probe_dim):
 
 
 def _general_branches(rng, n, dim):
+    """``n <= d`` failure rows from the PSD square root of ``M``."""
     ss = random_independent_set(rng, n, dim, TargetMap.CONJUGATE)
     gammas = np.full(n, 0.5 * search_gamma(ss).gammas.min())
     probe = standard_probe(gram(ss))
     c = psd_sqrt(constraint_matrix(gram(ss), gammas, probe))
-    return (ss, np.sqrt(gammas) * np.exp(1j * probe.phases), n + 1,
-            np.conj(c).T)
+    return (ss, np.sqrt(gammas) * np.exp(1j * probe.phases), 2, np.conj(c).T)
+
+
+def _dependent_branches(rng, n, dim):
+    """Real states under random phases, ``n > d``: the doubled-phase probe
+    gives ``M = (1 - gamma) G``, so ``F = sqrt(1 - gamma) Psi`` has ``d``
+    rows."""
+    ss = phased_real_set(rng, n, dim, TargetMap.CONJUGATE)
+    probe, gamma = standard_probe(gram(ss)), 0.6
+    return (ss, np.sqrt(gamma) * np.exp(1j * probe.phases), 2,
+            np.sqrt(1.0 - gamma) * ss.matrix())
 
 
 BRANCHES = {
@@ -646,13 +647,14 @@ BRANCHES = {
     "general-3x3": lambda rng: _general_branches(rng, 3, 3),
     "general-2x5": lambda rng: _general_branches(rng, 2, 5),
     "general-5x5": lambda rng: _general_branches(rng, 5, 5),
+    "dependent-5x3": lambda rng: _dependent_branches(rng, 5, 3),
 }
 
 
 @pytest.mark.parametrize("make", BRANCHES.values(), ids=BRANCHES)
 @pytest.mark.parametrize("pad", [False, True], ids=["plain", "padded"])
 def test_branch_block_is_the_completion_of_the_full_branches(make, pad):
-    """Only rows (0, j) and (i, 0) are built, and the result is bit for bit
+    """Only rows (i, 0) and (j, 1) are built, and the result is bit for bit
     the completion of all ``D`` rows, whose untouched rows are zero."""
     ss, weights, probe_dim, failure = make(np.random.default_rng(61))
     if pad and ss.target is TargetMap.NOT:

@@ -252,12 +252,12 @@ def test_unitarity_error_matches_full_product(spot):
 
 
 def test_unitarity_error_on_synthesized_machines():
-    """Built machines move d + n of the d (n + 1) indices; same error."""
+    """Built machines move d + n of the 2d indices; same error."""
     rng = np.random.default_rng(24)
-    ss = random_independent_set(rng, 4, 5, TargetMap.CONJUGATE)
+    ss = random_independent_set(rng, 3, 5, TargetMap.CONJUGATE)
     machine, _ = synthesize(ss)
     moved = ~np.all(machine.unitary == np.eye(machine.total_dim), axis=0)
-    assert moved.sum() == 5 + 4
+    assert machine.total_dim == 2 * 5 and moved.sum() == 5 + 3
     assert abs(machine.unitarity_error()
                - _full_unitarity_error(machine.unitary)) <= 1e-12
     untouched = np.flatnonzero(~moved)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     near_dependent_triple,
+    phased_real_set,
     qubit,
     random_independent_set,
     random_overlapping_pair,
@@ -24,7 +25,6 @@ from qnot import (
     check_probabilistic,
     constraint_matrix,
     gram,
-    psd_sqrt,
     search_gamma,
     solve_dependent_triple,
     standard_probe,
@@ -34,6 +34,7 @@ from qnot import (
 )
 from qnot.linalg import range_null, smallest_eigenvalue
 from qnot.serialize import dumps, machine_from_dict, machine_to_dict
+from qnot.synthesis import _failure_amplitudes
 
 
 def assert_all_green(machine, ss):
@@ -66,7 +67,7 @@ class TestSynthesize:
         ss = random_independent_set(rng, 3, 3, TargetMap.CONJUGATE)
         machine, report = synthesize(ss)
         assert report.path == "general"
-        assert machine.probe_dim == 4
+        assert machine.probe_dim == 2 and machine.total_dim == 6
         assert report.epsilon == pytest.approx(
             0.999 * report.c / report.d_max)
         np.testing.assert_allclose(machine.gammas,
@@ -322,29 +323,76 @@ def _dependent():
     return synthesize_with(ss, 0.7, standard_probe(gram(ss))), ss
 
 
-@pytest.mark.parametrize("make, square_roots", [
-    (_positive_definite, 0), (_edge, 1), (_dependent, 1)],
+@pytest.mark.parametrize("make, cholesky", [
+    (_positive_definite, True), (_edge, False), (_dependent, False)],
     ids=["positive-definite", "coordinate-edge", "dependent"])
-def test_failure_amplitudes_on_both_sides(make, square_roots, monkeypatch):
-    """Cholesky where it factors ``M``, the PSD square root where it
-    refuses a singular one; either way ``F^dag F = M``, up to the negative
-    eigenvalue the square root clamps at a search's edge."""
-    from qnot import synthesis
-    from qnot.synthesis import _failure_amplitudes
-    calls = []
-
-    def counted_sqrt(m):
-        calls.append(m)
-        return psd_sqrt(m)
-
-    monkeypatch.setattr(synthesis, "psd_sqrt", counted_sqrt)
+def test_failure_amplitudes_on_both_sides(make, cholesky):
+    """``L^dag`` where Cholesky factors ``M`` and ``n <= d``; else the top
+    ``min(n, d)`` eigenpairs, whose rows are orthogonal.  Either way ``F``
+    has at most ``d`` rows and ``F^dag F = M``, up to the negative
+    eigenvalue clamped at a search's edge."""
     machine, ss = make()
-    assert len(calls) == square_roots
+    n, d = len(ss), ss.dim
     m = constraint_matrix(gram(ss), machine.gammas,
                           ProbeSpec.phase_vector(machine.branch_phases))
-    failure = _failure_amplitudes(m)
-    assert len(calls) == 2 * square_roots
+    failure = _failure_amplitudes(m, d)
+    assert failure.shape == (min(n, d), n)
+    if cholesky:
+        np.testing.assert_array_equal(failure,
+                                      np.linalg.cholesky(m).conj().T)
+    else:
+        if n <= d:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(m)
+        rows = failure @ failure.conj().T
+        assert np.abs(rows - np.diag(np.diag(rows))).max() <= 1e-12
     clamped = max(0.0, -smallest_eigenvalue(m))
     assert np.abs(failure.conj().T @ failure - m).max() <= 1e-12 + clamped
-    assert clamped <= (1e-9 * machine.gammas.min() if square_roots else 0.0)
+    assert clamped <= (0.0 if cholesky else 1e-9 * machine.gammas.min())
     assert_all_green(machine, ss)
+
+
+def _every_path():
+    """``(machine, set)`` from each way a machine is built."""
+    rng = np.random.default_rng(90)
+    for n, dim in [(2, 2), (3, 3), (3, 5), (4, 4), (6, 8)]:
+        ss = random_independent_set(rng, n, dim, TargetMap.CONJUGATE)
+        yield synthesize(ss)[0], ss
+        for policy in GammaPolicy:
+            found = search_gamma(ss, policy)
+            yield synthesize_with(ss, found.gammas, found.probe), ss
+        real = random_set(rng, n, dim, TargetMap.CONJUGATE, real=True)
+        yield synthesize(real)[0], real
+    for n, dim in [(3, 3), (5, 3), (7, 4), (6, 2)]:
+        # dependent when n > dim
+        ss = phased_real_set(rng, n, dim, TargetMap.CONJUGATE)
+        probe = standard_probe(gram(ss))
+        # gamma = 1 is the probe regime: M = 0, no failure branch
+        yield synthesize_with(ss, 1.0, probe), ss
+        for policy in GammaPolicy:
+            found = search_gamma(ss, policy)
+            yield synthesize_with(ss, found.gammas, found.probe), ss
+
+
+def test_every_machine_acts_on_at_most_two_probe_levels():
+    """Exact machines have ``probe_dim`` 1, every other ``probe_dim`` 2;
+    ``F`` has at most ``d`` rows and ``F^dag F = M`` up to the clamped
+    edge, dependent sets with ``n > d`` included."""
+    paths = set()
+    for machine, ss in _every_path():
+        n, dim = len(ss), ss.dim
+        assert_all_green(machine, ss)
+        if machine.probe_dim == 1:
+            np.testing.assert_array_equal(machine.gammas, np.ones(n))
+            paths.add("exact")
+            continue
+        assert (machine.probe_dim, machine.total_dim) == (2, 2 * dim)
+        m = constraint_matrix(gram(ss), machine.gammas,
+                              ProbeSpec.phase_vector(machine.branch_phases))
+        failure = _failure_amplitudes(m, dim)
+        assert failure.shape == (min(n, dim), n)
+        clamped = max(0.0, -smallest_eigenvalue(m))
+        assert clamped <= 1e-9 * machine.gammas.min()
+        assert np.abs(failure.conj().T @ failure - m).max() <= 1e-12 + clamped
+        paths.add("dependent" if n > dim else "general")
+    assert paths == {"exact", "general", "dependent"}
