@@ -1,22 +1,22 @@
 """Feasibility tests for exact and probabilistic target machines.
 
-Three nested regimes are decided here, each on a finite state family:
+Three nested regimes are decided here, each on a finite state family.
+With efficiencies ``gamma_i`` in ``(ZERO_SUCCESS, 1]`` (:func:`efficiencies`)
+and a probe Gram ``P``, a postselecting machine exists iff
+``M = G - sqrt(Gamma) (conj(G) * P) sqrt(Gamma)`` is positive semidefinite.
+At ``gamma = 1`` the diagonal of ``M`` is zero, so ``M = 0``: both exact
+regimes are one test, ``max |G - K| <= GRAM_TOL`` with ``K = conj(G) * P``,
+the Gram test the builders' completion applies, so a feasible one builds:
 
-* a plain unitary realizes the target map exactly iff the Gram matrix is
-  entrywise real (:func:`check_exact_unitary`);
-* a unitary on system plus probe realizes it exactly iff the Gram phases
-  satisfy the congruence ``theta_lj - theta_li = theta_ij  (mod pi)`` for
-  every index triple.  With no zero overlap this holds exactly when the
-  witness probe phases ``phi_j = 2 * theta_0j`` give
-  ``G = P(phi) * conj(G)``, which is the Gram test the probe builder
-  applies, so :func:`check_exact_with_probe` decides with that test;
-* with per-state efficiencies ``gamma_i`` and a probe Gram ``P``, a
-  postselecting machine exists iff
-  ``M = G - sqrt(Gamma) (conj(G) * P) sqrt(Gamma)`` is positive
-  semidefinite; every point is decided by :func:`point_rule`.  On the
-  null space ``N`` of ``G``, ``M N = -sqrt(Gamma) K sqrt(Gamma) N``, so
-  ``M`` must vanish there, which that rule can miss;
-  :func:`check_probabilistic` tests that residual too.
+* a plain unitary iff ``G = conj(G)`` (:func:`check_exact_unitary`);
+* a unitary with probe iff the Gram phases satisfy the congruence
+  ``theta_lj - theta_li = theta_ij  (mod pi)`` for every index triple,
+  which with no zero overlap holds iff the witness ``phi_j = 2 theta_0j``
+  gives ``G = P(phi) * conj(G)`` (:func:`check_exact_with_probe`);
+* otherwise :func:`point_rule` decides a point.  On the null space ``N``
+  of ``G``, ``M N = -sqrt(Gamma) K sqrt(Gamma) N``, so ``M`` must vanish
+  there, which that rule can miss; :func:`check_probabilistic` tests
+  that residual too.
 
 Every check reads a probe as its Gram matrix ``P``.  A phase-vector probe
 is the rank-one case and also keeps its phases, which is the only kind of
@@ -41,12 +41,11 @@ from .errors import (
     LinearlyDependentPair,
     ZeroOverlap,
 )
-from .linalg import (GRAM_TOL, HERMITICITY_TOL, PSD_TOL, completion_block,
-                     embed_block, gram_of, null_count, range_null,
-                     smallest_eigenvalue)
+from .linalg import (GRAM_TOL, HERMITICITY_TOL, PSD_TOL, ZERO_SUCCESS,
+                     completion_block, embed_block, gram_of, null_count,
+                     range_null, smallest_eigenvalue)
 from .states import NORM_TOL, GramMatrix, QuditState, StateSet, TargetMap, gram
 
-IMAG_TOL = 1e-9
 PARALLEL_TOL = 1e-8
 
 
@@ -110,15 +109,15 @@ def machine_phases(probe: ProbeSpec, n: int) -> np.ndarray:
 
 
 def efficiencies(gammas, n: int) -> np.ndarray:
-    """``n`` efficiencies ``gamma_i`` in ``(0, 1]``; a scalar is broadcast."""
+    """``n`` efficiencies in ``(ZERO_SUCCESS, 1]``; a scalar is broadcast."""
     if np.isscalar(gammas):
         g = np.full(n, float(gammas))
     else:
         g = np.asarray(gammas, dtype=float).ravel()
     if g.size != n:
         raise ValueError(f"expected {n} efficiencies, got {g.size}")
-    if not np.all((g > 0.0) & (g <= 1.0 + 1e-12)):
-        raise ValueError("efficiencies must lie in (0, 1]")
+    if not np.all((g > ZERO_SUCCESS) & (g <= 1.0 + 1e-12)):
+        raise ValueError(f"efficiencies must lie in (0, 1] and exceed {ZERO_SUCCESS}")
     return g
 
 
@@ -131,44 +130,38 @@ class FeasibilityVerdict:
 
 
 def check_exact_unitary(state_set: StateSet) -> FeasibilityVerdict:
-    """Exact target map by a plain unitary exists iff the Gram is real."""
-    return _real_gram(gram(state_set))
-
-
-def _real_gram(gram_matrix: GramMatrix) -> FeasibilityVerdict:
-    """:func:`check_exact_unitary` on a Gram already at hand."""
-    return _worst_entry(np.abs(gram_matrix.matrix.imag), IMAG_TOL)
+    """Exact target map by a plain unitary: :func:`_exact` with no probe,
+    the test of :func:`build_exact_unitary`; each entry is ``2 |Im G_ij|``."""
+    return _exact(gram(state_set))
 
 
 def check_exact_with_probe(state_set: StateSet) -> FeasibilityVerdict:
-    """Exact target map by a unitary with probe: the builder's Gram test.
-
-    Requires every pairwise overlap to be nonzero (otherwise the criterion
-    does not apply and :class:`ZeroOverlap` is raised).  The witness probe
-    phases are ``phi_j = 2 theta_0j`` (mod ``2 pi``), and the family is
-    feasible iff ``max |G - P(phi) * conj(G)| <= GRAM_TOL``, the test
-    :func:`build_probe_unitary` applies to the same witness.  With
+    """Exact target map by a unitary with probe: :func:`_exact` with the
+    witness ``phi_j = 2 theta_0j`` (mod ``2 pi``), the test
+    :func:`build_probe_unitary` applies to it.  With
     ``r_ij = theta_0j - theta_0i - theta_ij`` each entry is
     ``2 |G_ij| |sin r_ij|`` and each triple residual of the congruence is
-    ``r_li + r_ij - r_lj``, so this is the paper's criterion.  A violation
-    names the worst entry ``[i, j]`` and its deviation.
+    ``r_li + r_ij - r_lj``, so this is the paper's criterion.  Raises
+    :class:`ZeroOverlap` when an overlap is zero: the criterion needs none.
     """
     gm = gram(state_set)
     zero = np.argwhere(np.triu(gm.magnitudes < 1e-12, k=1))
     if zero.size:
         raise ZeroOverlap(int(zero[0, 0]), int(zero[0, 1]))
-    witness = standard_probe(gm)
-    g = gm.matrix
-    return _worst_entry(np.abs(g - witness.matrix * np.conj(g)), GRAM_TOL,
-                        witness)
+    return _exact(gm, standard_probe(gm))
 
 
-def _worst_entry(dev: np.ndarray, tol: float,
-                 witness: Optional[ProbeSpec] = None) -> FeasibilityVerdict:
-    """Feasible iff all ``dev <= tol``, else a violation at the worst entry."""
+def _exact(gram_matrix: GramMatrix,
+           probe: Optional[ProbeSpec] = None) -> FeasibilityVerdict:
+    """``M = G - K`` at ``gamma = 1``: feasible, with witness ``probe``, iff
+    ``max |G - K| <= GRAM_TOL``, else a violation at the worst entry."""
+    g = gram_matrix.matrix
+    # P * conj(G) keeps reported residuals: conj(G) * P can round apart (FMA)
+    dev = np.abs(g - (np.conj(g) if probe is None
+                      else probe.matrix * np.conj(g)))
     worst = float(dev.max())
-    if worst <= tol:
-        return FeasibilityVerdict(True, witness=witness)
+    if worst <= GRAM_TOL:
+        return FeasibilityVerdict(True, witness=probe)
     i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
     return FeasibilityVerdict(
         False, violation={"indices": [int(i), int(j)], "residual": worst})
@@ -206,8 +199,8 @@ def branch_block(state_set: StateSet, weights, probe_dim: int,
 def build_exact_unitary(state_set: StateSet) -> np.ndarray:
     """System-only unitary sending every member to its target state.
 
-    Propagates :class:`GramMismatch` when the Gram matrix is not real,
-    i.e. when :func:`check_exact_unitary` is infeasible.
+    Propagates :class:`GramMismatch` when ``G`` misses ``conj(G)`` by more
+    than ``GRAM_TOL``, the test of :func:`check_exact_unitary`.
     """
     return embed_block(state_set.dim, *branch_block(state_set, 1.0, 1))
 

@@ -42,6 +42,7 @@ HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-9
 GRAM_TOL = 1e-8
 RANK_TOL = 1e-10
+ZERO_SUCCESS = 1e-14     # success probability below which no output exists
 
 
 def _as_complex_matrix(m) -> np.ndarray:

@@ -6,7 +6,8 @@ round-trip repr, so parsing a written file reproduces every amplitude
 bit-for-bit (well inside the 1e-12 contract).  Every document is written
 compact by :mod:`json`'s C encoder.  A machine file holds the dense
 ``2d x 2d`` unitary (``d x d`` on the exact path), so its size grows as
-``d^2`` whatever the number of states.
+``d^2`` whatever the number of states.  A machine file's ``gammas`` pass
+:func:`qnot.feasibility.efficiencies`, as those of a request do.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import json
 import numpy as np
 
 from .errors import QnotError
-from .feasibility import FeasibilityVerdict
+from .feasibility import FeasibilityVerdict, efficiencies
 from .simulator import SimulationReport
 from .states import QuditState, StateSet, TargetMap
 from .synthesis import Machine
@@ -136,6 +137,7 @@ def machine_from_dict(doc) -> Machine:
     phases = _float_array(doc["phases"], 1, "phases")
     if phases.size != gammas.size:
         raise SchemaError(f"{phases.size} phases for {gammas.size} gammas")
+    gammas = efficiencies(gammas, gammas.size)
     return Machine(_int(doc["system_dim"], "system_dim"),
                    _int(doc["probe_dim"], "probe_dim"), target,
                    _complex_array(doc["unitary"], 2), gammas, phases)

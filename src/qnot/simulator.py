@@ -13,6 +13,8 @@ verifying it builds no ``D x D`` array and costs no ``D^3`` product.  The
 one Monte Carlo path is :func:`verify_machine` with ``shots`` set: it
 draws each member's success count from the exact probability with numpy's
 PCG64 generator, seeded explicitly, so every report is reproducible.
+Below :data:`qnot.linalg.ZERO_SUCCESS` a run has no output, and
+:func:`qnot.feasibility.efficiencies` refuses every design at or below it.
 """
 from __future__ import annotations
 
@@ -23,13 +25,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, MachineMismatch, ZeroSuccess
+from .linalg import ZERO_SUCCESS
 from .states import QuditState, StateSet, target_amps
 from .synthesis import Machine
 
 FIDELITY_TOL = 1e-8
 PROB_TOL = 1e-8
 UNITARITY_TOL = 1e-9
-ZERO_SUCCESS = 1e-14     # success probability below which no output exists
 RNG_ALGORITHM = "pcg64"
 
 

@@ -24,14 +24,15 @@ Cholesky refuses a singular ``M`` (a search's edge point), or ``n > d``
 ``min(n, d)`` eigenpairs of ``M``.  Neither factor decides anything: the
 point is decided before, and the completion refuses a Gram miss.
 
-:func:`synthesize` gives families whose Gram is entrywise real an exact
+:func:`synthesize` gives a family whose Gram equals its conjugate at
+``GRAM_TOL`` (:func:`qnot.feasibility.check_exact_unitary`) an exact
 unitary with unit efficiency and no probe.  Other linearly independent
 families get safe equal efficiencies
 ``epsilon = ETA * lambda_min(G) / lambda_max(conj(G))`` with ``ETA = 0.999``
 and the zero-phase probe, which keeps ``M = G - epsilon conj(G)`` strictly
 positive; a family is dependent when :func:`qnot.linalg.null_count`, the
 one rank decision, zeroes part of the Gram's ``eigh`` spectrum.
-:func:`synthesize` computes the Gram once: its real-Gram test, the
+:func:`synthesize` computes the Gram once: its exact test, the
 spectrum and ``M`` all read that one matrix.  :func:`synthesize_with`
 decides the caller's point by the test of
 :func:`qnot.feasibility.check_probabilistic`, on the one Gram it then
@@ -63,8 +64,8 @@ import numpy as np
 from .errors import DimensionMismatch, InfeasibleGamma, LinearlyDependent
 from .feasibility import (
     ProbeSpec,
+    _exact,
     _probabilistic,
-    _real_gram,
     branch_block,
     constraint_matrix,
     efficiencies,
@@ -243,9 +244,10 @@ def _failure_amplitudes(m_matrix: np.ndarray, d: int) -> np.ndarray:
 def synthesize(state_set: StateSet):
     """Machine with safe equal efficiencies for an independent family.
 
-    Returns ``(machine, report)``.  When the Gram matrix is entrywise real
-    the probe is skipped and the machine is an exact system-only unitary
-    with ``gamma = 1``; this path also takes linearly dependent families.
+    Returns ``(machine, report)``.  When
+    :func:`qnot.feasibility.check_exact_unitary` is feasible the probe is
+    skipped and the machine is an exact system-only unitary with
+    ``gamma = 1``; this path also takes linearly dependent families.
     Otherwise efficiencies are ``epsilon = ETA * c / d_max`` with ``c`` the
     smallest and ``d_max`` the largest eigenvalue of the Gram, whose
     conjugate has the same spectrum; ``c <= d_max`` and ``ETA < 1`` keep
@@ -259,7 +261,7 @@ def synthesize(state_set: StateSet):
     spectrum = np.linalg.eigh(gm.matrix)[0]
     c, d_max = float(spectrum[0]), float(spectrum[-1])
 
-    if _real_gram(gm).feasible:
+    if _exact(gm).feasible:
         machine = Machine.from_block(state_set.dim, 1, state_set.target,
                                      *branch_block(state_set, 1.0, 1),
                                      np.ones(n), np.zeros(n))

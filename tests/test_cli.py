@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from qnot import (
+    QuditState,
+    StateSet,
     TargetMap,
     TripleBoundInput,
     gram,
@@ -244,6 +246,80 @@ def test_simulate_mismatched_machine_exits_2(tmp_path, capsys, field, value):
     assert main(["simulate", "--input", set_path,
                  "--machine", str(bad_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("gamma", [-0.5, 0.0, 5.0])
+def test_machine_file_efficiency_out_of_range_exits_2(tmp_path, capsys,
+                                                      gamma):
+    """A machine file's gammas are read as a request's efficiencies are;
+    out of range they exited 4, as a failed verification."""
+    set_path, machine = synthesized_machine(tmp_path, capsys)
+    machine["gammas"] = [gamma, gamma]
+    machine_path = write_doc(tmp_path, "machine.json", machine)
+    assert main(["simulate", "--input", set_path,
+                 "--machine", machine_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "efficiencies must lie in (0, 1]" in captured.err
+
+
+def near_real_dependent_set_doc() -> dict:
+    """Four real qubits with the third state's |1> amplitude ``a`` turned by
+    ``3e-9 / |a|``: dependent, and max |G - conj(G)| inside GRAM_TOL."""
+    theta = np.random.default_rng(0).uniform(0.0, np.pi, 4)
+    amps = np.stack([np.cos(theta), np.sin(theta)], axis=1).astype(complex)
+    amps[2, 1] *= np.exp(1j * 3e-9 / abs(amps[2, 1]))
+    ss = StateSet(tuple(QuditState.normalized(a) for a in amps),
+                  TargetMap.NOT)
+    return serialize.state_set_to_dict(ss)
+
+
+def test_near_real_dependent_set_takes_the_exact_path(tmp_path, capsys):
+    """The plain verdict refused this set at 1e-9 on |Im G| and synthesize
+    exited 3 on its rank; its builder's Gram test accepts it."""
+    set_path = write_doc(tmp_path, "set.json", near_real_dependent_set_doc())
+    code, doc = run(capsys, ["check", "--input", set_path])
+    assert code == 0 and doc["exact_unitary"]["feasible"] is True
+    machine_path = str(tmp_path / "machine.json")
+    assert main(["synthesize", "--input", set_path,
+                 "--output", machine_path]) == 0
+    machine = json.loads(Path(machine_path).read_text())
+    assert machine["report"]["path"] == "exact"
+    assert machine["gammas"] == [1.0] * 4
+    code, report = run(capsys, ["simulate", "--input", set_path,
+                                "--machine", machine_path])
+    assert code == 0 and report["all_ok"] is True
+
+
+@pytest.mark.parametrize("command", ["check", "synthesize"])
+@pytest.mark.parametrize("gamma", ["1e-320", "1e-15", "1e-14"])
+def test_efficiency_at_or_below_the_success_floor_exits_2(tmp_path, capsys,
+                                                          command, gamma):
+    """No run observes a success probability at or below 1e-14: check said
+    feasible and synthesize built a machine that simulate flagged."""
+    set_path = write_doc(tmp_path, "set.json", CANONICAL_PAIR)
+    assert main([command, "--input", set_path,
+                 "--gamma", f"{gamma},{gamma}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "efficiencies must lie in (0, 1]" in captured.err
+
+
+@pytest.mark.parametrize("gamma", ["2e-14", "1e-13"])
+def test_efficiency_above_the_success_floor_builds_and_verifies(
+        tmp_path, capsys, gamma):
+    set_path = write_doc(tmp_path, "set.json", CANONICAL_PAIR)
+    request = ["--gamma", f"{gamma},{gamma}"]
+    code, doc = run(capsys, ["check", "--input", set_path, *request])
+    assert code == 0 and doc["probabilistic"]["feasible"] is True
+    machine_path = str(tmp_path / "machine.json")
+    assert main(["synthesize", "--input", set_path, *request,
+                 "--output", machine_path]) == 0
+    code, report = run(capsys, ["simulate", "--input", set_path,
+                                "--machine", machine_path])
+    assert code == 0 and report["all_ok"] is True
+    assert [s["p"] for s in report["states"]] == pytest.approx(
+        [float(gamma)] * 2, rel=1e-6)
 
 
 def test_simulate_monte_carlo_is_reproducible(tmp_path, capsys):

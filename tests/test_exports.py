@@ -13,7 +13,7 @@ TOL_OWNERS = ()
 # Every module-level ``*_TOL`` constant; a new tolerance knob fails here
 # until it is registered.
 TOLERANCES = {
-    "feasibility.IMAG_TOL", "feasibility.PARALLEL_TOL",
+    "feasibility.PARALLEL_TOL",
     "linalg.GRAM_TOL", "linalg.HERMITICITY_TOL", "linalg.PSD_TOL",
     "linalg.RANK_TOL",
     "simulator.FIDELITY_TOL", "simulator.PROB_TOL", "simulator.UNITARITY_TOL",
@@ -51,6 +51,13 @@ PSD_TOL_READERS = {
     "feasibility.ProbeSpec.full_gram", "feasibility.point_rule",
     "linalg.is_psd", "linalg.psd_sqrt",
     "optimizer.search_gamma", "optimizer.search_gamma.schur_step",
+}
+
+# Every function that reads ``ZERO_SUCCESS``: the efficiencies a request or a
+# machine file may design stop where the simulator stops observing an output,
+# so a second floor fails here until it is registered.
+ZERO_SUCCESS_READERS = {
+    "feasibility.efficiencies", "simulator._run_columns", "simulator.run_exact",
 }
 
 
@@ -153,6 +160,17 @@ def test_one_function_holds_the_point_rule():
             builds.add(where)
     assert readers == PSD_TOL_READERS
     assert compares & builds == {"feasibility.point_rule"}
+
+
+def test_one_success_floor():
+    """``ZERO_SUCCESS`` is assigned once, beside the tolerances, and each
+    function that reads it is registered."""
+    assigned, readers = set(), set()
+    for where, node in _module_nodes():
+        if isinstance(node, ast.Name) and node.id == "ZERO_SUCCESS":
+            (readers if isinstance(node.ctx, ast.Load) else assigned).add(where)
+    assert assigned == {"linalg"}
+    assert readers == ZERO_SUCCESS_READERS
 
 
 def _environment_reads(tree):

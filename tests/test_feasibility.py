@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -41,12 +42,15 @@ from qnot import (
     search_gamma,
     solve_dependent_triple,
     standard_probe,
+    synthesize,
     synthesize_with,
     target_state,
+    verify_machine,
 )
 from qnot.feasibility import (branch_block, constraint_kernel, efficiencies,
                               point_rule, scaled_constraint)
-from qnot.linalg import completion_block, gram_of, psd_sqrt, range_null
+from qnot.linalg import (GRAM_TOL, completion_block, gram_of, psd_sqrt,
+                         range_null)
 
 
 def states_for_gram(g, dim, target):
@@ -75,7 +79,7 @@ class TestExactUnitary:
         verdict = check_exact_unitary(ss)
         assert not verdict.feasible
         assert sorted(verdict.violation["indices"]) == [0, 1]
-        assert verdict.violation["residual"] == pytest.approx(0.5)
+        assert verdict.violation["residual"] == pytest.approx(1.0)
 
     def test_build_maps_members_to_complements(self):
         rng = np.random.default_rng(51)
@@ -91,6 +95,85 @@ class TestExactUnitary:
         ss = StateSet((qubit(1, 1), qubit(1, 1j)), TargetMap.NOT)
         with pytest.raises(GramMismatch):
             build_exact_unitary(ss)
+
+
+def near_real_pair() -> StateSet:
+    """Real qubits at angles 0.2 and 1.1, the second's |1> amplitude turned
+    so that max |Im G| = 4e-9: 8e-9 = max |G - conj(G)|, inside GRAM_TOL."""
+    theta = np.array([0.2, 1.1])
+    amps = np.stack([np.cos(theta), np.sin(theta)], axis=1).astype(complex)
+    amps[1, 1] *= np.exp(1j * 4e-9 / (np.sin(0.2) * np.sin(1.1)))
+    return StateSet.from_amplitudes(amps, TargetMap.NOT)
+
+
+def test_near_real_pair_is_exact_as_its_builder_says():
+    """The plain verdict was refused at 1e-9 on |Im G| while the builder
+    built the pair, and synthesize then took the general path at 0.233."""
+    ss = near_real_pair()
+    assert np.abs(gram(ss).matrix.imag).max() == pytest.approx(4e-9, rel=1e-6)
+    assert check_exact_unitary(ss).feasible
+    build_exact_unitary(ss)
+    machine, report = synthesize(ss)
+    assert (report.path, report.epsilon) == ("exact", 1.0)
+    assert machine.gammas.tolist() == [1.0, 1.0]
+    assert verify_machine(machine, ss).all_ok
+
+
+def _exact_deviation(ss: StateSet, probe) -> float:
+    """``max |G - K|`` of the exact regime with ``probe`` (None: plain)."""
+    g = gram(ss).matrix
+    k = np.conj(g) if probe is None else constraint_kernel(g, probe)
+    return float(np.abs(g - k).max())
+
+
+def _set_at_deviation(rng, regime, target, scale) -> StateSet:
+    """``(set, witness)`` whose exact deviation is ``scale * GRAM_TOL``, the
+    witness None for the plain regime: a real set (phased per state for the
+    probe regime) with the last state's second amplitude turned by a phase
+    fitted in the linear regime."""
+    n, dim = 3, 2 if target is TargetMap.NOT else 3
+    if regime == "exact":
+        base = random_set(rng, n, dim, target, real=True)
+    else:
+        base = phased_real_set(rng, n, dim, target)
+
+    def turned(delta):
+        amps = base.matrix().T.copy()
+        amps[-1, 1] *= np.exp(1j * delta)
+        ss = StateSet.from_amplitudes(amps, target)
+        return ss, (None if regime == "exact" else standard_probe(gram(ss)))
+
+    trial = 1e-6
+    slope = _exact_deviation(*turned(trial)) / trial
+    return turned(scale * GRAM_TOL / slope)
+
+
+@pytest.mark.parametrize("scale", [0.5, 0.9, 1.1, 2.0])
+@pytest.mark.parametrize("target", list(TargetMap), ids=lambda t: t.value)
+@pytest.mark.parametrize("regime", ["exact", "probe"])
+def test_exact_verdicts_decide_at_their_builders_gram_test(regime, target,
+                                                           scale):
+    """Each exact verdict is feasible exactly when its builder raises no
+    GramMismatch: both test ``max |G - K| <= GRAM_TOL`` at gamma = 1."""
+    rng = np.random.default_rng(
+        [("exact", "probe").index(regime), list(TargetMap).index(target)])
+    for _ in range(5):
+        ss, probe = _set_at_deviation(rng, regime, target, scale)
+        assert _exact_deviation(ss, probe) == pytest.approx(scale * GRAM_TOL,
+                                                            rel=1e-4)
+        if probe is None:
+            verdict, build = check_exact_unitary(ss), build_exact_unitary
+        else:
+            verdict = check_exact_with_probe(ss)
+            build = functools.partial(build_probe_unitary, probe=probe)
+        assert verdict.feasible == (scale < 1.0)
+        if verdict.feasible:
+            build(ss)
+        else:
+            assert verdict.violation["residual"] == pytest.approx(
+                scale * GRAM_TOL, rel=1e-4)
+            with pytest.raises(GramMismatch):
+                build(ss)
 
 
 class TestExactWithProbe:
