@@ -44,7 +44,8 @@ from .errors import (
 from .linalg import (GRAM_TOL, HERMITICITY_TOL, PSD_TOL, ZERO_SUCCESS,
                      completion_block, embed_block, gram_of, null_count,
                      range_null, smallest_eigenvalue)
-from .states import NORM_TOL, GramMatrix, QuditState, StateSet, TargetMap, gram
+from .states import (NORM_TOL, GramMatrix, QuditState, StateSet, TargetMap,
+                     _fold_phases, gram)
 
 PARALLEL_TOL = 1e-8
 
@@ -95,7 +96,8 @@ class ProbeSpec:
 
 def standard_probe(gram_matrix: GramMatrix) -> ProbeSpec:
     """Doubled-phase probe ``phi_j = 2 theta_0j`` for a given Gram."""
-    return ProbeSpec.phase_vector(np.mod(2.0 * gram_matrix.phases[0, :],
+    row = gram_matrix.matrix[0]
+    return ProbeSpec.phase_vector(np.mod(2.0 * _fold_phases(row, np.abs(row)),
                                          2.0 * np.pi))
 
 

@@ -7,6 +7,8 @@ conjugate the Gram matrix of a state family, which is the single fact the
 feasibility and synthesis machinery rests on.  Each map is one array
 expression, :func:`target_amps`, applied to one state or to a whole set's
 columns at once, so a set reaches its targets with no per-member object.
+A set holds only its target and one read-only d-by-n matrix of its
+members' amplitudes; a member read from it is a view of its column.
 """
 from __future__ import annotations
 
@@ -45,6 +47,13 @@ class QuditState:
         # fails this test as written (``abs(nan - 1) > tol`` would not)
         if not abs(nrm - 1.0) <= NORM_TOL:
             raise InvalidState(f"norm {nrm!r} is not 1 within {NORM_TOL:.1e}")
+
+    @classmethod
+    def _view(cls, amps: np.ndarray) -> "QuditState":
+        """Wrap read-only amplitudes validated already: no copy, no check."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "amps", amps)
+        return state
 
     @property
     def dim(self) -> int:
@@ -91,19 +100,23 @@ def conjugate(state: QuditState) -> QuditState:
     return target_state(state, TargetMap.CONJUGATE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class StateSet:
-    """Finite family of equal-dimension states with a designated target map."""
+    """Finite family of equal-dimension states with a designated target map.
 
-    states: tuple[QuditState, ...]
+    A set holds its target and one read-only d-by-n matrix of its members'
+    amplitudes, each validated as a :class:`QuditState` when the set is
+    built; ``states`` and iteration return views of its columns, with no
+    copy and no second check.  Sets compare and hash by identity.
+    """
+
     target: TargetMap
-    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    _matrix: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        if not isinstance(self.target, TargetMap):
-            raise ValueError(f"target must be a TargetMap, got {self.target!r}")
-        states = tuple(self.states)
-        object.__setattr__(self, "states", states)
+    def __init__(self, states, target: TargetMap):
+        if not isinstance(target, TargetMap):
+            raise ValueError(f"target must be a TargetMap, got {target!r}")
+        states = tuple(states)
         if not states:
             raise DimensionMismatch("state set must contain at least one state")
         if not all(isinstance(s, QuditState) for s in states):
@@ -112,15 +125,21 @@ class StateSet:
             raise DimensionMismatch("all states must share one dimension")
         matrix = np.stack([s.amps for s in states], axis=1)
         matrix.flags.writeable = False
+        object.__setattr__(self, "target", target)
         object.__setattr__(self, "_matrix", matrix)
-        if self.target is TargetMap.NOT and self.dim != 2:
+        if target is TargetMap.NOT and self.dim != 2:
             raise WrongDimension("NOT target requires qubit states")
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self._matrix.shape[1]
 
     def __iter__(self):
-        return iter(self.states)
+        return map(QuditState._view, self._matrix.T)
+
+    @property
+    def states(self) -> tuple[QuditState, ...]:
+        """The members, each a view of its column of :meth:`matrix`."""
+        return tuple(self)
 
     @property
     def dim(self) -> int:
@@ -162,13 +181,19 @@ class GramMatrix:
 
     @cached_property
     def phases(self) -> np.ndarray:
-        phis = np.mod(np.angle(self.matrix), 2.0 * np.pi)
-        phis[self.magnitudes < 1e-15] = 0.0
-        return phis
+        return _fold_phases(self.matrix, self.magnitudes)
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+
+def _fold_phases(values: np.ndarray, magnitudes: np.ndarray) -> np.ndarray:
+    """Arguments of ``values`` folded into ``[0, 2*pi)``, zero where the
+    magnitude is below 1e-15: the rule of :attr:`GramMatrix.phases`."""
+    phis = np.mod(np.angle(values), 2.0 * np.pi)
+    phis[magnitudes < 1e-15] = 0.0
+    return phis
 
 
 def gram(state_set: StateSet) -> GramMatrix:

@@ -229,6 +229,24 @@ class TestExactWithProbe:
         # compensating the Gram conjugation (1e-3 grid over both phases)
         assert phase_grid_min_residual(g) > 0.005
 
+    def test_witness_folds_row_zero_as_the_full_matrix_does(self):
+        """The witness is read from Gram row 0 alone, with the same bits as
+        the full matrix's folded phases."""
+        rng = np.random.default_rng(56)
+        sets = [random_set(rng, n, d, TargetMap.CONJUGATE)
+                for n, d in ((2, 2), (5, 3), (24, 24), (48, 7))]
+        sets += [phased_real_set(rng, 48, 2, TargetMap.NOT),
+                 StateSet((qubit(1, 0), qubit(0, 1), qubit(-1, 0),
+                           qubit(1, -1j)), TargetMap.NOT)]
+        for ss in sets:
+            gm = gram(ss)
+            got = standard_probe(gm)
+            full = ProbeSpec.phase_vector(np.mod(2.0 * gm.phases[0, :],
+                                                 2.0 * np.pi))
+            assert (list(map(float.hex, got.phases))
+                    == list(map(float.hex, full.phases)))
+            assert got.matrix.tobytes() == full.matrix.tobytes()
+
     def test_zero_overlap_marks_inapplicable(self):
         ss = StateSet((qubit(1, 0), qubit(0, 1)), TargetMap.NOT)
         with pytest.raises(ZeroOverlap):

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,8 +186,10 @@ class TestStateSet:
             StateSet((), TargetMap.NOT)
 
     def test_members_must_be_states(self):
-        with pytest.raises(ValueError, match="QuditState"):
-            StateSet(([1, 0], [0, 1]), TargetMap.NOT)
+        for members in (([1, 0], [0, 1]), (qubit(1, 0), [0.0, 1.0])):
+            with pytest.raises(ValueError) as info:
+                StateSet(members, TargetMap.NOT)
+            assert str(info.value) == "members must be QuditState instances"
 
     def test_matrix_is_read_only_and_stacked_once(self):
         ss = StateSet((qubit(1, 0), qubit(1, 1j)), TargetMap.NOT)
@@ -200,6 +205,86 @@ class TestStateSet:
         states = (qubit(1, 0), qubit(1, 1j))
         with pytest.raises(ValueError, match="target"):
             StateSet(states, "conjugate")
+
+    def test_members_are_views_of_the_matrix_columns(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        rows = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        ss = StateSet.from_amplitudes(rows, TargetMap.CONJUGATE)
+
+        def second_check(state):
+            raise AssertionError("a member was validated again on read")
+
+        monkeypatch.setattr(QuditState, "__post_init__", second_check)
+        for members in (ss.states, list(ss)):
+            assert len(members) == len(ss) == 5
+            for row, member in zip(rows, members):
+                assert not member.amps.flags.writeable
+                assert member.amps.tobytes() == row.tobytes()
+                assert np.shares_memory(member.amps, ss.matrix())
+
+    def test_a_set_retains_only_its_matrix(self):
+        rng = np.random.default_rng(48)
+        rows = rng.normal(size=(10_000, 2)) + 1j * rng.normal(size=(10_000, 2))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ss = StateSet.from_amplitudes(rows, TargetMap.NOT)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the 2 x 10 000 matrix alone is 32 B a member
+        assert retained / len(rows) <= 64
+
+        def held(obj):
+            for ref in gc.get_referents(obj):
+                yield ref
+                if isinstance(ref, (dict, tuple, list)):
+                    yield from held(ref)
+
+        assert not any(isinstance(ref, QuditState) for ref in held(ss))
+
+    @pytest.mark.parametrize("delta", [0.9e-10, -0.9e-10])
+    def test_norms_within_the_tolerance_are_accepted(self, delta):
+        rows = [[1.0 + delta, 0.0], [0.0, 1.0]]
+        for build in (_build_from_states, StateSet.from_amplitudes):
+            assert len(build(rows, TargetMap.NOT)) == 2
+
+    @pytest.mark.parametrize("rows, target, error, message", [
+        ([[1.0 + 1.1e-10, 0.0]], TargetMap.NOT, InvalidState,
+         f"norm {1.0 + 1.1e-10!r} is not 1 within 1.0e-10"),
+        ([[1.0 - 1.1e-10, 0.0]], TargetMap.NOT, InvalidState,
+         f"norm {1.0 - 1.1e-10!r} is not 1 within 1.0e-10"),
+        ([[1.0, 0.0], [np.nan, 1.0]], TargetMap.NOT, InvalidState,
+         "norm nan is not 1 within 1.0e-10"),
+        ([[np.inf, 0.0]], TargetMap.NOT, InvalidState,
+         "norm inf is not 1 within 1.0e-10"),
+        ([[1.0]], TargetMap.CONJUGATE, WrongDimension,
+         "qudit dimension must be at least 2"),
+        ([[1.0, 0.0], [1.0, 0.0, 0.0]], TargetMap.CONJUGATE,
+         DimensionMismatch, "all states must share one dimension"),
+        ([], TargetMap.NOT, DimensionMismatch,
+         "state set must contain at least one state"),
+        ([[1.0, 0.0]], "not", ValueError,
+         "target must be a TargetMap, got 'not'"),
+        ([[1.0, 0.0, 0.0]], TargetMap.NOT, WrongDimension,
+         "NOT target requires qubit states"),
+        # a bad member is refused before a bad target
+        ([[2.0, 0.0]], "not", InvalidState,
+         "norm 2.0 is not 1 within 1.0e-10"),
+    ], ids=["norm-over", "norm-under", "nan", "inf", "d1", "mixed-dims",
+            "empty", "bad-target", "not-on-qutrits", "member-first"])
+    def test_refusals_are_the_same_from_states_and_from_rows(
+            self, rows, target, error, message):
+        for build in (_build_from_states, StateSet.from_amplitudes):
+            with pytest.raises(error) as info:
+                build(rows, target)
+            assert str(info.value) == message
+
+
+def _build_from_states(rows, target) -> StateSet:
+    return StateSet(tuple(QuditState(r) for r in rows), target)
 
 
 class TestGram:

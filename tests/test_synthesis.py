@@ -236,6 +236,7 @@ def _pair() -> StateSet:
 # each builds a fresh instance with the same field values on every call
 ARRAY_DATACLASSES = {
     "QuditState": lambda: QuditState([0.6, 0.8j]),
+    "StateSet": _pair,
     "GramMatrix": lambda: gram(_pair()),
     "ProbeSpec": lambda: ProbeSpec.phase_vector([0.0, 1.0]),
     "Machine": lambda: synthesize(_pair())[0],
