@@ -21,12 +21,12 @@ the Gram test the builders' completion applies, so a feasible one builds:
 Every check reads a probe as its Gram matrix ``P``.  A phase-vector probe
 is the rank-one case and also keeps its phases, which is the only kind of
 probe a machine realizes.  Every machine unitary is built by
-:func:`branch_block` on a probe of at most two levels, ``D = 2d``: it
+:func:`branch_unitary` on a probe of at most two levels, ``D = 2d``: it
 writes the branches on the only joint rows they touch, (any system, probe
-0) and, for the at most ``d`` failure rows, (system ``j``, probe 1), and
-returns the unitary as the block on the coordinates it moves:
-:func:`build_exact_unitary` and :func:`build_probe_unitary` here embed it
-in a dense array, and :mod:`qnot.synthesis` keeps the block.
+0) and, for the at most ``d`` failure rows, (system ``j``, probe 1),
+completes them there, and embeds that block once in the dense ``D x D``
+unitary that :func:`build_exact_unitary`, :func:`build_probe_unitary` and
+:mod:`qnot.synthesis` use as it is.
 """
 from __future__ import annotations
 
@@ -118,7 +118,7 @@ def efficiencies(gammas, n: int) -> np.ndarray:
         g = np.asarray(gammas, dtype=float).ravel()
     if g.size != n:
         raise ValueError(f"expected {n} efficiencies, got {g.size}")
-    if not np.all((g > ZERO_SUCCESS) & (g <= 1.0 + 1e-12)):
+    if not np.all((g > ZERO_SUCCESS) & (g <= 1.0)):
         raise ValueError(f"efficiencies must lie in (0, 1] and exceed {ZERO_SUCCESS}")
     return g
 
@@ -169,18 +169,18 @@ def _exact(gram_matrix: GramMatrix,
         False, violation={"indices": [int(i), int(j)], "residual": worst})
 
 
-def branch_block(state_set: StateSet, weights, probe_dim: int,
-                 failure=None) -> tuple[np.ndarray, np.ndarray]:
-    """Machine unitary on system x probe from its branch targets, as the
-    ``(support, block)`` of :func:`qnot.linalg.completion_block`.
+def branch_unitary(state_set: StateSet, weights, probe_dim: int,
+                   failure=None) -> np.ndarray:
+    """Dense machine unitary on system x probe from its branch targets.
 
     Member ``i`` enters as ``psi_i x |0>`` and leaves as
     ``weights_i target_i x |0> + sum_j failure[j, i] |j> x |1>``, so a
     branch touches only the joint indices (any system, probe 0) and
     (system ``j``, probe 1) for the ``f <= d`` rows of ``failure``:
     ``d + f`` ascending rows of the system-major joint index, on which
-    alone the completion runs.  Propagates :class:`GramMismatch` when the
-    branches do not reproduce the Gram.
+    alone :func:`qnot.linalg.completion_block` runs; its block is embedded
+    in the identity.  Propagates :class:`GramMismatch` when the branches do
+    not reproduce the Gram.
     """
     d, n = state_set.dim, len(state_set)
     f = 0 if failure is None else failure.shape[0]
@@ -195,7 +195,7 @@ def branch_block(state_set: StateSet, weights, probe_dim: int,
     if f:
         outs[~system] = failure
     support, block = completion_block(ins, outs)
-    return rows[support], block
+    return embed_block(d * probe_dim, rows[support], block)
 
 
 def build_exact_unitary(state_set: StateSet) -> np.ndarray:
@@ -204,7 +204,7 @@ def build_exact_unitary(state_set: StateSet) -> np.ndarray:
     Propagates :class:`GramMismatch` when ``G`` misses ``conj(G)`` by more
     than ``GRAM_TOL``, the test of :func:`check_exact_unitary`.
     """
-    return embed_block(state_set.dim, *branch_block(state_set, 1.0, 1))
+    return branch_unitary(state_set, 1.0, 1)
 
 
 def build_probe_unitary(state_set: StateSet, probe: ProbeSpec) -> np.ndarray:
@@ -218,8 +218,7 @@ def build_probe_unitary(state_set: StateSet, probe: ProbeSpec) -> np.ndarray:
     compensate the Gram conjugation.
     """
     phases = machine_phases(probe, len(state_set))
-    return embed_block(2 * state_set.dim,
-                       *branch_block(state_set, np.exp(1j * phases), 2))
+    return branch_unitary(state_set, np.exp(1j * phases), 2)
 
 
 def constraint_matrix(gram_matrix: GramMatrix, gammas,

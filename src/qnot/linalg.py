@@ -10,13 +10,14 @@ of the families' cross product (orthogonal Procrustes, Schonemann 1966).
 It computes only on the families' support, the ``s`` coordinates where
 some vector of either family is nonzero: for ``k`` vectors of dimension
 ``D``, :func:`completion_block` returns that support and the ``s x s``
-block, and builds no ``D x D`` array; only the dense form,
-:func:`unitary_completion`, writes the identity around the block
-(:func:`embed_block`).  When ``s <= 2k`` the block is the polar factor
-itself, from an SVD of the ``s x c`` columns of the cross product that
-the ``c`` input rows reach; when ``s > 2k`` one QR of the two families
-shrinks that SVD to ``2k x 2k``, and the block then completes only inside
-their joint span, at ``O(s^2 k)``.  The polar factor is unitary to
+block, and builds no ``D x D`` array; the dense forms,
+:func:`unitary_completion` and :func:`qnot.feasibility.branch_unitary`,
+write the identity around the block once (:func:`embed_block`).  When
+``s <= 2k`` the block is the polar factor itself, from an SVD of the
+``s x c`` columns of the cross product that the ``c`` input rows reach;
+when ``s > 2k`` one QR of the two families shrinks that SVD to
+``2k x 2k``, and the block then completes only inside their joint span,
+at ``O(s^2 k)``.  The polar factor is unitary to
 rounding at any rank, so no rank tolerance decides which vectors count as
 independent.  Machine branches touch ``s = d + min(n, d)`` of the
 ``D = 2d`` coordinates of system x probe, of which only the ``d`` system

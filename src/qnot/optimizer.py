@@ -88,17 +88,18 @@ class TripleBoundInput:
         for name in ("t12", "t13", "t23"):
             t = getattr(self, name)
             if not (0.0 < t <= 1.0):
-                raise ValueError(f"{name} = {t!r} must lie in (0, 1]")
+                raise ValueError(f"{name} = {float(t)!r} must lie in (0, 1]")
         for name in ("theta12", "theta13", "theta23"):
             theta = getattr(self, name)
             if not np.isfinite(theta):
-                raise ValueError(f"{name} = {theta!r} must be finite")
+                raise ValueError(f"{name} = {float(theta)!r} must be finite")
 
     @classmethod
     def from_gram(cls, gram_matrix: GramMatrix) -> "TripleBoundInput":
         if gram_matrix.n != 3:
             raise ValueError("triple bound needs exactly three states")
-        t = gram_matrix.magnitudes
+        # norms accepted within NORM_TOL of 1 can put |G_ij| just above 1
+        t = np.minimum(gram_matrix.magnitudes, 1.0)
         th = gram_matrix.phases
         inp = cls(t[0, 1], t[0, 2], t[1, 2], th[0, 1], th[0, 2], th[1, 2])
         object.__setattr__(inp, "_gram", gram_matrix)

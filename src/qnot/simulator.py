@@ -7,10 +7,10 @@ through one product with the ``d x d`` success block of the unitary,
 :meth:`qnot.synthesis.Machine.success_block`, and one comparison with
 :func:`qnot.states.target_amps` of its columns.  The report's unitarity
 error is :meth:`qnot.synthesis.Machine.unitarity_error`, which checks
-``U^dag U = I`` only on the indices the unitary moves.  Both read the
-machine's one stored block, ``s x s`` for a synthesized machine, so
-verifying it builds no ``D x D`` array and costs no ``D^3`` product.  The
-one Monte Carlo path is :func:`verify_machine` with ``shots`` set: it
+``U^dag U = I`` only on the ``s`` indices the unitary moves.  Both read
+the machine's one stored ``D x D`` unitary: the scan for those indices
+costs ``O(D^2)`` and the product ``O(s^3)``, not ``O(D^3)``.  The one
+Monte Carlo path is :func:`verify_machine` with ``shots`` set: it
 draws each member's success count from the exact probability with numpy's
 PCG64 generator, seeded explicitly, so every report is reproducible.
 Below :data:`qnot.linalg.ZERO_SUCCESS` a run has no output, and

@@ -9,7 +9,7 @@ For a family with Gram matrix ``G``, probe phases ``phi`` and efficiencies
     M = G - sqrt(Gamma) (conj(G) * P) sqrt(Gamma)   is PSD,
 
 and an explicit unitary follows from Gram-matched completion
-(:func:`qnot.feasibility.branch_block`) on a two-level probe: the image of
+(:func:`qnot.feasibility.branch_unitary`) on a two-level probe: the image of
 the i-th prepared input is
 
     sqrt(gamma_i) e^{i phi_i} (target_i x P_0)  +  sum_j F_ji (|j> x P_1)
@@ -40,20 +40,14 @@ builds from; both build through one assembly step with ``M`` from
 :func:`qnot.feasibility.constraint_matrix`.
 
 Every machine acts on ``D = 2d`` joint coordinates (``D = d`` on the
-exact path, which has no probe), and its unitary moves only the support
-of its branches, at most ``s = d + min(n, d)`` of them; every other row and
-column is exactly the identity's.  A machine stores ascending indices
-``support`` and the block on them, nothing else.  Synthesis writes the
-branches on those rows alone and keeps the ``s x s`` block, so synthesis
-and verification build no ``D x D`` array, and no ``D x n`` one.  A dense
-unitary (passed in, loaded, or built by the first read of
-:attr:`Machine.unitary`) is the full-support block.
-:meth:`Machine.unitarity_error` scans the block by exact comparison for the
-indices whose row or column differs from the identity's and checks
-``V^dag V = I`` on them, at ``O(s^3)`` instead of the ``O(D^3)`` of
-``U^dag U`` (``O(D^2 + s^3)`` for a dense block, so an edit anywhere is
-still checked); :meth:`Machine.success_block` reads ``U[::p, ::p]`` off the
-block at ``O(d^2 + s^2)``.
+exact path, which has no probe) and holds one dense ``D x D`` unitary.  Its
+branches touch at most ``s = d + min(n, d)`` of those coordinates, and
+every other row and column is exactly the identity's.
+:meth:`Machine.unitarity_error` scans the unitary by exact comparison for
+the indices whose row or column differs from the identity's and checks
+``V^dag V = I`` on them, at ``O(D^2 + s^3)`` instead of the ``O(D^3)`` of
+``U^dag U``, so an edit anywhere is still checked;
+:meth:`Machine.success_block` copies ``U[::p, ::p]``.
 """
 from __future__ import annotations
 
@@ -66,13 +60,14 @@ from .feasibility import (
     ProbeSpec,
     _exact,
     _probabilistic,
-    branch_block,
+    branch_unitary,
+    build_exact_unitary,
     constraint_matrix,
     efficiencies,
     machine_phases,
 )
 # psd_sqrt is not called here; bench/spans.py wraps it under this name
-from .linalg import embed_block, null_count, psd_sqrt  # noqa: F401
+from .linalg import null_count, psd_sqrt  # noqa: F401
 from .states import GramMatrix, StateSet, TargetMap, gram
 
 ETA = 0.999
@@ -88,37 +83,12 @@ class Machine:
     probabilities and ``branch_phases`` the designed success-branch phases,
     one finite value each per member.
 
-    The unitary is held as ``(support, block)``.  A dense unitary, given
-    or built by the first read of :attr:`unitary`, is the block on every
-    index, and from then on that array, edits included, is the machine's
-    unitary.
+    The machine holds one array, its dense unitary: the one given or set,
+    edits included.
     """
 
     def __init__(self, system_dim: int, probe_dim: int, target: TargetMap,
                  unitary, gammas, branch_phases):
-        self._design(system_dim, probe_dim, target, gammas, branch_phases)
-        self.unitary = unitary
-
-    @classmethod
-    def from_block(cls, system_dim: int, probe_dim: int, target: TargetMap,
-                   support, block, gammas, branch_phases) -> "Machine":
-        """Machine whose unitary is ``block`` on the ascending indices
-        ``support`` and the identity elsewhere."""
-        machine = cls.__new__(cls)
-        machine._design(system_dim, probe_dim, target, gammas, branch_phases)
-        s = np.asarray(support).ravel()
-        if s.size and s.dtype.kind not in "iu":
-            raise DimensionMismatch(f"support dtype {s.dtype} is not integral")
-        s = s.astype(np.intp)
-        machine._support, machine._block = s, np.asarray(block, dtype=complex)
-        steps = np.diff(s, prepend=-1, append=machine.total_dim)
-        if machine._block.shape != (s.size, s.size) or (steps <= 0).any():
-            raise DimensionMismatch(
-                f"block {machine._block.shape} on {s.size} ascending indices "
-                f"below {machine.total_dim} expected")
-        return machine
-
-    def _design(self, system_dim, probe_dim, target, gammas, branch_phases):
         if not isinstance(target, TargetMap):
             raise ValueError(f"target must be a TargetMap, got {target!r}")
         for name, value in (("system_dim", system_dim),
@@ -136,14 +106,11 @@ class Machine:
         if not (np.isfinite(self.gammas).all()
                 and np.isfinite(self.branch_phases).all()):
             raise ValueError("gammas and branch_phases must be finite")
+        self.unitary = unitary
 
     @property
     def unitary(self) -> np.ndarray:
-        # ascending distinct indices below D: all of them iff there are D
-        if self._support.size < self.total_dim:
-            self.unitary = embed_block(self.total_dim, self._support,
-                                       self._block)
-        return self._block
+        return self._unitary
 
     @unitary.setter
     def unitary(self, value):
@@ -153,7 +120,7 @@ class Machine:
             raise DimensionMismatch(
                 f"unitary shape {u.shape} does not match "
                 f"system_dim * probe_dim = {d}")
-        self._support, self._block = np.arange(d), u
+        self._unitary = u
 
     @property
     def total_dim(self) -> int:
@@ -165,11 +132,11 @@ class Machine:
         An index whose row and column are exactly those of the identity
         contributes exactly 0 to ``U^dag U - I``, so with ``S`` the other
         indices the error is ``max |V^dag V - I|`` for ``V = U[S, S]``.
-        The block is scanned exactly: an entry that differs from the
+        The unitary is scanned exactly: an entry that differs from the
         identity's (NaN included) puts its row and its column in ``S``, so
         no edit escapes.
         """
-        v = self._block
+        v = self._unitary
         moved = v != 0
         np.fill_diagonal(moved, np.diagonal(v) != 1)
         s = np.flatnonzero(moved.any(axis=0) | moved.any(axis=1))
@@ -181,10 +148,8 @@ class Machine:
 
     def success_block(self) -> np.ndarray:
         """``U[::p, ::p]``: system to system with the probe kept in state 0."""
-        keep = np.flatnonzero(self._support % self.probe_dim == 0)
-        return embed_block(self.system_dim,
-                           self._support[keep] // self.probe_dim,
-                           self._block[keep[:, None], keep])
+        p = self.probe_dim
+        return self._unitary[::p, ::p].copy()
 
 
 @dataclass
@@ -218,9 +183,9 @@ def _assemble(state_set: StateSet, gram_matrix: GramMatrix, gammas,
     failure = _failure_amplitudes(m_matrix, state_set.dim)
     # member i puts amplitude F_ji on |j> x |1>
     weights = np.sqrt(gammas) * np.exp(1j * phases)
-    support, block = branch_block(state_set, weights, 2, failure)
-    machine = Machine.from_block(state_set.dim, 2, state_set.target,
-                                 support, block, gammas.copy(), phases.copy())
+    machine = Machine(state_set.dim, 2, state_set.target,
+                      branch_unitary(state_set, weights, 2, failure),
+                      gammas.copy(), phases.copy())
     return machine, float(np.abs(failure.conj().T @ failure - m_matrix).max())
 
 
@@ -262,9 +227,9 @@ def synthesize(state_set: StateSet):
     c, d_max = float(spectrum[0]), float(spectrum[-1])
 
     if _exact(gm).feasible:
-        machine = Machine.from_block(state_set.dim, 1, state_set.target,
-                                     *branch_block(state_set, 1.0, 1),
-                                     np.ones(n), np.zeros(n))
+        machine = Machine(state_set.dim, 1, state_set.target,
+                          build_exact_unitary(state_set), np.ones(n),
+                          np.zeros(n))
         # the residual of the dense d x d product, as the machine file records it
         residual = float(np.abs(machine.success_block() @ state_set.matrix()
                                 - state_set.target_matrix()).max())

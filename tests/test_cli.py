@@ -263,6 +263,37 @@ def test_machine_file_efficiency_out_of_range_exits_2(tmp_path, capsys,
     assert "efficiencies must lie in (0, 1]" in captured.err
 
 
+REAL_NOT_PAIR = state_set_doc([[1.0, 0.0], [0.6, 0.8]], target="not")
+ABOVE_ONE = 1.0000000000005
+
+
+def test_efficiency_above_one_exits_2(tmp_path, capsys):
+    """Efficiencies up to 1 + 1e-12 were accepted and written to the file."""
+    set_path = write_doc(tmp_path, "set.json", REAL_NOT_PAIR)
+    assert main(["synthesize", "--input", set_path,
+                 "--gamma", f"{ABOVE_ONE},{ABOVE_ONE}",
+                 "--phases", "0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "efficiencies must lie in (0, 1]" in captured.err
+
+
+def test_machine_file_efficiency_above_one_exits_2(tmp_path, capsys):
+    """The unit-efficiency machine of a real NOT pair verified clean with
+    its gammas moved above 1."""
+    set_path = write_doc(tmp_path, "set.json", REAL_NOT_PAIR)
+    code, machine = run(capsys, ["synthesize", "--input", set_path,
+                                 "--gamma", "1,1", "--phases", "0,0"])
+    assert code == 0
+    machine["gammas"] = [ABOVE_ONE, ABOVE_ONE]
+    machine_path = write_doc(tmp_path, "machine.json", machine)
+    assert main(["simulate", "--input", set_path,
+                 "--machine", machine_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "efficiencies must lie in (0, 1]" in captured.err
+
+
 def near_real_dependent_set_doc() -> dict:
     """Four real qubits with the third state's |1> amplitude ``a`` turned by
     ``3e-9 / |a|``: dependent, and max |G - conj(G)| inside GRAM_TOL."""
@@ -380,6 +411,17 @@ def test_gamma_max_agrees_with_frozen_value(tmp_path, capsys):
 def test_gamma_max_dependent_triple_exits_6(tmp_path, capsys):
     ss = worked_triple(0.7)
     doc = state_set_doc([s.amps for s in ss], target="not")
+    path = write_doc(tmp_path, "set.json", doc)
+    assert main(["gamma-max", "--input", path]) == 6
+    capsys.readouterr()
+
+
+def test_gamma_max_dependent_triple_with_overlap_above_one_exits_6(
+        tmp_path, capsys):
+    """Two members of norm 1 + 5e-11 give |G_01| = 1 + 1e-10: gamma-max
+    exited 2 on the triple input's (0, 1] test, not 6 as at norm 1."""
+    edge = [1.00000000005, 0.0, 0.0]
+    doc = state_set_doc([edge, edge, [0.6, 0.8j, 0.0]])
     path = write_doc(tmp_path, "set.json", doc)
     assert main(["gamma-max", "--input", path]) == 6
     capsys.readouterr()

@@ -45,12 +45,12 @@ from qnot import (
     synthesize,
     synthesize_with,
     target_state,
+    unitary_completion,
     verify_machine,
 )
-from qnot.feasibility import (branch_block, constraint_kernel, efficiencies,
+from qnot.feasibility import (branch_unitary, constraint_kernel, efficiencies,
                               point_rule, scaled_constraint)
-from qnot.linalg import (GRAM_TOL, completion_block, gram_of, psd_sqrt,
-                         range_null)
+from qnot.linalg import GRAM_TOL, gram_of, psd_sqrt, range_null
 
 
 def states_for_gram(g, dim, target):
@@ -688,7 +688,7 @@ class TestDependentTriple:
 
 def _full_branches(ss, weights, probe_dim, failure):
     """The branches on all ``D = d probe_dim`` joint rows, zeros included:
-    the ``(system, probe, member)`` construction ``branch_block`` replaced."""
+    the ``(system, probe, member)`` construction ``branch_unitary`` replaced."""
     d, n = ss.dim, len(ss)
     ins = np.zeros((d, probe_dim, n), complex)
     ins[:, 0, :] = ss.matrix()
@@ -766,12 +766,7 @@ def test_branch_block_is_the_completion_of_the_full_branches(make, pad):
     elif pad:
         # the Gram, and so the failure branches, stay those of the set
         ss = _padded(ss)
-    support, block = branch_block(ss, weights, probe_dim, failure)
-    full_support, full_block = completion_block(
-        *_full_branches(ss, weights, probe_dim, failure))
-    np.testing.assert_array_equal(support, full_support)
-    np.testing.assert_array_equal(block, full_block)
-    u = np.eye(ss.dim * probe_dim, dtype=complex)
-    u[np.ix_(support, support)] = block
     ins, outs = _full_branches(ss, weights, probe_dim, failure)
+    u = branch_unitary(ss, weights, probe_dim, failure)
+    np.testing.assert_array_equal(u, unitary_completion(ins.T, outs.T))
     assert np.abs(u @ ins - outs).max() < 1e-12

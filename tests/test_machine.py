@@ -1,8 +1,8 @@
-"""Block-held machines: the dense unitary, its checks and its file.
+"""Machines: the one dense unitary, its checks and its file.
 
-A synthesized machine keeps only the indices its unitary moves and the
-block on them.  Each machine here is compared with the dense completion of
-the same branches, built as one ``D x D`` array.
+A machine holds one ``D x D`` array, its unitary.  Each synthesized
+machine here is compared with the dense completion of the same branches
+by :func:`qnot.unitary_completion`, and with a machine built on it.
 """
 import json
 import tracemalloc
@@ -26,7 +26,6 @@ from qnot import (
     unitary_completion,
     verify_machine,
 )
-from qnot.linalg import completion_block
 from qnot.serialize import dumps, machine_from_dict, machine_to_dict
 from qnot.synthesis import _failure_amplitudes
 
@@ -108,36 +107,37 @@ def _report_facts(report):
          for k, v in r.items()} for r in records]
 
 
+def _dense_completion(machine, ss):
+    """The completion of the machine's branches on all ``D`` rows."""
+    return unitary_completion(*(m.T for m in _branches(ss, machine)))
+
+
 @pytest.mark.parametrize("case", CASES, ids=IDS)
-def test_block_machine_matches_the_dense_completion(case):
+def test_synthesized_machine_is_the_dense_completion(case):
     machine, ss = _build(case, 41)
-    ins, outs = _branches(ss, machine)
-    dense_u = unitary_completion(ins.T, outs.T)
+    dense_u = _dense_completion(machine, ss)
+    np.testing.assert_array_equal(machine.unitary, dense_u)
     dense = Machine(machine.system_dim, machine.probe_dim, machine.target,
                     dense_u, machine.gammas, machine.branch_phases)
-    # read the block before the dense unitary exists
-    success, error = machine.success_block(), machine.unitarity_error()
     reports = [verify_machine(machine, ss), verify_machine(machine, ss, shots=500)]
     assert reports[0].all_ok
-    np.testing.assert_array_equal(success, dense.success_block())
-    assert error == dense.unitarity_error()
+    np.testing.assert_array_equal(machine.success_block(),
+                                  dense.success_block())
+    assert machine.unitarity_error() == dense.unitarity_error()
     assert [_report_facts(r) for r in reports] == [
         _report_facts(verify_machine(dense, ss)),
         _report_facts(verify_machine(dense, ss, shots=500))]
-    np.testing.assert_array_equal(machine.unitary, dense_u)
-    np.testing.assert_array_equal(success, machine.success_block())
-    assert machine.unitarity_error() == error
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 def test_nan_in_the_block_fails_verification(case):
     machine, ss = _build(case, 42)
-    support, block = completion_block(*_branches(ss, machine))
-    args = (machine.system_dim, machine.probe_dim, machine.target, support)
+    u = _dense_completion(machine, ss)
+    args = (machine.system_dim, machine.probe_dim, machine.target)
     design = (machine.gammas, machine.branch_phases)
-    assert verify_machine(Machine.from_block(*args, block, *design), ss).all_ok
-    block[-1, 0] = np.nan
-    broken = Machine.from_block(*args, block, *design)
+    assert verify_machine(Machine(*args, u, *design), ss).all_ok
+    u[-1, 0] = np.nan
+    broken = Machine(*args, u, *design)
     assert np.isnan(broken.unitarity_error())
     assert not verify_machine(broken, ss).all_ok
 
@@ -146,15 +146,15 @@ def test_nan_in_the_block_fails_verification(case):
 def test_machine_file_bytes_do_not_depend_on_the_storage(case):
     machine, ss = _build(case, 43)
     dense = Machine(machine.system_dim, machine.probe_dim, machine.target,
-                    unitary_completion(*(m.T for m in _branches(ss, machine))),
-                    machine.gammas, machine.branch_phases)
+                    _dense_completion(machine, ss), machine.gammas,
+                    machine.branch_phases)
     text = dumps(machine_to_dict(machine))
     assert text == dumps(machine_to_dict(dense))
     assert verify_machine(machine_from_dict(json.loads(text)), ss).all_ok
 
 
-def test_synthesize_and_verify_build_no_joint_array():
-    """n = d = 40: one complex D x D array, D = 1640, is 43 MB."""
+def test_synthesize_and_verify_peak_memory():
+    """n = d = 40: the D = 80 unitary is 0.1 MB, and the run peaks near 0.6 MB."""
     ss = random_independent_set(np.random.default_rng(1), 40, 40,
                                 TargetMap.CONJUGATE)
     tracemalloc.start()
@@ -165,18 +165,29 @@ def test_synthesize_and_verify_build_no_joint_array():
     finally:
         tracemalloc.stop()
     assert report.all_ok
-    assert peak < 10e6
+    assert peak < 2e6
+
+
+def test_machine_holds_one_array_that_reads_do_not_replace():
+    """n < d: the branches move s = 8 of the D = 10 indices."""
+    ss = random_independent_set(np.random.default_rng(3), 3, 5,
+                                TargetMap.CONJUGATE)
+    machine = synthesize(ss)[0]
+    held = dict(vars(machine))
+    assert machine.unitary is machine.unitary
+    assert all(vars(machine)[k] is v for k, v in held.items())
+    assert [k for k, v in held.items()
+            if isinstance(v, np.ndarray) and v.ndim == 2] == ["_unitary"]
+    before = machine.unitary.copy()
+    machine.success_block()[:] = np.nan
+    np.testing.assert_array_equal(machine.unitary, before)
 
 
 def _dense(*args):
     return Machine(*args[:3], np.eye(2), *args[3:])
 
 
-def _blocked(*args):
-    return Machine.from_block(*args[:3], [0, 1], np.eye(2), *args[3:])
-
-
-@pytest.mark.parametrize("build", [_dense, _blocked])
+@pytest.mark.parametrize("build", [_dense])
 @pytest.mark.parametrize("args, error", [
     ((2, 1, TargetMap.NOT, np.ones(2), np.zeros(3)), DimensionMismatch),
     ((2, 1, TargetMap.NOT, np.ones(0), np.zeros(1)), DimensionMismatch),
@@ -195,17 +206,7 @@ def test_machine_refuses_bad_design(build, args, error):
 
 
 def test_machine_takes_numpy_integer_dimensions():
-    machine = _blocked(np.int64(2), np.int64(1), TargetMap.NOT, np.ones(1),
-                       np.zeros(1))
+    machine = _dense(np.int64(2), np.int64(1), TargetMap.NOT, np.ones(1),
+                     np.zeros(1))
     assert (machine.system_dim, machine.total_dim) == (2, 2)
     assert type(machine.system_dim) is int
-
-
-@pytest.mark.parametrize("support, block", [
-    ([0, 1], np.eye(3)), ([1, 0], np.eye(2)), ([0, 4], np.eye(2)),
-    ([-1, 0], np.eye(2)), ([1, 1], np.eye(2)), ([0.4, 1.9], np.eye(2)),
-    ([0.0, np.nan], np.eye(2)), ([True, False], np.eye(2))])
-def test_block_must_sit_on_ascending_indices_of_the_machine(support, block):
-    with pytest.raises(DimensionMismatch):
-        Machine.from_block(2, 2, TargetMap.NOT, support, block, np.ones(1),
-                           np.zeros(1))

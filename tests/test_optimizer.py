@@ -227,6 +227,11 @@ def test_triple_phases_must_be_finite(field, bad):
         TripleBoundInput(0.3, 0.3, 0.3, **phases)
 
 
+def test_triple_overlap_above_one_is_refused_with_a_plain_float():
+    with pytest.raises(ValueError, match=r"^t12 = 1\.0000000001 must lie"):
+        TripleBoundInput(np.float64(1.0000000001), 0.3, 0.3, 0.1, 0.2, 0.3)
+
+
 def test_degenerate_determinant_raises():
     with pytest.raises(DegenerateDeterminant):
         gamma_max_triple(TripleBoundInput(1.0, 1.0, 1.0, 0.0, 0.0, 0.0))
