@@ -9,6 +9,9 @@ expression, :func:`target_amps`, applied to one state or to a whole set's
 columns at once, so a set reaches its targets with no per-member object.
 A set holds only its target and one read-only d-by-n matrix of its
 members' amplitudes; a member read from it is a view of its column.
+:meth:`StateSet.from_amplitudes` builds that matrix in one array pass and
+checks every member at once, with the one member check a single
+:class:`QuditState` also makes, so no member object is built.
 """
 from __future__ import annotations
 
@@ -40,13 +43,7 @@ class QuditState:
         amps = np.asarray(self.amps, dtype=complex).flatten()
         amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
-        if amps.size < 2:
-            raise WrongDimension("qudit dimension must be at least 2")
-        nrm = float(np.linalg.norm(amps))
-        # a NaN or infinite amplitude makes the norm NaN or infinite, which
-        # fails this test as written (``abs(nan - 1) > tol`` would not)
-        if not abs(nrm - 1.0) <= NORM_TOL:
-            raise InvalidState(f"norm {nrm!r} is not 1 within {NORM_TOL:.1e}")
+        _check_members(amps.reshape(1, -1))
 
     @classmethod
     def _view(cls, amps: np.ndarray) -> "QuditState":
@@ -72,6 +69,27 @@ class QuditState:
         if other.dim != self.dim:
             raise DimensionMismatch(f"dims {self.dim} and {other.dim} differ")
         return complex(np.vdot(self.amps, other.amps))
+
+
+def _check_members(amps: np.ndarray) -> None:
+    """Refuse the first row of an n-by-d amplitude matrix that is not a
+    normalized state of dimension d >= 2: the one member check.
+
+    Each squared norm is two BLAS dots, over the row's real and imaginary
+    parts, as ``np.linalg.norm`` forms it for one vector, so a row gets the
+    same norm here whichever way it arrives.
+    """
+    if amps.shape[1] < 2:
+        raise WrongDimension("qudit dimension must be at least 2")
+    re, im = amps.real, amps.imag
+    norms = np.sqrt((re[:, None] @ re[..., None]
+                     + im[:, None] @ im[..., None]).ravel())
+    # a NaN or infinite amplitude makes its norm NaN or infinite, which
+    # fails these tests as written (``abs(nan - 1) > tol`` would not)
+    ok = np.abs(norms - 1.0) <= NORM_TOL
+    if not ok.all():
+        nrm = float(norms[ok.argmin()])
+        raise InvalidState(f"norm {nrm!r} is not 1 within {NORM_TOL:.1e}")
 
 
 def target_amps(amps: np.ndarray, target: TargetMap) -> np.ndarray:
@@ -100,22 +118,28 @@ def conjugate(state: QuditState) -> QuditState:
     return target_state(state, TargetMap.CONJUGATE)
 
 
+def _check_target(target) -> None:
+    if not isinstance(target, TargetMap):
+        raise ValueError(f"target must be a TargetMap, got {target!r}")
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class StateSet:
     """Finite family of equal-dimension states with a designated target map.
 
     A set holds its target and one read-only d-by-n matrix of its members'
-    amplitudes, each validated as a :class:`QuditState` when the set is
-    built; ``states`` and iteration return views of its columns, with no
-    copy and no second check.  Sets compare and hash by identity.
+    amplitudes, each checked once when the set is built: as a
+    :class:`QuditState` given to the constructor, or all at once by
+    :meth:`from_amplitudes`.  ``states`` and iteration return views of its
+    columns, with no copy and no second check.  Sets compare and hash by
+    identity.
     """
 
     target: TargetMap
     _matrix: np.ndarray = field(repr=False)
 
     def __init__(self, states, target: TargetMap):
-        if not isinstance(target, TargetMap):
-            raise ValueError(f"target must be a TargetMap, got {target!r}")
+        _check_target(target)
         states = tuple(states)
         if not states:
             raise DimensionMismatch("state set must contain at least one state")
@@ -123,7 +147,10 @@ class StateSet:
             raise ValueError("members must be QuditState instances")
         if len({s.dim for s in states}) != 1:
             raise DimensionMismatch("all states must share one dimension")
-        matrix = np.stack([s.amps for s in states], axis=1)
+        self._hold(target, np.stack([s.amps for s in states], axis=1))
+
+    def _hold(self, target: TargetMap, matrix: np.ndarray) -> None:
+        """Keep ``matrix``, a new d-by-n array, read-only as the set's."""
         matrix.flags.writeable = False
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "_matrix", matrix)
@@ -134,7 +161,7 @@ class StateSet:
         return self._matrix.shape[1]
 
     def __iter__(self):
-        return map(QuditState._view, self._matrix.T)
+        return (QuditState._view(column) for column in self._matrix.T)
 
     @property
     def states(self) -> tuple[QuditState, ...]:
@@ -147,7 +174,31 @@ class StateSet:
 
     @classmethod
     def from_amplitudes(cls, rows, target: TargetMap) -> "StateSet":
-        return cls(tuple(map(QuditState, rows)), target)
+        """The set whose members have the amplitude rows ``rows``.
+
+        One array pass: the rows become one n-by-d array (a row with more
+        axes is flattened, as :class:`QuditState` flattens it), the member
+        check a :class:`QuditState` makes runs on every row at once, and
+        the set keeps a transposed copy.  No member object is built.  Each
+        refusal, its message and their order are the constructor's given
+        ``QuditState(row)`` for each row.
+        """
+        # an array is converted whole: its rows as a tuple would cost one
+        # view object a member, more than the set keeps
+        rows = rows if isinstance(rows, np.ndarray) else tuple(rows)
+        try:
+            amps = np.asarray(rows, dtype=complex).reshape(len(rows), -1)
+        except (TypeError, ValueError, OverflowError):
+            # no rows, ragged rows, or rows numpy cannot convert together:
+            # each row is checked alone, in order, as a member given to the
+            # constructor is, and the constructor then refuses the set, or
+            # stacks rows that flatten to one length ([1, 0] and [[0, 1]])
+            return cls(tuple(QuditState(row) for row in rows), target)
+        _check_members(amps)
+        _check_target(target)
+        state_set = object.__new__(cls)
+        state_set._hold(target, amps.T.copy())
+        return state_set
 
     def matrix(self) -> np.ndarray:
         """States stacked as columns of a dim-by-n matrix (read-only)."""

@@ -60,6 +60,11 @@ ZERO_SUCCESS_READERS = {
     "feasibility.efficiencies", "simulator._run_columns", "simulator.run_exact",
 }
 
+# Every function that reads ``NORM_TOL``: a set's members and a lone state
+# share one member check, and a probe Gram's unit diagonal is the other
+# reader, so a second norm test fails here until it is registered.
+NORM_TOL_READERS = {"feasibility.ProbeSpec.full_gram", "states._check_members"}
+
 
 def test_every_exported_name_resolves():
     """``import qnot`` does not check ``__all__``; a stale entry shows here."""
@@ -171,6 +176,17 @@ def test_one_success_floor():
             (readers if isinstance(node.ctx, ast.Load) else assigned).add(where)
     assert assigned == {"linalg"}
     assert readers == ZERO_SUCCESS_READERS
+
+
+def test_one_member_check():
+    """``NORM_TOL`` is assigned once, in ``states``, and each function that
+    reads it is registered."""
+    assigned, readers = set(), set()
+    for where, node in _module_nodes():
+        if isinstance(node, ast.Name) and node.id == "NORM_TOL":
+            (readers if isinstance(node.ctx, ast.Load) else assigned).add(where)
+    assert assigned == {"states"}
+    assert readers == NORM_TOL_READERS
 
 
 def _environment_reads(tree):

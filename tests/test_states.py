@@ -20,7 +20,7 @@ from qnot import (
     orthogonal_complement,
     target_state,
 )
-from qnot.states import target_amps
+from qnot.states import NORM_TOL, target_amps
 from qnot.serialize import (
     SchemaError,
     dump,
@@ -273,8 +273,41 @@ class TestStateSet:
         # a bad member is refused before a bad target
         ([[2.0, 0.0]], "not", InvalidState,
          "norm 2.0 is not 1 within 1.0e-10"),
+        # ragged rows: each member is checked, in order, before the lengths
+        ([[2.0, 0.0], [1.0, 0.0, 0.0]], TargetMap.CONJUGATE, InvalidState,
+         "norm 2.0 is not 1 within 1.0e-10"),
+        ([[1.0], [1.0, 0.0, 0.0]], TargetMap.CONJUGATE, WrongDimension,
+         "qudit dimension must be at least 2"),
+        ([[1.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0]], TargetMap.CONJUGATE,
+         InvalidState, "norm 2.0 is not 1 within 1.0e-10"),
+        ([[1.0, 0.0], [1.0, 0.0, 0.0]], "not", ValueError,
+         "target must be a TargetMap, got 'not'"),
+        # a flat vector is a column of one-amplitude members
+        (np.array([0.6, 0.8]), TargetMap.NOT, WrongDimension,
+         "qudit dimension must be at least 2"),
+        (np.zeros((0, 2)), TargetMap.NOT, DimensionMismatch,
+         "state set must contain at least one state"),
+        (np.zeros((0, 2)), "not", ValueError,
+         "target must be a TargetMap, got 'not'"),
+        (["10", "01"], TargetMap.CONJUGATE, WrongDimension,
+         "qudit dimension must be at least 2"),
+        ([["a", "b"]], TargetMap.CONJUGATE, ValueError,
+         "complex() arg is a malformed string"),
+        ([[1.0, 0.0], ["a", "b"], [2.0, 0.0]], TargetMap.CONJUGATE,
+         ValueError, "complex() arg is a malformed string"),
+        ([[2.0, 0.0], ["a", "b"]], TargetMap.CONJUGATE, InvalidState,
+         "norm 2.0 is not 1 within 1.0e-10"),
+        (np.array(1.0), TargetMap.NOT, TypeError,
+         "iteration over a 0-d array"),
+        ([[2.0, 0.0], [10 ** 400, 0.0]], TargetMap.NOT, InvalidState,
+         "norm 2.0 is not 1 within 1.0e-10"),
     ], ids=["norm-over", "norm-under", "nan", "inf", "d1", "mixed-dims",
-            "empty", "bad-target", "not-on-qutrits", "member-first"])
+            "empty", "bad-target", "not-on-qutrits", "member-first",
+            "ragged-norm-first", "ragged-d1-first", "ragged-norm-later",
+            "ragged-bad-target", "flat-vector", "empty-array",
+            "empty-array-bad-target", "string-scalars", "string-row",
+            "string-row-later", "string-row-after-bad-norm", "0-d-array",
+            "overflow-after-bad-norm"])
     def test_refusals_are_the_same_from_states_and_from_rows(
             self, rows, target, error, message):
         for build in (_build_from_states, StateSet.from_amplitudes):
@@ -283,8 +316,139 @@ class TestStateSet:
             assert str(info.value) == message
 
 
+    @pytest.mark.parametrize("make_rows, target, want", [
+        (lambda: ([1.0, 0.0] if k == 0 else [0.6, 0.8j] for k in range(2)),
+         TargetMap.NOT, [[1.0, 0.0], [0.6, 0.8j]]),
+        (lambda: (np.array([1.0, 0.0]), np.array([0.6, 0.8j])),
+         TargetMap.NOT, [[1.0, 0.0], [0.6, 0.8j]]),
+        # an (n, 1, d) array: each member is flattened
+        (lambda: np.array([[[1.0, 0.0]], [[0.6, 0.8j]]]), TargetMap.NOT,
+         [[1.0, 0.0], [0.6, 0.8j]]),
+        # rows of different nesting flatten to one dimension
+        (lambda: [[1.0, 0.0], [[0.0, 1.0]]], TargetMap.NOT,
+         [[1.0, 0.0], [0.0, 1.0]]),
+        (lambda: [["1", "0"], ["0", "1j"]], TargetMap.CONJUGATE,
+         [[1.0, 0.0], [0.0, 1j]]),
+        (lambda: np.eye(3, dtype=int), TargetMap.CONJUGATE, np.eye(3)),
+        (lambda: np.eye(3, dtype=np.float32)[::-1], TargetMap.CONJUGATE,
+         np.eye(3)[::-1]),
+    ], ids=["generator", "tuple-of-arrays", "n-1-d-array", "mixed-nesting",
+            "string-rows", "int-array", "float32-array"])
+    def test_row_shapes_are_read_as_members_are(self, make_rows, target,
+                                                 want):
+        want = np.array(want, dtype=complex).T.copy()
+        for build in (_build_from_states, StateSet.from_amplitudes):
+            got = build(make_rows(), target).matrix()
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.flags.c_contiguous and not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("form", [np.asarray, list, np.ndarray.tolist])
+    def test_rows_build_no_member_object(self, monkeypatch, form):
+        rng = np.random.default_rng(50)
+        rows = rng.normal(size=(10_000, 2)) + 1j * rng.normal(size=(10_000, 2))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        rows = form(rows)
+
+        def member_object(state):
+            raise AssertionError("a member object was built")
+
+        monkeypatch.setattr(QuditState, "__post_init__", member_object)
+        assert len(StateSet.from_amplitudes(rows, TargetMap.NOT)) == 10_000
+
+    @pytest.mark.parametrize("form", [np.asarray, list, np.ndarray.tolist])
+    def test_rows_peak_at_most_four_times_the_set(self, form):
+        rng = np.random.default_rng(50)
+        rows = rng.normal(size=(10_000, 2)) + 1j * rng.normal(size=(10_000, 2))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        rows = form(rows)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            StateSet.from_amplitudes(rows, TargetMap.NOT)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the set keeps 32 B a member; a QuditState for each took 434
+        assert peak / 10_000 <= 128
+
+    def test_a_last_bit_norm_prints_the_same_from_states_and_rows(self):
+        """d = 24 rows whose norm from ``np.linalg.norm`` and from a plain
+        row-wise sum differ in the last bit: both builds print the former,
+        so both read one norm expression."""
+        rng = np.random.default_rng(51)
+        rows = rng.normal(size=(200, 24)) + 1j * rng.normal(size=(200, 24))
+        rows *= 1.5 / np.linalg.norm(rows, axis=1, keepdims=True)
+        split = [r for r in rows if np.linalg.norm(r)
+                 != np.sqrt((np.abs(r) ** 2).sum())]
+        assert len(split) >= 10
+        for row in split[:10]:
+            nrm = float(np.linalg.norm(row))
+            message = f"norm {nrm!r} is not 1 within 1.0e-10"
+            for build in (_build_from_states, StateSet.from_amplitudes):
+                with pytest.raises(InvalidState) as info:
+                    build([rows[0] / 1.5, row], TargetMap.CONJUGATE)
+                assert str(info.value) == message
+
+
 def _build_from_states(rows, target) -> StateSet:
     return StateSet(tuple(QuditState(r) for r in rows), target)
+
+
+@st.composite
+def amplitude_rows(draw):
+    """Rows of n unit vectors in dimension d, some scaled to within a few
+    1e-11 of the norm tolerance on either side, some holding NaN or inf,
+    given as an array, a list of row arrays or nested lists, with a target
+    map that is mostly conjugation, so most sets reach the norm test."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    d = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 24]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    index = st.integers(min_value=0, max_value=n - 1)
+    for i, side, k in draw(st.lists(st.tuples(
+            index, st.sampled_from([-1, 0, 1]), st.integers(-3, 3)),
+            max_size=6)):
+        rows[i] *= 1.0 + side * NORM_TOL + k * 1e-11
+    for i, j, value in draw(st.lists(st.tuples(
+            index, st.integers(0, d - 1),
+            st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.nan)])),
+            max_size=2)):
+        rows[i, j] = value
+    form = draw(st.sampled_from([np.asarray, list, np.ndarray.tolist]))
+    target = draw(st.sampled_from([TargetMap.CONJUGATE] * 3 + [TargetMap.NOT]))
+    return form(rows), target
+
+
+def _outcome(build, rows, target):
+    try:
+        return build(rows, target).matrix().tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(amplitude_rows())
+def test_rows_and_states_build_the_same_set(drawn):
+    """Same matrix bytes, or the same refusal, from rows and from states;
+    both are the written-out member rule with ``np.linalg.norm``."""
+    given_rows, target = drawn
+    got = _outcome(StateSet.from_amplitudes, given_rows, target)
+    assert got == _outcome(_build_from_states, given_rows, target)
+    rows = np.array(given_rows, dtype=complex)
+    norms = [float(np.linalg.norm(r)) for r in rows]
+    bad = [nrm for nrm in norms if not abs(nrm - 1.0) <= NORM_TOL]
+    if rows.shape[1] < 2:
+        want = (WrongDimension, "qudit dimension must be at least 2")
+    elif bad:
+        want = (InvalidState, f"norm {bad[0]!r} is not 1 within 1.0e-10")
+    elif target is TargetMap.NOT and rows.shape[1] != 2:
+        want = (WrongDimension, "NOT target requires qubit states")
+    else:
+        want = rows.T.copy().tobytes()
+    assert got == want
 
 
 class TestGram:
