@@ -81,22 +81,22 @@ def _emit(doc: dict, args, text_lines=None) -> None:
         payload = "\n".join(text_lines) + "\n"
     else:
         payload = serialize.dumps(doc)
-    if args.output:
+    if args.output is not None:
         serialize.write(args.output, payload)
     else:
         sys.stdout.write(payload)
 
 
 def _probe_from_args(args, gram_matrix):
-    if args.phases:
+    if args.phases is not None:
         return ProbeSpec.phase_vector(_parse_floats(args.phases))
     return standard_probe(gram_matrix)
 
 
 def _requested_point(args, state_set):
     """``(gammas, probe)`` from ``--gamma`` and ``--phases``, or None."""
-    if not args.gamma:
-        if args.phases:
+    if args.gamma is None:
+        if args.phases is not None:
             raise serialize.SchemaError("--phases needs --gamma")
         return None
     return _parse_floats(args.gamma), _probe_from_args(args, gram(state_set))

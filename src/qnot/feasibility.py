@@ -22,11 +22,11 @@ Every check reads a probe as its Gram matrix ``P``.  A phase-vector probe
 is the rank-one case and also keeps its phases, which is the only kind of
 probe a machine realizes.  Every machine unitary is built by
 :func:`branch_unitary` on a probe of at most two levels, ``D = 2d``: it
-writes the branches on the only joint rows they touch, (any system, probe
-0) and, for the at most ``d`` failure rows, (system ``j``, probe 1),
-completes them there, and embeds that block once in the dense ``D x D``
-unitary that :func:`build_exact_unitary`, :func:`build_probe_unitary` and
-:mod:`qnot.synthesis` use as it is.
+writes the branches on system x probe, inputs and success outputs on probe
+level 0 and the at most ``d`` failure rows on probe level 1, and
+:func:`qnot.linalg.unitary_completion` completes them into the dense
+``D x D`` unitary that :func:`build_exact_unitary`,
+:func:`build_probe_unitary` and :mod:`qnot.synthesis` use as it is.
 """
 from __future__ import annotations
 
@@ -42,8 +42,8 @@ from .errors import (
     ZeroOverlap,
 )
 from .linalg import (GRAM_TOL, HERMITICITY_TOL, PSD_TOL, ZERO_SUCCESS,
-                     completion_block, embed_block, gram_of, null_count,
-                     range_null, smallest_eigenvalue)
+                     gram_of, range_null, smallest_eigenvalue,
+                     unitary_completion)
 from .states import (NORM_TOL, GramMatrix, QuditState, StateSet, TargetMap,
                      _fold_phases, gram)
 
@@ -174,28 +174,20 @@ def branch_unitary(state_set: StateSet, weights, probe_dim: int,
     """Dense machine unitary on system x probe from its branch targets.
 
     Member ``i`` enters as ``psi_i x |0>`` and leaves as
-    ``weights_i target_i x |0> + sum_j failure[j, i] |j> x |1>``, so a
-    branch touches only the joint indices (any system, probe 0) and
-    (system ``j``, probe 1) for the ``f <= d`` rows of ``failure``:
-    ``d + f`` ascending rows of the system-major joint index, on which
-    alone :func:`qnot.linalg.completion_block` runs; its block is embedded
-    in the identity.  Propagates :class:`GramMismatch` when the branches do
-    not reproduce the Gram.
+    ``weights_i target_i x |0> + sum_j failure[j, i] |j> x |1>``: the
+    branches are written in a ``(d, probe_dim, n)`` layout and completed by
+    :func:`qnot.linalg.unitary_completion`, whose support scan decides the
+    rows a machine moves.  Propagates :class:`GramMismatch` when the
+    branches do not reproduce the Gram.
     """
     d, n = state_set.dim, len(state_set)
-    f = 0 if failure is None else failure.shape[0]
-    joint = np.arange(d * probe_dim)
-    level = joint % probe_dim
-    keep = (level == 0) | ((level == 1) & (joint < f * probe_dim))
-    rows, system = joint[keep], level[keep] == 0  # system: the rows (i, 0)
-    ins = np.zeros((rows.size, n), complex)
-    ins[system] = state_set.matrix()
-    outs = np.zeros((rows.size, n), complex)
-    outs[system] = state_set.target_matrix() * weights
-    if f:
-        outs[~system] = failure
-    support, block = completion_block(ins, outs)
-    return embed_block(d * probe_dim, rows[support], block)
+    ins = np.zeros((d, probe_dim, n), complex)
+    ins[:, 0] = state_set.matrix()
+    outs = np.zeros((d, probe_dim, n), complex)
+    outs[:, 0] = state_set.target_matrix() * weights
+    if failure is not None:
+        outs[:failure.shape[0], 1] = failure
+    return unitary_completion(ins.reshape(-1, n).T, outs.reshape(-1, n).T)
 
 
 def build_exact_unitary(state_set: StateSet) -> np.ndarray:
@@ -307,8 +299,8 @@ def solve_dependent_triple(s1: QuditState, s2: QuditState, s3: QuditState,
     must be parallel to ``s3_perp`` with norm at most 1.  Returns the pair
     ``(gamma3, chi)`` with ``v = sqrt(gamma3) exp(i chi) s3_perp``, or
     ``None`` when the constraint cannot be met.  Raises
-    :class:`LinearlyDependentPair` when the rank decision, ``null_count``
-    of the pair's Gram, is not 0.
+    :class:`LinearlyDependentPair` when :func:`qnot.linalg.range_null`
+    finds a null space in the pair's Gram.
     """
     # a NOT set refuses states that are not qubits
     triple = StateSet((s1, s2, s3), TargetMap.NOT)
@@ -316,7 +308,7 @@ def solve_dependent_triple(s1: QuditState, s2: QuditState, s3: QuditState,
     if not np.isfinite(phase):
         raise ValueError(f"phase = {phase!r} must be finite")
     psi, perp = triple.matrix(), triple.target_matrix()
-    if null_count(np.linalg.eigh(gram_of(psi[:, :2]))[0]):
+    if range_null(gram_of(psi[:, :2]))[1].shape[1]:
         raise LinearlyDependentPair("reference states are parallel")
     alpha, beta = np.linalg.solve(psi[:, :2], psi[:, 2])
     v = (alpha * np.sqrt(gamma1) * perp[:, 0]

@@ -10,19 +10,18 @@ of the families' cross product (orthogonal Procrustes, Schonemann 1966).
 It computes only on the families' support, the ``s`` coordinates where
 some vector of either family is nonzero: for ``k`` vectors of dimension
 ``D``, :func:`completion_block` returns that support and the ``s x s``
-block, and builds no ``D x D`` array; the dense forms,
-:func:`unitary_completion` and :func:`qnot.feasibility.branch_unitary`,
-write the identity around the block once (:func:`embed_block`).  When
-``s <= 2k`` the block is the polar factor itself, from an SVD of the
-``s x c`` columns of the cross product that the ``c`` input rows reach;
-when ``s > 2k`` one QR of the two families shrinks that SVD to
-``2k x 2k``, and the block then completes only inside their joint span,
-at ``O(s^2 k)``.  The polar factor is unitary to
-rounding at any rank, so no rank tolerance decides which vectors count as
-independent.  Machine branches touch ``s = d + min(n, d)`` of the
-``D = 2d`` coordinates of system x probe, of which only the ``d`` system
-rows carry an input, so a machine on the general path takes an ``s x d``
-SVD when ``d <= n`` and the QR when ``d > n``.
+block, and builds no ``D x D`` array; :func:`unitary_completion`, the
+dense form every machine is built by, writes the identity around the
+block once.  When ``s <= 2k`` the block is the polar factor itself, from
+an SVD of the ``s x c`` columns of the cross product that the ``c`` input
+rows reach; when ``s > 2k`` one QR of the two families shrinks that SVD
+to ``2k x 2k``, and the block then completes only inside their joint
+span, at ``O(s^2 k)``.  The polar factor is unitary to rounding at any
+rank, so no rank tolerance decides which vectors count as independent.
+Machine branches touch ``s = d + min(n, d)`` of the ``D = 2d``
+coordinates of system x probe, of which only the ``d`` system rows carry
+an input, so a machine on the general path takes an ``s x d`` SVD when
+``d <= n`` and the QR when ``d > n``.
 
 Every PSD decision compares :func:`smallest_eigenvalue` against
 ``-PSD_TOL`` (:func:`is_psd`, :func:`psd_sqrt`, probe Grams), or, for a
@@ -113,13 +112,6 @@ def gram_of(vectors: np.ndarray) -> np.ndarray:
     return vectors.conj().T @ vectors
 
 
-def embed_block(dim: int, support: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """The ``dim x dim`` identity with ``block`` on the rows and columns ``support``."""
-    u = np.eye(dim, dtype=complex)
-    u[np.ix_(support, support)] = block
-    return u
-
-
 def unitary_completion(inputs, outputs) -> np.ndarray:
     """Unitary ``U`` with ``U @ inputs[i] == outputs[i]`` for every pair.
 
@@ -151,7 +143,10 @@ def unitary_completion(inputs, outputs) -> np.ndarray:
                                 f"{y_mat.shape[::-1]} (vectors x length)")
     if not x_mat.size:
         raise DimensionMismatch("need at least one input/output pair")
-    return embed_block(x_mat.shape[0], *completion_block(x_mat, y_mat))
+    support, block = completion_block(x_mat, y_mat)
+    u = np.eye(x_mat.shape[0], dtype=complex)
+    u[np.ix_(support, support)] = block
+    return u
 
 
 def completion_block(x_mat: np.ndarray, y_mat: np.ndarray):

@@ -58,7 +58,7 @@ import numpy as np
 from .errors import DegenerateDeterminant, NoFeasiblePoint, NotPSD
 from .feasibility import (ProbeSpec, constraint_kernel, null_miss, point_rule,
                           scaled_constraint, standard_probe)
-from .linalg import GRAM_TOL, PSD_TOL, is_psd, null_count, range_null
+from .linalg import GRAM_TOL, PSD_TOL, is_psd, range_null
 from .states import GramMatrix, StateSet, gram
 
 COORDINATE_CONVERGENCE = 1e-6
@@ -143,7 +143,7 @@ def gamma_max_triple(inp: TripleBoundInput) -> float:
     if not is_psd(g):
         raise NotPSD("overlap data is not a positive semidefinite Gram")
     a = inp.a
-    if null_count(np.linalg.eigh(g)[0]):
+    if range_null(g)[1].shape[1]:
         raise DegenerateDeterminant(
             f"Gram rank is below 3 (|det| = {abs(a):.3e})")
     x = -inp.t23 ** 2 * np.sin(inp.delta) ** 2 / a

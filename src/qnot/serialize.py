@@ -85,14 +85,19 @@ def state_to_dict(state: QuditState) -> dict:
     return {"dim": state.dim, "amps": _complex_lists(state.amps)}
 
 
-def state_from_dict(doc) -> QuditState:
+def _state_amps(doc) -> np.ndarray:
+    """A state document's amplitudes, schema and ``dim`` checked."""
     if not isinstance(doc, dict) or "dim" not in doc or "amps" not in doc:
         raise SchemaError("state document needs 'dim' and 'amps'")
     amps = _complex_array(doc["amps"], 1)
     if _int(doc["dim"], "dim") != amps.size:
         raise SchemaError(
             f"declared dim {doc['dim']} but {amps.size} amplitudes")
-    return QuditState(amps)
+    return amps
+
+
+def state_from_dict(doc) -> QuditState:
+    return QuditState(_state_amps(doc))
 
 
 def state_set_to_dict(state_set: StateSet) -> dict:
@@ -110,7 +115,8 @@ def state_set_from_dict(doc) -> StateSet:
     states = doc["states"]
     if not isinstance(states, list) or not states:
         raise SchemaError("'states' must be a nonempty list")
-    return StateSet(tuple(state_from_dict(s) for s in states), target)
+    # every member's schema is checked before any member's norm
+    return StateSet.from_amplitudes([_state_amps(s) for s in states], target)
 
 
 def machine_to_dict(machine: Machine) -> dict:

@@ -497,17 +497,20 @@ def test_spin_flip_rejects_qutrits(tmp_path, capsys):
 
 def test_bad_gamma_string_exits_2(tmp_path, capsys):
     """An empty field is malformed, not skipped: ``0.1,,0.1`` on a pair is
-    not two efficiencies, nor ``,0,1`` two phases."""
+    not two efficiencies, nor ``,0,1`` two phases, and an empty value is
+    not an absent option."""
     path = write_doc(tmp_path, "set.json", CANONICAL_PAIR)
     for request in (["--gamma", "a,b"], ["--gamma", "0.1,,0.1"],
                     ["--gamma", "0.1,0.1,"], ["--gamma", ",0.1,0.1"],
                     ["--gamma", "0.1,0.1", "--phases", ",0,1"],
-                    ["--gamma", "0.1,0.1", "--phases", "0,1,"]):
+                    ["--gamma", "0.1,0.1", "--phases", "0,1,"],
+                    ["--gamma", ""], ["--gamma", "0.1,0.1", "--phases", ""]):
         for command in ("check", "synthesize"):
             assert main([command, "--input", path, *request]) == 2, request
             assert "cannot parse float list" in capsys.readouterr().err
-    assert main(["oracle", "--input", path, "--phases", ",0,1"]) == 2
-    capsys.readouterr()
+    for phases in (",0,1", ""):
+        assert main(["oracle", "--input", path, "--phases", phases]) == 2
+        assert "cannot parse float list" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, option", [
@@ -529,10 +532,11 @@ def test_undeclared_option_exits_2(tmp_path, capsys, command, option):
 @pytest.mark.parametrize("command", ["check", "synthesize"])
 def test_phases_without_gamma_exits_2(tmp_path, capsys, command):
     path = write_doc(tmp_path, "set.json", CANONICAL_PAIR)
-    assert main([command, "--input", path, "--phases", "0,1.5"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--phases needs --gamma" in captured.err
+    for phases in ("0,1.5", ""):
+        assert main([command, "--input", path, "--phases", phases]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--phases needs --gamma" in captured.err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -581,13 +585,16 @@ def test_output_file_roundtrip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["check", "synthesize"])
-@pytest.mark.parametrize("output", ["missing_dir/out.json", "."])
+@pytest.mark.parametrize("output", ["missing_dir/out.json", ".", ""])
 def test_unwritable_output_exits_2(tmp_path, capsys, command, output):
+    """An empty ``--output`` names no file; it does not mean stdout."""
     set_path = write_doc(tmp_path, "set.json", CANONICAL_PAIR)
     code = main([command, "--input", set_path,
-                 "--output", str(tmp_path / output)])
+                 "--output", str(tmp_path / output) if output else output])
+    captured = capsys.readouterr()
     assert code == 2
-    assert "cannot write" in capsys.readouterr().err
+    assert captured.out == ""
+    assert "cannot write" in captured.err
 
 
 def _outcome(capsys, argv):

@@ -30,10 +30,8 @@ TOLERANCES = {
 EIGENSOLVERS = {
     ("eigvalsh", "linalg.smallest_eigenvalue"),
     ("eigvalsh", "optimizer.search_gamma"),
-    ("eigh", "feasibility.solve_dependent_triple"),
     ("eigh", "linalg.psd_sqrt"),
     ("eigh", "linalg.range_null"),
-    ("eigh", "optimizer.gamma_max_triple"),
     ("eigh", "synthesis._failure_amplitudes"),
     ("eigh", "synthesis.synthesize"),
     ("svd", "linalg.completion_block"),

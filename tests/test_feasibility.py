@@ -755,8 +755,8 @@ BRANCHES = {
 @pytest.mark.parametrize("make", BRANCHES.values(), ids=BRANCHES)
 @pytest.mark.parametrize("pad", [False, True], ids=["plain", "padded"])
 def test_branch_block_is_the_completion_of_the_full_branches(make, pad):
-    """Only rows (i, 0) and (j, 1) are built, and the result is bit for bit
-    the completion of all ``D`` rows, whose untouched rows are zero."""
+    """The machine is bit for bit the completion of all ``D`` rows of its
+    branches, whose untouched rows are zero."""
     ss, weights, probe_dim, failure = make(np.random.default_rng(61))
     if pad and ss.target is TargetMap.NOT:
         # a qubit cannot be padded: a member with a zero amplitude instead
@@ -770,3 +770,46 @@ def test_branch_block_is_the_completion_of_the_full_branches(make, pad):
     u = branch_unitary(ss, weights, probe_dim, failure)
     np.testing.assert_array_equal(u, unitary_completion(ins.T, outs.T))
     assert np.abs(u @ ins - outs).max() < 1e-12
+
+
+def _probe_machine(rng):
+    ss = _probe_branches(rng, 4, 2)[0]
+    return build_probe_unitary(ss, check_exact_with_probe(ss).witness)
+
+
+def _synthesized(ss, path):
+    assert synthesize(ss)[1].path == path
+
+
+def _requested_machine(rng):
+    ss = random_independent_set(rng, 3, 3, TargetMap.CONJUGATE)
+    return synthesize_with(ss, 0.5 * search_gamma(ss).gammas.min(),
+                           standard_probe(gram(ss)))
+
+
+MACHINE_BUILDERS = {
+    "build_exact_unitary": lambda rng: build_exact_unitary(
+        random_set(rng, 3, 4, TargetMap.CONJUGATE, real=True)),
+    "build_probe_unitary": _probe_machine,
+    "synthesize-exact": lambda rng: _synthesized(
+        random_set(rng, 3, 4, TargetMap.CONJUGATE, real=True), "exact"),
+    "synthesize-general": lambda rng: _synthesized(
+        random_independent_set(rng, 3, 3, TargetMap.CONJUGATE), "general"),
+    "synthesize_with": _requested_machine,
+}
+
+
+@pytest.mark.parametrize("build", MACHINE_BUILDERS.values(),
+                         ids=MACHINE_BUILDERS)
+def test_every_machine_is_one_unitary_completion(monkeypatch, build):
+    """Each machine goes through ``feasibility.unitary_completion`` exactly
+    once, the name the benchmark's completion span wraps."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return unitary_completion(*args)
+
+    monkeypatch.setattr("qnot.feasibility.unitary_completion", counted)
+    build(np.random.default_rng(62))
+    assert len(calls) == 1

@@ -539,6 +539,27 @@ class TestJson:
         with pytest.raises(SchemaError):
             state_from_dict({"dim": dim, "amps": [[1.0, 0.0]]})
 
+    def test_set_file_builds_no_member_object(self, monkeypatch):
+        doc = state_set_to_dict(random_set(np.random.default_rng(49), 5, 3,
+                                           TargetMap.CONJUGATE))
+
+        def member_object(state):
+            raise AssertionError("a member object was built")
+
+        monkeypatch.setattr(QuditState, "__post_init__", member_object)
+        assert len(state_set_from_dict(doc)) == 5
+
+    def test_set_file_checks_every_schema_before_any_norm(self):
+        doc = {"target": "not", "states": [{"dim": 2, "amps": [[2.0, 0.0],
+                                                                [0.0, 0.0]]},
+                                           {"dim": 3, "amps": [[1.0, 0.0],
+                                                               [0.0, 0.0]]}]}
+        with pytest.raises(SchemaError, match="declared dim 3"):
+            state_set_from_dict(doc)
+        doc["states"][1]["dim"] = 2
+        with pytest.raises(InvalidState):
+            state_set_from_dict(doc)
+
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_writer_refuses_non_finite_floats(value):

@@ -1,4 +1,8 @@
-"""The project's pytest settings report a failing test as a failure."""
+"""The project's tooling: pytest reports a failing test as a failure, and
+every docstring cross-reference names something that exists."""
+import builtins
+import importlib
+import re
 from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -24,3 +28,51 @@ def test_failing_hypothesis_test_is_reported_not_an_internal_error(pytester):
     output = result.stdout.str() + result.stderr.str()
     assert "INTERNALERROR" not in output
     assert "test_fails.py::test_fails" in output
+
+
+ROLE = re.compile(r":(?:func|class|meth|attr|data|exc|mod):`~?\.?([\w.]+)")
+SOURCES = sorted((PYPROJECT.parent / "src" / "qnot").glob("*.py"))
+
+
+def _lookup(obj, parts) -> bool:
+    for part in parts:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def _imported(path: str) -> bool:
+    """``path`` as a module, or an attribute chain below its longest
+    importable prefix."""
+    parts = path.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            module = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        return _lookup(module, parts[cut:])
+    return False
+
+
+def _resolves(module, target: str) -> bool:
+    parts = target.split(".")
+    classes = [v for v in vars(module).values() if isinstance(v, type)]
+    return (_lookup(module, parts)
+            or any(_lookup(cls, parts) for cls in classes)
+            or _imported(f"qnot.{target}") or _imported(target)
+            or _lookup(builtins, parts))
+
+
+def test_docstring_cross_references_resolve():
+    """Every Sphinx role target in the package names something that exists,
+    so a doc cannot keep naming a helper after it is deleted."""
+    stale, seen = [], 0
+    for path in SOURCES:
+        module = importlib.import_module(
+            "qnot" if path.stem == "__init__" else f"qnot.{path.stem}")
+        for target in ROLE.findall(path.read_text()):
+            seen += 1
+            if not _resolves(module, target):
+                stale.append(f"{path.name}: {target}")
+    assert seen and not stale
