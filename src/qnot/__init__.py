@@ -24,7 +24,6 @@ from .errors import (
     NotSquare,
     QnotError,
     WrongDimension,
-    ZeroOverlap,
     ZeroSuccess,
 )
 from .feasibility import (
@@ -85,7 +84,6 @@ __all__ = [
     "standard_probe",
     "QnotError", "NotSquare", "NotHermitian", "NotPSD", "GramMismatch",
     "DimensionMismatch", "MachineMismatch", "WrongDimension", "InvalidState",
-    "ZeroOverlap",
     "InvalidProbeGram", "LinearlyDependentPair", "LinearlyDependent",
     "InfeasibleGamma", "InvalidProbe", "ZeroSuccess",
     "DegenerateDeterminant", "NoFeasiblePoint",

@@ -34,12 +34,7 @@ import sys
 import numpy as np
 
 from . import serialize
-from .errors import (
-    DegenerateDeterminant,
-    LinearlyDependent,
-    QnotError,
-    ZeroOverlap,
-)
+from .errors import DegenerateDeterminant, LinearlyDependent, QnotError
 from .feasibility import (
     ProbeSpec,
     check_exact_unitary,
@@ -118,13 +113,8 @@ def cmd_check(args) -> int:
     doc = {}
     v1 = check_exact_unitary(state_set)
     doc["exact_unitary"] = serialize.verdict_to_dict(v1)
-    try:
-        v2 = check_exact_with_probe(state_set)
-        doc["exact_with_probe"] = serialize.verdict_to_dict(v2)
-    except ZeroOverlap as exc:
-        v2 = None
-        doc["exact_with_probe"] = {"applicable": False,
-                                   "reason": str(exc)}
+    v2 = check_exact_with_probe(state_set)
+    doc["exact_with_probe"] = serialize.verdict_to_dict(v2)
     point = _requested_point(args, state_set)
     if point is not None:
         v3 = check_probabilistic(state_set, *point)
@@ -133,15 +123,11 @@ def cmd_check(args) -> int:
     lines = _gram_text(gm)
     lines.append(f"exact via plain unitary: "
                  f"{'feasible' if v1.feasible else 'infeasible'}")
-    if v2 is None:
-        lines.append("exact via unitary + probe: not applicable "
-                     "(zero overlap)")
-    else:
-        lines.append(f"exact via unitary + probe: "
-                     f"{'feasible' if v2.feasible else 'infeasible'}")
-        if v2.feasible:
-            ph = ", ".join(f"{p:.6f}" for p in v2.witness.phases)
-            lines.append(f"  witness probe phases: [{ph}]")
+    lines.append(f"exact via unitary + probe: "
+                 f"{'feasible' if v2.feasible else 'infeasible'}")
+    if v2.feasible:
+        ph = ", ".join(f"{p:.6f}" for p in v2.witness.phases)
+        lines.append(f"  witness probe phases: [{ph}]")
     if "probabilistic" in doc:
         lines.append(f"probabilistic at requested efficiencies: "
                      f"{'feasible' if doc['probabilistic']['feasible'] else 'infeasible'}")

@@ -48,14 +48,6 @@ class InvalidState(QnotError):
     """Amplitude vector is not a normalized state."""
 
 
-class ZeroOverlap(QnotError):
-    """A pairwise overlap is zero where a nonzero one is required."""
-
-    def __init__(self, i, j):
-        self.indices = (i, j)
-        super().__init__(f"states {i} and {j} have zero overlap")
-
-
 class InvalidProbeGram(QnotError):
     """Probe Gram matrix is not Hermitian PSD with unit diagonal."""
 

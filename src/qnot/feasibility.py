@@ -9,10 +9,10 @@ regimes are one test, ``max |G - K| <= GRAM_TOL`` with ``K = conj(G) * P``,
 the Gram test the builders' completion applies, so a feasible one builds:
 
 * a plain unitary iff ``G = conj(G)`` (:func:`check_exact_unitary`);
-* a unitary with probe iff the Gram phases satisfy the congruence
-  ``theta_lj - theta_li = theta_ij  (mod pi)`` for every index triple,
-  which with no zero overlap holds iff the witness ``phi_j = 2 theta_0j``
-  gives ``G = P(phi) * conj(G)`` (:func:`check_exact_with_probe`);
+* a unitary with probe iff phases with ``phi_j - phi_i = 2 theta_ij``
+  (mod ``2 pi``) on every nonzero overlap exist (with no zero overlap, the
+  congruence ``theta_lj - theta_li = theta_ij  (mod pi)`` on every index
+  triple); :func:`probe_witness` grows them (:func:`check_exact_with_probe`);
 * otherwise :func:`point_rule` decides a point.  On the null space ``N``
   of ``G``, ``M N = -sqrt(Gamma) K sqrt(Gamma) N``, so ``M`` must vanish
   there, which that rule can miss; :func:`check_probabilistic` tests
@@ -35,15 +35,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    InvalidProbe,
-    InvalidProbeGram,
-    LinearlyDependentPair,
-    ZeroOverlap,
-)
-from .linalg import (GRAM_TOL, HERMITICITY_TOL, PSD_TOL, ZERO_SUCCESS,
-                     gram_of, range_null, smallest_eigenvalue,
-                     unitary_completion)
+from .errors import (InvalidProbe, InvalidProbeGram, LinearlyDependentPair,
+                     NotHermitian, NotSquare)
+from .linalg import (GRAM_TOL, PSD_TOL, ZERO_SUCCESS, gram_of, is_psd,
+                     range_null, smallest_eigenvalue, unitary_completion)
 from .states import (NORM_TOL, GramMatrix, QuditState, StateSet, TargetMap,
                      _fold_phases, gram)
 
@@ -77,15 +72,16 @@ class ProbeSpec:
     @classmethod
     def full_gram(cls, matrix) -> "ProbeSpec":
         m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
-            raise InvalidProbeGram(
-                f"probe Gram must be square and nonempty, got {m.shape}")
-        # each test is written to fail on NaN
-        if not np.abs(m - m.conj().T).max() <= HERMITICITY_TOL:
-            raise InvalidProbeGram("probe Gram must be Hermitian")
+        try:
+            psd = is_psd(m)
+        except (NotSquare, NotHermitian) as exc:
+            raise InvalidProbeGram(f"probe Gram: {exc}") from None
+        if not m.size:
+            raise InvalidProbeGram("probe Gram must be nonempty")
+        # written to fail on NaN
         if not np.abs(np.diag(m) - 1.0).max() <= NORM_TOL:
             raise InvalidProbeGram("probe Gram must have unit diagonal")
-        if not smallest_eigenvalue(m) >= -PSD_TOL:
+        if not psd:
             raise InvalidProbeGram("probe Gram must be positive semidefinite")
         return cls(m)
 
@@ -99,6 +95,31 @@ def standard_probe(gram_matrix: GramMatrix) -> ProbeSpec:
     row = gram_matrix.matrix[0]
     return ProbeSpec.phase_vector(np.mod(2.0 * _fold_phases(row, np.abs(row)),
                                          2.0 * np.pi))
+
+
+def probe_witness(gram_matrix: GramMatrix) -> ProbeSpec:
+    """Phases every nonzero overlap forces: ``phi_j = 2 theta_0j`` where
+    ``|G_0j| >= 1e-12``, the bits of :func:`standard_probe`; level by level
+    each other member takes ``phi_i + 2 theta_ij`` from the placed ``i`` it
+    overlaps most, or, overlapping none, starts a component at phase 0."""
+    probe = standard_probe(gram_matrix)
+    g, phases = gram_matrix.matrix, probe.phases.copy()
+    placed = np.abs(g[0]) >= 1e-12
+    if placed.all():
+        return probe
+    while not placed.all():
+        src, rest = np.flatnonzero(placed), np.flatnonzero(~placed)
+        links = g[np.ix_(src, rest)]
+        best = np.abs(links).argmax(axis=0)
+        link = links[best, np.arange(rest.size)]
+        reach = np.abs(link) >= 1e-12
+        if not reach.any():
+            phases[rest[0]], placed[rest[0]] = 0.0, True
+            continue
+        phases[rest[reach]] = (phases[src[best[reach]]]
+                               + 2.0 * np.angle(link[reach]))
+        placed[rest[reach]] = True
+    return ProbeSpec.phase_vector(phases)
 
 
 def machine_phases(probe: ProbeSpec, n: int) -> np.ndarray:
@@ -139,18 +160,15 @@ def check_exact_unitary(state_set: StateSet) -> FeasibilityVerdict:
 
 def check_exact_with_probe(state_set: StateSet) -> FeasibilityVerdict:
     """Exact target map by a unitary with probe: :func:`_exact` with the
-    witness ``phi_j = 2 theta_0j`` (mod ``2 pi``), the test
-    :func:`build_probe_unitary` applies to it.  With
+    witness of :func:`probe_witness`, the test :func:`build_probe_unitary`
+    applies to it.  Where row 0 has no zero, ``phi_j = 2 theta_0j``; with
     ``r_ij = theta_0j - theta_0i - theta_ij`` each entry is
     ``2 |G_ij| |sin r_ij|`` and each triple residual of the congruence is
-    ``r_li + r_ij - r_lj``, so this is the paper's criterion.  Raises
-    :class:`ZeroOverlap` when an overlap is zero: the criterion needs none.
+    ``r_li + r_ij - r_lj``, so this is the paper's criterion.  A zero
+    overlap constrains nothing, so every set gets a verdict.
     """
     gm = gram(state_set)
-    zero = np.argwhere(np.triu(gm.magnitudes < 1e-12, k=1))
-    if zero.size:
-        raise ZeroOverlap(int(zero[0, 0]), int(zero[0, 1]))
-    return _exact(gm, standard_probe(gm))
+    return _exact(gm, probe_witness(gm))
 
 
 def _exact(gram_matrix: GramMatrix,

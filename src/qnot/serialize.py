@@ -7,7 +7,8 @@ bit-for-bit (well inside the 1e-12 contract).  Every document is written
 compact by :mod:`json`'s C encoder.  A machine file holds the dense
 ``2d x 2d`` unitary (``d x d`` on the exact path), so its size grows as
 ``d^2`` whatever the number of states.  A machine file's ``gammas`` pass
-:func:`qnot.feasibility.efficiencies`, as those of a request do.
+:func:`qnot.feasibility.efficiencies` in :class:`qnot.synthesis.Machine`,
+as those of a request do, so every machine the writer takes reads back.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import json
 import numpy as np
 
 from .errors import QnotError
-from .feasibility import FeasibilityVerdict, efficiencies
+from .feasibility import FeasibilityVerdict
 from .simulator import SimulationReport
 from .states import QuditState, StateSet, TargetMap
 from .synthesis import Machine
@@ -143,7 +144,6 @@ def machine_from_dict(doc) -> Machine:
     phases = _float_array(doc["phases"], 1, "phases")
     if phases.size != gammas.size:
         raise SchemaError(f"{phases.size} phases for {gammas.size} gammas")
-    gammas = efficiencies(gammas, gammas.size)
     return Machine(_int(doc["system_dim"], "system_dim"),
                    _int(doc["probe_dim"], "probe_dim"), target,
                    _complex_array(doc["unitary"], 2), gammas, phases)

@@ -80,8 +80,9 @@ class Machine:
     system index major (component ``i * probe_dim + j``).  Success means
     finding the probe in basis state 0; the projector onto that event is
     ``I_system x |0><0|``.  ``gammas`` are the designed per-member success
-    probabilities and ``branch_phases`` the designed success-branch phases,
-    one finite value each per member.
+    probabilities, which pass :func:`qnot.feasibility.efficiencies`, and
+    ``branch_phases`` the designed success-branch phases, one finite value
+    each per member.
 
     The machine holds one array, its dense unitary: the one given or set,
     edits included.
@@ -98,14 +99,14 @@ class Machine:
                 raise ValueError(f"{name} must be a positive int, got {value!r}")
         self.system_dim, self.probe_dim = int(system_dim), int(probe_dim)
         self.target = target
-        self.gammas = np.asarray(gammas, dtype=float).ravel()
+        gammas = np.asarray(gammas, dtype=float).ravel()
         self.branch_phases = np.asarray(branch_phases, dtype=float).ravel()
-        if self.gammas.size != self.branch_phases.size:
+        if gammas.size != self.branch_phases.size:
             raise DimensionMismatch(f"{self.branch_phases.size} branch phases "
-                                    f"for {self.gammas.size} gammas")
-        if not (np.isfinite(self.gammas).all()
-                and np.isfinite(self.branch_phases).all()):
-            raise ValueError("gammas and branch_phases must be finite")
+                                    f"for {gammas.size} gammas")
+        self.gammas = efficiencies(gammas, gammas.size)
+        if not np.isfinite(self.branch_phases).all():
+            raise ValueError("branch_phases must be finite")
         self.unitary = unitary
 
     @property

@@ -3,11 +3,12 @@
 Nothing here calls into qnot's linear algebra: PSD-ness comes from
 principal minors (determinants by cofactor expansion), quadratic roots from
 the companion matrix, parallelism from a least-squares fit, and the probe
-congruence and phase residuals from plain loops and grids.  Deliberately
-slow and simple.
+congruence, phase residuals and probe witnesses from plain loops and grids.
+Deliberately slow and simple.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 
 import numpy as np
@@ -120,3 +121,38 @@ def equal_edge_bisection(g, k, tol: float) -> float:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if ok(mid) else (lo, mid)
     return lo
+
+
+def forest_witness(g, zero: float = 1e-12):
+    """Probe phases grown along a maximum-|G| spanning forest (Prim).
+
+    Each tree starts at the lowest index not yet placed, at phase 0, and
+    repeatedly adds the unplaced ``j`` with the largest ``|g[i, j]| >=
+    zero`` over its members ``i``, at ``phi_j = phi_i + 2 arg g[i, j]``:
+    along a nonzero overlap every witness has that phase difference.
+    Returns the phases and ``max |g_ij - conj(g_ij) e^{i(phi_j - phi_i)}|``.
+    """
+    g = np.asarray(g, dtype=complex)
+    n = g.shape[0]
+    phases = [None] * n
+    for root in range(n):
+        if phases[root] is not None:
+            continue
+        phases[root] = 0.0
+        tree = [root]
+        while True:
+            best = None
+            for i in tree:
+                for j in range(n):
+                    if phases[j] is None and abs(g[i, j]) >= zero and (
+                            best is None or abs(g[i, j]) > abs(g[best])):
+                        best = (i, j)
+            if best is None:
+                break
+            i, j = best
+            phases[j] = phases[i] + 2.0 * cmath.phase(g[i, j])
+            tree.append(j)
+    residual = max(abs(g[i, j] - g[i, j].conjugate()
+                       * cmath.exp(1j * (phases[j] - phases[i])))
+                   for i in range(n) for j in range(n))
+    return phases, float(residual)

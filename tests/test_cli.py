@@ -101,12 +101,29 @@ def test_check_real_pair_is_exactly_flippable(tmp_path, capsys):
     assert doc["exact_unitary"]["feasible"] is True
 
 
-def test_check_zero_overlap_marks_probe_check_inapplicable(tmp_path, capsys):
+def test_check_orthogonal_pair_reports_a_probe_witness(tmp_path, capsys):
+    """A zero overlap constrains nothing: the probe check gives a verdict."""
     path = write_doc(tmp_path, "set.json", ORTHOGONAL_PAIR)
     code, doc = run(capsys, ["check", "--input", path])
     assert code == 0
-    assert doc["exact_with_probe"]["applicable"] is False
+    assert doc["exact_with_probe"] == {"feasible": True,
+                                       "witness_phases": [0.0, 0.0],
+                                       "violation": None}
     assert doc["exact_unitary"]["feasible"] is True
+
+
+@pytest.mark.parametrize("name", ["orthogonal_pair", "great_circle"])
+def test_check_text_never_says_not_applicable(tmp_path, capsys, name):
+    s = 1 / np.sqrt(2)
+    doc = (ORTHOGONAL_PAIR if name == "orthogonal_pair" else state_set_doc(
+        [np.array(a) for a in ([1, 0], [0, 1], [s, 1j * s], [s, -1j * s])],
+        target="not"))
+    path = write_doc(tmp_path, "set.json", doc)
+    assert main(["check", "--input", path, "--format", "text"]) == 0
+    out = capsys.readouterr().out
+    assert "not applicable" not in out
+    assert "exact via unitary + probe: feasible" in out
+    assert "witness probe phases" in out
 
 
 def test_check_with_efficiencies(tmp_path, capsys):

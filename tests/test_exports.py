@@ -4,6 +4,7 @@ import inspect
 from pathlib import Path
 
 import qnot
+import qnot.serialize  # noqa: F401  (defines SchemaError)
 
 # The public callables that take a tolerance: none.  Every threshold is a
 # module constant, so a PSD question gets one answer in every module.
@@ -46,8 +47,7 @@ EIGENSOLVERS = {
 # closed form at that rule's edge, so a second edge fails here until it is
 # registered.
 PSD_TOL_READERS = {
-    "feasibility.ProbeSpec.full_gram", "feasibility.point_rule",
-    "linalg.is_psd", "linalg.psd_sqrt",
+    "feasibility.point_rule", "linalg.is_psd", "linalg.psd_sqrt",
     "optimizer.search_gamma", "optimizer.search_gamma.schur_step",
 }
 
@@ -185,6 +185,26 @@ def test_one_member_check():
             (readers if isinstance(node.ctx, ast.Load) else assigned).add(where)
     assert assigned == {"states"}
     assert readers == NORM_TOL_READERS
+
+
+def _package_errors(cls=qnot.QnotError):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("qnot."):
+            yield sub.__name__
+        yield from _package_errors(sub)
+
+
+def test_every_error_type_is_raised():
+    """Each ``QnotError`` subclass the package defines, ``SchemaError``
+    included, is raised somewhere in it: a type nothing raises is dead API."""
+    raised = set()
+    for _, node in _module_nodes():
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    defined = set(_package_errors())
+    assert {"ZeroSuccess", "SchemaError"} <= defined
+    assert defined - raised == set()
 
 
 def _environment_reads(tree):

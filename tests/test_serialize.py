@@ -109,3 +109,26 @@ def test_other_arrays_and_keys_are_not_rendered():
         dumps({"amps": np.ones(2, complex)})
     with pytest.raises(TypeError):
         dumps({1: np.eye(2, dtype=complex)})
+
+
+designs = st.one_of(st.sampled_from(SPECIAL + [1e-14, 1.0000000000000002e-14,
+                                               -1e-14, 5.0]),
+                    st.floats(width=64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(designs, min_size=1, max_size=4), st.data())
+def test_every_accepted_machine_reads_back(gammas, data):
+    """The constructor and the reader apply one efficiency rule: every
+    design the constructor takes is written and read back bit for bit."""
+    phases = data.draw(st.lists(designs, min_size=len(gammas),
+                                max_size=len(gammas)))
+    try:
+        machine = Machine(2, 1, TargetMap.NOT, np.eye(2), gammas, phases)
+    except ValueError:
+        return
+    back = machine_from_dict(json.loads(dumps(machine_to_dict(machine))))
+    for got, want in ((back.gammas, machine.gammas),
+                      (back.branch_phases, machine.branch_phases),
+                      (back.unitary, machine.unitary)):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
