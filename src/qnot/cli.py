@@ -224,7 +224,7 @@ def cmd_oracle(args) -> int:
 _OPTIONS = {
     "--gamma": {"help": "comma-separated efficiencies"},
     "--phases": {"help": "comma-separated probe phases (radians); "
-                         "defaults to doubled Gram phases"},
+                         "defaults to the phases of the probe check"},
     "--machine": {"help": "machine JSON file"},
     "--shots": {"type": int, "default": 100_000},
     "--seed": {"type": int, "default": 42},

@@ -12,7 +12,7 @@ the Gram test the builders' completion applies, so a feasible one builds:
 * a unitary with probe iff phases with ``phi_j - phi_i = 2 theta_ij``
   (mod ``2 pi``) on every nonzero overlap exist (with no zero overlap, the
   congruence ``theta_lj - theta_li = theta_ij  (mod pi)`` on every index
-  triple); :func:`probe_witness` grows them (:func:`check_exact_with_probe`);
+  triple); :func:`standard_probe` grows them (:func:`check_exact_with_probe`);
 * otherwise :func:`point_rule` decides a point.  On the null space ``N``
   of ``G``, ``M N = -sqrt(Gamma) K sqrt(Gamma) N``, so ``M`` must vanish
   there, which that rule can miss; :func:`check_probabilistic` tests
@@ -91,22 +91,17 @@ class ProbeSpec:
 
 
 def standard_probe(gram_matrix: GramMatrix) -> ProbeSpec:
-    """Doubled-phase probe ``phi_j = 2 theta_0j`` for a given Gram."""
-    row = gram_matrix.matrix[0]
-    return ProbeSpec.phase_vector(np.mod(2.0 * _fold_phases(row, np.abs(row)),
-                                         2.0 * np.pi))
-
-
-def probe_witness(gram_matrix: GramMatrix) -> ProbeSpec:
-    """Phases every nonzero overlap forces: ``phi_j = 2 theta_0j`` where
-    ``|G_0j| >= 1e-12``, the bits of :func:`standard_probe`; level by level
-    each other member takes ``phi_i + 2 theta_ij`` from the placed ``i`` it
-    overlaps most, or, overlapping none, starts a component at phase 0."""
-    probe = standard_probe(gram_matrix)
-    g, phases = gram_matrix.matrix, probe.phases.copy()
+    """The default probe, phases every nonzero overlap forces: ``phi_j = 2
+    theta_0j`` where ``|G_0j| >= 1e-12``; level by level each other member
+    takes ``phi_i + 2 theta_ij`` from the placed ``i`` it overlaps most, or,
+    overlapping none, starts a component at phase 0."""
+    g = gram_matrix.matrix
+    probe = ProbeSpec.phase_vector(np.mod(2.0 * _fold_phases(g[0], np.abs(g[0])),
+                                          2.0 * np.pi))
     placed = np.abs(g[0]) >= 1e-12
     if placed.all():
         return probe
+    phases = probe.phases.copy()
     while not placed.all():
         src, rest = np.flatnonzero(placed), np.flatnonzero(~placed)
         links = g[np.ix_(src, rest)]
@@ -139,6 +134,8 @@ def efficiencies(gammas, n: int) -> np.ndarray:
         g = np.asarray(gammas, dtype=float).ravel()
     if g.size != n:
         raise ValueError(f"expected {n} efficiencies, got {g.size}")
+    if not g.size:
+        raise ValueError("a design needs at least one efficiency")
     if not np.all((g > ZERO_SUCCESS) & (g <= 1.0)):
         raise ValueError(f"efficiencies must lie in (0, 1] and exceed {ZERO_SUCCESS}")
     return g
@@ -160,7 +157,7 @@ def check_exact_unitary(state_set: StateSet) -> FeasibilityVerdict:
 
 def check_exact_with_probe(state_set: StateSet) -> FeasibilityVerdict:
     """Exact target map by a unitary with probe: :func:`_exact` with the
-    witness of :func:`probe_witness`, the test :func:`build_probe_unitary`
+    witness of :func:`standard_probe`, the test :func:`build_probe_unitary`
     applies to it.  Where row 0 has no zero, ``phi_j = 2 theta_0j``; with
     ``r_ij = theta_0j - theta_0i - theta_ij`` each entry is
     ``2 |G_ij| |sin r_ij|`` and each triple residual of the congruence is
@@ -168,7 +165,7 @@ def check_exact_with_probe(state_set: StateSet) -> FeasibilityVerdict:
     overlap constrains nothing, so every set gets a verdict.
     """
     gm = gram(state_set)
-    return _exact(gm, probe_witness(gm))
+    return _exact(gm, standard_probe(gm))
 
 
 def _exact(gram_matrix: GramMatrix,

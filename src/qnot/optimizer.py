@@ -45,8 +45,10 @@ once the rule accepts it, else retreated toward the last certified value
 along :data:`RETREAT`.  A step is a function of the point alone, so
 ``COORDINATE`` skips ``i`` while the point is the one at which ``i``'s last
 step made no move: the sweeps, and so the result, are those of a search
-that steps every ``i`` every sweep.  With the doubled-phase probe these
-are certified lower bounds for an optimal probe.
+that steps every ``i`` every sweep.  Without a probe the search takes
+:func:`qnot.feasibility.standard_probe`, the witness of the exact probe
+check, so the two agree; its points are certified lower bounds for an
+optimal probe.
 """
 from __future__ import annotations
 

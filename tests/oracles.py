@@ -2,9 +2,10 @@
 
 Nothing here calls into qnot's linear algebra: PSD-ness comes from
 principal minors (determinants by cofactor expansion), quadratic roots from
-the companion matrix, parallelism from a least-squares fit, and the probe
-congruence, phase residuals and probe witnesses from plain loops and grids.
-Deliberately slow and simple.
+the companion matrix, parallelism from a least-squares fit, the probe
+congruence, phase residuals and probe witnesses from plain loops and grids,
+and the paper's qubit criterion from Bloch vectors.  Deliberately slow and
+simple.
 """
 from __future__ import annotations
 
@@ -156,3 +157,21 @@ def forest_witness(g, zero: float = 1e-12):
                        * cmath.exp(1j * (phases[j] - phases[i])))
                    for i in range(n) for j in range(n))
     return phases, float(residual)
+
+
+def great_circle(amps, tol: float = 1e-8) -> bool:
+    """Whether qubit states lie on one great circle of the Bloch sphere.
+
+    The paper's qubit criterion for a perfect NOT with a probe (Buzek,
+    Hillery & Werner 1999): the Bloch vectors ``(2 Re(a* b), 2 Im(a* b),
+    |a|^2 - |b|^2)`` of the rows ``(a, b)`` of ``amps`` lie in one plane
+    through the origin, that is the third singular value of their stack,
+    padded with zero rows, is at most ``tol``.  Any two states pass.
+    """
+    amps = np.asarray(amps, dtype=complex)
+    a, b = amps[:, 0], amps[:, 1]
+    cross = np.conj(a) * b
+    bloch = np.stack([2.0 * cross.real, 2.0 * cross.imag,
+                      np.abs(a) ** 2 - np.abs(b) ** 2], axis=1)
+    padded = np.vstack([bloch, np.zeros((2, 3))])
+    return bool(np.linalg.svd(padded, compute_uv=False)[2] <= tol)

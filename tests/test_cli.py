@@ -101,7 +101,7 @@ def test_check_real_pair_is_exactly_flippable(tmp_path, capsys):
     assert doc["exact_unitary"]["feasible"] is True
 
 
-def test_check_orthogonal_pair_reports_a_probe_witness(tmp_path, capsys):
+def test_check_orthogonal_pair_reports_witness_phases(tmp_path, capsys):
     """A zero overlap constrains nothing: the probe check gives a verdict."""
     path = write_doc(tmp_path, "set.json", ORTHOGONAL_PAIR)
     code, doc = run(capsys, ["check", "--input", path])
@@ -112,18 +112,57 @@ def test_check_orthogonal_pair_reports_a_probe_witness(tmp_path, capsys):
     assert doc["exact_unitary"]["feasible"] is True
 
 
+def great_circle_doc(n=4):
+    """The first ``n`` of {|0>, |1>, |+i>, |-i>} under NOT: one great circle
+    of the Bloch sphere, with members orthogonal to member 0."""
+    s = 1 / np.sqrt(2)
+    return state_set_doc(
+        [np.array(a) for a in ([1, 0], [0, 1], [s, 1j * s], [s, -1j * s])][:n],
+        target="not")
+
+
 @pytest.mark.parametrize("name", ["orthogonal_pair", "great_circle"])
 def test_check_text_never_says_not_applicable(tmp_path, capsys, name):
-    s = 1 / np.sqrt(2)
-    doc = (ORTHOGONAL_PAIR if name == "orthogonal_pair" else state_set_doc(
-        [np.array(a) for a in ([1, 0], [0, 1], [s, 1j * s], [s, -1j * s])],
-        target="not"))
+    doc = ORTHOGONAL_PAIR if name == "orthogonal_pair" else great_circle_doc()
     path = write_doc(tmp_path, "set.json", doc)
     assert main(["check", "--input", path, "--format", "text"]) == 0
     out = capsys.readouterr().out
     assert "not applicable" not in out
     assert "exact via unitary + probe: feasible" in out
     assert "witness probe phases" in out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_oracle_on_a_great_circle_is_perfect(tmp_path, capsys, n):
+    """The default probe is the probe check's witness, so the search finds
+    the perfect NOT that check reports."""
+    path = write_doc(tmp_path, "set.json", great_circle_doc(n))
+    code, doc = run(capsys, ["oracle", "--input", path])
+    assert code == 0
+    assert doc["gammas"] == [1.0] * n
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_check_at_unit_efficiency_on_a_great_circle(tmp_path, capsys, n):
+    path = write_doc(tmp_path, "set.json", great_circle_doc(n))
+    code, doc = run(capsys, ["check", "--input", path,
+                             "--gamma", ",".join(["1"] * n)])
+    assert code == 0
+    assert doc["probabilistic"]["feasible"] is True
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_great_circle_machine_at_unit_efficiency_simulates(tmp_path, capsys,
+                                                           n):
+    set_path = write_doc(tmp_path, "set.json", great_circle_doc(n))
+    machine_path = str(tmp_path / "machine.json")
+    assert main(["synthesize", "--input", set_path, "--gamma",
+                 ",".join(["1"] * n), "--output", machine_path]) == 0
+    capsys.readouterr()
+    code, doc = run(capsys, ["simulate", "--input", set_path,
+                             "--machine", machine_path, "--shots", "2000"])
+    assert code == 0
+    assert doc["all_ok"] is True
 
 
 def test_check_with_efficiencies(tmp_path, capsys):
@@ -135,14 +174,15 @@ def test_check_with_efficiencies(tmp_path, capsys):
 
 
 def test_check_reports_the_null_miss_of_a_dependent_set(tmp_path, capsys):
-    """{|0>, |1>, |+i>} at gamma ~ 1e-9 with the doubled-phase probe:
+    """{|0>, |1>, |+i>} at gamma ~ 1e-9 with the zero-phase probe:
     lambda_min(M) is within -1e-9, but M misses zero on null(G) by 1."""
     s = 1.0 / np.sqrt(2.0)
     doc = state_set_doc([np.array([1.0, 0.0]), np.array([0.0, 1.0]),
                          np.array([s, 1j * s])])
     path = write_doc(tmp_path, "set.json", doc)
     code, out = run(capsys, ["check", "--input", path, "--gamma",
-                             ",".join(["1.00000002722922e-9"] * 3)])
+                             ",".join(["1.00000002722922e-9"] * 3),
+                             "--phases", "0,0,0"])
     assert code == 0
     verdict = out["probabilistic"]
     assert verdict["feasible"] is False
@@ -464,7 +504,7 @@ def test_oracle_without_a_certified_efficiency_exits_2(tmp_path, capsys):
     doc = state_set_doc([np.array([1.0, 0.0]), np.array([0.0, 1.0]),
                          np.array([s, 1j * s])])
     path = write_doc(tmp_path, "set.json", doc)
-    assert main(["oracle", "--input", path]) == 2
+    assert main(["oracle", "--input", path, "--phases", "0,0,0"]) == 2
     capsys.readouterr()
 
 

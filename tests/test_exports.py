@@ -63,6 +63,17 @@ ZERO_SUCCESS_READERS = {
 # reader, so a second norm test fails here until it is registered.
 NORM_TOL_READERS = {"feasibility.ProbeSpec.full_gram", "states._check_members"}
 
+# Every function that calls ``ProbeSpec.phase_vector``.  ``standard_probe``
+# is the one default probe: the probe check's witness and the default of the
+# search and the CLI.  The others build a probe that is not a default: the
+# triple's own probe from its polar data, the zero-phase probe of
+# ``synthesize``'s epsilon bound, and an explicit ``--phases``.  A second
+# default-probe rule fails here until it is registered.
+PROBE_BUILDERS = {
+    "feasibility.standard_probe", "optimizer.TripleBoundInput.probe",
+    "synthesis.synthesize", "cli._probe_from_args",
+}
+
 
 def test_every_exported_name_resolves():
     """``import qnot`` does not check ``__all__``; a stale entry shows here."""
@@ -185,6 +196,13 @@ def test_one_member_check():
             (readers if isinstance(node.ctx, ast.Load) else assigned).add(where)
     assert assigned == {"states"}
     assert readers == NORM_TOL_READERS
+
+
+def test_one_default_probe_rule():
+    """Each function that builds a phase-vector probe is registered."""
+    found = {where for where, node in _module_nodes()
+             if _called(node) == "phase_vector"}
+    assert found == PROBE_BUILDERS
 
 
 def _package_errors(cls=qnot.QnotError):

@@ -15,6 +15,7 @@ from conftest import (
 )
 from oracles import (
     forest_witness,
+    great_circle,
     parallel_fit,
     phase_grid_min_residual,
     probe_congruence_loop,
@@ -27,6 +28,7 @@ from qnot import (
     InvalidProbeGram,
     LinearlyDependentPair,
     Machine,
+    NoFeasiblePoint,
     ProbeSpec,
     QuditState,
     StateSet,
@@ -228,8 +230,8 @@ class TestExactWithProbe:
         assert phase_grid_min_residual(g) > 0.005
 
     def test_witness_folds_row_zero_as_the_full_matrix_does(self):
-        """The witness is read from Gram row 0 alone, with the same bits as
-        the full matrix's folded phases."""
+        """Where ``|G_0j| >= 1e-12`` the witness is read from Gram row 0
+        alone, with the same bits as the full matrix's folded phases."""
         rng = np.random.default_rng(56)
         sets = [random_set(rng, n, d, TargetMap.CONJUGATE)
                 for n, d in ((2, 2), (5, 3), (24, 24), (48, 7))]
@@ -241,9 +243,11 @@ class TestExactWithProbe:
             got = standard_probe(gm)
             full = ProbeSpec.phase_vector(np.mod(2.0 * gm.phases[0, :],
                                                  2.0 * np.pi))
-            assert (list(map(float.hex, got.phases))
-                    == list(map(float.hex, full.phases)))
-            assert got.matrix.tobytes() == full.matrix.tobytes()
+            row = np.abs(gm.matrix[0]) >= 1e-12
+            assert (list(map(float.hex, got.phases[row]))
+                    == list(map(float.hex, full.phases[row])))
+            assert (got.matrix[np.ix_(row, row)].tobytes()
+                    == full.matrix[np.ix_(row, row)].tobytes())
 
     def test_orthogonal_pair_is_feasible(self):
         """A zero overlap constrains nothing: member 1 starts its own
@@ -414,7 +418,8 @@ class TestZeroOverlaps:
         for ss in sets:
             gm = gram(ss)
             got = check_exact_with_probe(ss)
-            want = _exact(gm, standard_probe(gm))
+            want = _exact(gm, ProbeSpec.phase_vector(
+                np.mod(2.0 * gm.phases[0], 2.0 * np.pi)))
             assert got.feasible == want.feasible
             assert got.violation == want.violation
             if got.feasible:
@@ -422,6 +427,90 @@ class TestZeroOverlaps:
                         == want.witness.phases.tobytes())
                 assert (got.witness.matrix.tobytes()
                         == want.witness.matrix.tobytes())
+
+
+def _bloch_qubit(rng, r):
+    """A qubit with Bloch vector ``r`` and a random global phase."""
+    theta, phi = np.arccos(np.clip(r[2], -1.0, 1.0)), np.arctan2(r[1], r[0])
+    return np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.array(
+        [np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+
+
+def great_circle_sweep(seed, count=200):
+    """``(on, tilted)`` NOT qubit sets, n in 2..6, with random member
+    phases.  ``on`` lies on a random great circle, and each member after
+    the first is, with probability 0.4, the antipode (an orthogonal state)
+    of an earlier one, member 0 included.  ``tilted`` moves one member off
+    that plane by an angle in [1e-3, 1], a member whose removal leaves
+    Bloch vectors that span the plane with second singular value above
+    0.1, so no other great circle holds the set; None where none does."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        normal = rng.normal(size=3)
+        normal /= np.linalg.norm(normal)
+        e1 = np.cross(normal, rng.normal(size=3))
+        e1 /= np.linalg.norm(e1)
+        angles = rng.uniform(0, 2 * np.pi, n)
+        for j in range(1, n):
+            if rng.random() < 0.4:
+                angles[j] = angles[int(rng.integers(j))] + np.pi
+        bloch = (np.cos(angles)[:, None] * e1
+                 + np.sin(angles)[:, None] * np.cross(normal, e1))
+        rows = np.array([_bloch_qubit(rng, r) for r in bloch])
+        on = StateSet.from_amplitudes(rows, TargetMap.NOT)
+        spread = [k for k in range(n) if np.linalg.svd(
+            np.delete(bloch, k, 0), compute_uv=False)[1:2].sum() > 0.1]
+        if not spread:
+            yield on, None
+            continue
+        k, delta = rng.choice(spread), rng.uniform(1e-3, 1.0)
+        rows[k] = _bloch_qubit(rng, np.cos(delta) * bloch[k]
+                               + np.sin(delta) * normal)
+        yield on, StateSet.from_amplitudes(rows, TargetMap.NOT)
+
+
+class TestGreatCircle:
+    """The paper's qubit criterion (``oracles.great_circle``): a perfect NOT
+    with a probe exists iff the Bloch vectors lie on one great circle.  The
+    sets lie on the plane to rounding or off it by at least about 1e-3,
+    far from both the oracle's threshold and ``GRAM_TOL``."""
+
+    def test_circle_sets_flip_perfectly(self):
+        orthogonal = 0
+        for on, _ in great_circle_sweep(70):
+            assert great_circle(on.matrix().T)
+            orthogonal += bool((np.abs(gram(on).matrix[0]) < 1e-12).any())
+            verdict = check_exact_with_probe(on)
+            assert verdict.feasible
+            assert np.array_equal(search_gamma(on).gammas, np.ones(len(on)))
+            assert_flips_exactly(on, verdict)
+        assert orthogonal > 40
+
+    def test_tilted_sets_are_refused_as_the_oracle_says(self):
+        """Every tilted set has n >= 3 qubits, so it is dependent, and the
+        probe that fails the exact check leaves M nonzero on null(G): EQUAL
+        certifies no point, so none at gamma = 1."""
+        tilted = [t for _, t in great_circle_sweep(71) if t is not None]
+        assert len(tilted) > 100
+        for ss in tilted:
+            assert not great_circle(ss.matrix().T)
+            assert not check_exact_with_probe(ss).feasible
+            with pytest.raises(NoFeasiblePoint, match="null space"):
+                search_gamma(ss)
+
+    def test_search_takes_the_probe_check_witness(self):
+        """One default probe: wherever the probe check is feasible, its
+        witness is the probe ``search_gamma`` uses without one."""
+        rng = np.random.default_rng(72)
+        sets = [on for on, _ in great_circle_sweep(73, 60)]
+        sets += [ss for ss, _ in orthogonal_sweep(74, 60)]
+        sets += [random_set(rng, 2, d, TargetMap.CONJUGATE) for d in (2, 5)]
+        for ss in sets:
+            verdict = check_exact_with_probe(ss)
+            assert verdict.feasible
+            assert np.array_equal(verdict.witness.phases,
+                                  search_gamma(ss).probe.phases)
 
 
 class TestBuildProbeUnitary:
@@ -655,14 +744,14 @@ class TestProbabilistic:
             assert verdict.violation["null_miss"] > 1e-8
 
     def test_refuses_an_efficiency_within_the_tolerance(self):
-        """{|0>, |1>, |+i>} with the doubled-phase probe: lambda_min(M) =
+        """{|0>, |1>, |+i>} with the zero-phase probe: lambda_min(M) =
         -9.9999996e-10 passes the test at -1e-9, but M misses zero on the
         null space of G by 1, and no machine exists there."""
         s = 1.0 / np.sqrt(2.0)
         ss = StateSet((QuditState([1.0, 0.0]), QuditState([0.0, 1.0]),
                        QuditState([s, 1j * s])), TargetMap.CONJUGATE)
         verdict = check_probabilistic(ss, 1.00000002722922e-9,
-                                      standard_probe(gram(ss)))
+                                      ProbeSpec.phase_vector(np.zeros(3)))
         assert verdict.lambda_min >= -1e-9
         assert not verdict.feasible
         assert verdict.violation["null_miss"] == pytest.approx(1.0)

@@ -191,6 +191,7 @@ def _dense(*args):
 @pytest.mark.parametrize("args, error", [
     ((2, 1, TargetMap.NOT, np.ones(2), np.zeros(3)), DimensionMismatch),
     ((2, 1, TargetMap.NOT, np.ones(0), np.zeros(1)), DimensionMismatch),
+    ((2, 1, TargetMap.NOT, [], []), ValueError),
     ((2, 1, TargetMap.NOT, [1.0, np.nan], np.zeros(2)), ValueError),
     ((2, 1, TargetMap.NOT, [5.0], [0.0]), ValueError),
     ((2, 1, TargetMap.NOT, [-1.0], [0.0]), ValueError),
@@ -201,7 +202,7 @@ def _dense(*args):
     ((2.0, 1, TargetMap.NOT, np.ones(1), np.zeros(1)), ValueError),
     ((2, True, TargetMap.NOT, np.ones(1), np.zeros(1)), ValueError),
     ((2, -1, TargetMap.NOT, np.ones(1), np.zeros(1)), ValueError),
-], ids=["phases", "gammas", "nan_gamma", "gamma_above_one",
+], ids=["phases", "gammas", "empty_design", "nan_gamma", "gamma_above_one",
         "negative_gamma", "gamma_at_success_floor", "inf_phase", "zero_dim",
         "float_probe_dim", "float_system_dim", "bool_dim", "negative_dim"])
 def test_machine_refuses_bad_design(build, args, error):

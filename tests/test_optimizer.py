@@ -414,12 +414,14 @@ def test_real_dependent_family_keeps_unit_efficiency(d):
 def test_coordinate_step_survives_a_singular_schur_block():
     """A state orthogonal to the rest reaches gamma = 1, which zeroes its
     row of M; the next step's block is then singular but for the
-    PSD_TOL min(gamma) shift, and the other two still reach the edge."""
+    PSD_TOL min(gamma) shift, and the other two still reach the edge
+    (with the zero-phase probe; the default one makes all three perfect)."""
     s = 1.0 / np.sqrt(2.0)
     ss = StateSet((QuditState([1.0, 0.0, 0.0]),
                    QuditState([0.0, 0.6, 0.8j]),
                    QuditState([0.0, s, s])), TargetMap.CONJUGATE)
-    res = search_gamma(ss, GammaPolicy.COORDINATE)
+    res = search_gamma(ss, GammaPolicy.COORDINATE,
+                       ProbeSpec.phase_vector(np.zeros(3)))
     assert res.gammas[0] == 1.0
     assert res.boundary_lambda_min >= -PSD_TOL * res.gammas.min()
     for i in (1, 2):
@@ -429,19 +431,21 @@ def test_coordinate_step_survives_a_singular_schur_block():
 
 
 def test_search_refuses_an_efficiency_within_the_tolerance():
-    """{|0>, |1>, |+i>} has no doubled-phase conjugation machine: that probe
+    """{|0>, |1>, |+i>} has no zero-phase conjugation machine: that probe
     leaves M nonzero on null(G), so no gamma qualifies, although the PSD
-    test alone accepts gamma up to about 1e-9.  Phases (0, pi, 0) null
-    T(w * v), and there both policies reach a perfect machine."""
+    test alone accepts gamma up to about 1e-9.  Phases (0, pi, 0), the
+    default probe's, null T(w * v), and there both policies reach a
+    perfect machine."""
     s = 1.0 / np.sqrt(2.0)
     ss = StateSet((QuditState([1.0, 0.0]), QuditState([0.0, 1.0]),
                    QuditState([s, 1j * s])), TargetMap.CONJUGATE)
     for policy in GammaPolicy:
         with pytest.raises(NoFeasiblePoint, match="null space"):
-            search_gamma(ss, policy)
+            search_gamma(ss, policy, ProbeSpec.phase_vector(np.zeros(3)))
         probe = ProbeSpec.phase_vector([0.0, np.pi, 0.0])
         res = search_gamma(ss, policy, probe)
         assert np.array_equal(res.gammas, np.ones(3))
+        assert np.array_equal(search_gamma(ss, policy).gammas, np.ones(3))
         assert verify_machine(synthesize_with(ss, res.gammas, probe),
                               ss).all_ok
 

@@ -117,7 +117,7 @@ designs = st.one_of(st.sampled_from(SPECIAL + [1e-14, 1.0000000000000002e-14,
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(designs, min_size=1, max_size=4), st.data())
+@given(st.lists(designs, min_size=0, max_size=4), st.data())
 def test_every_accepted_machine_reads_back(gammas, data):
     """The constructor and the reader apply one efficiency rule: every
     design the constructor takes is written and read back bit for bit."""
