@@ -73,15 +73,19 @@ def _plain_bisection(gram_matrix: GramMatrix, probe: ProbeSpec) -> float:
     return lo
 
 
-def test_stacked_oracle_equals_the_plain_bisection():
-    """The stacked rounds land on the sequential midpoints bit for bit; the
-    near-dependent triples, whose gamma reaches 1e-9, use every halving."""
+def _oracle_triples():
+    """100 independent and 100 near-dependent triples of ``default_rng(51)``."""
     rng = np.random.default_rng(51)
     sets = [random_independent_set(rng, 3, 3, TargetMap.CONJUGATE)
             for _ in range(100)]
-    sets += [random_near_dependent_triple(rng) for _ in range(100)]
+    return sets + [random_near_dependent_triple(rng) for _ in range(100)]
+
+
+def test_stacked_oracle_equals_the_plain_bisection():
+    """The stacked rounds land on the sequential midpoints bit for bit; the
+    near-dependent triples, whose gamma reaches 1e-9, use every halving."""
     tiny = 0
-    for ss in sets:
+    for ss in _oracle_triples():
         gm = gram(ss)
         probe = standard_probe(gm)
         oracle = grid_oracle_triple(gm, probe)
@@ -612,6 +616,37 @@ def test_skipped_steps_leave_coordinate_gammas_bit_identical():
                           PINNED_GAMMAS):
         res = search_gamma(ss, GammaPolicy.COORDINATE)
         assert [float(g).hex() for g in res.gammas] == pinned
+
+
+# Both searches on the first 20 _coordinate_sets, and the oracle and triple
+# bound on _oracle_triples, as float.hex (null: the bound raises), recorded
+# before the per-call work around the rule was cut: a change to the bits of
+# point_rule moves these, where the plain bisection above would move with it
+PINS = json.loads(Path(__file__).with_name("search_pins.json").read_text())
+
+
+def test_searches_keep_their_pinned_bits():
+    for ss, pinned in zip(_coordinate_sets(len(PINS["searches"])),
+                          PINS["searches"]):
+        for policy in GammaPolicy:
+            res = search_gamma(ss, policy)
+            assert pinned[policy.value] == {
+                "gammas": [float(g).hex() for g in res.gammas],
+                "boundary_lambda_min": float(res.boundary_lambda_min).hex(),
+                "iterations": res.iterations}
+
+
+def test_oracle_and_triple_bound_keep_their_pinned_bits():
+    for ss, pinned in zip(_oracle_triples(), PINS["triples"], strict=True):
+        gm = gram(ss)
+        oracle = grid_oracle_triple(gm, standard_probe(gm))
+        assert oracle.hex() == pinned["grid_oracle_triple"]
+        inp = TripleBoundInput.from_gram(gm)
+        if pinned["gamma_max_triple"] is None:
+            with pytest.raises(DegenerateDeterminant):
+                gamma_max_triple(inp)
+        else:
+            assert gamma_max_triple(inp).hex() == pinned["gamma_max_triple"]
 
 
 def test_coordinate_repeats_no_step_at_an_unchanged_point():
