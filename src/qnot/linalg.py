@@ -64,11 +64,13 @@ def smallest_eigenvalue(m: np.ndarray):
     """Smallest eigenvalue of a Hermitian matrix (0 for an empty one).
 
     The one PSD test: a matrix is accepted when this is at least ``-PSD_TOL``.
-    One ``n x n`` matrix gives a float; a stack ``(..., n, n)`` gives an
-    array over the leading axes, each entry bit for bit the float that
-    matrix gives alone (``eigvalsh`` solves a stack one matrix at a time).
+    It is entry 0 of the ascending spectrum ``eigvalsh`` returns, with no
+    reduction over it.  One ``n x n`` matrix gives a float; a stack
+    ``(..., n, n)`` gives an array over the leading axes, each entry bit for
+    bit the float that matrix gives alone (``eigvalsh`` solves a stack one
+    matrix at a time).
     """
-    lam = (np.linalg.eigvalsh(m).min(axis=-1) if m.shape[-1]
+    lam = (np.linalg.eigvalsh(m)[..., 0] if m.shape[-1]
            else np.zeros(m.shape[:-2]))
     return float(lam) if m.ndim == 2 else lam
 

@@ -20,7 +20,9 @@ independent check, bisects on it.
 Its :data:`HALVINGS` halvings of ``[0, 1]`` are the sequential ``mid =
 (lo + hi) / 2`` ones, but one stacked :func:`point_rule` call tests every
 point ``lo + (hi - lo) j / 2^LEVELS`` the next :data:`LEVELS` halvings can
-reach, and the outcomes are walked as the bisection would.  The bracket's
+reach, passed as one column of equal efficiencies that broadcasts over the
+states, and the outcomes are walked as the bisection would, on Python
+floats from one ``tolist`` per call.  The bracket's
 width is a power of two, so each such point is its exact value rounded
 once, as the sequential midpoint is: the two agree bit for bit until a
 midpoint rounds onto ``lo`` or ``hi``, after which no halving moves the
@@ -39,7 +41,10 @@ off the support of ``N``: with ``e = PSD_TOL min(gamma)``, ``A`` =
 sqrt(gamma_-i) K[-i, i]``, the Schur complement keeps the point feasible
 while ``-(K_ii + h^dag A^-1 h) x^2 + 2 Re(g^dag A^-1 h) x + G_ii + e -
 g^dag A^-1 g >= 0``; one solve against ``[g, h]`` (least squares for a
-singular ``A``) gives the larger root, capped at 1.  A rise below
+singular ``A``) gives the larger root, capped at 1.  ``A`` is taken from
+:func:`qnot.feasibility.scaled_constraint` at each step; the columns
+``G[-i, i]``, ``K[-i, i]`` and the real diagonals are read once per
+search, and the root is solved on Python floats.  A rise below
 :data:`COORDINATE_CONVERGENCE` is not taken; any other candidate is kept
 once the rule accepts it, else retreated toward the last certified value
 along :data:`RETREAT`.  A step is a function of the point alone, so
@@ -52,6 +57,7 @@ optimal probe.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -174,11 +180,13 @@ def grid_oracle_triple(gram_matrix: GramMatrix, probe: ProbeSpec) -> float:
     steps = np.arange(1, 2 ** LEVELS) / 2 ** LEVELS
     for _ in range(HALVINGS // LEVELS):
         mids = lo + (hi - lo) * steps
-        ok = point_rule(g, k, np.repeat(mids[:, None], n, axis=1))[0]
+        # one column: each row is an equal point, broadcast over the n states
+        ok = point_rule(g, k, mids[:, None])[0].tolist()
+        mids = mids.tolist()
         at = 0  # lo is the round's point j = at (the old lo is j = 0)
         for level in reversed(range(LEVELS)):
             m = at + 2 ** level
-            mid = float(mids[m - 1])
+            mid = mids[m - 1]
             if mid in (lo, hi):
                 return lo
             if ok[m - 1]:
@@ -253,30 +261,34 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
 
     col = np.arange(n - 1)
     others = col + (col >= np.arange(n)[:, None])  # row i: every index but i
+    # row i: G[-i, i] and K[-i, i]; the quadratic's scalars as Python floats
+    g_off, k_off = (m[others, np.arange(n)[:, None]] for m in (g, k))
+    g_diag, k_diag = g.diagonal().real.tolist(), k.diagonal().real.tolist()
     gh = np.empty((n - 1, 2), complex)
 
     def schur_step(i) -> float:
         nonlocal calls
-        if gammas[i] >= 1.0:
-            return gammas[i]
+        gamma = float(gammas[i])
+        if gamma >= 1.0:
+            return gamma
         rest = others[i]
-        slack = PSD_TOL * gammas.min()
-        a = scaled_constraint(g, k, gammas)[rest[:, None], rest]
+        slack = PSD_TOL * float(gammas.min())
+        a = scaled_constraint(g, k, gammas).take(rest, 0).take(rest, 1)
         a.flat[::n] += slack  # the diagonal of the (n - 1) x (n - 1) block
-        gh[:, 0] = g[rest, i]
-        gh[:, 1] = np.sqrt(gammas[rest]) * k[rest, i]
+        gh[:, 0] = g_off[i]
+        gh[:, 1] = np.sqrt(gammas[rest]) * k_off[i]
         calls += 1
         try:
             sol = np.linalg.solve(a, gh)
         except np.linalg.LinAlgError:
             sol = np.linalg.lstsq(a, gh, rcond=None)[0]
-        q = gh.conj().T @ sol
-        alpha, beta = k[i, i].real + q[1, 1].real, q[0, 1].real
-        disc = beta * beta + alpha * (g[i, i].real + slack - q[0, 0].real)
-        x = min((beta + np.sqrt(max(disc, 0.0))) / alpha, 1.0)
-        if not x * x - gammas[i] >= COORDINATE_CONVERGENCE:
-            return gammas[i]
-        return _retreat(lambda v: feasible(v, i), x * x, gammas[i])
+        (q00, q01), (_, q11) = (gh.conj().T @ sol).tolist()
+        alpha, beta = k_diag[i] + q11.real, q01.real
+        disc = beta * beta + alpha * (g_diag[i] + slack - q00.real)
+        x = min((beta + math.sqrt(max(disc, 0.0))) / alpha, 1.0)
+        if not x * x - gamma >= COORDINATE_CONVERGENCE:
+            return gamma
+        return _retreat(lambda v: feasible(v, i), x * x, gamma)
 
     equal = 1.0
     if not feasible(1.0):

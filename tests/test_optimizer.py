@@ -108,7 +108,7 @@ def test_oracle_decides_levels_halvings_per_rule_call(monkeypatch):
     assert oracle == pytest.approx(FROZEN_03_TRIPLE, abs=1e-6)
     assert optimizer.HALVINGS % optimizer.LEVELS == 0
     assert len(calls) <= optimizer.HALVINGS // optimizer.LEVELS + 1
-    assert calls[1] == (2 ** optimizer.LEVELS - 1, 3)
+    assert calls[1] == (2 ** optimizer.LEVELS - 1, 1)
 
 
 def test_constraint_determinant_factors_through_one_quadratic():

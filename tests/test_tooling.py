@@ -1,8 +1,11 @@
-"""The project's tooling: pytest reports a failing test as a failure, and
-every docstring cross-reference names something that exists."""
+"""The project's tooling: pytest reports a failing test as a failure,
+every docstring cross-reference names something that exists, and the
+benchmark's own tests pass."""
 import builtins
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -76,3 +79,13 @@ def test_docstring_cross_references_resolve():
             if not _resolves(module, target):
                 stale.append(f"{path.name}: {target}")
     assert seen and not stale
+
+
+def test_benchmark_tests_pass():
+    """``bench`` and ``tests`` each import a top-level ``conftest`` by name,
+    so one pytest run cannot collect both; the benchmark's checks and span
+    wrappers read the library, so its suite runs here as a child."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "bench", "-q", "-p", "no:cacheprovider"],
+        cwd=PYPROJECT.parent, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
