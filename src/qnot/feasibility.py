@@ -53,7 +53,8 @@ class ProbeSpec:
     ``|P_i> = exp(i phi_i) |P_1>``, so ``P`` is the rank-one Gram
     ``P[i, j] = exp(i (phi_j - phi_i))`` and ``phases`` keeps the ``phi_i``.
     A full-Gram probe gives ``P`` directly (Hermitian PSD with unit
-    diagonal) and has ``phases`` None.
+    diagonal) and has ``phases`` None; it holds a copy of the matrix it
+    checked.
     """
 
     matrix: np.ndarray
@@ -71,7 +72,7 @@ class ProbeSpec:
 
     @classmethod
     def full_gram(cls, matrix) -> "ProbeSpec":
-        m = np.asarray(matrix, dtype=complex)
+        m = np.array(matrix, dtype=complex)
         try:
             psd = is_psd(m)
         except (NotSquare, NotHermitian) as exc:
@@ -128,10 +129,8 @@ def machine_phases(probe: ProbeSpec, n: int) -> np.ndarray:
 
 def efficiencies(gammas, n: int) -> np.ndarray:
     """``n`` efficiencies in ``(ZERO_SUCCESS, 1]``; a scalar is broadcast."""
-    if np.isscalar(gammas):
-        g = np.full(n, float(gammas))
-    else:
-        g = np.asarray(gammas, dtype=float).ravel()
+    g = np.asarray(gammas, dtype=float)
+    g = np.full(n, g) if g.ndim == 0 else g.ravel()
     if g.size != n:
         raise ValueError(f"expected {n} efficiencies, got {g.size}")
     if not g.size:

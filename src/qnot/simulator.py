@@ -103,7 +103,7 @@ def run_exact(machine: Machine, state: QuditState,
     amps = state.amps[:, None]
     probs, outputs, fidelities, phases = _run_columns(
         machine, amps, target_amps(amps, machine.target))
-    if probs[0] < ZERO_SUCCESS:
+    if probs[0] == 0.0:  # the mask zeroes every probability below ZERO_SUCCESS
         raise ZeroSuccess("success probability vanished; no output state")
     return ExactRecord(index, float(probs[0]), float(fidelities[0]),
                        float(phases[0]), outputs[:, 0])

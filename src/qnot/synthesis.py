@@ -40,7 +40,9 @@ builds from; both build through one assembly step with ``M`` from
 :func:`qnot.feasibility.constraint_matrix`.
 
 Every machine acts on ``D = 2d`` joint coordinates (``D = d`` on the
-exact path, which has no probe) and holds one dense ``D x D`` unitary.  Its
+exact path, which has no probe) and holds one dense ``D x D`` unitary.  A
+machine checks its design once, when it is built, and keeps its own copy
+of the efficiencies and phases; the unitary is kept as given.  Its
 branches touch at most ``s = d + min(n, d)`` of those coordinates, and
 every other row and column is exactly the identity's.
 :meth:`Machine.unitarity_error` scans the unitary by exact comparison for
@@ -68,7 +70,7 @@ from .feasibility import (
 )
 # psd_sqrt is not called here; bench/spans.py wraps it under this name
 from .linalg import null_count, psd_sqrt  # noqa: F401
-from .states import GramMatrix, StateSet, TargetMap, gram
+from .states import GramMatrix, StateSet, TargetMap, _check_target, gram
 
 ETA = 0.999
 
@@ -84,14 +86,17 @@ class Machine:
     ``branch_phases`` the designed success-branch phases, one finite value
     each per member.
 
-    The machine holds one array, its dense unitary: the one given or set,
-    edits included.
+    The constructor is the one check of a machine.  It keeps its own
+    copies of ``gammas`` and ``branch_phases``, so an edit of the caller's
+    arrays leaves the checked design as it was.  ``unitary`` is the one
+    ``D x D`` array given, not copied: :meth:`unitarity_error` and
+    :func:`qnot.simulator.verify_machine` read it again on every use, so
+    an edit to it is still caught.
     """
 
     def __init__(self, system_dim: int, probe_dim: int, target: TargetMap,
                  unitary, gammas, branch_phases):
-        if not isinstance(target, TargetMap):
-            raise ValueError(f"target must be a TargetMap, got {target!r}")
+        _check_target(target)
         for name, value in (("system_dim", system_dim),
                             ("probe_dim", probe_dim)):
             if (not isinstance(value, (int, np.integer))
@@ -99,29 +104,21 @@ class Machine:
                 raise ValueError(f"{name} must be a positive int, got {value!r}")
         self.system_dim, self.probe_dim = int(system_dim), int(probe_dim)
         self.target = target
-        gammas = np.asarray(gammas, dtype=float).ravel()
-        self.branch_phases = np.asarray(branch_phases, dtype=float).ravel()
+        gammas = np.array(gammas, dtype=float).ravel()
+        self.branch_phases = np.array(branch_phases, dtype=float).ravel()
         if gammas.size != self.branch_phases.size:
             raise DimensionMismatch(f"{self.branch_phases.size} branch phases "
                                     f"for {gammas.size} gammas")
         self.gammas = efficiencies(gammas, gammas.size)
         if not np.isfinite(self.branch_phases).all():
             raise ValueError("branch_phases must be finite")
-        self.unitary = unitary
-
-    @property
-    def unitary(self) -> np.ndarray:
-        return self._unitary
-
-    @unitary.setter
-    def unitary(self, value):
-        u = np.asarray(value, dtype=complex)
+        u = np.asarray(unitary, dtype=complex)
         d = self.total_dim
         if u.shape != (d, d):
             raise DimensionMismatch(
                 f"unitary shape {u.shape} does not match "
                 f"system_dim * probe_dim = {d}")
-        self._unitary = u
+        self.unitary = u
 
     @property
     def total_dim(self) -> int:
@@ -137,7 +134,7 @@ class Machine:
         identity's (NaN included) puts its row and its column in ``S``, so
         no edit escapes.
         """
-        v = self._unitary
+        v = self.unitary
         moved = v != 0
         np.fill_diagonal(moved, np.diagonal(v) != 1)
         s = np.flatnonzero(moved.any(axis=0) | moved.any(axis=1))
@@ -150,7 +147,7 @@ class Machine:
     def success_block(self) -> np.ndarray:
         """``U[::p, ::p]``: system to system with the probe kept in state 0."""
         p = self.probe_dim
-        return self._unitary[::p, ::p].copy()
+        return self.unitary[::p, ::p].copy()
 
 
 @dataclass
@@ -186,7 +183,7 @@ def _assemble(state_set: StateSet, gram_matrix: GramMatrix, gammas,
     weights = np.sqrt(gammas) * np.exp(1j * phases)
     machine = Machine(state_set.dim, 2, state_set.target,
                       branch_unitary(state_set, weights, 2, failure),
-                      gammas.copy(), phases.copy())
+                      gammas, phases)
     return machine, float(np.abs(failure.conj().T @ failure - m_matrix).max())
 
 

@@ -55,7 +55,7 @@ PSD_TOL_READERS = {
 # machine file may design stop where the simulator stops observing an output,
 # so a second floor fails here until it is registered.
 ZERO_SUCCESS_READERS = {
-    "feasibility.efficiencies", "simulator._run_columns", "simulator.run_exact",
+    "feasibility.efficiencies", "simulator._run_columns",
 }
 
 # Every function that reads ``NORM_TOL``: a set's members and a lone state

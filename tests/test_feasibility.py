@@ -643,6 +643,15 @@ class TestProbeSpec:
         with pytest.raises(InvalidProbeGram, match="nonempty"):
             ProbeSpec.full_gram(np.zeros((0, 0)))
 
+    def test_full_gram_keeps_its_own_matrix(self):
+        """An edit to the caller's matrix leaves the checked probe PSD with a
+        unit diagonal."""
+        m = np.array([[1.0, 0.5], [0.5, 1.0]], complex)
+        probe = ProbeSpec.full_gram(m)
+        m[:] = [[5.0, 9.0], [9.0, np.nan]]
+        np.testing.assert_array_equal(np.diag(probe.matrix), [1.0, 1.0])
+        assert np.linalg.eigvalsh(probe.matrix).min() >= 0.0
+
     def test_fields_are_matrix_and_phases(self):
         phased = ProbeSpec.phase_vector([0.0, 1.0])
         full = ProbeSpec.full_gram(np.eye(2))
@@ -666,6 +675,14 @@ class TestEfficiencyMatrix:
         with pytest.raises(ValueError):
             efficiencies(np.array([1.5]), 1)
         assert efficiencies(0.5, 3).tolist() == [0.5] * 3
+
+    @pytest.mark.parametrize("scalar", [0.5, np.float64(0.5), np.array(0.5)])
+    def test_every_zero_dimensional_value_is_broadcast(self, scalar):
+        assert efficiencies(scalar, 3).tolist() == [0.5] * 3
+
+    def test_one_element_list_is_not_broadcast(self):
+        with pytest.raises(ValueError, match="expected 3 efficiencies, got 1"):
+            efficiencies([0.5], 3)
 
 
 @pytest.mark.parametrize("gammas", [[np.nan, 0.5], [0.5, np.nan],

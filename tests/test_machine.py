@@ -177,10 +177,23 @@ def test_machine_holds_one_array_that_reads_do_not_replace():
     assert machine.unitary is machine.unitary
     assert all(vars(machine)[k] is v for k, v in held.items())
     assert [k for k, v in held.items()
-            if isinstance(v, np.ndarray) and v.ndim == 2] == ["_unitary"]
+            if isinstance(v, np.ndarray) and v.ndim == 2] == ["unitary"]
     before = machine.unitary.copy()
     machine.success_block()[:] = np.nan
     np.testing.assert_array_equal(machine.unitary, before)
+
+
+def test_machine_keeps_its_own_design():
+    """Edits to the caller's design arrays after construction neither change
+    the checked machine nor break the file it writes."""
+    gammas, phases = np.array([0.5, 0.25]), np.array([0.0, 1.0])
+    machine = Machine(2, 1, TargetMap.NOT, np.eye(2), gammas, phases)
+    gammas[0], phases[1] = 5.0, np.nan
+    assert machine.gammas.tolist() == [0.5, 0.25]
+    assert machine.branch_phases.tolist() == [0.0, 1.0]
+    back = machine_from_dict(json.loads(dumps(machine_to_dict(machine))))
+    np.testing.assert_array_equal(back.gammas, [0.5, 0.25])
+    np.testing.assert_array_equal(back.branch_phases, [0.0, 1.0])
 
 
 def _dense(*args):

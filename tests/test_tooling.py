@@ -3,6 +3,7 @@ every docstring cross-reference names something that exists, and the
 benchmark's own tests pass."""
 import builtins
 import importlib
+import importlib.util
 import re
 import subprocess
 import sys
@@ -89,3 +90,17 @@ def test_benchmark_tests_pass():
         [sys.executable, "-m", "pytest", "bench", "-q", "-p", "no:cacheprovider"],
         cwd=PYPROJECT.parent, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_benchmark_spans_stay_bound():
+    """The traced run skips a name the library no longer binds, so a layer
+    whose every binding is gone would read 0; each layer keeps one here."""
+    path = PYPROJECT.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    bound = {}
+    for owner, attr, name in spans.LAYERS:
+        key = name if isinstance(name, str) else name.__name__
+        bound[key] = bound.get(key, False) or attr in vars(owner)
+    assert bound and [k for k, ok in bound.items() if not ok] == []
