@@ -4,9 +4,10 @@ Three nested regimes are decided here, each on a finite state family.
 With efficiencies ``gamma_i`` in ``(ZERO_SUCCESS, 1]`` (:func:`efficiencies`)
 and a probe Gram ``P``, a postselecting machine exists iff
 ``M = G - sqrt(Gamma) (conj(G) * P) sqrt(Gamma)`` is positive semidefinite.
-At ``gamma = 1`` the diagonal of ``M`` is zero, so ``M = 0``: both exact
-regimes are one test, ``max |G - K| <= GRAM_TOL`` with ``K = conj(G) * P``,
-the Gram test the builders' completion applies, so a feasible one builds:
+At ``gamma = 1`` the diagonal of ``M`` is zero, so ``M = 0``: ``G`` equals
+``conj(G) * P``, the Gram of the targets times ``exp(i phi)``.  Both exact
+regimes test that by :func:`qnot.linalg.gram_miss`, the completion's own
+test of a builder's branches, so a verdict is feasible iff it builds:
 
 * a plain unitary iff ``G = conj(G)`` (:func:`check_exact_unitary`);
 * a unitary with probe iff phases with ``phi_j - phi_i = 2 theta_ij``
@@ -37,8 +38,8 @@ import numpy as np
 
 from .errors import (InvalidProbe, InvalidProbeGram, LinearlyDependentPair,
                      NotHermitian, NotSquare)
-from .linalg import (GRAM_TOL, PSD_TOL, ZERO_SUCCESS, gram_of, is_psd,
-                     range_null, smallest_eigenvalue, unitary_completion)
+from .linalg import (GRAM_TOL, PSD_TOL, ZERO_SUCCESS, gram_miss, gram_of,
+                     is_psd, range_null, smallest_eigenvalue, unitary_completion)
 from .states import (NORM_TOL, GramMatrix, QuditState, StateSet, TargetMap,
                      _fold_phases, gram)
 
@@ -150,37 +151,36 @@ class FeasibilityVerdict:
 
 def check_exact_unitary(state_set: StateSet) -> FeasibilityVerdict:
     """Exact target map by a plain unitary: :func:`_exact` with no probe,
-    the test of :func:`build_exact_unitary`; each entry is ``2 |Im G_ij|``."""
-    return _exact(gram(state_set))
+    the test of :func:`build_exact_unitary`; each entry is ``2 |Im G_ij|``
+    up to rounding."""
+    return _exact(state_set, gram(state_set))
 
 
 def check_exact_with_probe(state_set: StateSet) -> FeasibilityVerdict:
     """Exact target map by a unitary with probe: :func:`_exact` with the
     witness of :func:`standard_probe`, the test :func:`build_probe_unitary`
     applies to it.  Where row 0 has no zero, ``phi_j = 2 theta_0j``; with
-    ``r_ij = theta_0j - theta_0i - theta_ij`` each entry is
+    ``r_ij = theta_0j - theta_0i - theta_ij`` each entry is, to rounding,
     ``2 |G_ij| |sin r_ij|`` and each triple residual of the congruence is
     ``r_li + r_ij - r_lj``, so this is the paper's criterion.  A zero
     overlap constrains nothing, so every set gets a verdict.
     """
     gm = gram(state_set)
-    return _exact(gm, standard_probe(gm))
+    return _exact(state_set, gm, standard_probe(gm))
 
 
-def _exact(gram_matrix: GramMatrix,
+def _exact(state_set: StateSet, gram_matrix: GramMatrix,
            probe: Optional[ProbeSpec] = None) -> FeasibilityVerdict:
-    """``M = G - K`` at ``gamma = 1``: feasible, with witness ``probe``, iff
-    ``max |G - K| <= GRAM_TOL``, else a violation at the worst entry."""
-    g = gram_matrix.matrix
-    # P * conj(G) keeps reported residuals: conj(G) * P can round apart (FMA)
-    dev = np.abs(g - (np.conj(g) if probe is None
-                      else probe.matrix * np.conj(g)))
-    worst = float(dev.max())
-    if worst <= GRAM_TOL:
+    """Feasible, with witness ``probe``, iff :func:`qnot.linalg.gram_miss`
+    passes ``G`` and the Gram of the targets times ``w = 1`` (no probe) or
+    ``exp(i phi)``, as :func:`branch_unitary` writes them, else a violation
+    at the worst entry."""
+    w = 1.0 if probe is None else np.exp(1j * probe.phases)
+    miss = gram_miss(gram_matrix.matrix, gram_of(state_set.target_matrix() * w))
+    if miss is None:
         return FeasibilityVerdict(True, witness=probe)
-    i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
     return FeasibilityVerdict(
-        False, violation={"indices": [int(i), int(j)], "residual": worst})
+        False, violation={"indices": list(miss[:2]), "residual": miss[2]})
 
 
 def branch_unitary(state_set: StateSet, weights, probe_dim: int,
@@ -207,8 +207,8 @@ def branch_unitary(state_set: StateSet, weights, probe_dim: int,
 def build_exact_unitary(state_set: StateSet) -> np.ndarray:
     """System-only unitary sending every member to its target state.
 
-    Propagates :class:`GramMismatch` when ``G`` misses ``conj(G)`` by more
-    than ``GRAM_TOL``, the test of :func:`check_exact_unitary`.
+    Propagates :class:`GramMismatch` when the targets' Gram misses ``G``
+    by more than ``GRAM_TOL``, the test of :func:`check_exact_unitary`.
     """
     return branch_unitary(state_set, 1.0, 1)
 

@@ -23,6 +23,7 @@ coordinates of system x probe, of which only the ``d`` system rows carry
 an input, so a machine on the general path takes an ``s x d`` SVD when
 ``d <= n`` and the QR when ``d > n``.
 
+The completion and both exact checks compare Grams by :func:`gram_miss`.
 Every PSD decision compares :func:`smallest_eigenvalue` against
 ``-PSD_TOL`` (:func:`is_psd`, :func:`psd_sqrt`, probe Grams), or, for a
 constraint matrix, against ``-PSD_TOL min(gamma)``
@@ -114,6 +115,16 @@ def gram_of(vectors: np.ndarray) -> np.ndarray:
     return vectors.conj().T @ vectors
 
 
+def gram_miss(g: np.ndarray, h: np.ndarray):
+    """The one Gram comparison: None when ``max |g - h| <= GRAM_TOL``, else
+    the worst entry ``(i, j, |g_ij - h_ij|)``; a NaN entry fails."""
+    dev = np.abs(g - h)
+    if dev.max(initial=0.0) <= GRAM_TOL:
+        return None
+    i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
+    return int(i), int(j), float(dev[i, j])
+
+
 def unitary_completion(inputs, outputs) -> np.ndarray:
     """Unitary ``U`` with ``U @ inputs[i] == outputs[i]`` for every pair.
 
@@ -180,10 +191,9 @@ def completion_block(x_mat: np.ndarray, y_mat: np.ndarray):
     used = (x_mat != 0).any(axis=1)
     support = np.flatnonzero(used | (y_mat != 0).any(axis=1))
     x_mat, y_mat, used = x_mat[support], y_mat[support], used[support]
-    dev = np.abs(gram_of(x_mat) - gram_of(y_mat))
-    if dev.size and not dev.max() <= GRAM_TOL:
-        i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-        raise GramMismatch(int(i), int(j), float(dev[i, j]))
+    miss = gram_miss(gram_of(x_mat), gram_of(y_mat))
+    if miss:
+        raise GramMismatch(*miss)
     if support.size <= 2 * x_mat.shape[1]:
         # a QR would give a square Q: any basis of the support does as well;
         # Y X^dag is zero on the columns no input reaches

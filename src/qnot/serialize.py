@@ -34,17 +34,6 @@ def _complex_lists(z) -> list:
     return np.stack([z.real, z.imag], -1).tolist()
 
 
-def _int(value, what: str) -> int:
-    """``value`` if it is a JSON integer (not a boolean).
-
-    Anything else, ``null``, strings and floats included, raises
-    :class:`SchemaError` naming ``what``.
-    """
-    if type(value) is not int:
-        raise SchemaError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _float_array(obj, ndim: int, what: str) -> np.ndarray:
     """Parse nested lists of finite numbers into a float array.
 
@@ -91,9 +80,10 @@ def _state_amps(doc) -> np.ndarray:
     if not isinstance(doc, dict) or "dim" not in doc or "amps" not in doc:
         raise SchemaError("state document needs 'dim' and 'amps'")
     amps = _complex_array(doc["amps"], 1)
-    if _int(doc["dim"], "dim") != amps.size:
+    # a JSON integer, not a boolean or a float
+    if type(doc["dim"]) is not int or doc["dim"] != amps.size:
         raise SchemaError(
-            f"declared dim {doc['dim']} but {amps.size} amplitudes")
+            f"declared dim {doc['dim']!r} but {amps.size} amplitudes")
     return amps
 
 
@@ -106,13 +96,18 @@ def state_set_to_dict(state_set: StateSet) -> dict:
             "states": [state_to_dict(s) for s in state_set]}
 
 
+def _target(doc: dict) -> TargetMap:
+    """A set or machine document's ``target``."""
+    try:
+        return TargetMap(doc["target"])
+    except ValueError:
+        raise SchemaError(f"unknown target {doc['target']!r}") from None
+
+
 def state_set_from_dict(doc) -> StateSet:
     if not isinstance(doc, dict) or "target" not in doc or "states" not in doc:
         raise SchemaError("state set document needs 'target' and 'states'")
-    try:
-        target = TargetMap(doc["target"])
-    except ValueError:
-        raise SchemaError(f"unknown target {doc['target']!r}") from None
+    target = _target(doc)
     states = doc["states"]
     if not isinstance(states, list) or not states:
         raise SchemaError("'states' must be a nonempty list")
@@ -136,16 +131,10 @@ def machine_from_dict(doc) -> Machine:
               "phases")
     if not isinstance(doc, dict) or any(k not in doc for k in needed):
         raise SchemaError(f"machine document needs keys {needed}")
-    try:
-        target = TargetMap(doc["target"])
-    except ValueError:
-        raise SchemaError(f"unknown target {doc['target']!r}") from None
+    target = _target(doc)
     gammas = _float_array(doc["gammas"], 1, "gammas")
     phases = _float_array(doc["phases"], 1, "phases")
-    if phases.size != gammas.size:
-        raise SchemaError(f"{phases.size} phases for {gammas.size} gammas")
-    return Machine(_int(doc["system_dim"], "system_dim"),
-                   _int(doc["probe_dim"], "probe_dim"), target,
+    return Machine(doc["system_dim"], doc["probe_dim"], target,
                    _complex_array(doc["unitary"], 2), gammas, phases)
 
 
@@ -207,5 +196,5 @@ def load(path):
     try:
         with open(path) as fh:
             return json.load(fh, parse_constant=_reject_constant)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None

@@ -24,7 +24,7 @@ Cholesky refuses a singular ``M`` (a search's edge point), or ``n > d``
 ``min(n, d)`` eigenpairs of ``M``.  Neither factor decides anything: the
 point is decided before, and the completion refuses a Gram miss.
 
-:func:`synthesize` gives a family whose Gram equals its conjugate at
+:func:`synthesize` gives a family whose Gram equals its targets' at
 ``GRAM_TOL`` (:func:`qnot.feasibility.check_exact_unitary`) an exact
 unitary with unit efficiency and no probe.  Other linearly independent
 families get safe equal efficiencies
@@ -32,9 +32,9 @@ families get safe equal efficiencies
 and the zero-phase probe, which keeps ``M = G - epsilon conj(G)`` strictly
 positive; a family is dependent when :func:`qnot.linalg.null_count`, the
 one rank decision, zeroes part of the Gram's ``eigh`` spectrum.
-:func:`synthesize` computes the Gram once: its exact test, the
-spectrum and ``M`` all read that one matrix.  :func:`synthesize_with`
-decides the caller's point by the test of
+:func:`synthesize` computes the Gram once: its exact test, which also
+reads the set's targets, the spectrum and ``M`` all read that one matrix.
+:func:`synthesize_with` decides the caller's point by the test of
 :func:`qnot.feasibility.check_probabilistic`, on the one Gram it then
 builds from; both build through one assembly step with ``M`` from
 :func:`qnot.feasibility.constraint_matrix`.
@@ -224,7 +224,7 @@ def synthesize(state_set: StateSet):
     spectrum = np.linalg.eigh(gm.matrix)[0]
     c, d_max = float(spectrum[0]), float(spectrum[-1])
 
-    if _exact(gm).feasible:
+    if _exact(state_set, gm).feasible:
         machine = Machine(state_set.dim, 1, state_set.target,
                           build_exact_unitary(state_set), np.ones(n),
                           np.zeros(n))

@@ -531,6 +531,23 @@ def test_unparseable_json_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["check", "synthesize", "gamma-max",
+                                     "oracle", "simulate"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    """1000 nested brackets pass the parser's recursion limit: a schema
+    error, not a traceback."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 1000 + "]" * 1000)
+    argv = [command, "--input", str(deep)]
+    if command == "simulate":
+        argv = [command, "--input", write_doc(tmp_path, "set.json",
+                                              CANONICAL_PAIR),
+                "--machine", str(deep)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot read {deep}")
+
+
 def test_unnormalized_state_exits_2(tmp_path, capsys):
     doc = state_set_doc([np.array([1.0, 1.0])], target="not")
     path = write_doc(tmp_path, "set.json", doc)

@@ -51,6 +51,14 @@ PSD_TOL_READERS = {
     "optimizer.search_gamma", "optimizer.search_gamma.schur_step",
 }
 
+# Every function that reads ``GRAM_TOL``.  ``linalg.gram_miss`` is the one
+# Gram comparison, which the completion and both exact checks call; the
+# others test a null-space residual, so a second Gram test fails here until
+# it is registered.
+GRAM_TOL_READERS = {
+    "linalg.gram_miss", "feasibility._probabilistic", "optimizer.search_gamma",
+}
+
 # Every function that reads ``ZERO_SUCCESS``: the efficiencies a request or a
 # machine file may design stop where the simulator stops observing an output,
 # so a second floor fails here until it is registered.
@@ -174,6 +182,20 @@ def test_one_function_holds_the_point_rule():
             builds.add(where)
     assert readers == PSD_TOL_READERS
     assert compares & builds == {"feasibility.point_rule"}
+
+
+def test_one_gram_comparison():
+    """Each reader of ``GRAM_TOL`` is registered, and the only one that
+    calls no null-space test is ``gram_miss``."""
+    readers, null_tests = set(), set()
+    for where, node in _module_nodes():
+        if (isinstance(node, ast.Name) and node.id == "GRAM_TOL"
+                and isinstance(node.ctx, ast.Load)):
+            readers.add(where)
+        if _called(node) in ("null_miss", "range_null"):
+            null_tests.add(where)
+    assert readers == GRAM_TOL_READERS
+    assert readers - null_tests == {"linalg.gram_miss"}
 
 
 def test_one_success_floor():

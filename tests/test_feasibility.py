@@ -129,26 +129,36 @@ def _exact_deviation(ss: StateSet, probe) -> float:
     return float(np.abs(g - k).max())
 
 
-def _set_at_deviation(rng, regime, target, scale) -> StateSet:
-    """``(set, witness)`` whose exact deviation is ``scale * GRAM_TOL``, the
-    witness None for the plain regime: a real set (phased per state for the
-    probe regime) with the last state's second amplitude turned by a phase
+def _at_deviation(rng, regime, target):
+    """``scale -> (set, witness)`` whose exact deviation is ``scale *
+    GRAM_TOL``, the witness None for the plain regimes: a real set (phased
+    per state for the probe regime, turned by one random unitary for
+    "rotated") with the last state's second amplitude turned by a phase
     fitted in the linear regime."""
     n, dim = 3, 2 if target is TargetMap.NOT else 3
-    if regime == "exact":
-        base = random_set(rng, n, dim, target, real=True)
-    else:
+    if regime == "probe":
         base = phased_real_set(rng, n, dim, target)
+    else:
+        base = random_set(rng, n, dim, target, real=True)
+    if regime == "rotated":
+        q = np.linalg.qr(rng.normal(size=(dim, dim))
+                         + 1j * rng.normal(size=(dim, dim)))[0]
+        base = StateSet.from_amplitudes((q @ base.matrix()).T, target)
 
     def turned(delta):
         amps = base.matrix().T.copy()
         amps[-1, 1] *= np.exp(1j * delta)
         ss = StateSet.from_amplitudes(amps, target)
-        return ss, (None if regime == "exact" else standard_probe(gram(ss)))
+        return ss, (standard_probe(gram(ss)) if regime == "probe" else None)
 
     trial = 1e-6
     slope = _exact_deviation(*turned(trial)) / trial
-    return turned(scale * GRAM_TOL / slope)
+    return lambda scale: turned(scale * GRAM_TOL / slope)
+
+
+def _set_at_deviation(rng, regime, target, scale) -> StateSet:
+    """``(set, witness)`` of :func:`_at_deviation` at one ``scale``."""
+    return _at_deviation(rng, regime, target)(scale)
 
 
 @pytest.mark.parametrize("scale", [0.5, 0.9, 1.1, 2.0])
@@ -177,6 +187,37 @@ def test_exact_verdicts_decide_at_their_builders_gram_test(regime, target,
                 scale * GRAM_TOL, rel=1e-4)
             with pytest.raises(GramMismatch):
                 build(ss)
+
+
+def test_exact_verdicts_are_their_builders_at_the_edge():
+    """Within 1e-7 relative of GRAM_TOL, where the two sides round apart,
+    each verdict is feasible exactly when its builder raises no
+    GramMismatch: the probe regime, and real NOT sets turned by a unitary,
+    whose Gram is real but whose amplitudes are not."""
+    rng = np.random.default_rng(0)
+    bases = [(regime, target) for regime in ("exact", "probe")
+             for target in TargetMap for _ in range(20)]
+    bases += [("rotated", TargetMap.NOT)] * 40
+    scales = 1.0 + np.linspace(-1e-7, 1e-7, 101)
+    swept, disagree, feasible = 0, [], 0
+    for regime, target in bases:
+        at = _at_deviation(rng, regime, target)
+        for scale in scales:
+            ss, probe = at(scale)
+            verdict = (check_exact_unitary(ss) if probe is None
+                       else check_exact_with_probe(ss))
+            try:
+                (build_exact_unitary(ss) if probe is None
+                 else build_probe_unitary(ss, probe))
+                built = True
+            except GramMismatch:
+                built = False
+            swept += 1
+            feasible += verdict.feasible
+            if verdict.feasible != built:
+                disagree.append((regime, target.value, scale))
+    assert swept == 12120 and 0 < feasible < swept
+    assert disagree == []
 
 
 class TestExactWithProbe:
@@ -418,7 +459,7 @@ class TestZeroOverlaps:
         for ss in sets:
             gm = gram(ss)
             got = check_exact_with_probe(ss)
-            want = _exact(gm, ProbeSpec.phase_vector(
+            want = _exact(ss, gm, ProbeSpec.phase_vector(
                 np.mod(2.0 * gm.phases[0], 2.0 * np.pi)))
             assert got.feasible == want.feasible
             assert got.violation == want.violation

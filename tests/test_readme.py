@@ -7,11 +7,25 @@ import re
 import shlex
 
 import numpy as np
+from test_tooling import _resolves
 
+import qnot
 from qnot import TripleBoundInput
 from qnot.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.\w+)+)")
+FILE_SUFFIXES = (".py", ".toml", ".json", ".md")
+
+
+def test_dotted_names_resolve():
+    """Every backticked ``module.name`` names something that exists, as the
+    docstrings' cross-references do, so README cannot keep naming a helper
+    after it is renamed or deleted."""
+    names = {name for name in DOTTED.findall(README.read_text())
+             if not name.endswith(FILE_SUFFIXES)}
+    assert len(names) > 20
+    assert sorted(name for name in names if not _resolves(qnot, name)) == []
 
 
 def test_library_example_runs_as_documented():
