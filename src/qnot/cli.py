@@ -13,8 +13,9 @@ Every subcommand also takes ``--output FILE`` and ``--format json|text``.
 
 Exit codes: 0 success, 2 malformed input or an unwritable ``--output``,
 3 linearly dependent set, 4 simulation contract violation, 5 closed form
-vs oracle disagreement, 6 degenerate determinant.  JSON output is compact
-(no indentation); ``--format text`` is the human-readable form.
+vs oracle disagreement, 6 degenerate determinant (a dependent triple, or
+one with a zero overlap).  JSON output is compact (no indentation);
+``--format text`` is the human-readable form.
 
 ``check --gamma`` reports an infeasible point's ``violation`` as
 ``lambda_min`` of the constraint matrix ``M`` and ``null_miss``, how far
@@ -174,8 +175,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_gamma_max(args) -> int:
     state_set = _load_set(args.input)
-    if len(state_set) != 3:
-        raise serialize.SchemaError("gamma-max needs exactly three states")
     gm = gram(state_set)
     inp = TripleBoundInput.from_gram(gm)
     probe = inp.probe()

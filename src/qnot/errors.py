@@ -73,7 +73,7 @@ class ZeroSuccess(QnotError):
 
 
 class DegenerateDeterminant(QnotError):
-    """Triple is too close to linear dependence for the closed form."""
+    """Triple outside the closed form: nearly dependent, or a zero overlap."""
 
 
 class NoFeasiblePoint(QnotError):

@@ -310,11 +310,13 @@ def solve_dependent_triple(s1: QuditState, s2: QuditState, s3: QuditState,
 
     ``v = alpha sqrt(gamma1) s1_perp + beta exp(i phase) sqrt(gamma2) s2_perp``
 
-    must be parallel to ``s3_perp`` with norm at most 1.  Returns the pair
-    ``(gamma3, chi)`` with ``v = sqrt(gamma3) exp(i chi) s3_perp``, or
-    ``None`` when the constraint cannot be met.  Raises
-    :class:`LinearlyDependentPair` when :func:`qnot.linalg.range_null`
-    finds a null space in the pair's Gram.
+    must be parallel to ``s3_perp``, ``v = lambda s3_perp``.  Returns the
+    pair ``(gamma3, chi)``, ``gamma3 = min(|lambda|^2, 1)`` and ``chi =
+    arg(lambda)``, or ``None`` when ``v`` is not parallel.  Parallel, it has
+    ``|lambda| = sqrt(gamma1)`` (``sqrt(gamma2)`` when ``alpha = 0``), so
+    the clamp removes only rounding and the norm slack ``NORM_TOL`` allows.
+    Raises :class:`LinearlyDependentPair` when
+    :func:`qnot.linalg.range_null` finds a null space in the pair's Gram.
     """
     # a NOT set refuses states that are not qubits
     triple = StateSet((s1, s2, s3), TargetMap.NOT)
@@ -330,8 +332,6 @@ def solve_dependent_triple(s1: QuditState, s2: QuditState, s3: QuditState,
     t3 = perp[:, 2]
     lam = np.vdot(t3, v)
     if np.linalg.norm(v - lam * t3) > PARALLEL_TOL:
-        return None
-    if abs(lam) > 1.0 + 1e-12:
         return None
     gamma3 = min(float(abs(lam) ** 2), 1.0)
     return gamma3, float(np.angle(lam))

@@ -47,13 +47,13 @@ singular ``A``) gives the larger root, capped at 1.  ``A`` is taken from
 search, and the root is solved on Python floats.  A rise below
 :data:`COORDINATE_CONVERGENCE` is not taken; any other candidate is kept
 once the rule accepts it, else retreated toward the last certified value
-along :data:`RETREAT`.  A step is a function of the point alone, so
-``COORDINATE`` skips ``i`` while the point is the one at which ``i``'s last
-step made no move: the sweeps, and so the result, are those of a search
-that steps every ``i`` every sweep.  Without a probe the search takes
-:func:`qnot.feasibility.standard_probe`, the witness of the exact probe
-check, so the two agree; its points are certified lower bounds for an
-optimal probe.
+along :data:`RETREAT`.  A step is a function of the point alone, so one
+rule runs the sweeps: a member steps again only after another member
+moves, and the ascent ends when no free member's step moves (or after 200
+sweeps); a skipped step would have made no move.  Without a probe the
+search takes :func:`qnot.feasibility.standard_probe`, the witness of the
+exact probe check, so the two agree; its points are certified lower bounds
+for an optimal probe.
 """
 from __future__ import annotations
 
@@ -81,7 +81,8 @@ RETREAT = (0.0, 2.0 ** -44, 2.0 ** -34, 2.0 ** -24, 2.0 ** -14, 0.5)
 @dataclass(frozen=True)
 class TripleBoundInput:
     """Polar overlap data of three pairwise nonorthogonal states; built by
-    :meth:`from_gram`, it keeps that Gram for :meth:`gram_matrix`."""
+    :meth:`from_gram`, it keeps that Gram for :meth:`gram_matrix`, and a
+    zero overlap raises :class:`DegenerateDeterminant` there."""
 
     t12: float
     t13: float
@@ -108,6 +109,8 @@ class TripleBoundInput:
             raise ValueError("triple bound needs exactly three states")
         # norms accepted within NORM_TOL of 1 can put |G_ij| just above 1
         t = np.minimum(gram_matrix.magnitudes, 1.0)
+        if not t.all():
+            raise DegenerateDeterminant("the triple has a zero overlap")
         th = gram_matrix.phases
         inp = cls(t[0, 1], t[0, 2], t[1, 2], th[0, 1], th[0, 2], th[1, 2])
         object.__setattr__(inp, "_gram", gram_matrix)
@@ -307,22 +310,17 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
     if policy is GammaPolicy.COORDINATE:
         free = np.flatnonzero(np.abs(null).max(axis=1, initial=0.0)
                               <= GRAM_TOL)
-        moves = 0
-        # the number of moves made when each i last stepped without moving
-        still = [-1] * n
+        still = set()  # the free i whose last step at this point made no move
         for _ in range(200):
-            biggest_move = 0.0
             for i in free:
-                if still[i] == moves:
+                if i in still:
                     continue
                 best = schur_step(i)
                 if best == gammas[i]:
-                    still[i] = moves
-                    continue
-                biggest_move = max(biggest_move, best - gammas[i])
-                gammas[i] = best
-                moves += 1
-            if biggest_move < COORDINATE_CONVERGENCE:
+                    still.add(i)
+                else:
+                    gammas[i], still = best, set()
+            if len(still) == free.size:
                 break
 
     # every accepted point is kept, so the last one is the result

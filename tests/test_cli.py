@@ -288,7 +288,8 @@ def test_simulate_corrupted_machine_exits_4(tmp_path, capsys):
                                           ("system_dim", [2]),
                                           ("system_dim", "2"),
                                           ("system_dim", 2.9),
-                                          ("probe_dim", None)])
+                                          ("probe_dim", None),
+                                          ("gammas", [[1.0], [1.0]])])
 def test_simulate_mismatched_machine_exits_2(tmp_path, capsys, field, value):
     set_path = write_doc(tmp_path, "set.json", CANONICAL_PAIR)
     machine_path = str(tmp_path / "machine.json")
@@ -487,7 +488,20 @@ def test_gamma_max_dependent_triple_with_overlap_above_one_exits_6(
 def test_gamma_max_needs_three_states(tmp_path, capsys):
     path = write_doc(tmp_path, "set.json", CANONICAL_PAIR)
     assert main(["gamma-max", "--input", path]) == 2
-    capsys.readouterr()
+    assert "exactly three states" in capsys.readouterr().err
+
+
+def test_gamma_max_triple_with_a_zero_overlap_exits_6(tmp_path, capsys):
+    """{e0, e1, 0.6 e0 + 0.8 e2} leaves the closed form's domain at
+    t12 = 0: gamma-max exited 2, as for a malformed file, where the
+    oracle searches the set and gives gamma = 1."""
+    doc = state_set_doc([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.6, 0.0, 0.8]])
+    path = write_doc(tmp_path, "set.json", doc)
+    assert main(["gamma-max", "--input", path]) == 6
+    assert "zero overlap" in capsys.readouterr().err
+    code, out = run(capsys, ["oracle", "--input", path])
+    assert code == 0
+    assert out["gammas"] == [1.0, 1.0, 1.0]
 
 
 def test_oracle_equal_policy_on_pair(tmp_path, capsys):
@@ -640,12 +654,14 @@ def test_simulate_without_machine_exits_2(tmp_path, capsys):
 
 def test_text_format_smoke(tmp_path, capsys):
     path = write_doc(tmp_path, "set.json", CANONICAL_PAIR)
-    code = main(["check", "--input", path, "--format", "text"])
+    code = main(["check", "--input", path, "--gamma", "0.5,0.5",
+                 "--format", "text"])
     out = capsys.readouterr().out
     assert code == 0
     assert "overlaps (magnitude / phase):" in out
     assert "exact via unitary + probe: feasible" in out
     assert "witness probe phases" in out
+    assert "probabilistic at requested efficiencies: feasible" in out
 
 
 def test_output_file_roundtrip(tmp_path, capsys):

@@ -66,6 +66,11 @@ ZERO_SUCCESS_READERS = {
     "feasibility.efficiencies", "simulator._run_columns",
 }
 
+# Every function that reads ``COORDINATE_CONVERGENCE``: it is the Schur
+# step's rise floor, and COORDINATE stops when no free member's step moves,
+# so a second reader (a sweep-stop test) fails here until it is registered.
+COORDINATE_CONVERGENCE_READERS = {"optimizer.search_gamma.schur_step"}
+
 # Every function that reads ``NORM_TOL``: a set's members and a lone state
 # share one member check, and a probe Gram's unit diagonal is the other
 # reader, so a second norm test fails here until it is registered.
@@ -198,26 +203,33 @@ def test_one_gram_comparison():
     assert readers - null_tests == {"linalg.gram_miss"}
 
 
+def _assigned_and_read(name: str):
+    """``(scopes that assign name, scopes that read it)``."""
+    assigned, readers = set(), set()
+    for where, node in _module_nodes():
+        if isinstance(node, ast.Name) and node.id == name:
+            (readers if isinstance(node.ctx, ast.Load) else assigned).add(where)
+    return assigned, readers
+
+
 def test_one_success_floor():
     """``ZERO_SUCCESS`` is assigned once, beside the tolerances, and each
     function that reads it is registered."""
-    assigned, readers = set(), set()
-    for where, node in _module_nodes():
-        if isinstance(node, ast.Name) and node.id == "ZERO_SUCCESS":
-            (readers if isinstance(node.ctx, ast.Load) else assigned).add(where)
-    assert assigned == {"linalg"}
-    assert readers == ZERO_SUCCESS_READERS
+    assert _assigned_and_read("ZERO_SUCCESS") == ({"linalg"},
+                                                  ZERO_SUCCESS_READERS)
+
+
+def test_one_rise_floor():
+    """``COORDINATE_CONVERGENCE`` is assigned once, in ``optimizer``, and
+    each function that reads it is registered."""
+    assert _assigned_and_read("COORDINATE_CONVERGENCE") == (
+        {"optimizer"}, COORDINATE_CONVERGENCE_READERS)
 
 
 def test_one_member_check():
     """``NORM_TOL`` is assigned once, in ``states``, and each function that
     reads it is registered."""
-    assigned, readers = set(), set()
-    for where, node in _module_nodes():
-        if isinstance(node, ast.Name) and node.id == "NORM_TOL":
-            (readers if isinstance(node.ctx, ast.Load) else assigned).add(where)
-    assert assigned == {"states"}
-    assert readers == NORM_TOL_READERS
+    assert _assigned_and_read("NORM_TOL") == ({"states"}, NORM_TOL_READERS)
 
 
 def test_one_default_probe_rule():

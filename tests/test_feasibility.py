@@ -909,6 +909,24 @@ class TestDependentTriple:
             hits += 1
         assert hits == 200
 
+    def test_real_triples_within_the_norm_slack_are_solved(self):
+        """Real qubits scaled by 1 + U(-9e-11, 9e-11), inside NORM_TOL, at
+        unit efficiencies: the forced branch has |lambda| = 1 up to that
+        slack, and 979 of these 2000 triples were refused above 1 + 1e-12."""
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            theta = rng.uniform(0.0, np.pi, 3)
+            scale = 1.0 + rng.uniform(-9e-11, 9e-11, 3)
+            states = tuple(QuditState(np.array([np.cos(t), np.sin(t)]) * c)
+                           for t, c in zip(theta, scale))
+            got = solve_dependent_triple(*states, 1.0, 1.0, 0.0)
+            assert got is not None
+            gamma3, chi = got
+            ss = StateSet(states, TargetMap.NOT)
+            machine = synthesize_with(ss, [1.0, 1.0, gamma3],
+                                      ProbeSpec.phase_vector([0.0, 0.0, chi]))
+            assert verify_machine(machine, ss).all_ok
+
     def test_generic_unequal_gammas_fail(self):
         # parallel alignment forces equal efficiencies, so mismatched ones
         # must come back empty (checked against the least-squares fit)

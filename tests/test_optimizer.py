@@ -599,23 +599,41 @@ def test_schur_solve_falls_back_to_least_squares(monkeypatch):
         assert res.mean_gamma >= search_gamma(ss).mean_gamma
 
 
-# COORDINATE gammas of the first _coordinate_sets as float.hex, recorded
-# when every coordinate was stepped in every sweep
-PINNED_GAMMAS = json.loads(
-    Path(__file__).with_name("coordinate_gammas.json").read_text())
-
-
 def _coordinate_sets(count: int):
     rng = np.random.default_rng(11)
     return [random_independent_set(rng, 10, 10, TargetMap.CONJUGATE)
             for _ in range(count)]
 
 
-def test_skipped_steps_leave_coordinate_gammas_bit_identical():
-    for ss, pinned in zip(_coordinate_sets(len(PINNED_GAMMAS)),
-                          PINNED_GAMMAS):
-        res = search_gamma(ss, GammaPolicy.COORDINATE)
-        assert [float(g).hex() for g in res.gammas] == pinned
+def test_oracle_stops_once_a_midpoint_rounds_onto_an_end(monkeypatch):
+    """On the first three members of n = d = 10 sets, as the benchmark
+    draws its triples, each edge lies above 0.2, so a midpoint rounds onto
+    an end within 28 rounds: at most 29 rule calls, where all 35 rounds
+    after the test at gamma = 1 make 36."""
+    calls = []
+    rule = optimizer.point_rule
+
+    def counted(g, k, gammas):
+        calls.append(gammas.shape)
+        return rule(g, k, gammas)
+
+    monkeypatch.setattr(optimizer, "point_rule", counted)
+    for ss in _coordinate_sets(20):
+        gm = gram(StateSet(ss.states[:3], ss.target))
+        calls.clear()
+        assert 0.0 < grid_oracle_triple(gm, standard_probe(gm)) < 1.0
+        assert len(calls) <= 29
+
+
+def test_coordinate_makes_no_schur_solve_at_unit_efficiency():
+    """EQUAL gives gamma = 1 on a real conjugate set, so COORDINATE's only
+    evaluation is that rule test: a Schur solve at gamma = 1 could not
+    raise it, and four of them made 5 evaluations."""
+    ss = random_set(np.random.default_rng(3), 4, 4, TargetMap.CONJUGATE,
+                    real=True)
+    res = search_gamma(ss, GammaPolicy.COORDINATE)
+    assert res.gammas.tolist() == [1.0] * 4
+    assert res.iterations == 1
 
 
 # Both searches on the first 20 _coordinate_sets, and the oracle and triple
