@@ -164,13 +164,14 @@ def cmd_simulate(args) -> int:
                             seed=args.seed)
     doc = serialize.report_to_dict(report)
     lines = [f"unitarity error: {report.unitary_error:.3e}"]
-    for rec in report.records:
+    for entry in doc["states"]:
         lines.append(
-            f"state {rec.index}: p={rec.success_prob:.8f} "
-            f"fidelity={rec.fidelity:.10f} {'ok' if rec.ok else 'FLAGGED'}")
-    lines.append("all ok" if report.all_ok else "contract violations found")
+            f"state {entry['i']}: p={entry['p']:.8f} "
+            f"fidelity={entry['fidelity']:.10f} "
+            f"{'ok' if entry['ok'] else 'FLAGGED'}")
+    lines.append("all ok" if doc["all_ok"] else "contract violations found")
     _emit(doc, args, lines)
-    return 0 if report.all_ok else 4
+    return 0 if doc["all_ok"] else 4
 
 
 def cmd_gamma_max(args) -> int:

@@ -104,7 +104,9 @@ def standard_probe(gram_matrix: GramMatrix) -> ProbeSpec:
     if placed.all():
         return probe
     phases = probe.phases.copy()
-    while not placed.all():
+    for _ in range(phases.size):  # each pass places at least one member
+        if placed.all():
+            break
         src, rest = np.flatnonzero(placed), np.flatnonzero(~placed)
         links = g[np.ix_(src, rest)]
         best = np.abs(links).argmax(axis=0)

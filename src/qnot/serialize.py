@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import QnotError
 from .feasibility import FeasibilityVerdict
-from .simulator import SimulationReport
+from .simulator import RNG_ALGORITHM, SimulationReport
 from .states import QuditState, StateSet, TargetMap
 from .synthesis import Machine
 
@@ -148,24 +148,25 @@ def verdict_to_dict(verdict: FeasibilityVerdict) -> dict:
 
 
 def report_to_dict(report: SimulationReport) -> dict:
-    doc = {
+    """The report's JSON, its per-member entries from one ``tolist()`` per
+    column; ``ok`` and ``all_ok`` are the report's verdicts."""
+    states = [{"i": i, "p": p, "fidelity": f, "global_phase": g, "ok": ok}
+              for i, (p, f, g, ok) in enumerate(zip(
+                  report.success_probs.tolist(), report.fidelities.tolist(),
+                  report.global_phases.tolist(), report.ok_mask().tolist()))]
+    if report.successes is not None:
+        for entry, k in zip(states, report.successes.tolist()):
+            entry["mc_successes"] = k
+            entry["mc_empirical"] = k / report.shots
+            entry["rng"] = RNG_ALGORITHM
+    return {
         "mode": report.mode,
         "seed": report.seed,
         "shots": report.shots,
         "unitary_error": report.unitary_error,
         "all_ok": report.all_ok,
-        "states": [
-            {"i": r.index, "p": r.success_prob, "fidelity": r.fidelity,
-             "global_phase": r.global_phase, "ok": r.ok}
-            for r in report.records
-        ],
+        "states": states,
     }
-    for mc in report.mc_records:
-        entry = doc["states"][mc.index]
-        entry["mc_successes"] = mc.successes
-        entry["mc_empirical"] = mc.empirical
-        entry["rng"] = mc.rng
-    return doc
 
 
 def dumps(doc) -> str:

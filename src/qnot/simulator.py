@@ -15,11 +15,19 @@ draws each member's success count from the exact probability with numpy's
 PCG64 generator, seeded explicitly, so every report is reproducible.
 Below :data:`qnot.linalg.ZERO_SUCCESS` a run has no output, and
 :func:`qnot.feasibility.efficiencies` refuses every design at or below it.
+
+A :class:`SimulationReport` holds the run as per-member columns: success
+probabilities, fidelities, phases, the ``d x n`` outputs, the ok mask and,
+with shots, the drawn success counts.  Its ``records`` and ``mc_records``
+are built on first read and cached, so a caller that reads only
+``all_ok`` builds no per-member object; an edit of a record's ``ok`` is
+seen by ``all_ok``, ``flagged()`` and the report's JSON.
 """
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -56,22 +64,60 @@ class MonteCarloRecord:
     rng: str = RNG_ALGORITHM
 
 
-@dataclass
+@dataclass(eq=False)
 class SimulationReport:
+    """A run of a machine on a set, one entry per member in each column.
+
+    ``outputs`` is ``d x n``, the postselected output of member ``i`` in
+    column ``i``; ``oks`` is the mask the tolerances gave.  ``successes``
+    (with shots) holds the drawn success counts.
+    """
     mode: str
-    records: list
+    success_probs: np.ndarray
+    fidelities: np.ndarray
+    global_phases: np.ndarray
+    outputs: np.ndarray
+    oks: np.ndarray
     unitary_error: float
     seed: Optional[int] = None
     shots: Optional[int] = None
-    mc_records: list = field(default_factory=list)
+    successes: Optional[np.ndarray] = None
+
+    @cached_property
+    def records(self) -> list:
+        """One :class:`ExactRecord` per member, built once from the columns;
+        each ``output_state`` is a view of its column."""
+        # one tolist() per column gives the Python floats and bools, not a
+        # numpy scalar converted per field
+        return [ExactRecord(i, *fields) for i, fields in enumerate(zip(
+            self.success_probs.tolist(), self.fidelities.tolist(),
+            self.global_phases.tolist(), self.outputs.T, self.oks.tolist()))]
+
+    @cached_property
+    def mc_records(self) -> list:
+        """One :class:`MonteCarloRecord` per member, built once; empty
+        without shots."""
+        if self.successes is None:
+            return []
+        return [MonteCarloRecord(i, p, self.shots, k, k / self.shots, self.seed)
+                for i, (p, k) in enumerate(zip(self.success_probs.tolist(),
+                                               self.successes.tolist()))]
+
+    def ok_mask(self) -> np.ndarray:
+        """Each member's verdict: ``oks`` until ``records`` is read, then
+        the records' ``ok``, so an edit through a record counts."""
+        records = self.__dict__.get("records")
+        if records is None:
+            return self.oks
+        return np.array([r.ok for r in records], dtype=bool)
 
     @property
     def all_ok(self) -> bool:
         return (self.unitary_error <= UNITARITY_TOL
-                and all(r.ok for r in self.records))
+                and bool(self.ok_mask().all()))
 
     def flagged(self) -> list:
-        return [r.index for r in self.records if not r.ok]
+        return np.flatnonzero(~self.ok_mask()).tolist()
 
 
 def _run_columns(machine: Machine, amps: np.ndarray, targets: np.ndarray):
@@ -130,9 +176,12 @@ def verify_machine(machine: Machine, state_set: StateSet,
     or its success probability differs from the designed ``gamma_i`` by
     more than :data:`PROB_TOL`.  The report also carries the machine's
     unitarity error; failures never raise, they are entries in the report.
-    With ``shots`` positive, a Monte Carlo record per member is appended
-    (one generator seeded with ``seed``, members sampled in order); ``None``
-    or 0 means the exact report alone.  ``shots`` and ``seed`` are stored as
+    The report keeps the run as per-member columns and builds its
+    ``records`` (and ``mc_records``) on first read; an edit of a record's
+    ``ok`` is seen by ``all_ok`` and ``flagged()``.  With ``shots``
+    positive, each member's success count is drawn (one generator seeded
+    with ``seed``, members sampled in order); ``None`` or 0 means the
+    exact report alone.  ``shots`` and ``seed`` are stored as
     Python ints; a bool, a value that is not an integer (``2.5``, ``5.0``),
     or ``shots`` outside numpy's int64 range ``[0, 2**63 - 1]`` raises
     :class:`ValueError`.
@@ -157,20 +206,10 @@ def verify_machine(machine: Machine, state_set: StateSet,
         machine, state_set.matrix(), state_set.target_matrix())
     oks = ((fidelities >= 1.0 - FIDELITY_TOL)
            & (np.abs(probs - machine.gammas) <= PROB_TOL))
-    # one tolist() per column gives the Python floats and bools, not a
-    # numpy scalar converted per field
-    prob_list = probs.tolist()
-    records = [ExactRecord(i, *fields) for i, fields in enumerate(zip(
-        prob_list, fidelities.tolist(), phases.tolist(), outputs.T,
-        oks.tolist()))]
-    report = SimulationReport("exact", records, machine.unitarity_error())
-    if shots:
-        rng = np.random.default_rng(seed)
-        report.mode = "monte_carlo"
-        report.seed = seed
-        report.shots = shots
-        successes = rng.binomial(shots, np.clip(probs, 0.0, 1.0)).tolist()
-        report.mc_records = [
-            MonteCarloRecord(i, p, shots, k, k / shots, seed)
-            for i, (p, k) in enumerate(zip(prob_list, successes))]
-    return report
+    exact = (probs, fidelities, phases, outputs, oks,
+             machine.unitarity_error())
+    if not shots:
+        return SimulationReport("exact", *exact)
+    rng = np.random.default_rng(seed)
+    return SimulationReport("monte_carlo", *exact, seed, shots,
+                            rng.binomial(shots, np.clip(probs, 0.0, 1.0)))

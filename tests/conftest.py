@@ -1,8 +1,38 @@
+import faulthandler
+import os
+import sys
+
 import numpy as np
+import pytest
 
 from qnot import QuditState, StateSet, TargetMap, gram
 
 pytest_plugins = ["pytester"]
+
+# a test that runs this long is hung: dump every thread's traceback and end
+# the run with a nonzero exit instead of waiting (the slowest takes ~2 s)
+TEST_TIME_LIMIT_S = 120
+_stderr_fd = None  # the terminal's stderr, duplicated before output capture
+
+
+def pytest_configure(config):
+    global _stderr_fd
+    _stderr_fd = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(_stderr_fd)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    faulthandler.dump_traceback_later(TEST_TIME_LIMIT_S, exit=True,
+                                      file=_stderr_fd)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
 
 # one verdict line per acceptance criterion, printed after the run
 ACCEPTANCE_LINES: list[str] = []

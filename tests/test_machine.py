@@ -4,6 +4,7 @@ A machine holds one ``D x D`` array, its unitary.  Each synthesized
 machine here is compared with the dense completion of the same branches
 by :func:`qnot.unitary_completion`, and with a machine built on it.
 """
+import dataclasses
 import json
 import tracemalloc
 
@@ -99,12 +100,20 @@ def _build(case, seed):
     return make(np.random.default_rng(seed), n, dim)
 
 
+def _bytes(value):
+    """An array as its dtype, shape and bytes; any other value as itself."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return value
+
+
 def _report_facts(report):
-    """Every field of a report and of its records, arrays as bytes."""
+    """Every field of a report, its columns as bytes, then every field of
+    its records."""
     records = [vars(r) for r in report.records + report.mc_records]
-    return [vars(report) | {"records": None, "mc_records": None}] + [
-        {k: v.tobytes() if isinstance(v, np.ndarray) else v
-         for k, v in r.items()} for r in records]
+    return [{f.name: _bytes(getattr(report, f.name))
+             for f in dataclasses.fields(report)}] + [
+        {k: _bytes(v) for k, v in r.items()} for r in records]
 
 
 def _dense_completion(machine, ss):

@@ -24,6 +24,7 @@ from qnot import (
     grid_oracle_triple,
     search_gamma,
     standard_probe,
+    synthesize,
     synthesize_with,
     verify_machine,
 )
@@ -381,6 +382,24 @@ def test_equal_edge_matches_a_bisection_oracle(n, extra):
     oracle = equal_edge_bisection(g, np.conj(g) * res.probe.matrix, PSD_TOL)
     assert np.ptp(res.gammas) == 0.0
     assert abs(res.gammas[0] - oracle) <= 1e-9, res.gammas[0]
+
+
+def test_equal_never_falls_below_the_paper_bound():
+    """For a phase probe ``u``, ``conj(G) o uu^dag`` is unitarily similar to
+    ``conj(G)``, so EQUAL's edge lies at or above ``lambda_min(G) /
+    lambda_max(G)`` whatever the probe, above ``synthesize``'s epsilon =
+    ETA times that (210 sets; the smallest ratio was 1.072)."""
+    rng = np.random.default_rng(17)
+    ratios = []
+    for n in (2, 3, 4, 6, 10, 16, 24):
+        for d in (n, n + 2):
+            for _ in range(15):
+                ss = random_independent_set(rng, n, d, TargetMap.CONJUGATE)
+                report = synthesize(ss)[1]
+                assert report.path == "general"
+                ratios.append(search_gamma(ss, GammaPolicy.EQUAL).gammas[0]
+                              / report.epsilon)
+    assert min(ratios) >= 1.0
 
 
 def test_equal_search_is_one_eigenproblem_and_its_checks():

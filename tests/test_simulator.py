@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from qnot import (
+    ExactRecord,
     GammaPolicy,
     Machine,
+    MonteCarloRecord,
     ProbeSpec,
     QuditState,
     StateSet,
@@ -473,3 +475,112 @@ def test_pipeline_builds_no_per_member_state(monkeypatch):
         assert verify_machine(machine, ss, shots=100).all_ok
         search_gamma(ss, GammaPolicy.EQUAL)
     assert len(built) == 0
+
+
+# --- the report's columns and the records built from them -----------------
+
+def _columnar_report(shots=None):
+    """A four-member report with member 1 flagged (its gamma halved)."""
+    ss = random_independent_set(np.random.default_rng(27), 4, 4,
+                                TargetMap.CONJUGATE)
+    machine, _ = synthesize(ss)
+    machine.gammas[1] *= 0.5
+    return verify_machine(machine, ss, shots=shots, seed=9)
+
+
+def _clean_pair():
+    ss = random_independent_set(np.random.default_rng(21), 3, 3,
+                                TargetMap.CONJUGATE)
+    return synthesize(ss)[0], ss
+
+
+def _hex_fields(record):
+    """A record's fields, floats as ``float.hex``, arrays as their bytes,
+    each with its type."""
+    out = {}
+    for name, value in vars(record).items():
+        out[name] = type(value), value
+        if isinstance(value, float):
+            out[name] = float, value.hex()
+        elif isinstance(value, np.ndarray):
+            out[name] = np.ndarray, value.dtype.str, value.shape, value.tobytes()
+    return out
+
+
+@pytest.mark.parametrize("shots", [None, 300])
+def test_records_are_the_eager_construction_from_the_columns(shots):
+    """Records read after the run are, field for field and bit for bit,
+    the records built member by member from the report's columns."""
+    report = _columnar_report(shots)
+    eager = [ExactRecord(i, float(report.success_probs[i]),
+                         float(report.fidelities[i]),
+                         float(report.global_phases[i]),
+                         report.outputs[:, i], bool(report.oks[i]))
+             for i in range(4)]
+    assert ([_hex_fields(r) for r in report.records]
+            == [_hex_fields(r) for r in eager])
+    for rec in report.records:
+        assert np.shares_memory(rec.output_state, report.outputs)
+    if shots is None:
+        assert report.successes is None and report.mc_records == []
+        return
+    eager_mc = [MonteCarloRecord(i, float(report.success_probs[i]), shots,
+                                 int(k), int(k) / shots, 9)
+                for i, k in enumerate(report.successes)]
+    assert ([_hex_fields(r) for r in report.mc_records]
+            == [_hex_fields(r) for r in eager_mc])
+
+
+def test_records_are_built_once():
+    report = _columnar_report(shots=300)
+    assert report.records is report.records
+    assert report.mc_records is report.mc_records
+    report.mc_records[0].successes += 1
+    assert report.mc_records[0].successes == int(report.successes[0]) + 1
+
+
+def test_verdicts_are_the_mask_before_and_after_records_are_read():
+    report = _columnar_report()
+    assert report.oks.tolist() == [True, False, True, True]
+    for _ in range(2):
+        assert report.flagged() == [1]
+        assert report.all_ok is False
+        assert [r.ok for r in report.records] == report.oks.tolist()
+    clean = verify_machine(*_clean_pair())
+    assert clean.all_ok is True and clean.flagged() == []
+    assert clean.records and clean.all_ok is True and clean.flagged() == []
+
+
+def test_an_edit_through_a_record_is_seen_by_the_verdicts():
+    report = verify_machine(*_clean_pair())
+    report.records[2].ok = False
+    assert report.all_ok is False and report.flagged() == [2]
+    doc = report_to_dict(report)
+    assert doc["all_ok"] is False
+    assert [s["ok"] for s in doc["states"]] == [True, True, False]
+    report.records[2].ok = True
+    assert report.all_ok is True and report.flagged() == []
+
+
+def test_reading_the_verdicts_builds_no_record(monkeypatch):
+    """``all_ok``, ``flagged()`` and the JSON read the columns: no record of
+    either kind is built until ``records`` or ``mc_records`` is read."""
+    from qnot import simulator
+    built = []
+
+    def counting(cls):
+        def make(*args):
+            built.append(cls.__name__)
+            return cls(*args)
+        return make
+
+    for cls in (ExactRecord, MonteCarloRecord):
+        monkeypatch.setattr(simulator, cls.__name__, counting(cls))
+    report = _columnar_report(shots=300)
+    assert not report.all_ok and report.flagged() == [1]
+    report_to_dict(report)
+    assert built == []
+    assert "records" not in vars(report) and "mc_records" not in vars(report)
+    report.records
+    report.mc_records
+    assert built == ["ExactRecord"] * 4 + ["MonteCarloRecord"] * 4
