@@ -21,13 +21,13 @@ test of a builder's branches, so a verdict is feasible iff it builds:
 
 Every check reads a probe as its Gram matrix ``P``.  A phase-vector probe
 is the rank-one case and also keeps its phases, which is the only kind of
-probe a machine realizes.  Every machine unitary is built by
-:func:`branch_unitary` on a probe of at most two levels, ``D = 2d``: it
-writes the branches on system x probe, inputs and success outputs on probe
-level 0 and the at most ``d`` failure rows on probe level 1, and
+probe a machine realizes.  Every exact machine unitary is built by
+:func:`branch_unitary` on a probe of at most two levels: it writes the
+branches on system x probe, inputs and outputs on probe level 0, and
 :func:`qnot.linalg.unitary_completion` completes them into the dense
-``D x D`` unitary that :func:`build_exact_unitary`,
-:func:`build_probe_unitary` and :mod:`qnot.synthesis` use as it is.
+unitary that :func:`build_exact_unitary` and :func:`build_probe_unitary`
+return.  A probabilistic machine has no completion: :mod:`qnot.synthesis`
+writes the CS dilation of its success map on ``D = 2d``.
 """
 from __future__ import annotations
 
@@ -185,15 +185,14 @@ def _exact(state_set: StateSet, gram_matrix: GramMatrix,
         False, violation={"indices": list(miss[:2]), "residual": miss[2]})
 
 
-def branch_unitary(state_set: StateSet, weights, probe_dim: int,
-                   failure=None) -> np.ndarray:
-    """Dense machine unitary on system x probe from its branch targets.
+def branch_unitary(state_set: StateSet, weights, probe_dim: int) -> np.ndarray:
+    """Dense exact machine unitary on system x probe from its branch targets.
 
-    Member ``i`` enters as ``psi_i x |0>`` and leaves as
-    ``weights_i target_i x |0> + sum_j failure[j, i] |j> x |1>``: the
-    branches are written in a ``(d, probe_dim, n)`` layout and completed by
+    Member ``i`` enters as ``psi_i x |0>`` and leaves as ``weights_i
+    target_i x |0>``, with ``|weights_i| = 1``: the branches are written in
+    a ``(d, probe_dim, n)`` layout and completed by
     :func:`qnot.linalg.unitary_completion`, whose support scan decides the
-    rows a machine moves.  Propagates :class:`GramMismatch` when the
+    rows the machine moves.  Propagates :class:`GramMismatch` when the
     branches do not reproduce the Gram.
     """
     d, n = state_set.dim, len(state_set)
@@ -201,8 +200,6 @@ def branch_unitary(state_set: StateSet, weights, probe_dim: int,
     ins[:, 0] = state_set.matrix()
     outs = np.zeros((d, probe_dim, n), complex)
     outs[:, 0] = state_set.target_matrix() * weights
-    if failure is not None:
-        outs[:failure.shape[0], 1] = failure
     return unitary_completion(ins.reshape(-1, n).T, outs.reshape(-1, n).T)
 
 

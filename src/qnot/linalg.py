@@ -1,7 +1,7 @@
 """Dense Hermitian linear algebra helpers.
 
 The one PSD test, the PSD square root and the unitary-completion routine
-that the machine constructions are built on.  The square root takes
+that the exact machine constructions are built on.  The square root takes
 ``numpy.linalg.eigh`` as it comes: ``V sqrt(L) V^dag`` does not depend on
 the phases of the eigenvectors, so none are fixed.  Two tuples
 of vectors with identical Gram matrices are related by a unitary, and
@@ -18,12 +18,13 @@ rows reach; when ``s > 2k`` one QR of the two families shrinks that SVD
 to ``2k x 2k``, and the block then completes only inside their joint
 span, at ``O(s^2 k)``.  The polar factor is unitary to rounding at any
 rank, so no rank tolerance decides which vectors count as independent.
-Machine branches touch ``s = d + min(n, d)`` of the ``D = 2d``
-coordinates of system x probe, of which only the ``d`` system rows carry
-an input, so a machine on the general path takes an ``s x d`` SVD when
-``d <= n`` and the QR when ``d > n``.
+An exact machine's branches touch the ``d`` system rows under probe level
+0, inputs and outputs alike, so it takes the ``d x d`` SVD when ``d <= 2n``
+and the QR otherwise; a probabilistic machine takes no completion (see
+:mod:`qnot.synthesis`).
 
-The completion and both exact checks compare Grams by :func:`gram_miss`.
+The completion, both exact checks and the probabilistic assembly compare
+Grams by :func:`gram_miss`.
 Every PSD decision compares :func:`smallest_eigenvalue` against
 ``-PSD_TOL`` (:func:`is_psd`, :func:`psd_sqrt`, probe Grams), or, for a
 constraint matrix, against ``-PSD_TOL min(gamma)``

@@ -8,21 +8,26 @@ For a family with Gram matrix ``G``, probe phases ``phi`` and efficiencies
 
     M = G - sqrt(Gamma) (conj(G) * P) sqrt(Gamma)   is PSD,
 
-and an explicit unitary follows from Gram-matched completion
-(:func:`qnot.feasibility.branch_unitary`) on a two-level probe: the image of
-the i-th prepared input is
+and an explicit unitary follows on a two-level probe: the image of the
+i-th prepared input is
 
     sqrt(gamma_i) e^{i phi_i} (target_i x P_0)  +  sum_j F_ji (|j> x P_1)
 
-with ``F`` any matrix with ``F^dag F = M``, so the failure branches restore
-exactly the missing Gram mass (Duan & Guo, PRL 80, 4999, 1998).
-``0 <= M <= G`` gives ``rank M <= d``, so ``F`` needs at most ``d`` rows
-and fits on the ``d`` system states under probe state 1.  ``F`` is
-``L^dag`` of the Cholesky factor ``M = L L^dag`` when ``n <= d``; where
-Cholesky refuses a singular ``M`` (a search's edge point), or ``n > d``
-(a dependent family), it is ``sqrt(Lambda) V^dag`` of the top
-``min(n, d)`` eigenpairs of ``M``.  Neither factor decides anything: the
-point is decided before, and the completion refuses a Gram miss.
+with ``F^dag F = M``, so the failure branches restore exactly the missing
+Gram mass (Duan & Guo, PRL 80, 4999, 1998).  The unitary is written by
+formula.  With ``W = T diag(sqrt(gamma) e^{i phi})`` the success map ``A``
+with ``A Psi = W`` is a contraction on span Psi, since ``Psi^dag (I -
+A^dag A) Psi = M``, and the machine is its dilation (Halmos, Summa Brasil.
+Math. 2, 125, 1950) in CS form (Paige & Wei, LAA 208/209, 303, 1994):
+from one SVD ``A = U_a S V_a^dag`` and ``C = sqrt((1 - S)(1 + S))`` it is
+``[[U_a S V_a^dag, U_a C], [C V_a^dag, -S]]`` on the system under probe
+level 0 and ``r = rank G <= d`` failure rows under level 1, so ``F = C
+V_a^dag Psi``.  That block is unitary to rounding at every ``S``, a
+singular value at 1 (a search's edge, a member at ``gamma = 1``)
+included.  The SVD reuses the Gram's ``eigh``: its range whitens ``Psi``
+and ``W``.  It is taken on the span of both when ``2r < d``, and the
+machine is exactly the identity outside it.  The point is decided before
+the build, and the build refuses a Gram miss.
 
 :func:`synthesize` gives a family whose Gram equals its targets' at
 ``GRAM_TOL`` (:func:`qnot.feasibility.check_exact_unitary`) an exact
@@ -37,14 +42,16 @@ reads the set's targets, the spectrum and ``M`` all read that one matrix.
 :func:`synthesize_with` decides the caller's point by the test of
 :func:`qnot.feasibility.check_probabilistic`, on the one Gram it then
 builds from; both build through one assembly step with ``M`` from
-:func:`qnot.feasibility.constraint_matrix`.
+:func:`qnot.feasibility.constraint_matrix`.  :func:`synthesize` hands it
+the ``eigh`` it took for the spectrum, and :func:`synthesize_with` takes
+one of its own.
 
 Every machine acts on ``D = 2d`` joint coordinates (``D = d`` on the
 exact path, which has no probe) and holds one dense ``D x D`` unitary.  A
 machine checks its design once, when it is built, and keeps its own copy
-of the efficiencies and phases; the unitary is kept as given.  Its
-branches touch at most ``s = d + min(n, d)`` of those coordinates, and
-every other row and column is exactly the identity's.
+of the efficiencies and phases; the unitary is kept as given.  It moves
+at most ``s = d + min(n, d)`` of those coordinates, and every other row
+and column is exactly the identity's.
 :meth:`Machine.unitarity_error` scans the unitary by exact comparison for
 the indices whose row or column differs from the identity's and checks
 ``V^dag V = I`` on them, at ``O(D^2 + s^3)`` instead of the ``O(D^3)`` of
@@ -57,19 +64,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InfeasibleGamma, LinearlyDependent
+from .errors import (DimensionMismatch, GramMismatch, InfeasibleGamma,
+                     LinearlyDependent)
 from .feasibility import (
     ProbeSpec,
     _exact,
     _probabilistic,
-    branch_unitary,
     build_exact_unitary,
     constraint_matrix,
     efficiencies,
     machine_phases,
 )
 # psd_sqrt is not called here; bench/spans.py wraps it under this name
-from .linalg import null_count, psd_sqrt  # noqa: F401
+from .linalg import gram_miss, gram_of, null_count, psd_sqrt  # noqa: F401
 from .states import GramMatrix, StateSet, TargetMap, _check_target, gram
 
 ETA = 0.999
@@ -154,9 +161,10 @@ class Machine:
 class SynthesisReport:
     """:func:`synthesize`'s choices and health.  ``epsilon`` is the equal
     efficiency and ``c``, ``d_max`` are the Gram's extreme eigenvalues.
-    ``residual`` is ``max |F^dag F - M|`` of the failure amplitudes on the
-    general path, and ``max |U_s Psi - T|`` of the success block on the
-    set's matrix ``Psi`` and targets ``T`` on the exact path."""
+    ``residual`` is ``max |F^dag F - M|`` on the general path, for the
+    failure branches ``F = C V_a^dag Psi`` of the CS dilation, and ``max
+    |U_s Psi - T|`` of the success block on the set's matrix ``Psi`` and
+    targets ``T`` on the exact path."""
 
     epsilon: float
     c: float
@@ -165,43 +173,113 @@ class SynthesisReport:
     path: str = "general"
 
 
-def _assemble(state_set: StateSet, gram_matrix: GramMatrix, gammas,
+def _assemble(state_set: StateSet, gram_matrix: GramMatrix, eig, gammas,
               probe: ProbeSpec):
     """Machine at efficiencies ``gammas`` with a phase-vector probe, and residual.
 
-    The failure branches carry ``F`` of :func:`_failure_amplitudes`, with
-    ``F^dag F = M``.  The residual is ``max |F^dag F - M|``; the completion
-    refuses a Gram miss above ``GRAM_TOL``.  Which factor ``F`` is says
-    nothing about the point, which the caller has decided.
+    ``eig`` is the ``eigh`` of the Gram; its range ``B``, ``Lambda``, which
+    :func:`qnot.linalg.null_count` decides, whitens the branches:
+    ``Q_psi = Psi B Lambda^{-1/2}`` is an orthonormal basis of span Psi, and
+    the success map ``A = X Q_psi^dag`` with ``X = W B Lambda^{-1/2}``
+    sends each member to its branch ``W = T diag(sqrt(gamma) e^{i phi})``.
+    On span Psi, ``I - A^dag A`` is ``M`` whitened, so ``A`` is a
+    contraction and :func:`_dilation` writes its CS dilation, with failure
+    branches ``F = C V_a^dag Psi``.  A point inside the point rule's slack
+    has ``lambda_min(M) < 0`` and shows a singular value above 1; there
+    ``W`` first moves to the Gram of ``G - M_+`` (:func:`_clamp_excess`),
+    since clipping ``S`` alone moves the Gram by up to the excess times
+    ``lambda_max(G)``.  The branches are tested by
+    :func:`qnot.linalg.gram_miss` of ``G`` and ``W^dag W + F^dag F``,
+    whose miss raises :class:`GramMismatch`, and the residual is
+    ``max |F^dag F - M|``.  Which point is built is decided by the caller.
     """
     n = len(state_set)
     phases = machine_phases(probe, n)
     gammas = efficiencies(gammas, n)
     m_matrix = constraint_matrix(gram_matrix, gammas, probe)
-    failure = _failure_amplitudes(m_matrix, state_set.dim)
-    # member i puts amplitude F_ji on |j> x |1>
-    weights = np.sqrt(gammas) * np.exp(1j * phases)
-    machine = Machine(state_set.dim, 2, state_set.target,
-                      branch_unitary(state_set, weights, 2, failure),
-                      gammas, phases)
-    return machine, float(np.abs(failure.conj().T @ failure - m_matrix).max())
+    w = state_set.target_matrix() * (np.sqrt(gammas) * np.exp(1j * phases))
+    psi = state_set.matrix()
+    vals, vecs = eig
+    k = null_count(vals)
+    b, lam = vecs[:, k:], vals[k:]
+    whiten = 1.0 / np.sqrt(lam)
+    q_psi, w_range = (psi @ b) * whiten, w @ b
+    svd = _success_svd(q_psi, w_range * whiten)
+    if svd[2][0] > 1.0:
+        w_range = _clamp_excess(w_range, b.conj().T @ m_matrix @ b)
+        svd = _success_svd(q_psi, w_range * whiten)
+    unitary, fail_in = _dilation(*svd, lam.size)
+    failure_gram = gram_of(fail_in @ psi)
+    miss = gram_miss(gram_matrix.matrix, gram_of(w) + failure_gram)
+    if miss:
+        raise GramMismatch(*miss)
+    machine = Machine(state_set.dim, 2, state_set.target, unitary, gammas,
+                      phases)
+    return machine, float(np.abs(failure_gram - m_matrix).max())
 
 
-def _failure_amplitudes(m_matrix: np.ndarray, d: int) -> np.ndarray:
-    """``F`` with ``F^dag F = M`` and at most ``d`` rows: ``L^dag`` of the
-    Cholesky factor ``M = L L^dag`` when ``n <= d`` and Cholesky factors
-    ``M``, else ``sqrt(Lambda) V^dag`` of the top ``min(n, d)`` eigenpairs
-    of ``M``, clamped at 0; ``rank M <= d`` makes the pairs left out zero
-    up to rounding."""
-    n = m_matrix.shape[0]
-    if n <= d:
-        try:
-            return np.linalg.cholesky(m_matrix).conj().T
-        except np.linalg.LinAlgError:
-            pass
-    vals, vecs = np.linalg.eigh(m_matrix)
-    vals, vecs = vals[-d:], vecs[:, -d:]  # the top min(n, d) pairs
-    return np.sqrt(np.clip(vals, 0.0, None))[:, None] * vecs.conj().T
+def _clamp_excess(w_range: np.ndarray, m_range: np.ndarray) -> np.ndarray:
+    """Success branches ``W B`` moved to the Gram of ``G - M_+`` on the
+    range, ``M_+`` the clamp of ``M`` at 0: ``W (W^dag W)^{-1/2} (G -
+    M_+)^{1/2}``.  With ``W B = U S V^dag`` and ``P = M_+ - M``, that is
+    ``U (S^2 - V^dag P V)^{1/2} V^dag``, whose square root is taken next
+    to the exact ``S^2``, not of the difference ``G - M_+``; with no
+    negative eigenvalue in ``M``, ``P = 0`` and the branches are kept."""
+    m_vals, m_vecs = np.linalg.eigh(m_range)
+    neg = m_vals < 0.0
+    if not neg.any():
+        return w_range
+    part = (m_vecs[:, neg] * -m_vals[neg]) @ m_vecs[:, neg].conj().T
+    u_w, s_w, vh_w = np.linalg.svd(w_range, full_matrices=False)
+    e_vals, e_vecs = np.linalg.eigh(np.diag(s_w ** 2)
+                                    - vh_w @ part @ vh_w.conj().T)
+    root = (e_vecs * np.sqrt(np.clip(e_vals, 0.0, None))) @ e_vecs.conj().T
+    return (u_w @ root) @ vh_w
+
+
+def _success_svd(q_psi: np.ndarray, x: np.ndarray):
+    """``(Q, U_a, S, V_a^dag)``: one SVD of the success map ``A = X
+    Q_psi^dag`` inside ``K``.  When ``2r < d`` for ``r`` columns, ``K =
+    span[Q_psi, X]`` with the basis ``Q`` of one thin QR, and the SVD is of
+    ``Q^dag A Q``; otherwise ``K`` is the system space and ``Q`` is None."""
+    if 2 * x.shape[1] < x.shape[0]:
+        q = np.linalg.qr(np.concatenate([q_psi, x], axis=1))[0]
+        qh = q.conj().T
+        return (q, *np.linalg.svd((qh @ x) @ (qh @ q_psi).conj().T))
+    return (None, *np.linalg.svd(x @ q_psi.conj().T))
+
+
+def _dilation(q, u_a, s, vh_a, r: int):
+    """The ``2d x 2d`` machine and its ``r x d`` map into the failure rows.
+
+    The top ``r`` singular values carry the input, clipped at 1; the
+    directions of ``K`` that carry none get ``s = 1`` and no failure row.
+    With ``C = sqrt((1 - S)(1 + S))`` the machine on ``(K x |0>) +``
+    (failure row ``j`` at ``|j> x |1>``, ``j < r``) is ``[[U_a S V_a^dag,
+    U_a C], [C V_a^dag, -S]]``, unitary to rounding at every ``S``, and
+    exactly the identity everywhere else, so at most ``d + r`` rows move.
+    """
+    s_in = np.minimum(s[:r], 1.0)
+    c = np.sqrt((1.0 - s_in) * (1.0 + s_in))
+    s_used = np.ones(s.size)
+    s_used[:r] = s_in
+    success = (u_a * s_used) @ vh_a
+    fail_in, fail_out = c[:, None] * vh_a[:r], u_a[:, :r] * c
+    if q is not None:
+        # lift from K: the identity on its complement
+        qh = q.conj().T
+        success[np.diag_indices_from(success)] -= 1.0
+        success = (q @ success) @ qh
+        success[np.diag_indices_from(success)] += 1.0
+        fail_in, fail_out = fail_in @ qh, q @ fail_out
+    d = success.shape[0]
+    unitary = np.eye(2 * d, dtype=complex)
+    rows = np.arange(1, 2 * r, 2)
+    unitary[::2, ::2] = success
+    unitary[1:2 * r:2, ::2] = fail_in
+    unitary[::2, 1:2 * r:2] = fail_out
+    unitary[rows, rows] = -s_in
+    return unitary, fail_in
 
 
 def synthesize(state_set: StateSet):
@@ -221,7 +299,8 @@ def synthesize(state_set: StateSet):
     """
     n = len(state_set)
     gm = gram(state_set)
-    spectrum = np.linalg.eigh(gm.matrix)[0]
+    eig = np.linalg.eigh(gm.matrix)
+    spectrum = eig[0]
     c, d_max = float(spectrum[0]), float(spectrum[-1])
 
     if _exact(state_set, gm).feasible:
@@ -237,7 +316,7 @@ def synthesize(state_set: StateSet):
         raise LinearlyDependent(
             f"Gram rank is below {n} (smallest eigenvalue {c:.3e})")
     epsilon = ETA * c / d_max
-    machine, residual = _assemble(state_set, gm, epsilon,
+    machine, residual = _assemble(state_set, gm, eig, epsilon,
                                   ProbeSpec.phase_vector(np.zeros(n)))
     return machine, SynthesisReport(epsilon, c, d_max, residual)
 
@@ -248,8 +327,8 @@ def synthesize_with(state_set: StateSet, gammas, probe: ProbeSpec) -> Machine:
     The probe must be of phase-vector kind (else :class:`InvalidProbe`),
     and :func:`qnot.feasibility.check_probabilistic` must accept the point
     (else :class:`InfeasibleGamma`); it decides on the Gram the machine is
-    built from.  Dependent families are fine here; the completion handles
-    rank deficiency.
+    built from.  Dependent families are fine here: the machine is built on
+    the range of the Gram that :func:`qnot.linalg.null_count` decides.
     """
     # a probe no machine realizes is refused before the efficiencies are read
     machine_phases(probe, len(state_set))
@@ -258,4 +337,5 @@ def synthesize_with(state_set: StateSet, gammas, probe: ProbeSpec) -> Machine:
     if not verdict.feasible:
         raise InfeasibleGamma(
             f"constraint matrix has eigenvalue {verdict.lambda_min:.3e}")
-    return _assemble(state_set, gm, gammas, probe)[0]
+    return _assemble(state_set, gm, np.linalg.eigh(gm.matrix), gammas,
+                     probe)[0]

@@ -23,22 +23,29 @@ TOLERANCES = {
 
 # Every ``eigvalsh``, ``eigh``, ``svd``, ``qr`` and ``cholesky`` call, as
 # ``(solver, module.function)``.  A rank decision reads an ``eigh`` spectrum;
-# ``eigvalsh`` serves only the PSD test and EQUAL's lambda_max, the failure
-# amplitudes' ``eigh`` only a factor of M, never a verdict, the SVD only
-# the polar factor, the QR only the completion's shrinking of that SVD, and
-# the Cholesky factor only EQUAL's lambda_max and the failure amplitudes,
-# never a verdict, so a new call fails here until it is registered.
+# ``eigvalsh`` serves only the PSD test and EQUAL's lambda_max.  The ``eigh``
+# of the Gram that ``synthesize`` takes for epsilon, and the one
+# ``synthesize_with`` takes, give the range a probabilistic machine is
+# built on.  The completion's SVD gives its polar factor and its QR shrinks
+# that SVD; ``_success_svd``'s SVD is the success map's CS decomposition and
+# its QR the basis of span[Psi, W] when 2r < d; ``_clamp_excess``'s
+# ``eigh`` and SVD move an edge point's branches to the Gram of G - M_+,
+# never a verdict.  The Cholesky factor serves only EQUAL's lambda_max, so
+# a new call fails here until it is registered.
 EIGENSOLVERS = {
     ("eigvalsh", "linalg.smallest_eigenvalue"),
     ("eigvalsh", "optimizer.search_gamma"),
     ("eigh", "linalg.psd_sqrt"),
     ("eigh", "linalg.range_null"),
-    ("eigh", "synthesis._failure_amplitudes"),
+    ("eigh", "synthesis._clamp_excess"),
     ("eigh", "synthesis.synthesize"),
+    ("eigh", "synthesis.synthesize_with"),
     ("svd", "linalg.completion_block"),
+    ("svd", "synthesis._clamp_excess"),
+    ("svd", "synthesis._success_svd"),
     ("qr", "linalg.completion_block"),
+    ("qr", "synthesis._success_svd"),
     ("cholesky", "optimizer.search_gamma"),
-    ("cholesky", "synthesis._failure_amplitudes"),
 }
 
 # Every function that reads ``PSD_TOL``.  Only ``feasibility.point_rule``

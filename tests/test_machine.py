@@ -1,8 +1,10 @@
 """Machines: the one dense unitary, its checks and its file.
 
-A machine holds one ``D x D`` array, its unitary.  Each synthesized
-machine here is compared with the dense completion of the same branches
-by :func:`qnot.unitary_completion`, and with a machine built on it.
+A machine holds one ``D x D`` array, its unitary.  Each exact machine here
+is compared with the dense completion of its branches by
+:func:`qnot.unitary_completion`, and each probabilistic one with the CS
+dilation of its success map: its success and failure branches, its
+unitarity and the rows it moves.
 """
 import dataclasses
 import json
@@ -27,26 +29,19 @@ from qnot import (
     unitary_completion,
     verify_machine,
 )
+from qnot.linalg import range_null
 from qnot.serialize import dumps, machine_from_dict, machine_to_dict
-from qnot.synthesis import _failure_amplitudes
+from qnot.synthesis import _assemble
 
 
-def _branches(ss, machine):
-    """Columns ``psi_i x |0>`` and their images, from the design alone."""
-    d, p, n = ss.dim, machine.probe_dim, len(ss)
-    ins = np.zeros((d, p, n), complex)
-    ins[:, 0, :] = ss.matrix()
-    outs = np.zeros((d, p, n), complex)
-    if p == 1:
-        outs[:, 0, :] = ss.target_matrix()
-    else:
-        probe = ProbeSpec.phase_vector(machine.branch_phases)
-        outs[:, 0, :] = ss.target_matrix() * (
-            np.sqrt(machine.gammas) * np.exp(1j * machine.branch_phases))
-        failure = _failure_amplitudes(
-            constraint_matrix(gram(ss), machine.gammas, probe), d)
-        outs[:failure.shape[0], 1, :] = failure
-    return ins.reshape(d * p, n), outs.reshape(d * p, n)
+def _probe_branches(ss, machine):
+    """``(success, failure)``: ``U (psi_i x |0>)`` on probe levels 0 and 1,
+    each ``d x n``."""
+    d, n = ss.dim, len(ss)
+    ins = np.zeros((d, 2, n), complex)
+    ins[:, 0] = ss.matrix()
+    out = (machine.unitary @ ins.reshape(2 * d, n)).reshape(d, 2, n)
+    return out[:, 0], out[:, 1]
 
 
 def _phased_real_set(rng, n, dim, target):
@@ -88,11 +83,19 @@ def _padded(rng, n, dim):
     return machine, ss
 
 
-CASES = [(_general, 2, 2), (_general, 3, 4), (_general, 5, 5),
-         (_exact, 2, 2), (_exact, 4, 3), (_exact, 6, 5),
-         (_dependent, 3, 2), (_dependent, 5, 3), (_dependent, 7, 4),
-         (_padded, 2, 3), (_padded, 3, 5)]
-IDS = [f"{make.__name__[1:]}-{n}x{dim}" for make, n, dim in CASES]
+CS_CASES = [(_general, 2, 2), (_general, 3, 4), (_general, 5, 5),
+            (_general, 2, 5), (_general, 3, 8),
+            (_dependent, 3, 2), (_dependent, 5, 3), (_dependent, 7, 4),
+            (_padded, 2, 3), (_padded, 3, 5), (_padded, 2, 6)]
+EXACT_CASES = [(_exact, 2, 2), (_exact, 4, 3), (_exact, 6, 5)]
+CASES = CS_CASES[:3] + EXACT_CASES + CS_CASES[5:10]
+
+
+def _ids(cases):
+    return [f"{make.__name__[1:]}-{n}x{dim}" for make, n, dim in cases]
+
+
+IDS = _ids(CASES)
 
 
 def _build(case, seed):
@@ -116,18 +119,18 @@ def _report_facts(report):
         {k: _bytes(v) for k, v in r.items()} for r in records]
 
 
-def _dense_completion(machine, ss):
-    """The completion of the machine's branches on all ``D`` rows."""
-    return unitary_completion(*(m.T for m in _branches(ss, machine)))
+def _rebuilt(machine, unitary):
+    """The machine's design on another unitary array."""
+    return Machine(machine.system_dim, machine.probe_dim, machine.target,
+                   unitary, machine.gammas, machine.branch_phases)
 
 
-@pytest.mark.parametrize("case", CASES, ids=IDS)
+@pytest.mark.parametrize("case", EXACT_CASES, ids=_ids(EXACT_CASES))
 def test_synthesized_machine_is_the_dense_completion(case):
     machine, ss = _build(case, 41)
-    dense_u = _dense_completion(machine, ss)
+    dense_u = unitary_completion(ss.matrix().T, ss.target_matrix().T)
     np.testing.assert_array_equal(machine.unitary, dense_u)
-    dense = Machine(machine.system_dim, machine.probe_dim, machine.target,
-                    dense_u, machine.gammas, machine.branch_phases)
+    dense = _rebuilt(machine, dense_u)
     reports = [verify_machine(machine, ss), verify_machine(machine, ss, shots=500)]
     assert reports[0].all_ok
     np.testing.assert_array_equal(machine.success_block(),
@@ -138,27 +141,63 @@ def test_synthesized_machine_is_the_dense_completion(case):
         _report_facts(verify_machine(dense, ss, shots=500))]
 
 
+@pytest.mark.parametrize("case", CS_CASES, ids=_ids(CS_CASES))
+def test_synthesized_machine_is_the_cs_dilation(case):
+    """``U (psi_i x |0>) = w_i x |0> + sum_j F_ji |j> x |1>`` with ``W = T
+    diag(sqrt(gamma) e^{i phi})`` and ``F^dag F = M`` within the residual
+    the builder reports, ``F`` on the first ``r = rank G`` rows; the
+    unitary error is at rounding.  The machine moves those ``r`` failure
+    rows and every system row the set or its targets touch, so ``d + r``
+    rows when they touch all; when ``2r < d`` it moves no other row."""
+    machine, ss = _build(case, 41)
+    d, n = ss.dim, len(ss)
+    probe = ProbeSpec.phase_vector(machine.branch_phases)
+    gm = gram(ss)
+    again, residual = _assemble(ss, gm, np.linalg.eigh(gm.matrix),
+                                machine.gammas, probe)
+    np.testing.assert_array_equal(again.unitary, machine.unitary)
+    success, failure = _probe_branches(ss, machine)
+    w = ss.target_matrix() * (np.sqrt(machine.gammas)
+                              * np.exp(1j * machine.branch_phases))
+    assert np.abs(success - w).max() <= 1e-12
+    r = range_null(gm.matrix)[0].shape[1]
+    assert not failure[r:].any()
+    m = constraint_matrix(gm, machine.gammas, probe)
+    assert residual <= 1e-12
+    assert np.abs(failure.conj().T @ failure - m).max() <= residual + 1e-14
+    assert machine.unitarity_error() <= 1e-13
+    moved = (machine.unitary != np.eye(2 * d)).any(axis=0)
+    touched = ((ss.matrix() != 0).any(axis=1)
+               | (ss.target_matrix() != 0).any(axis=1))
+    np.testing.assert_array_equal(moved[1::2], np.arange(d) < r)
+    assert moved[::2][touched].all()
+    if 2 * r < d:
+        assert not moved[::2][~touched].any()
+    assert verify_machine(machine, ss).all_ok
+
+
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 def test_nan_in_the_block_fails_verification(case):
     machine, ss = _build(case, 42)
-    u = _dense_completion(machine, ss)
-    args = (machine.system_dim, machine.probe_dim, machine.target)
-    design = (machine.gammas, machine.branch_phases)
-    assert verify_machine(Machine(*args, u, *design), ss).all_ok
+    u = machine.unitary.copy()
+    assert verify_machine(_rebuilt(machine, u), ss).all_ok
     u[-1, 0] = np.nan
-    broken = Machine(*args, u, *design)
+    broken = _rebuilt(machine, u)
     assert np.isnan(broken.unitarity_error())
     assert not verify_machine(broken, ss).all_ok
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 def test_machine_file_bytes_do_not_depend_on_the_storage(case):
+    """The same file from the unitary in Fortran order and as a strided
+    view of a larger array, and it loads to a machine that verifies."""
     machine, ss = _build(case, 43)
-    dense = Machine(machine.system_dim, machine.probe_dim, machine.target,
-                    _dense_completion(machine, ss), machine.gammas,
-                    machine.branch_phases)
+    u = machine.unitary
+    strided = np.zeros((u.shape[0], 2 * u.shape[1]), complex)[:, ::2]
+    strided[:] = u
     text = dumps(machine_to_dict(machine))
-    assert text == dumps(machine_to_dict(dense))
+    for stored in (np.asfortranarray(u), strided):
+        assert text == dumps(machine_to_dict(_rebuilt(machine, stored)))
     assert verify_machine(machine_from_dict(json.loads(text)), ss).all_ok
 
 

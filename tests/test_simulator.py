@@ -273,8 +273,10 @@ def test_unitarity_error_on_synthesized_machines():
 @pytest.mark.parametrize("spot", ["moved", "untouched_diagonal",
                                   "untouched_off_diagonal"])
 def test_unitarity_error_nan_fails_verification(spot):
+    """n = 3, d = 7: the machine moves d + n of its 2d indices and leaves
+    the other failure rows as the identity's."""
     rng = np.random.default_rng(25)
-    ss = random_independent_set(rng, 3, 4, TargetMap.CONJUGATE)
+    ss = random_independent_set(rng, 3, 7, TargetMap.CONJUGATE)
     machine, _ = synthesize(ss)
     moved = ~np.all(machine.unitary == np.eye(machine.total_dim), axis=0)
     k = np.flatnonzero(moved if spot == "moved" else ~moved)[-1]

@@ -8,6 +8,7 @@ from conftest import (
     phased_real_set,
     qubit,
     random_independent_set,
+    random_near_dependent_triple,
     random_overlapping_pair,
     random_set,
     worked_triple,
@@ -19,6 +20,7 @@ from qnot import (
     InvalidProbe,
     LinearlyDependent,
     ProbeSpec,
+    QnotError,
     QuditState,
     StateSet,
     TargetMap,
@@ -30,11 +32,13 @@ from qnot import (
     standard_probe,
     synthesize,
     synthesize_with,
+    unitary_completion,
     verify_machine,
 )
-from qnot.linalg import range_null, smallest_eigenvalue
+from qnot.linalg import (GRAM_TOL, gram_miss, gram_of, null_count, range_null,
+                         smallest_eigenvalue)
 from qnot.serialize import dumps, machine_from_dict, machine_to_dict
-from qnot.synthesis import _failure_amplitudes
+from qnot.synthesis import _dilation, _success_svd
 
 
 def assert_all_green(machine, ss):
@@ -324,32 +328,41 @@ def _dependent():
     return synthesize_with(ss, 0.7, standard_probe(gram(ss))), ss
 
 
-@pytest.mark.parametrize("make, cholesky", [
-    (_positive_definite, True), (_edge, False), (_dependent, False)],
-    ids=["positive-definite", "coordinate-edge", "dependent"])
-def test_failure_amplitudes_on_both_sides(make, cholesky):
-    """``L^dag`` where Cholesky factors ``M`` and ``n <= d``; else the top
-    ``min(n, d)`` eigenpairs, whose rows are orthogonal.  Either way ``F``
-    has at most ``d`` rows and ``F^dag F = M``, up to the negative
-    eigenvalue clamped at a search's edge."""
-    machine, ss = make()
-    n, d = len(ss), ss.dim
+def _failure_branches(machine, ss):
+    """``F``: ``U (psi_i x |0>)`` on probe level 1, ``d x n``."""
+    d, n = ss.dim, len(ss)
+    ins = np.zeros((d, 2, n), complex)
+    ins[:, 0] = ss.matrix()
+    return (machine.unitary @ ins.reshape(2 * d, n)).reshape(d, 2, n)[:, 1]
+
+
+def _check_failure_branches(machine, ss):
+    """``F`` on the first ``rank G`` rows, ``F^dag F = M`` up to the
+    negative eigenvalue clamped at a search's edge, which the point rule
+    bounds; returns that clamp."""
     m = constraint_matrix(gram(ss), machine.gammas,
                           ProbeSpec.phase_vector(machine.branch_phases))
-    failure = _failure_amplitudes(m, d)
-    assert failure.shape == (min(n, d), n)
-    if cholesky:
-        np.testing.assert_array_equal(failure,
-                                      np.linalg.cholesky(m).conj().T)
-    else:
-        if n <= d:
-            with pytest.raises(np.linalg.LinAlgError):
-                np.linalg.cholesky(m)
-        rows = failure @ failure.conj().T
-        assert np.abs(rows - np.diag(np.diag(rows))).max() <= 1e-12
+    failure = _failure_branches(machine, ss)
+    assert not failure[range_null(gram(ss).matrix)[0].shape[1]:].any()
     clamped = max(0.0, -smallest_eigenvalue(m))
+    assert clamped <= 1e-9 * machine.gammas.min()
     assert np.abs(failure.conj().T @ failure - m).max() <= 1e-12 + clamped
-    assert clamped <= (0.0 if cholesky else 1e-9 * machine.gammas.min())
+    return clamped
+
+
+@pytest.mark.parametrize("make, definite", [
+    (_positive_definite, True), (_edge, False), (_dependent, False)],
+    ids=["positive-definite", "coordinate-edge", "dependent"])
+def test_failure_amplitudes_on_both_sides(make, definite):
+    """Inside the point rule's edge and at it, the failure branches ``F =
+    C V_a^dag Psi`` sit on the first ``rank G <= min(n, d)`` rows of probe
+    level 1 with ``F^dag F = M``, up to the negative eigenvalue clamped at
+    the edge, and the machine stays unitary to rounding."""
+    machine, ss = make()
+    clamped = _check_failure_branches(machine, ss)
+    if definite:
+        assert clamped == 0.0
+    assert machine.unitarity_error() <= 1e-13
     assert_all_green(machine, ss)
 
 
@@ -377,8 +390,8 @@ def _every_path():
 
 def test_every_machine_acts_on_at_most_two_probe_levels():
     """Exact machines have ``probe_dim`` 1, every other ``probe_dim`` 2;
-    ``F`` has at most ``d`` rows and ``F^dag F = M`` up to the clamped
-    edge, dependent sets with ``n > d`` included."""
+    ``F`` has at most ``rank G <= d`` rows and ``F^dag F = M`` up to the
+    clamped edge, dependent sets with ``n > d`` included."""
     paths = set()
     for machine, ss in _every_path():
         n, dim = len(ss), ss.dim
@@ -388,12 +401,140 @@ def test_every_machine_acts_on_at_most_two_probe_levels():
             paths.add("exact")
             continue
         assert (machine.probe_dim, machine.total_dim) == (2, 2 * dim)
-        m = constraint_matrix(gram(ss), machine.gammas,
-                              ProbeSpec.phase_vector(machine.branch_phases))
-        failure = _failure_amplitudes(m, dim)
-        assert failure.shape == (min(n, dim), n)
-        clamped = max(0.0, -smallest_eigenvalue(m))
-        assert clamped <= 1e-9 * machine.gammas.min()
-        assert np.abs(failure.conj().T @ failure - m).max() <= 1e-12 + clamped
+        _check_failure_branches(machine, ss)
         paths.add("dependent" if n > dim else "general")
     assert paths == {"exact", "general", "dependent"}
+
+
+def _near_dependent_triple(rng, eps):
+    """Conjugate qutrit triple whose third member lies ``eps`` (relative)
+    off the span of the first two."""
+    x = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    mix = x @ (rng.normal(size=2) + 1j * rng.normal(size=2))
+    noise = rng.normal(size=3) + 1j * rng.normal(size=3)
+    third = mix + eps * np.linalg.norm(mix) * noise / np.linalg.norm(noise)
+    return StateSet(tuple(QuditState.normalized(v) for v in (*x.T, third)),
+                    TargetMap.CONJUGATE)
+
+
+def _clipped_alone_miss(ss, found):
+    """The Gram miss of the CS dilation with ``S`` clipped at 1 and ``W``
+    left as designed, and ``A``'s largest singular value."""
+    g = gram(ss).matrix
+    vals, vecs = np.linalg.eigh(g)
+    b, lam = vecs[:, null_count(vals):], vals[null_count(vals):]
+    w = ss.target_matrix() * (np.sqrt(found.gammas)
+                              * np.exp(1j * found.probe.phases))
+    svd = _success_svd((ss.matrix() @ b) / np.sqrt(lam), (w @ b) / np.sqrt(lam))
+    fail_in = _dilation(*svd, lam.size)[1]
+    return gram_miss(g, gram_of(w) + gram_of(fail_in @ ss.matrix())), svd[2][0]
+
+
+@pytest.mark.parametrize("policy", list(GammaPolicy), ids=lambda p: p.value)
+def test_edge_point_builds_where_clipping_alone_misses(policy):
+    """Set 76 of a seeded near-dependent draw: lambda_min(G) = 1.13e-5 and
+    at gamma = 0.153 lambda_min(M) = -1.5e-10, inside the point rule's
+    slack, so the success map's largest singular value is 1 + 5.9e-6.
+    Clipping it alone misses the Gram by 5.1e-7; moving ``W`` to the Gram
+    of ``G - M_+`` first builds a machine that verifies."""
+    rng = np.random.default_rng(5)
+    ss = [random_near_dependent_triple(rng) for _ in range(77)][76]
+    found = search_gamma(ss, policy)
+    m = constraint_matrix(gram(ss), found.gammas, found.probe)
+    assert -1e-9 * found.gammas.min() <= smallest_eigenvalue(m) < 0.0
+    miss, s_max = _clipped_alone_miss(ss, found)
+    assert s_max > 1.0
+    assert miss is not None and miss[2] > 50 * GRAM_TOL
+    machine = synthesize_with(ss, found.gammas, found.probe)
+    report = assert_all_green(machine, ss)
+    assert np.abs(report.success_probs - found.gammas).max() <= 1e-9
+    assert 1.0 - report.fidelities.min() <= 1e-12
+    _check_failure_branches(machine, ss)
+
+
+def _capped_member_set(seed):
+    """|0> beside a complex qutrit triple on the other three levels: the
+    first member is orthogonal to the rest, so COORDINATE caps it at 1."""
+    inner = random_independent_set(np.random.default_rng(seed), 3, 3,
+                                   TargetMap.CONJUGATE)
+    return StateSet((QuditState(np.eye(4)[0]),) + tuple(
+        QuditState(np.r_[0.0, s.amps]) for s in inner.states),
+        TargetMap.CONJUGATE)
+
+
+@pytest.mark.parametrize("make, policy", [
+    (lambda: random_independent_set(np.random.default_rng(31), 4, 4,
+                                    TargetMap.CONJUGATE), GammaPolicy.EQUAL),
+    (lambda: _capped_member_set(30), GammaPolicy.COORDINATE)],
+    ids=["equal-edge", "coordinate-capped"])
+def test_machines_with_a_singular_value_at_one(make, policy):
+    """An EQUAL edge point and a COORDINATE point with a member at gamma =
+    1 put a singular value of the success map at 1, where ``C`` vanishes;
+    the CS block stays unitary to rounding there."""
+    ss = make()
+    found = search_gamma(ss, policy)
+    if policy is GammaPolicy.COORDINATE:
+        assert found.gammas[0] == 1.0 and found.gammas[1:].max() < 1.0
+    machine = synthesize_with(ss, found.gammas, found.probe)
+    assert machine.unitarity_error() <= 1e-13
+    assert_all_green(machine, ss)
+
+
+def test_near_dependent_triples_build_at_every_certified_point():
+    """Conjugate qutrit triples 1e-2 ... 1e-5 off dependence (40 per eps),
+    where the whitening ``Lambda^{-1/2}`` of the success map is largest:
+    every point a search certifies builds a machine that verifies."""
+    rng = np.random.default_rng(21)
+    certified = 0
+    for eps in (1e-2, 1e-3, 1e-4, 1e-5):
+        for _ in range(40):
+            ss = _near_dependent_triple(rng, eps)
+            for policy in GammaPolicy:
+                try:
+                    found = search_gamma(ss, policy)
+                except QnotError:
+                    continue
+                machine = synthesize_with(ss, found.gammas, found.probe)
+                assert machine.unitarity_error() <= 1e-13
+                assert_all_green(machine, ss)
+                certified += 1
+    assert certified >= 200
+
+
+def _requested(ss):
+    """``synthesize_with`` at a point chosen before the call."""
+    gammas = 0.5 * search_gamma(ss).gammas.min()
+    probe = standard_probe(gram(ss))
+    return lambda: synthesize_with(ss, gammas, probe)
+
+
+@pytest.mark.parametrize("prepare, eighs", [
+    (lambda ss: lambda: synthesize(ss)[0], 1), (_requested, 2)],
+    ids=["synthesize-general", "synthesize_with"])
+def test_probabilistic_machines_take_no_completion(monkeypatch, prepare,
+                                                   eighs):
+    """The general path of ``synthesize`` builds from the one ``eigh`` of
+    ``G`` it takes for epsilon, and ``synthesize_with`` from one of its own
+    beside its check's; neither calls ``linalg.unitary_completion`` under
+    any name."""
+    ss = random_independent_set(np.random.default_rng(62), 3, 3,
+                                TargetMap.CONJUGATE)
+    calls = {"completion": 0, "eigh": 0}
+    eigh = np.linalg.eigh
+
+    def counted_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    def counted_completion(*args):
+        calls["completion"] += 1
+        return unitary_completion(*args)
+
+    build = prepare(ss)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    for where in ("qnot", "qnot.linalg", "qnot.feasibility", "qnot.synthesis"):
+        monkeypatch.setattr(f"{where}.unitary_completion", counted_completion,
+                            raising=False)
+    machine = build()
+    assert machine.probe_dim == 2
+    assert calls == {"completion": 0, "eigh": eighs}
