@@ -21,13 +21,13 @@ test of a builder's branches, so a verdict is feasible iff it builds:
 
 Every check reads a probe as its Gram matrix ``P``.  A phase-vector probe
 is the rank-one case and also keeps its phases, which is the only kind of
-probe a machine realizes.  Every exact machine unitary is built by
-:func:`branch_unitary` on a probe of at most two levels: it writes the
-branches on system x probe, inputs and outputs on probe level 0, and
-:func:`qnot.linalg.unitary_completion` completes them into the dense
-unitary that :func:`build_exact_unitary` and :func:`build_probe_unitary`
-return.  A probabilistic machine has no completion: :mod:`qnot.synthesis`
-writes the CS dilation of its success map on ``D = 2d``.
+probe a machine realizes.  Every exact machine unitary is one
+:func:`qnot.linalg.unitary_completion` of the members to their targets
+(times ``exp(i phi)`` with a probe) on the ``d`` system rows:
+:func:`build_exact_unitary` returns it, and :func:`build_probe_unitary`
+writes it under probe level 0 of a two-level probe.  A probabilistic
+machine has no completion: :mod:`qnot.synthesis` writes the CS dilation
+of its success map on ``D = 2d``, from the same SVD kernel.
 """
 from __future__ import annotations
 
@@ -39,7 +39,8 @@ import numpy as np
 from .errors import (InvalidProbe, InvalidProbeGram, LinearlyDependentPair,
                      NotHermitian, NotSquare)
 from .linalg import (GRAM_TOL, PSD_TOL, ZERO_SUCCESS, gram_miss, gram_of,
-                     is_psd, range_null, smallest_eigenvalue, unitary_completion)
+                     is_psd, null_count, range_null, smallest_eigenvalue,
+                     unitary_completion)
 from .states import (NORM_TOL, GramMatrix, QuditState, StateSet, TargetMap,
                      _fold_phases, gram)
 
@@ -175,8 +176,9 @@ def _exact(state_set: StateSet, gram_matrix: GramMatrix,
            probe: Optional[ProbeSpec] = None) -> FeasibilityVerdict:
     """Feasible, with witness ``probe``, iff :func:`qnot.linalg.gram_miss`
     passes ``G`` and the Gram of the targets times ``w = 1`` (no probe) or
-    ``exp(i phi)``, as :func:`branch_unitary` writes them, else a violation
-    at the worst entry."""
+    ``exp(i phi)``, the branches :func:`build_exact_unitary` and
+    :func:`build_probe_unitary` complete, else a violation at the worst
+    entry."""
     w = 1.0 if probe is None else np.exp(1j * probe.phases)
     miss = gram_miss(gram_matrix.matrix, gram_of(state_set.target_matrix() * w))
     if miss is None:
@@ -185,31 +187,16 @@ def _exact(state_set: StateSet, gram_matrix: GramMatrix,
         False, violation={"indices": list(miss[:2]), "residual": miss[2]})
 
 
-def branch_unitary(state_set: StateSet, weights, probe_dim: int) -> np.ndarray:
-    """Dense exact machine unitary on system x probe from its branch targets.
-
-    Member ``i`` enters as ``psi_i x |0>`` and leaves as ``weights_i
-    target_i x |0>``, with ``|weights_i| = 1``: the branches are written in
-    a ``(d, probe_dim, n)`` layout and completed by
-    :func:`qnot.linalg.unitary_completion`, whose support scan decides the
-    rows the machine moves.  Propagates :class:`GramMismatch` when the
-    branches do not reproduce the Gram.
-    """
-    d, n = state_set.dim, len(state_set)
-    ins = np.zeros((d, probe_dim, n), complex)
-    ins[:, 0] = state_set.matrix()
-    outs = np.zeros((d, probe_dim, n), complex)
-    outs[:, 0] = state_set.target_matrix() * weights
-    return unitary_completion(ins.reshape(-1, n).T, outs.reshape(-1, n).T)
-
-
 def build_exact_unitary(state_set: StateSet) -> np.ndarray:
-    """System-only unitary sending every member to its target state.
+    """System-only unitary sending every member to its target state: the
+    :func:`qnot.linalg.unitary_completion` of the members and targets on
+    the ``d`` system rows.
 
     Propagates :class:`GramMismatch` when the targets' Gram misses ``G``
     by more than ``GRAM_TOL``, the test of :func:`check_exact_unitary`.
     """
-    return branch_unitary(state_set, 1.0, 1)
+    return unitary_completion(state_set.matrix().T,
+                              state_set.target_matrix().T)
 
 
 def build_probe_unitary(state_set: StateSet, probe: ProbeSpec) -> np.ndarray:
@@ -218,12 +205,17 @@ def build_probe_unitary(state_set: StateSet, probe: ProbeSpec) -> np.ndarray:
     The probe is two-dimensional; ``U (psi_i x |0>) = target(psi_i) x
     exp(i phi_i)|0>`` where ``phi`` are the probe phases (typically the
     witness of :func:`check_exact_with_probe`).  Success probability is 1
-    for every member.  Raises :class:`InvalidProbe` for a full-Gram probe
+    for every member.  The ``d x d`` completion of the members to
+    ``target_i exp(i phi_i)`` acts under probe level 0, and probe level 1
+    is left as it is.  Raises :class:`InvalidProbe` for a full-Gram probe
     and propagates :class:`GramMismatch` when the phases do not actually
     compensate the Gram conjugation.
     """
     phases = machine_phases(probe, len(state_set))
-    return branch_unitary(state_set, np.exp(1j * phases), 2)
+    outputs = state_set.target_matrix() * np.exp(1j * phases)
+    unitary = np.eye(2 * state_set.dim, dtype=complex)
+    unitary[::2, ::2] = unitary_completion(state_set.matrix().T, outputs.T)
+    return unitary
 
 
 def constraint_matrix(gram_matrix: GramMatrix, gammas,
@@ -283,20 +275,22 @@ def check_probabilistic(state_set: StateSet, gammas,
                         probe: ProbeSpec) -> FeasibilityVerdict:
     """Probabilistic machine with efficiencies ``gamma_i`` and given probe:
     :func:`point_rule` and :func:`null_miss` at most ``GRAM_TOL``."""
-    return _probabilistic(gram(state_set), gammas, probe)
+    return _probabilistic(gram(state_set), gammas, probe)[0]
 
 
-def _probabilistic(gram_matrix: GramMatrix, gammas,
-                   probe: ProbeSpec) -> FeasibilityVerdict:
-    """:func:`check_probabilistic` on a Gram already at hand."""
+def _probabilistic(gram_matrix: GramMatrix, gammas, probe: ProbeSpec):
+    """:func:`check_probabilistic` on a Gram already at hand: the verdict,
+    and the Gram's ``eigh``, whose :func:`qnot.linalg.null_count` gives
+    the null space ``N`` as in :func:`qnot.linalg.range_null`."""
     g = gram_matrix.matrix
     k = constraint_kernel(g, probe)
     gammas = efficiencies(gammas, g.shape[0])
     psd, lam_min = point_rule(g, k, gammas)
-    miss = null_miss(k, gammas, range_null(g)[1])
+    vals, vecs = eig = np.linalg.eigh(g)
+    miss = null_miss(k, gammas, vecs[:, :null_count(vals)])
     feasible = psd and miss <= GRAM_TOL
     violation = None if feasible else {"lambda_min": lam_min, "null_miss": miss}
-    return FeasibilityVerdict(feasible, probe, violation, lam_min)
+    return FeasibilityVerdict(feasible, probe, violation, lam_min), eig
 
 
 def solve_dependent_triple(s1: QuditState, s2: QuditState, s3: QuditState,

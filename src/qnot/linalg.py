@@ -1,26 +1,20 @@
 """Dense Hermitian linear algebra helpers.
 
-The one PSD test, the PSD square root and the unitary-completion routine
-that the exact machine constructions are built on.  The square root takes
-``numpy.linalg.eigh`` as it comes: ``V sqrt(L) V^dag`` does not depend on
-the phases of the eigenvectors, so none are fixed.  Two tuples
-of vectors with identical Gram matrices are related by a unitary, and
-:func:`unitary_completion` produces one in closed form, the polar factor
-of the families' cross product (orthogonal Procrustes, Schonemann 1966).
-It computes only on the families' support, the ``s`` coordinates where
-some vector of either family is nonzero: for ``k`` vectors of dimension
-``D``, :func:`completion_block` returns that support and the ``s x s``
-block, and builds no ``D x D`` array; :func:`unitary_completion`, the
-dense form every machine is built by, writes the identity around the
-block once.  When ``s <= 2k`` the block is the polar factor itself, from
-an SVD of the ``s x c`` columns of the cross product that the ``c`` input
-rows reach; when ``s > 2k`` one QR of the two families shrinks that SVD
-to ``2k x 2k``, and the block then completes only inside their joint
-span, at ``O(s^2 k)``.  The polar factor is unitary to rounding at any
-rank, so no rank tolerance decides which vectors count as independent.
-An exact machine's branches touch the ``d`` system rows under probe level
-0, inputs and outputs alike, so it takes the ``d x d`` SVD when ``d <= 2n``
-and the QR otherwise; a probabilistic machine takes no completion (see
+The one PSD test, the PSD square root and the one SVD kernel every
+machine is built on.  The square root takes ``numpy.linalg.eigh`` as it
+comes: ``V sqrt(L) V^dag`` does not depend on the phases of the
+eigenvectors, so none are fixed.  :func:`_cross_svd` takes one SVD of the
+cross map ``A = Y X^dag`` of two ``m x k`` families, inside their joint
+span when ``2k < m``, and :func:`_lift` writes a block on that span back
+as ``I + Q (B - I) Q^dag``.  Two families with identical Gram matrices
+are related by a unitary, and :func:`unitary_completion` builds one in
+closed form, the polar factor ``U V^dag`` of their cross map (orthogonal
+Procrustes, Schonemann 1966), on the ``s`` rows where some vector of
+either family is nonzero (:func:`completion_block`).  The polar factor is
+unitary to rounding at any rank, so no rank tolerance decides which
+vectors count as independent.  An exact machine completes its ``d``
+system rows, with the QR when ``d > 2n``; a probabilistic machine lifts
+the CS dilation of its success map from the same kernel (see
 :mod:`qnot.synthesis`).
 
 The completion, both exact checks and the probabilistic assembly compare
@@ -173,42 +167,47 @@ def completion_block(x_mat: np.ndarray, y_mat: np.ndarray):
     ``X`` and ``Y`` the families on the support as columns, equal Grams
     make ``Y = R0 X`` for a unitary ``R0``, so ``A = Y X^dag = R0 X X^dag``
     and every polar factor of ``A`` agrees with ``R0`` on the span of
-    ``X``: from the SVD ``W S V^dag`` of ``A``, ``R = W V^dag`` sends each
-    input to its output (orthogonal Procrustes).  When ``s <= 2k`` the
-    block is ``R`` itself, at ``O(s^2 k + s^3)``.  ``A`` is zero on the
-    columns of the support rows no input reaches, so the SVD is taken of
-    the ``s x c`` columns the ``c`` others give, ``W S V^dag`` with ``W``
-    square: ``R`` is ``W[:, :c] V^dag`` on those columns and ``W[:, c:]``
-    on the rest, again a polar factor of ``A``.  When every support row
-    carries an input (``c = s``) this is the SVD of ``A`` whole.
-    When ``s > 2k`` a thin QR ``Q`` of ``[X Y]`` shrinks the SVD to
-    ``2k x 2k``: ``R`` is taken of ``(Q^dag Y)(Q^dag X)^dag`` and
-    ``U = I + Q (R - I) Q^dag`` completes only inside the joint span, at
-    ``O(s^2 k)``.  As a product of SVD factors ``R`` is unitary to
-    rounding whatever the rank of the families, so no rank tolerance is
-    needed.  Raises :class:`GramMismatch` when some pair of inner products
-    disagrees beyond :data:`GRAM_TOL`.
+    ``X``: from the SVD ``W S V^dag`` of ``A`` (:func:`_cross_svd`), ``R
+    = W V^dag`` sends each input to its output (orthogonal Procrustes); a
+    support row no input reaches is a zero column of ``A``.  When ``s <=
+    2k`` the block is ``R``, at ``O(s^2 k + s^3)``; when ``s > 2k`` the
+    SVD is taken inside the families' joint span and :func:`_lift` writes
+    ``R`` back, the identity outside that span, at ``O(s^2 k)``.  As a
+    product of SVD factors ``R`` is unitary to rounding whatever the rank
+    of the families, so no rank tolerance is needed.  Raises
+    :class:`GramMismatch` when some pair of inner products disagrees
+    beyond :data:`GRAM_TOL`.
     """
-    used = (x_mat != 0).any(axis=1)
-    support = np.flatnonzero(used | (y_mat != 0).any(axis=1))
-    x_mat, y_mat, used = x_mat[support], y_mat[support], used[support]
+    support = np.flatnonzero((x_mat != 0).any(axis=1)
+                             | (y_mat != 0).any(axis=1))
+    x_mat, y_mat = x_mat[support], y_mat[support]
     miss = gram_miss(gram_of(x_mat), gram_of(y_mat))
     if miss:
         raise GramMismatch(*miss)
-    if support.size <= 2 * x_mat.shape[1]:
-        # a QR would give a square Q: any basis of the support does as well;
-        # Y X^dag is zero on the columns no input reaches
-        c = int(np.count_nonzero(used))
-        w, _, vh = np.linalg.svd(y_mat @ x_mat[used].conj().T)
-        block = np.empty((support.size, support.size), complex)
-        block[:, used] = w[:, :c] @ vh
-        block[:, ~used] = w[:, c:]
-        return support, block
-    q = np.linalg.qr(np.concatenate([x_mat, y_mat], axis=1))[0]
-    qh = q.conj().T
-    w, _, vh = np.linalg.svd((qh @ y_mat) @ (qh @ x_mat).conj().T)
-    r = w @ vh
-    r[np.diag_indices_from(r)] -= 1.0
-    block = (q @ r) @ qh
-    block[np.diag_indices_from(block)] += 1.0
-    return support, block
+    q, w, _, vh = _cross_svd(x_mat, y_mat)
+    return support, _lift(q, w @ vh)
+
+
+def _cross_svd(x: np.ndarray, y: np.ndarray):
+    """``(Q, U, S, V^dag)``: one SVD of the cross map ``A = Y X^dag`` of
+    two ``m x k`` families.  When ``2k < m`` it is taken inside ``K =
+    span[X, Y]``, with the basis ``Q`` of one thin QR of ``[X Y]``, as the
+    SVD of ``Q^dag A Q``; otherwise ``K`` is the whole space and ``Q`` is
+    None."""
+    if 2 * x.shape[1] < x.shape[0]:
+        q = np.linalg.qr(np.concatenate([x, y], axis=1))[0]
+        qh = q.conj().T
+        return (q, *np.linalg.svd((qh @ y) @ (qh @ x).conj().T))
+    return (None, *np.linalg.svd(y @ x.conj().T))
+
+
+def _lift(q, block: np.ndarray) -> np.ndarray:
+    """``I + Q (B - I) Q^dag`` for the block ``B`` on ``K`` of
+    :func:`_cross_svd`, the identity on the complement of ``K``; ``B``
+    itself when ``Q`` is None.  ``B`` is overwritten."""
+    if q is None:
+        return block
+    block[np.diag_indices_from(block)] -= 1.0
+    lifted = (q @ block) @ q.conj().T
+    lifted[np.diag_indices_from(lifted)] += 1.0
+    return lifted

@@ -25,9 +25,11 @@ level 0 and ``r = rank G <= d`` failure rows under level 1, so ``F = C
 V_a^dag Psi``.  That block is unitary to rounding at every ``S``, a
 singular value at 1 (a search's edge, a member at ``gamma = 1``)
 included.  The SVD reuses the Gram's ``eigh``: its range whitens ``Psi``
-and ``W``.  It is taken on the span of both when ``2r < d``, and the
-machine is exactly the identity outside it.  The point is decided before
-the build, and the build refuses a Gram miss.
+and ``W``.  It is the exact completion's kernel,
+:func:`qnot.linalg._cross_svd`, taken on the span of both when ``2r <
+d``, and :func:`qnot.linalg._lift` makes the machine exactly the
+identity outside it.  The point is decided before the build, and the
+build refuses a Gram miss.
 
 :func:`synthesize` gives a family whose Gram equals its targets' at
 ``GRAM_TOL`` (:func:`qnot.feasibility.check_exact_unitary`) an exact
@@ -43,8 +45,8 @@ reads the set's targets, the spectrum and ``M`` all read that one matrix.
 :func:`qnot.feasibility.check_probabilistic`, on the one Gram it then
 builds from; both build through one assembly step with ``M`` from
 :func:`qnot.feasibility.constraint_matrix`.  :func:`synthesize` hands it
-the ``eigh`` it took for the spectrum, and :func:`synthesize_with` takes
-one of its own.
+the ``eigh`` it took for the spectrum, and :func:`synthesize_with` the
+one its check took for the null space.
 
 Every machine acts on ``D = 2d`` joint coordinates (``D = d`` on the
 exact path, which has no probe) and holds one dense ``D x D`` unitary.  A
@@ -75,8 +77,9 @@ from .feasibility import (
     efficiencies,
     machine_phases,
 )
+from .linalg import _cross_svd, _lift, gram_miss, gram_of, null_count
 # psd_sqrt is not called here; bench/spans.py wraps it under this name
-from .linalg import gram_miss, gram_of, null_count, psd_sqrt  # noqa: F401
+from .linalg import psd_sqrt  # noqa: F401
 from .states import GramMatrix, StateSet, TargetMap, _check_target, gram
 
 ETA = 0.999
@@ -183,12 +186,13 @@ def _assemble(state_set: StateSet, gram_matrix: GramMatrix, eig, gammas,
     the success map ``A = X Q_psi^dag`` with ``X = W B Lambda^{-1/2}``
     sends each member to its branch ``W = T diag(sqrt(gamma) e^{i phi})``.
     On span Psi, ``I - A^dag A`` is ``M`` whitened, so ``A`` is a
-    contraction and :func:`_dilation` writes its CS dilation, with failure
-    branches ``F = C V_a^dag Psi``.  A point inside the point rule's slack
-    has ``lambda_min(M) < 0`` and shows a singular value above 1; there
-    ``W`` first moves to the Gram of ``G - M_+`` (:func:`_clamp_excess`),
-    since clipping ``S`` alone moves the Gram by up to the excess times
-    ``lambda_max(G)``.  The branches are tested by
+    contraction; :func:`qnot.linalg._cross_svd` takes its SVD, as for an
+    exact completion, and :func:`_dilation` writes its CS dilation, with
+    failure branches ``F = C V_a^dag Psi``.  A point inside the point
+    rule's slack has ``lambda_min(M) < 0`` and shows a singular value
+    above 1; there ``W`` first moves to the Gram of ``G - M_+``
+    (:func:`_clamp_excess`), since clipping ``S`` alone moves the Gram by
+    up to the excess times ``lambda_max(G)``.  The branches are tested by
     :func:`qnot.linalg.gram_miss` of ``G`` and ``W^dag W + F^dag F``,
     whose miss raises :class:`GramMismatch`, and the residual is
     ``max |F^dag F - M|``.  Which point is built is decided by the caller.
@@ -204,10 +208,10 @@ def _assemble(state_set: StateSet, gram_matrix: GramMatrix, eig, gammas,
     b, lam = vecs[:, k:], vals[k:]
     whiten = 1.0 / np.sqrt(lam)
     q_psi, w_range = (psi @ b) * whiten, w @ b
-    svd = _success_svd(q_psi, w_range * whiten)
+    svd = _cross_svd(q_psi, w_range * whiten)
     if svd[2][0] > 1.0:
         w_range = _clamp_excess(w_range, b.conj().T @ m_matrix @ b)
-        svd = _success_svd(q_psi, w_range * whiten)
+        svd = _cross_svd(q_psi, w_range * whiten)
     unitary, fail_in = _dilation(*svd, lam.size)
     failure_gram = gram_of(fail_in @ psi)
     miss = gram_miss(gram_matrix.matrix, gram_of(w) + failure_gram)
@@ -237,41 +241,26 @@ def _clamp_excess(w_range: np.ndarray, m_range: np.ndarray) -> np.ndarray:
     return (u_w @ root) @ vh_w
 
 
-def _success_svd(q_psi: np.ndarray, x: np.ndarray):
-    """``(Q, U_a, S, V_a^dag)``: one SVD of the success map ``A = X
-    Q_psi^dag`` inside ``K``.  When ``2r < d`` for ``r`` columns, ``K =
-    span[Q_psi, X]`` with the basis ``Q`` of one thin QR, and the SVD is of
-    ``Q^dag A Q``; otherwise ``K`` is the system space and ``Q`` is None."""
-    if 2 * x.shape[1] < x.shape[0]:
-        q = np.linalg.qr(np.concatenate([q_psi, x], axis=1))[0]
-        qh = q.conj().T
-        return (q, *np.linalg.svd((qh @ x) @ (qh @ q_psi).conj().T))
-    return (None, *np.linalg.svd(x @ q_psi.conj().T))
-
-
 def _dilation(q, u_a, s, vh_a, r: int):
-    """The ``2d x 2d`` machine and its ``r x d`` map into the failure rows.
+    """The ``2d x 2d`` machine and its ``r x d`` map into the failure rows,
+    from the SVD ``(Q, U_a, S, V_a^dag)`` of :func:`qnot.linalg._cross_svd`.
 
     The top ``r`` singular values carry the input, clipped at 1; the
     directions of ``K`` that carry none get ``s = 1`` and no failure row.
     With ``C = sqrt((1 - S)(1 + S))`` the machine on ``(K x |0>) +``
     (failure row ``j`` at ``|j> x |1>``, ``j < r``) is ``[[U_a S V_a^dag,
     U_a C], [C V_a^dag, -S]]``, unitary to rounding at every ``S``, and
-    exactly the identity everywhere else, so at most ``d + r`` rows move.
+    exactly the identity everywhere else, so at most ``d + r`` rows move;
+    :func:`qnot.linalg._lift` writes the success block back from ``K``.
     """
     s_in = np.minimum(s[:r], 1.0)
     c = np.sqrt((1.0 - s_in) * (1.0 + s_in))
     s_used = np.ones(s.size)
     s_used[:r] = s_in
-    success = (u_a * s_used) @ vh_a
+    success = _lift(q, (u_a * s_used) @ vh_a)
     fail_in, fail_out = c[:, None] * vh_a[:r], u_a[:, :r] * c
     if q is not None:
-        # lift from K: the identity on its complement
-        qh = q.conj().T
-        success[np.diag_indices_from(success)] -= 1.0
-        success = (q @ success) @ qh
-        success[np.diag_indices_from(success)] += 1.0
-        fail_in, fail_out = fail_in @ qh, q @ fail_out
+        fail_in, fail_out = fail_in @ q.conj().T, q @ fail_out
     d = success.shape[0]
     unitary = np.eye(2 * d, dtype=complex)
     rows = np.arange(1, 2 * r, 2)
@@ -333,9 +322,8 @@ def synthesize_with(state_set: StateSet, gammas, probe: ProbeSpec) -> Machine:
     # a probe no machine realizes is refused before the efficiencies are read
     machine_phases(probe, len(state_set))
     gm = gram(state_set)
-    verdict = _probabilistic(gm, gammas, probe)
+    verdict, eig = _probabilistic(gm, gammas, probe)
     if not verdict.feasible:
         raise InfeasibleGamma(
             f"constraint matrix has eigenvalue {verdict.lambda_min:.3e}")
-    return _assemble(state_set, gm, np.linalg.eigh(gm.matrix), gammas,
-                     probe)[0]
+    return _assemble(state_set, gm, eig, gammas, probe)[0]

@@ -25,26 +25,24 @@ TOLERANCES = {
 # ``(solver, module.function)``.  A rank decision reads an ``eigh`` spectrum;
 # ``eigvalsh`` serves only the PSD test and EQUAL's lambda_max.  The ``eigh``
 # of the Gram that ``synthesize`` takes for epsilon, and the one
-# ``synthesize_with`` takes, give the range a probabilistic machine is
-# built on.  The completion's SVD gives its polar factor and its QR shrinks
-# that SVD; ``_success_svd``'s SVD is the success map's CS decomposition and
-# its QR the basis of span[Psi, W] when 2r < d; ``_clamp_excess``'s
-# ``eigh`` and SVD move an edge point's branches to the Gram of G - M_+,
-# never a verdict.  The Cholesky factor serves only EQUAL's lambda_max, so
-# a new call fails here until it is registered.
+# ``_probabilistic`` takes for the null space, give the range a
+# probabilistic machine is built on.  ``_cross_svd`` is the one SVD of a
+# cross map for every machine, with a QR for the joint span when 2k < rows:
+# the polar factor of a completion, and the CS decomposition of a success
+# map.  ``_clamp_excess``'s ``eigh`` and SVD move an edge point's branches
+# to the Gram of G - M_+, never a verdict.  The Cholesky factor serves only
+# EQUAL's lambda_max, so a new call fails here until it is registered.
 EIGENSOLVERS = {
     ("eigvalsh", "linalg.smallest_eigenvalue"),
     ("eigvalsh", "optimizer.search_gamma"),
     ("eigh", "linalg.psd_sqrt"),
+    ("eigh", "feasibility._probabilistic"),
     ("eigh", "linalg.range_null"),
     ("eigh", "synthesis._clamp_excess"),
     ("eigh", "synthesis.synthesize"),
-    ("eigh", "synthesis.synthesize_with"),
-    ("svd", "linalg.completion_block"),
+    ("svd", "linalg._cross_svd"),
     ("svd", "synthesis._clamp_excess"),
-    ("svd", "synthesis._success_svd"),
-    ("qr", "linalg.completion_block"),
-    ("qr", "synthesis._success_svd"),
+    ("qr", "linalg._cross_svd"),
     ("cholesky", "optimizer.search_gamma"),
 }
 

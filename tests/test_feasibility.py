@@ -51,8 +51,8 @@ from qnot import (
     unitary_completion,
     verify_machine,
 )
-from qnot.feasibility import (_exact, branch_unitary, constraint_kernel,
-                              efficiencies, point_rule, scaled_constraint)
+from qnot.feasibility import (_exact, constraint_kernel, efficiencies,
+                              point_rule, scaled_constraint)
 from qnot.linalg import GRAM_TOL, gram_of, psd_sqrt, range_null
 
 
@@ -979,8 +979,8 @@ class TestDependentTriple:
 
 
 def _full_branches(ss, weights, probe_dim, failure):
-    """The branches on all ``D = d probe_dim`` joint rows, zeros included:
-    the ``(system, probe, member)`` construction ``branch_unitary`` replaced."""
+    """The branches on all ``D = d probe_dim`` joint rows, zeros included,
+    in the ``(system, probe, member)`` layout."""
     d, n = ss.dim, len(ss)
     ins = np.zeros((d, probe_dim, n), complex)
     ins[:, 0, :] = ss.matrix()
@@ -1032,8 +1032,16 @@ def _dependent_branches(rng, n, dim):
             np.sqrt(1.0 - gamma) * ss.matrix())
 
 
+def _not_on_zero(rng):
+    """NOT on {|0>}: the target row |1> is on the support, and no input
+    reaches it."""
+    ss = StateSet((QuditState(np.array([1.0, 0.0])),), TargetMap.NOT)
+    return ss, 1.0, 1, None
+
+
 BRANCHES = {
     "exact-3x4": lambda rng: _exact_branches(rng, 3, 4),
+    "not-on-0": _not_on_zero,
     "exact-6x3": lambda rng: _exact_branches(rng, 6, 3),
     "not-probe-4": lambda rng: _probe_branches(rng, 4, 2),
     "not-probe-on-n+1": lambda rng: _probe_branches(rng, 3, 4),
@@ -1049,7 +1057,10 @@ BRANCHES = {
 def test_branch_block_is_the_completion_of_the_full_branches(make, pad):
     """An exact builder's machine, and the completion of only the rows that
     branches with failure rows touch, are bit for bit the completion of all
-    ``D`` rows, whose untouched rows are zero."""
+    ``D`` rows, whose untouched rows are zero.  The builders complete the
+    ``d`` system rows: ``build_probe_unitary`` writes them under probe
+    level 0 of two levels, and the reference on ``probe_dim`` levels holds
+    the same block under its level 0 and the identity elsewhere."""
     ss, weights, probe_dim, failure = make(np.random.default_rng(61))
     if pad and ss.target is TargetMap.NOT:
         # a qubit cannot be padded: a member with a zero amplitude instead
@@ -1060,14 +1071,29 @@ def test_branch_block_is_the_completion_of_the_full_branches(make, pad):
         # the Gram, and so the failure branches, stay those of the set
         ss = _padded(ss)
     ins, outs = _full_branches(ss, weights, probe_dim, failure)
+    full = unitary_completion(ins.T, outs.T)
     if failure is None:
-        u = branch_unitary(ss, weights, probe_dim)
+        built = (build_exact_unitary(ss) if probe_dim == 1 else
+                 build_probe_unitary(ss, check_exact_with_probe(ss).witness))
+        levels = built.shape[0] // ss.dim
+        np.testing.assert_array_equal(
+            built, _on_level_0(full[::probe_dim, ::probe_dim], levels))
+        u = _on_level_0(built[::levels, ::levels], probe_dim)
     else:
         rows = np.flatnonzero((ins != 0).any(axis=1) | (outs != 0).any(axis=1))
         u = np.eye(ins.shape[0], dtype=complex)
         u[np.ix_(rows, rows)] = unitary_completion(ins[rows].T, outs[rows].T)
-    np.testing.assert_array_equal(u, unitary_completion(ins.T, outs.T))
+    np.testing.assert_array_equal(u, full)
     assert np.abs(u @ ins - outs).max() < 1e-12
+
+
+def _on_level_0(block, probe_dim):
+    """``block`` on the system rows under probe level 0 of ``probe_dim``
+    levels, and the identity on every other row."""
+    p = probe_dim
+    u = np.eye(block.shape[0] * p, dtype=complex)
+    u[::p, ::p] = block
+    return u
 
 
 def _probe_machine(rng):

@@ -381,10 +381,10 @@ SPARE_ROW_CASES = {
 @pytest.mark.parametrize("make", SPARE_ROW_CASES.values(),
                          ids=SPARE_ROW_CASES)
 def test_completion_on_the_input_columns(make, monkeypatch):
-    """Support rows that no input reaches (``s <= 2k``): the SVD runs on the
-    ``s x c`` columns of ``Y X^dag`` that inputs reach, and the block still
-    maps every input, is unitary, leaves the identity off the support and
-    refuses a Gram miss."""
+    """Support rows that no input reaches (``s <= 2k``): one SVD of the
+    ``s x s`` cross product ``Y X^dag``, whose columns on those rows are
+    zero, and the block still maps every input, is unitary, leaves the
+    identity off the support and refuses a Gram miss."""
     x, y = make()
     svd_shapes, svd = [], np.linalg.svd
 
@@ -396,7 +396,7 @@ def test_completion_on_the_input_columns(make, monkeypatch):
     support, block = completion_block(x, y)
     s, used = support.size, (x[support] != 0).any(axis=1)
     assert s <= 2 * x.shape[1] and 0 < used.sum() < s
-    assert svd_shapes == [(s, used.sum())]
+    assert svd_shapes == [(s, s)]
     assert np.abs(block @ x[support] - y[support]).max() < 1e-12
     assert np.abs(block.conj().T @ block - np.eye(s)).max() < 1e-13
     rng = np.random.default_rng(37)

@@ -35,10 +35,10 @@ from qnot import (
     unitary_completion,
     verify_machine,
 )
-from qnot.linalg import (GRAM_TOL, gram_miss, gram_of, null_count, range_null,
-                         smallest_eigenvalue)
+from qnot.linalg import (GRAM_TOL, _cross_svd, gram_miss, gram_of, null_count,
+                         range_null, smallest_eigenvalue)
 from qnot.serialize import dumps, machine_from_dict, machine_to_dict
-from qnot.synthesis import _dilation, _success_svd
+from qnot.synthesis import _dilation
 
 
 def assert_all_green(machine, ss):
@@ -425,7 +425,7 @@ def _clipped_alone_miss(ss, found):
     b, lam = vecs[:, null_count(vals):], vals[null_count(vals):]
     w = ss.target_matrix() * (np.sqrt(found.gammas)
                               * np.exp(1j * found.probe.phases))
-    svd = _success_svd((ss.matrix() @ b) / np.sqrt(lam), (w @ b) / np.sqrt(lam))
+    svd = _cross_svd((ss.matrix() @ b) / np.sqrt(lam), (w @ b) / np.sqrt(lam))
     fail_in = _dilation(*svd, lam.size)[1]
     return gram_miss(g, gram_of(w) + gram_of(fail_in @ ss.matrix())), svd[2][0]
 
@@ -509,14 +509,14 @@ def _requested(ss):
 
 
 @pytest.mark.parametrize("prepare, eighs", [
-    (lambda ss: lambda: synthesize(ss)[0], 1), (_requested, 2)],
+    (lambda ss: lambda: synthesize(ss)[0], 1), (_requested, 1)],
     ids=["synthesize-general", "synthesize_with"])
 def test_probabilistic_machines_take_no_completion(monkeypatch, prepare,
                                                    eighs):
     """The general path of ``synthesize`` builds from the one ``eigh`` of
-    ``G`` it takes for epsilon, and ``synthesize_with`` from one of its own
-    beside its check's; neither calls ``linalg.unitary_completion`` under
-    any name."""
+    ``G`` it takes for epsilon, and ``synthesize_with`` from the one its
+    check takes; neither calls ``linalg.unitary_completion`` under any
+    name."""
     ss = random_independent_set(np.random.default_rng(62), 3, 3,
                                 TargetMap.CONJUGATE)
     calls = {"completion": 0, "eigh": 0}
