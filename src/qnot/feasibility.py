@@ -17,7 +17,7 @@ test of a builder's branches, so a verdict is feasible iff it builds:
 * otherwise :func:`point_rule` decides a point.  On the null space ``N``
   of ``G``, ``M N = -sqrt(Gamma) K sqrt(Gamma) N``, so ``M`` must vanish
   there, which that rule can miss; :func:`check_probabilistic` tests
-  that residual too.
+  that residual too, on ``N`` from :func:`qnot.linalg.range_null`.
 
 Every check reads a probe as its Gram matrix ``P``.  A phase-vector probe
 is the rank-one case and also keeps its phases, which is the only kind of
@@ -39,7 +39,7 @@ import numpy as np
 from .errors import (InvalidProbe, InvalidProbeGram, LinearlyDependentPair,
                      NotHermitian, NotSquare)
 from .linalg import (GRAM_TOL, PSD_TOL, ZERO_SUCCESS, gram_miss, gram_of,
-                     is_psd, null_count, range_null, smallest_eigenvalue,
+                     is_psd, range_null, smallest_eigenvalue,
                      unitary_completion)
 from .states import (NORM_TOL, GramMatrix, QuditState, StateSet, TargetMap,
                      _fold_phases, gram)
@@ -280,17 +280,17 @@ def check_probabilistic(state_set: StateSet, gammas,
 
 def _probabilistic(gram_matrix: GramMatrix, gammas, probe: ProbeSpec):
     """:func:`check_probabilistic` on a Gram already at hand: the verdict,
-    and the Gram's ``eigh``, whose :func:`qnot.linalg.null_count` gives
-    the null space ``N`` as in :func:`qnot.linalg.range_null`."""
+    and the Gram's :func:`qnot.linalg.range_null`, whose null space ``N``
+    the null test reads and whose range the machine is built on."""
     g = gram_matrix.matrix
     k = constraint_kernel(g, probe)
     gammas = efficiencies(gammas, g.shape[0])
     psd, lam_min = point_rule(g, k, gammas)
-    vals, vecs = eig = np.linalg.eigh(g)
-    miss = null_miss(k, gammas, vecs[:, :null_count(vals)])
+    split = range_null(g)
+    miss = null_miss(k, gammas, split[1])
     feasible = psd and miss <= GRAM_TOL
     violation = None if feasible else {"lambda_min": lam_min, "null_miss": miss}
-    return FeasibilityVerdict(feasible, probe, violation, lam_min), eig
+    return FeasibilityVerdict(feasible, probe, violation, lam_min), split
 
 
 def solve_dependent_triple(s1: QuditState, s2: QuditState, s3: QuditState,

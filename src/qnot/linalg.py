@@ -1,32 +1,32 @@
 """Dense Hermitian linear algebra helpers.
 
-The one PSD test, the PSD square root and the one SVD kernel every
-machine is built on.  The square root takes ``numpy.linalg.eigh`` as it
-comes: ``V sqrt(L) V^dag`` does not depend on the phases of the
-eigenvectors, so none are fixed.  :func:`_cross_svd` takes one SVD of the
-cross map ``A = Y X^dag`` of two ``m x k`` families, inside their joint
-span when ``2k < m``, and :func:`_lift` writes a block on that span back
-as ``I + Q (B - I) Q^dag``.  Two families with identical Gram matrices
-are related by a unitary, and :func:`unitary_completion` builds one in
-closed form, the polar factor ``U V^dag`` of their cross map (orthogonal
-Procrustes, Schonemann 1966), on the ``s`` rows where some vector of
-either family is nonzero (:func:`completion_block`).  The polar factor is
-unitary to rounding at any rank, so no rank tolerance decides which
-vectors count as independent.  An exact machine completes its ``d``
-system rows, with the QR when ``d > 2n``; a probabilistic machine lifts
-the CS dilation of its success map from the same kernel (see
-:mod:`qnot.synthesis`).
+The one PSD test, the one rank split of a Gram, the CS repair's PSD
+square root and the one SVD kernel every machine is built on.  The
+square root takes ``numpy.linalg.eigh`` as it comes: ``V sqrt(L) V^dag``
+does not depend on the phases of the eigenvectors, so none are fixed.
+:func:`_cross_svd` takes one SVD of the cross map ``A = Y X^dag`` of two
+``m x k`` families, inside their joint span when ``2k < m``, and
+:func:`_lift` writes a block on that span back as ``I + Q (B - I)
+Q^dag``.  Two families with identical Gram matrices are related by a
+unitary, and :func:`unitary_completion` builds one in closed form, the
+polar factor ``U V^dag`` of their cross map (orthogonal Procrustes,
+Schonemann 1966), on the ``s`` rows where some vector of either family
+is nonzero (:func:`completion_block`).  The polar factor is unitary to
+rounding at any rank, so no rank tolerance decides which vectors count
+as independent.  An exact machine completes its ``d`` system rows, with
+the QR when ``d > 2n``; a probabilistic machine lifts the CS dilation of
+its success map from the same kernel (see :mod:`qnot.synthesis`).
 
 The completion, both exact checks and the probabilistic assembly compare
-Grams by :func:`gram_miss`.
-Every PSD decision compares :func:`smallest_eigenvalue` against
-``-PSD_TOL`` (:func:`is_psd`, :func:`psd_sqrt`, probe Grams), or, for a
-constraint matrix, against ``-PSD_TOL min(gamma)``
-(:func:`qnot.feasibility.point_rule`); no caller moves it.  Every rank
-decision is :func:`null_count` of a Gram's ``eigh`` spectrum, as in
-:func:`range_null`, never of ``eigvalsh`` or an SVD.  The Hermitian and
-Gram tests are written so that NaN fails them, so :func:`is_psd`,
-:func:`psd_sqrt` and :func:`unitary_completion` refuse a NaN entry.
+Grams by :func:`gram_miss`.  Every PSD decision compares
+:func:`smallest_eigenvalue` against ``-PSD_TOL`` (:func:`is_psd`,
+:func:`psd_sqrt`, probe Grams), or, for a constraint matrix, against
+``-PSD_TOL min(gamma)`` (:func:`qnot.feasibility.point_rule`); no caller
+moves it.  Every rank decision is :func:`null_count` of a Gram's
+``eigh`` spectrum, taken in :func:`range_null` and nowhere else, never
+of ``eigvalsh`` or an SVD.  The Hermitian and Gram tests are written so
+that NaN fails them, so :func:`is_psd`, :func:`psd_sqrt` and
+:func:`unitary_completion` refuse a NaN entry.
 """
 from __future__ import annotations
 
@@ -78,11 +78,13 @@ def null_count(spectrum: np.ndarray) -> int:
                                 * spectrum[-1]))
 
 
-def range_null(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal range and null bases ``(B, N)`` of PSD ``g``, one ``eigh``."""
+def range_null(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal range and null bases ``(B, N)`` of PSD ``g`` and its
+    ascending spectrum: the one ``eigh`` of a Gram, split by
+    :func:`null_count`."""
     vals, vecs = np.linalg.eigh(g)
     k = null_count(vals)
-    return vecs[:, k:], vecs[:, :k]
+    return vecs[:, k:], vecs[:, :k], vals
 
 
 def is_psd(m) -> bool:
@@ -92,7 +94,7 @@ def is_psd(m) -> bool:
 
 
 def psd_sqrt(m) -> np.ndarray:
-    """Hermitian square root of a positive-semidefinite matrix.
+    """Hermitian square root of a PSD matrix, the CS repair's root.
 
     A matrix that fails the PSD test at :data:`PSD_TOL` raises
     :class:`NotPSD`; otherwise eigenvalues below zero are clamped to zero.

@@ -244,7 +244,7 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
     g = gm.matrix
     k = constraint_kernel(g, probe)
     n = gm.n
-    basis, null = range_null(g)
+    basis, null, _ = range_null(g)
     if not null_miss(k, np.ones(n), null) <= GRAM_TOL:
         raise NoFeasiblePoint(
             "this probe leaves M nonzero on the null space of G")

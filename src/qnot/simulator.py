@@ -9,7 +9,8 @@ through one product with the ``d x d`` success block of the unitary,
 error is :meth:`qnot.synthesis.Machine.unitarity_error`, which checks
 ``U^dag U = I`` only on the ``s`` indices the unitary moves.  Both read
 the machine's one stored ``D x D`` unitary: the scan for those indices
-costs ``O(D^2)`` and the product ``O(s^3)``, not ``O(D^3)``.  The one
+costs ``O(D^2)`` and the product ``O(s^3)``, which with ``s = d + r``
+is still about ``(D/2)^3`` when ``n << d``.  The one
 Monte Carlo path is :func:`verify_machine` with ``shots`` set: it
 draws each member's success count from the exact probability with numpy's
 PCG64 generator, seeded explicitly, so every report is reproducible.

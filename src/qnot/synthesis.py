@@ -24,8 +24,8 @@ from one SVD ``A = U_a S V_a^dag`` and ``C = sqrt((1 - S)(1 + S))`` it is
 level 0 and ``r = rank G <= d`` failure rows under level 1, so ``F = C
 V_a^dag Psi``.  That block is unitary to rounding at every ``S``, a
 singular value at 1 (a search's edge, a member at ``gamma = 1``)
-included.  The SVD reuses the Gram's ``eigh``: its range whitens ``Psi``
-and ``W``.  It is the exact completion's kernel,
+included.  The SVD reuses the Gram's :func:`qnot.linalg.range_null`:
+its range whitens ``Psi`` and ``W``.  It is the exact completion's kernel,
 :func:`qnot.linalg._cross_svd`, taken on the span of both when ``2r <
 d``, and :func:`qnot.linalg._lift` makes the machine exactly the
 identity outside it.  The point is decided before the build, and the
@@ -37,16 +37,16 @@ unitary with unit efficiency and no probe.  Other linearly independent
 families get safe equal efficiencies
 ``epsilon = ETA * lambda_min(G) / lambda_max(conj(G))`` with ``ETA = 0.999``
 and the zero-phase probe, which keeps ``M = G - epsilon conj(G)`` strictly
-positive; a family is dependent when :func:`qnot.linalg.null_count`, the
-one rank decision, zeroes part of the Gram's ``eigh`` spectrum.
+positive; a family is dependent when :func:`qnot.linalg.range_null`, the
+one rank decision, finds a null space in the Gram.
 :func:`synthesize` computes the Gram once: its exact test, which also
 reads the set's targets, the spectrum and ``M`` all read that one matrix.
 :func:`synthesize_with` decides the caller's point by the test of
 :func:`qnot.feasibility.check_probabilistic`, on the one Gram it then
 builds from; both build through one assembly step with ``M`` from
 :func:`qnot.feasibility.constraint_matrix`.  :func:`synthesize` hands it
-the ``eigh`` it took for the spectrum, and :func:`synthesize_with` the
-one its check took for the null space.
+the split it took for the spectrum, and :func:`synthesize_with` the one
+its check took; an edge point's repair takes :func:`qnot.linalg.psd_sqrt`.
 
 Every machine acts on ``D = 2d`` joint coordinates (``D = d`` on the
 exact path, which has no probe) and holds one dense ``D x D`` unitary.  A
@@ -56,8 +56,9 @@ at most ``s = d + min(n, d)`` of those coordinates, and every other row
 and column is exactly the identity's.
 :meth:`Machine.unitarity_error` scans the unitary by exact comparison for
 the indices whose row or column differs from the identity's and checks
-``V^dag V = I`` on them, at ``O(D^2 + s^3)`` instead of the ``O(D^3)`` of
-``U^dag U``, so an edit anywhere is still checked;
+``V^dag V = I`` on them, at ``O(D^2 + s^3)``, so an edit anywhere is
+still checked.  With ``s = d + r`` that is still about ``(D/2)^3`` when
+``n << d``: a probabilistic machine moves all ``d`` system rows;
 :meth:`Machine.success_block` copies ``U[::p, ::p]``.
 """
 from __future__ import annotations
@@ -77,9 +78,7 @@ from .feasibility import (
     efficiencies,
     machine_phases,
 )
-from .linalg import _cross_svd, _lift, gram_miss, gram_of, null_count
-# psd_sqrt is not called here; bench/spans.py wraps it under this name
-from .linalg import psd_sqrt  # noqa: F401
+from .linalg import _cross_svd, _lift, gram_miss, gram_of, psd_sqrt, range_null
 from .states import GramMatrix, StateSet, TargetMap, _check_target, gram
 
 ETA = 0.999
@@ -152,7 +151,7 @@ class Machine:
             return 0.0
         if s.size < v.shape[0]:
             v = v[np.ix_(s, s)]
-        return float(np.abs(v.conj().T @ v - np.eye(s.size)).max())
+        return float(np.abs(gram_of(v) - np.eye(s.size)).max())
 
     def success_block(self) -> np.ndarray:
         """``U[::p, ::p]``: system to system with the probe kept in state 0."""
@@ -176,15 +175,15 @@ class SynthesisReport:
     path: str = "general"
 
 
-def _assemble(state_set: StateSet, gram_matrix: GramMatrix, eig, gammas,
+def _assemble(state_set: StateSet, gram_matrix: GramMatrix, split, gammas,
               probe: ProbeSpec):
     """Machine at efficiencies ``gammas`` with a phase-vector probe, and residual.
 
-    ``eig`` is the ``eigh`` of the Gram; its range ``B``, ``Lambda``, which
-    :func:`qnot.linalg.null_count` decides, whitens the branches:
-    ``Q_psi = Psi B Lambda^{-1/2}`` is an orthonormal basis of span Psi, and
-    the success map ``A = X Q_psi^dag`` with ``X = W B Lambda^{-1/2}``
-    sends each member to its branch ``W = T diag(sqrt(gamma) e^{i phi})``.
+    ``split`` is the Gram's :func:`qnot.linalg.range_null`; its range
+    ``B`` and eigenvalues ``Lambda`` on it whiten the branches: ``Q_psi =
+    Psi B Lambda^{-1/2}`` is an orthonormal basis of span Psi, and the
+    success map ``A = X Q_psi^dag`` with ``X = W B Lambda^{-1/2}`` sends
+    each member to its branch ``W = T diag(sqrt(gamma) e^{i phi})``.
     On span Psi, ``I - A^dag A`` is ``M`` whitened, so ``A`` is a
     contraction; :func:`qnot.linalg._cross_svd` takes its SVD, as for an
     exact completion, and :func:`_dilation` writes its CS dilation, with
@@ -203,9 +202,8 @@ def _assemble(state_set: StateSet, gram_matrix: GramMatrix, eig, gammas,
     m_matrix = constraint_matrix(gram_matrix, gammas, probe)
     w = state_set.target_matrix() * (np.sqrt(gammas) * np.exp(1j * phases))
     psi = state_set.matrix()
-    vals, vecs = eig
-    k = null_count(vals)
-    b, lam = vecs[:, k:], vals[k:]
+    b, null, vals = split
+    lam = vals[null.shape[1]:]
     whiten = 1.0 / np.sqrt(lam)
     q_psi, w_range = (psi @ b) * whiten, w @ b
     svd = _cross_svd(q_psi, w_range * whiten)
@@ -226,7 +224,8 @@ def _clamp_excess(w_range: np.ndarray, m_range: np.ndarray) -> np.ndarray:
     """Success branches ``W B`` moved to the Gram of ``G - M_+`` on the
     range, ``M_+`` the clamp of ``M`` at 0: ``W (W^dag W)^{-1/2} (G -
     M_+)^{1/2}``.  With ``W B = U S V^dag`` and ``P = M_+ - M``, that is
-    ``U (S^2 - V^dag P V)^{1/2} V^dag``, whose square root is taken next
+    ``U (S^2 - V^dag P V)^{1/2} V^dag``, whose square root
+    (:func:`qnot.linalg.psd_sqrt`, behind the one PSD test) is taken next
     to the exact ``S^2``, not of the difference ``G - M_+``; with no
     negative eigenvalue in ``M``, ``P = 0`` and the branches are kept."""
     m_vals, m_vecs = np.linalg.eigh(m_range)
@@ -235,9 +234,7 @@ def _clamp_excess(w_range: np.ndarray, m_range: np.ndarray) -> np.ndarray:
         return w_range
     part = (m_vecs[:, neg] * -m_vals[neg]) @ m_vecs[:, neg].conj().T
     u_w, s_w, vh_w = np.linalg.svd(w_range, full_matrices=False)
-    e_vals, e_vecs = np.linalg.eigh(np.diag(s_w ** 2)
-                                    - vh_w @ part @ vh_w.conj().T)
-    root = (e_vecs * np.sqrt(np.clip(e_vals, 0.0, None))) @ e_vecs.conj().T
+    root = psd_sqrt(np.diag(s_w ** 2) - vh_w @ part @ vh_w.conj().T)
     return (u_w @ root) @ vh_w
 
 
@@ -288,8 +285,7 @@ def synthesize(state_set: StateSet):
     """
     n = len(state_set)
     gm = gram(state_set)
-    eig = np.linalg.eigh(gm.matrix)
-    spectrum = eig[0]
+    _, null, spectrum = split = range_null(gm.matrix)
     c, d_max = float(spectrum[0]), float(spectrum[-1])
 
     if _exact(state_set, gm).feasible:
@@ -301,11 +297,11 @@ def synthesize(state_set: StateSet):
                                 - state_set.target_matrix()).max())
         return machine, SynthesisReport(1.0, c, d_max, residual, path="exact")
 
-    if null_count(spectrum):
+    if null.shape[1]:
         raise LinearlyDependent(
             f"Gram rank is below {n} (smallest eigenvalue {c:.3e})")
     epsilon = ETA * c / d_max
-    machine, residual = _assemble(state_set, gm, eig, epsilon,
+    machine, residual = _assemble(state_set, gm, split, epsilon,
                                   ProbeSpec.phase_vector(np.zeros(n)))
     return machine, SynthesisReport(epsilon, c, d_max, residual)
 
@@ -322,8 +318,8 @@ def synthesize_with(state_set: StateSet, gammas, probe: ProbeSpec) -> Machine:
     # a probe no machine realizes is refused before the efficiencies are read
     machine_phases(probe, len(state_set))
     gm = gram(state_set)
-    verdict, eig = _probabilistic(gm, gammas, probe)
+    verdict, split = _probabilistic(gm, gammas, probe)
     if not verdict.feasible:
         raise InfeasibleGamma(
             f"constraint matrix has eigenvalue {verdict.lambda_min:.3e}")
-    return _assemble(state_set, gm, eig, gammas, probe)[0]
+    return _assemble(state_set, gm, split, gammas, probe)[0]

@@ -23,23 +23,22 @@ TOLERANCES = {
 
 # Every ``eigvalsh``, ``eigh``, ``svd``, ``qr`` and ``cholesky`` call, as
 # ``(solver, module.function)``.  A rank decision reads an ``eigh`` spectrum;
-# ``eigvalsh`` serves only the PSD test and EQUAL's lambda_max.  The ``eigh``
-# of the Gram that ``synthesize`` takes for epsilon, and the one
-# ``_probabilistic`` takes for the null space, give the range a
-# probabilistic machine is built on.  ``_cross_svd`` is the one SVD of a
-# cross map for every machine, with a QR for the joint span when 2k < rows:
-# the polar factor of a completion, and the CS decomposition of a success
-# map.  ``_clamp_excess``'s ``eigh`` and SVD move an edge point's branches
-# to the Gram of G - M_+, never a verdict.  The Cholesky factor serves only
-# EQUAL's lambda_max, so a new call fails here until it is registered.
+# ``eigvalsh`` serves only the PSD test and EQUAL's lambda_max.  A Gram's
+# ``eigh`` is taken only in ``range_null``, whose split gives the search's
+# null space, ``synthesize``'s epsilon and the range every probabilistic
+# machine is built on.  ``_cross_svd`` is the one SVD of a cross map for
+# every machine, with a QR for the joint span when 2k < rows: the polar
+# factor of a completion, and the CS decomposition of a success map.
+# ``_clamp_excess``'s ``eigh`` and SVD, and the ``psd_sqrt`` it takes its
+# root from, move an edge point's branches to the Gram of G - M_+, never a
+# verdict.  The Cholesky factor serves only EQUAL's lambda_max, so a new
+# call fails here until it is registered.
 EIGENSOLVERS = {
     ("eigvalsh", "linalg.smallest_eigenvalue"),
     ("eigvalsh", "optimizer.search_gamma"),
     ("eigh", "linalg.psd_sqrt"),
-    ("eigh", "feasibility._probabilistic"),
     ("eigh", "linalg.range_null"),
     ("eigh", "synthesis._clamp_excess"),
-    ("eigh", "synthesis.synthesize"),
     ("svd", "linalg._cross_svd"),
     ("svd", "synthesis._clamp_excess"),
     ("qr", "linalg._cross_svd"),
@@ -75,6 +74,11 @@ ZERO_SUCCESS_READERS = {
 # step's rise floor, and COORDINATE stops when no free member's step moves,
 # so a second reader (a sweep-stop test) fails here until it is registered.
 COORDINATE_CONVERGENCE_READERS = {"optimizer.search_gamma.schur_step"}
+
+# Every function that calls ``null_count``: ``range_null`` is the one split
+# of a Gram's ``eigh``, and every rank decision reads its bases, so a second
+# split fails here until it is registered.
+NULL_COUNT_CALLERS = {"linalg.range_null"}
 
 # Every function that reads ``NORM_TOL``: a set's members and a lone state
 # share one member check, and a probe Gram's unit diagonal is the other
@@ -229,6 +233,13 @@ def test_one_rise_floor():
     each function that reads it is registered."""
     assert _assigned_and_read("COORDINATE_CONVERGENCE") == (
         {"optimizer"}, COORDINATE_CONVERGENCE_READERS)
+
+
+def test_one_rank_split():
+    """``null_count`` is called only where a Gram's ``eigh`` is split."""
+    found = {where for where, node in _module_nodes()
+             if _called(node) == "null_count"}
+    assert found == NULL_COUNT_CALLERS
 
 
 def test_one_member_check():

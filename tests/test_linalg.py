@@ -509,8 +509,9 @@ class TestRankDecision:
         b = a + 1e-9 * (rng.normal(size=2) + 1j * rng.normal(size=2))
         psi = np.stack([a / np.linalg.norm(a), b / np.linalg.norm(b)], 1)
         g = psi.conj().T @ psi
-        basis, null = range_null(g)
+        basis, null, spectrum = range_null(g)
         assert basis.shape == null.shape == (2, 1)
+        np.testing.assert_array_equal(spectrum, np.linalg.eigh(g)[0])
         assert np.abs(g @ null).max() < 1e-8
         np.testing.assert_allclose(basis.conj().T @ basis, [[1.0]])
 
@@ -518,6 +519,7 @@ class TestRankDecision:
         rng = np.random.default_rng(15)
         g = gram(random_independent_set(rng, 4, 5,
                                         TargetMap.CONJUGATE)).matrix
-        basis, null = range_null(g)
+        basis, null, spectrum = range_null(g)
         assert null.shape == (4, 0)
+        assert null_count(spectrum) == 0 < spectrum[0] <= spectrum[-1]
         assert basis.shape == (4, 4)

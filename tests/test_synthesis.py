@@ -483,7 +483,9 @@ def test_machines_with_a_singular_value_at_one(make, policy):
 def test_near_dependent_triples_build_at_every_certified_point():
     """Conjugate qutrit triples 1e-2 ... 1e-5 off dependence (40 per eps),
     where the whitening ``Lambda^{-1/2}`` of the success map is largest:
-    every point a search certifies builds a machine that verifies."""
+    every point a search certifies builds a machine that verifies, with
+    ``1 - F`` and ``|p - gamma|`` at most 1e-9 on every member, also where
+    the edge point's branches are repaired (``_clamp_excess``)."""
     rng = np.random.default_rng(21)
     certified = 0
     for eps in (1e-2, 1e-3, 1e-4, 1e-5):
@@ -496,7 +498,10 @@ def test_near_dependent_triples_build_at_every_certified_point():
                     continue
                 machine = synthesize_with(ss, found.gammas, found.probe)
                 assert machine.unitarity_error() <= 1e-13
-                assert_all_green(machine, ss)
+                report = assert_all_green(machine, ss)
+                assert (1.0 - report.fidelities).max() <= 1e-9
+                assert np.abs(report.success_probs
+                              - machine.gammas).max() <= 1e-9
                 certified += 1
     assert certified >= 200
 

@@ -1,6 +1,7 @@
 """The project's tooling: pytest reports a failing test as a failure,
-every docstring cross-reference names something that exists, and the
-benchmark's own tests pass."""
+every docstring cross-reference names something that exists, no module
+imports a name it never uses, and the benchmark's own tests pass."""
+import ast
 import builtins
 import importlib
 import importlib.util
@@ -80,6 +81,34 @@ def test_docstring_cross_references_resolve():
             if not _resolves(module, target):
                 stale.append(f"{path.name}: {target}")
     assert seen and not stale
+
+
+def _unused_imports(tree):
+    """Names an import binds at any level of ``tree`` that no expression
+    reads; a name that appears only in a docstring is unused."""
+    bound = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{name}:{line}" for name, line in bound.items()
+                  if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Only the package's ``__init__`` imports names to re-export them; an
+    import elsewhere that nothing reads is dead, or kept for an outside
+    reader the module does not serve."""
+    found = {}
+    for path in SOURCES:
+        if path.stem != "__init__":
+            unused = _unused_imports(ast.parse(path.read_text()))
+            if unused:
+                found[path.stem] = unused
+    assert found == {}
 
 
 def test_benchmark_tests_pass():
