@@ -240,10 +240,10 @@ def constraint_kernel(g: np.ndarray, probe: ProbeSpec) -> np.ndarray:
 def scaled_constraint(g: np.ndarray, k: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """``G - sqrt(Gamma) K sqrt(Gamma)`` for ``K = conj(G) * P``, unvalidated.
 
-    The one arithmetic of the constraint matrix: :func:`constraint_matrix`
-    and the PSD test of the efficiency searches and the triple bound build
-    it here, so a point one of them accepts yields the same matrix bit for
-    bit in :func:`check_probabilistic` and :mod:`qnot.synthesis`.  A stack
+    The one arithmetic of the constraint matrix: :func:`constraint_matrix`,
+    the PSD test of the efficiency searches and the triple bound, and the
+    assembly in :mod:`qnot.synthesis` build it here, so a point one of them
+    accepts yields the same matrix bit for bit in all of them.  A stack
     of points ``gammas`` of shape ``(..., n)`` gives the stack of matrices
     ``(..., n, n)``, each entry computed as for that point alone.
     """
@@ -279,9 +279,9 @@ def check_probabilistic(state_set: StateSet, gammas,
 
 
 def _probabilistic(gram_matrix: GramMatrix, gammas, probe: ProbeSpec):
-    """:func:`check_probabilistic` on a Gram already at hand: the verdict,
-    and the Gram's :func:`qnot.linalg.range_null`, whose null space ``N``
-    the null test reads and whose range the machine is built on."""
+    """:func:`check_probabilistic` on a Gram already at hand: the verdict, the
+    Gram's :func:`qnot.linalg.range_null` (its null space ``N`` for the null
+    test, its range for the machine), and the validated gammas and ``K``."""
     g = gram_matrix.matrix
     k = constraint_kernel(g, probe)
     gammas = efficiencies(gammas, g.shape[0])
@@ -290,7 +290,7 @@ def _probabilistic(gram_matrix: GramMatrix, gammas, probe: ProbeSpec):
     miss = null_miss(k, gammas, split[1])
     feasible = psd and miss <= GRAM_TOL
     violation = None if feasible else {"lambda_min": lam_min, "null_miss": miss}
-    return FeasibilityVerdict(feasible, probe, violation, lam_min), split
+    return FeasibilityVerdict(feasible, probe, violation, lam_min), split, gammas, k
 
 
 def solve_dependent_triple(s1: QuditState, s2: QuditState, s3: QuditState,

@@ -43,10 +43,10 @@ one rank decision, finds a null space in the Gram.
 reads the set's targets, the spectrum and ``M`` all read that one matrix.
 :func:`synthesize_with` decides the caller's point by the test of
 :func:`qnot.feasibility.check_probabilistic`, on the one Gram it then
-builds from; both build through one assembly step with ``M`` from
-:func:`qnot.feasibility.constraint_matrix`.  :func:`synthesize` hands it
-the split it took for the spectrum, and :func:`synthesize_with` the one
-its check took; an edge point's repair takes :func:`qnot.linalg.psd_sqrt`.
+builds from.  Both hand one assembly step the split, efficiencies, phases
+and ``K = conj(G) * P`` their point was decided on, and it builds ``M``
+from them by :func:`qnot.feasibility.scaled_constraint`, the point rule's
+arithmetic; an edge point's repair takes :func:`qnot.linalg.psd_sqrt`.
 
 Every machine acts on ``D = 2d`` joint coordinates (``D = d`` on the
 exact path, which has no probe) and holds one dense ``D x D`` unitary.  A
@@ -74,9 +74,10 @@ from .feasibility import (
     _exact,
     _probabilistic,
     build_exact_unitary,
-    constraint_matrix,
+    constraint_kernel,
     efficiencies,
     machine_phases,
+    scaled_constraint,
 )
 from .linalg import _cross_svd, _lift, gram_miss, gram_of, psd_sqrt, range_null
 from .states import GramMatrix, StateSet, TargetMap, _check_target, gram
@@ -147,11 +148,9 @@ class Machine:
         moved = v != 0
         np.fill_diagonal(moved, np.diagonal(v) != 1)
         s = np.flatnonzero(moved.any(axis=0) | moved.any(axis=1))
-        if not s.size:
-            return 0.0
         if s.size < v.shape[0]:
             v = v[np.ix_(s, s)]
-        return float(np.abs(gram_of(v) - np.eye(s.size)).max())
+        return float(np.abs(gram_of(v) - np.eye(s.size)).max(initial=0.0))
 
     def success_block(self) -> np.ndarray:
         """``U[::p, ::p]``: system to system with the probe kept in state 0."""
@@ -176,30 +175,30 @@ class SynthesisReport:
 
 
 def _assemble(state_set: StateSet, gram_matrix: GramMatrix, split, gammas,
-              probe: ProbeSpec):
-    """Machine at efficiencies ``gammas`` with a phase-vector probe, and residual.
+              phases, kernel):
+    """Machine at a point its caller decided, and its residual.
 
-    ``split`` is the Gram's :func:`qnot.linalg.range_null`; its range
-    ``B`` and eigenvalues ``Lambda`` on it whiten the branches: ``Q_psi =
-    Psi B Lambda^{-1/2}`` is an orthonormal basis of span Psi, and the
-    success map ``A = X Q_psi^dag`` with ``X = W B Lambda^{-1/2}`` sends
-    each member to its branch ``W = T diag(sqrt(gamma) e^{i phi})``.
-    On span Psi, ``I - A^dag A`` is ``M`` whitened, so ``A`` is a
-    contraction; :func:`qnot.linalg._cross_svd` takes its SVD, as for an
-    exact completion, and :func:`_dilation` writes its CS dilation, with
+    The caller hands on what it decided the point from, validated: the
+    Gram's :func:`qnot.linalg.range_null` ``split``, ``gammas``, the probe's
+    ``phases`` and ``kernel`` ``K = conj(G) * P``; ``M`` is their
+    :func:`qnot.feasibility.scaled_constraint`, and nothing is checked
+    again.  The split's range ``B`` and eigenvalues ``Lambda`` on it whiten
+    the branches: ``Q_psi = Psi B Lambda^{-1/2}`` is an orthonormal basis
+    of span Psi, and the success map ``A = X Q_psi^dag`` with ``X = W B
+    Lambda^{-1/2}`` sends each member to its branch ``W = T diag(sqrt(gamma)
+    e^{i phi})``.  On span Psi, ``I - A^dag A`` is ``M`` whitened, so ``A``
+    is a contraction; :func:`qnot.linalg._cross_svd` takes its SVD, as for
+    an exact completion, and :func:`_dilation` writes its CS dilation, with
     failure branches ``F = C V_a^dag Psi``.  A point inside the point
-    rule's slack has ``lambda_min(M) < 0`` and shows a singular value
-    above 1; there ``W`` first moves to the Gram of ``G - M_+``
-    (:func:`_clamp_excess`), since clipping ``S`` alone moves the Gram by
-    up to the excess times ``lambda_max(G)``.  The branches are tested by
+    rule's slack has ``lambda_min(M) < 0`` and shows a singular value above
+    1; there ``W`` first moves to the Gram of ``G - M_+``
+    (:func:`_clamp_excess`), since clipping ``S`` alone moves the Gram by up
+    to the excess times ``lambda_max(G)``.  The branches are tested by
     :func:`qnot.linalg.gram_miss` of ``G`` and ``W^dag W + F^dag F``,
     whose miss raises :class:`GramMismatch`, and the residual is
-    ``max |F^dag F - M|``.  Which point is built is decided by the caller.
+    ``max |F^dag F - M|``.
     """
-    n = len(state_set)
-    phases = machine_phases(probe, n)
-    gammas = efficiencies(gammas, n)
-    m_matrix = constraint_matrix(gram_matrix, gammas, probe)
+    m_matrix = scaled_constraint(gram_matrix.matrix, kernel, gammas)
     w = state_set.target_matrix() * (np.sqrt(gammas) * np.exp(1j * phases))
     psi = state_set.matrix()
     b, null, vals = split
@@ -301,8 +300,9 @@ def synthesize(state_set: StateSet):
         raise LinearlyDependent(
             f"Gram rank is below {n} (smallest eigenvalue {c:.3e})")
     epsilon = ETA * c / d_max
-    machine, residual = _assemble(state_set, gm, split, epsilon,
-                                  ProbeSpec.phase_vector(np.zeros(n)))
+    zero = ProbeSpec.phase_vector(np.zeros(n))
+    machine, residual = _assemble(state_set, gm, split, np.full(n, epsilon),
+                                  zero.phases, constraint_kernel(gm.matrix, zero))
     return machine, SynthesisReport(epsilon, c, d_max, residual)
 
 
@@ -316,10 +316,10 @@ def synthesize_with(state_set: StateSet, gammas, probe: ProbeSpec) -> Machine:
     the range of the Gram that :func:`qnot.linalg.null_count` decides.
     """
     # a probe no machine realizes is refused before the efficiencies are read
-    machine_phases(probe, len(state_set))
+    phases = machine_phases(probe, len(state_set))
     gm = gram(state_set)
-    verdict, split = _probabilistic(gm, gammas, probe)
+    verdict, split, gammas, kernel = _probabilistic(gm, gammas, probe)
     if not verdict.feasible:
         raise InfeasibleGamma(
             f"constraint matrix has eigenvalue {verdict.lambda_min:.3e}")
-    return _assemble(state_set, gm, split, gammas, probe)[0]
+    return _assemble(state_set, gm, split, gammas, phases, kernel)[0]

@@ -85,6 +85,14 @@ def random_overlapping_pair(rng, target=TargetMap.NOT, dim=2,
             return ss
 
 
+def zero_padded_set(rng, n, dim) -> StateSet:
+    """Independent conjugate states with a zero last entry: the set misses a
+    system index."""
+    inner = random_independent_set(rng, n, dim - 1, TargetMap.CONJUGATE)
+    return StateSet(tuple(QuditState(np.r_[s.amps, 0.0]) for s in inner.states),
+                    TargetMap.CONJUGATE)
+
+
 def qubit(a, b) -> QuditState:
     return QuditState.normalized(np.array([a, b], dtype=complex))
 

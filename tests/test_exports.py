@@ -80,6 +80,23 @@ COORDINATE_CONVERGENCE_READERS = {"optimizer.search_gamma.schur_step"}
 # split fails here until it is registered.
 NULL_COUNT_CALLERS = {"linalg.range_null"}
 
+# Every function that calls ``efficiencies``: a point's check validates its
+# efficiencies once and hands them on, so the assembly that builds from them
+# validates nothing, and a second check on the build path fails here until
+# it is registered.  The others validate a request that reaches no check (a
+# public constraint matrix, the triple's two efficiencies) or a machine's
+# own design.
+EFFICIENCIES_CALLERS = {
+    "feasibility._probabilistic", "feasibility.constraint_matrix",
+    "feasibility.solve_dependent_triple", "synthesis.Machine.__init__",
+}
+
+# Every function that calls ``machine_phases``: each builder of a
+# phase-vector machine refuses any other probe once, up front, and hands the
+# phases on, so a second refusal fails here until it is registered.
+MACHINE_PHASES_CALLERS = {"feasibility.build_probe_unitary",
+                          "synthesis.synthesize_with"}
+
 # Every function that reads ``NORM_TOL``: a set's members and a lone state
 # share one member check, and a probe Gram's unit diagonal is the other
 # reader, so a second norm test fails here until it is registered.
@@ -240,6 +257,20 @@ def test_one_rank_split():
     found = {where for where, node in _module_nodes()
              if _called(node) == "null_count"}
     assert found == NULL_COUNT_CALLERS
+
+
+def test_one_efficiency_check_per_point():
+    """``efficiencies`` is called only where a point or a design is checked."""
+    found = {where for where, node in _module_nodes()
+             if _called(node) == "efficiencies"}
+    assert found == EFFICIENCIES_CALLERS
+
+
+def test_one_phase_probe_refusal_per_build():
+    """``machine_phases`` is called only where a machine's build starts."""
+    found = {where for where, node in _module_nodes()
+             if _called(node) == "machine_phases"}
+    assert found == MACHINE_PHASES_CALLERS
 
 
 def test_one_member_check():

@@ -754,6 +754,21 @@ def test_non_finite_efficiencies_reach_no_verdict_or_machine():
         synthesize_with(ss, [np.nan, np.nan], probe)
 
 
+@pytest.mark.parametrize("probe, match", [
+    (ProbeSpec.full_gram(np.eye(2)), "phase-vector"),
+    (ProbeSpec.phase_vector([0.0, 1.0, 2.0]), "3 phases for 2 states")])
+def test_a_probe_no_machine_realizes_is_refused_before_the_efficiencies(
+        probe, match):
+    """``synthesize_with`` refuses the probe first: NaN efficiencies under
+    a full-Gram or a wrong-size probe raise :class:`InvalidProbe`, not the
+    efficiencies' ``ValueError``."""
+    ss = StateSet((QuditState(np.array([1.0, 0.0])),
+                   QuditState(np.array([0.5 + 0.5j, 0.5 ** 0.5]))),
+                  TargetMap.NOT)
+    with pytest.raises(InvalidProbe, match=match):
+        synthesize_with(ss, [np.nan, np.nan], probe)
+
+
 @pytest.mark.parametrize("n", [3, 4, 10])
 def test_a_stack_of_points_gets_the_answers_of_single_calls(n):
     """An ``(m, n)`` stack gives, bit for bit, the verdicts and lambda_min

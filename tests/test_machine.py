@@ -13,7 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_independent_set, random_set, random_state
+from conftest import (random_independent_set, random_set, random_state,
+                      zero_padded_set)
 from qnot import (
     DimensionMismatch,
     Machine,
@@ -29,6 +30,7 @@ from qnot import (
     unitary_completion,
     verify_machine,
 )
+from qnot.feasibility import constraint_kernel
 from qnot.linalg import range_null
 from qnot.serialize import dumps, machine_from_dict, machine_to_dict
 from qnot.synthesis import _assemble
@@ -75,9 +77,7 @@ def _dependent(rng, n, dim):
 
 def _padded(rng, n, dim):
     """States with a zero last entry: the block misses a system index."""
-    inner = random_independent_set(rng, n, dim - 1, TargetMap.CONJUGATE)
-    ss = StateSet(tuple(QuditState(np.r_[s.amps, 0.0]) for s in inner.states),
-                  TargetMap.CONJUGATE)
+    ss = zero_padded_set(rng, n, dim)
     machine = synthesize(ss)[0]
     assert machine.success_block().shape == (dim, dim)
     return machine, ss
@@ -154,7 +154,8 @@ def test_synthesized_machine_is_the_cs_dilation(case):
     probe = ProbeSpec.phase_vector(machine.branch_phases)
     gm = gram(ss)
     again, residual = _assemble(ss, gm, range_null(gm.matrix),
-                                machine.gammas, probe)
+                                machine.gammas, probe.phases,
+                                constraint_kernel(gm.matrix, probe))
     np.testing.assert_array_equal(again.unitary, machine.unitary)
     success, failure = _probe_branches(ss, machine)
     w = ss.target_matrix() * (np.sqrt(machine.gammas)

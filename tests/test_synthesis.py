@@ -12,6 +12,7 @@ from conftest import (
     random_overlapping_pair,
     random_set,
     worked_triple,
+    zero_padded_set,
 )
 from oracles import quadratic_roots
 from qnot import (
@@ -301,6 +302,30 @@ def test_synthesize_with_builds_one_gram(monkeypatch):
     machine = synthesize_with(ss, 0.9 * found.gammas, found.probe)
     assert calls == [ss]
     assert_all_green(machine, ss)
+
+
+ONE_ASSEMBLY_SETS = {
+    **{f"independent-{n}": (lambda rng, n=n: random_independent_set(
+        rng, n, n, TargetMap.CONJUGATE)) for n in (3, 10, 24)},
+    "padded-3x5": lambda rng: zero_padded_set(rng, 3, 5),
+    "not-pair": random_overlapping_pair,
+}
+
+
+@pytest.mark.parametrize("make", ONE_ASSEMBLY_SETS.values(),
+                         ids=ONE_ASSEMBLY_SETS)
+def test_both_synthesize_paths_build_through_one_assembly(make):
+    """``synthesize``'s general machine is, bit for bit, the machine
+    ``synthesize_with`` builds at its epsilon under the zero-phase probe, so
+    the epsilon path hands the assembly the same efficiencies, phases and
+    ``K`` as the check does."""
+    ss = make(np.random.default_rng(77))
+    machine, report = synthesize(ss)
+    assert report.path == "general"
+    again = synthesize_with(ss, report.epsilon,
+                            ProbeSpec.phase_vector(np.zeros(len(ss))))
+    for name in ("unitary", "gammas", "branch_phases"):
+        assert np.array_equal(getattr(machine, name), getattr(again, name))
 
 
 def _positive_definite():
