@@ -41,8 +41,10 @@ off the support of ``N``: with ``e = PSD_TOL min(gamma)``, ``A`` =
 sqrt(gamma_-i) K[-i, i]``, the Schur complement keeps the point feasible
 while ``-(K_ii + h^dag A^-1 h) x^2 + 2 Re(g^dag A^-1 h) x + G_ii + e -
 g^dag A^-1 g >= 0``; one solve against ``[g, h]`` (least squares for a
-singular ``A``) gives the larger root, capped at 1.  ``A`` is taken from
-:func:`qnot.feasibility.scaled_constraint` at each step; the columns
+singular ``A``) gives the larger root, capped at 1.  ``M + e I`` (from
+:func:`qnot.feasibility.scaled_constraint`) and ``sqrt(gamma)`` are built
+once per point, when the ascent starts and after each move, and every step
+at that point takes its ``A`` and ``h`` from them; the columns
 ``G[-i, i]``, ``K[-i, i]`` and the real diagonals are read once per
 search, and the root is solved on Python floats.  A rise below
 :data:`COORDINATE_CONVERGENCE` is not taken; any other candidate is kept
@@ -269,17 +271,24 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
     g_diag, k_diag = g.diagonal().real.tolist(), k.diagonal().real.tolist()
     gh = np.empty((n - 1, 2), complex)
 
+    def shifted_constraint():
+        """``(M + e I, sqrt(gamma), e)`` at the current point, for each step
+        there to take its block and ``h`` from."""
+        slack = PSD_TOL * float(gammas.min())
+        shifted = scaled_constraint(g, k, gammas)
+        shifted.flat[::n + 1] += slack
+        return shifted, np.sqrt(gammas), slack
+
     def schur_step(i) -> float:
         nonlocal calls
         gamma = float(gammas[i])
         if gamma >= 1.0:
             return gamma
         rest = others[i]
-        slack = PSD_TOL * float(gammas.min())
-        a = scaled_constraint(g, k, gammas).take(rest, 0).take(rest, 1)
-        a.flat[::n] += slack  # the diagonal of the (n - 1) x (n - 1) block
+        shifted, root, slack = point
+        a = shifted.take(rest, 0).take(rest, 1)
         gh[:, 0] = g_off[i]
-        gh[:, 1] = np.sqrt(gammas[rest]) * k_off[i]
+        gh[:, 1] = root[rest] * k_off[i]
         calls += 1
         try:
             sol = np.linalg.solve(a, gh)
@@ -311,6 +320,7 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
         free = np.flatnonzero(np.abs(null).max(axis=1, initial=0.0)
                               <= GRAM_TOL)
         still = set()  # the free i whose last step at this point made no move
+        point = shifted_constraint()  # what every step at this point reads
         for _ in range(200):
             for i in free:
                 if i in still:
@@ -320,6 +330,7 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
                     still.add(i)
                 else:
                     gammas[i], still = best, set()
+                    point = shifted_constraint()
             if len(still) == free.size:
                 break
 

@@ -52,7 +52,17 @@ EIGENSOLVERS = {
 # registered.
 PSD_TOL_READERS = {
     "feasibility.point_rule", "linalg.is_psd", "linalg.psd_sqrt",
-    "optimizer.search_gamma", "optimizer.search_gamma.schur_step",
+    "optimizer.search_gamma", "optimizer.search_gamma.shifted_constraint",
+}
+
+# Every function that calls ``scaled_constraint``, the one arithmetic of the
+# constraint matrix: the public check, the point rule, the assembly, and
+# COORDINATE's one build per point, which every Schur step at that point
+# takes its block from, so a second build in the ascent (a rebuild per
+# step) fails here until it is registered.
+SCALED_CONSTRAINT_CALLERS = {
+    "feasibility.constraint_matrix", "feasibility.point_rule",
+    "optimizer.search_gamma.shifted_constraint", "synthesis._assemble",
 }
 
 # Every function that reads ``GRAM_TOL``.  ``linalg.gram_miss`` is the one
@@ -213,6 +223,13 @@ def test_one_function_holds_the_point_rule():
             builds.add(where)
     assert readers == PSD_TOL_READERS
     assert compares & builds == {"feasibility.point_rule"}
+
+
+def test_one_constraint_build_per_caller():
+    """``scaled_constraint`` is called only where M is built for a point."""
+    found = {where for where, node in _module_nodes()
+             if _called(node) == "scaled_constraint"}
+    assert found == SCALED_CONSTRAINT_CALLERS
 
 
 def test_one_gram_comparison():

@@ -33,8 +33,9 @@ from qnot.feasibility import constraint_kernel, point_rule
 from qnot.linalg import PSD_TOL
 from qnot.states import GramMatrix
 
-from conftest import (random_independent_set, random_near_dependent_triple,
-                      random_set, random_state, worked_triple)
+from conftest import (phased_real_set, random_independent_set,
+                      random_near_dependent_triple, random_set, random_state,
+                      worked_triple)
 from oracles import cofactor_det, equal_edge_bisection, quadratic_roots
 
 # Boundary for all-|overlap| 0.3, phases (0.4, 0.1, 0.2), computed by
@@ -434,17 +435,22 @@ def test_real_dependent_family_keeps_unit_efficiency(d):
             assert np.array_equal(res.gammas, np.ones(d + 1))
 
 
-def test_coordinate_step_survives_a_singular_schur_block():
-    """A state orthogonal to the rest reaches gamma = 1, which zeroes its
-    row of M; the next step's block is then singular but for the
-    PSD_TOL min(gamma) shift, and the other two still reach the edge
-    (with the zero-phase probe; the default one makes all three perfect)."""
+def _singular_schur_block_set():
+    """A qutrit triple whose first state is orthogonal to the rest, and the
+    zero-phase probe (the default one makes all three perfect)."""
     s = 1.0 / np.sqrt(2.0)
     ss = StateSet((QuditState([1.0, 0.0, 0.0]),
                    QuditState([0.0, 0.6, 0.8j]),
                    QuditState([0.0, s, s])), TargetMap.CONJUGATE)
-    res = search_gamma(ss, GammaPolicy.COORDINATE,
-                       ProbeSpec.phase_vector(np.zeros(3)))
+    return ss, ProbeSpec.phase_vector(np.zeros(3))
+
+
+def test_coordinate_step_survives_a_singular_schur_block():
+    """A state orthogonal to the rest reaches gamma = 1, which zeroes its
+    row of M; the next step's block is then singular but for the
+    PSD_TOL min(gamma) shift, and the other two still reach the edge."""
+    ss, probe = _singular_schur_block_set()
+    res = search_gamma(ss, GammaPolicy.COORDINATE, probe)
     assert res.gammas[0] == 1.0
     assert res.boundary_lambda_min >= -PSD_TOL * res.gammas.min()
     for i in (1, 2):
@@ -655,22 +661,59 @@ def test_coordinate_makes_no_schur_solve_at_unit_efficiency():
     assert res.iterations == 1
 
 
+def _wide_pin_cases():
+    """``(state set, probe or None)`` past n = d = 10: independent sets at
+    n = d in {3, 4, 6, 16, 24}; phased-real dependent sets, alone (gamma = 1)
+    and as a null-space block beside an independent complex block, whose
+    probe doubles each block's own first-row phases, so COORDINATE moves
+    only the complex block; 20 near-dependent triples; and the
+    singular-Schur-block set."""
+    rng = np.random.default_rng(29)
+    cases = [(random_independent_set(rng, n, n, TargetMap.CONJUGATE), None)
+             for n in (3, 4, 6, 16, 24) for _ in range(4)]
+    cases += [(phased_real_set(rng, m, d, TargetMap.CONJUGATE), None)
+              for m, d in ((3, 2), (4, 3), (6, 4))]
+    for m, d, n_c, d_c in ((3, 2, 5, 5), (5, 3, 5, 6), (4, 2, 8, 8)):
+        blocks = (phased_real_set(rng, m, d, TargetMap.CONJUGATE),
+                  random_independent_set(rng, n_c, d_c, TargetMap.CONJUGATE))
+        states = tuple(QuditState(np.r_[s.amps, np.zeros(d_c)])
+                       for s in blocks[0].states) + tuple(
+            QuditState(np.r_[np.zeros(d), s.amps]) for s in blocks[1].states)
+        cases.append((StateSet(states, TargetMap.CONJUGATE),
+                      ProbeSpec.phase_vector(np.concatenate(
+                          [standard_probe(gram(b)).phases for b in blocks]))))
+    rng = np.random.default_rng(5)
+    cases += [(random_near_dependent_triple(rng), None) for _ in range(20)]
+    return cases + [_singular_schur_block_set()]
+
+
+def _search_pin(ss, policy, probe=None):
+    """One search as pinned: its float.hex bits, or None if it refuses."""
+    try:
+        res = search_gamma(ss, policy, probe)
+    except NoFeasiblePoint:
+        return None
+    return {"gammas": [float(g).hex() for g in res.gammas],
+            "boundary_lambda_min": float(res.boundary_lambda_min).hex(),
+            "iterations": res.iterations}
+
+
 # Both searches on the first 20 _coordinate_sets, and the oracle and triple
 # bound on _oracle_triples, as float.hex (null: the bound raises), recorded
 # before the per-call work around the rule was cut: a change to the bits of
-# point_rule moves these, where the plain bisection above would move with it
+# point_rule moves these, where the plain bisection above would move with it.
+# "wide_searches": both searches on _wide_pin_cases (null: NoFeasiblePoint),
+# recorded before COORDINATE built M once per point instead of once per step.
 PINS = json.loads(Path(__file__).with_name("search_pins.json").read_text())
 
 
 def test_searches_keep_their_pinned_bits():
-    for ss, pinned in zip(_coordinate_sets(len(PINS["searches"])),
-                          PINS["searches"]):
+    cases = [(ss, None) for ss in _coordinate_sets(len(PINS["searches"]))]
+    for (ss, probe), pinned in zip(cases + _wide_pin_cases(),
+                                   PINS["searches"] + PINS["wide_searches"],
+                                   strict=True):
         for policy in GammaPolicy:
-            res = search_gamma(ss, policy)
-            assert pinned[policy.value] == {
-                "gammas": [float(g).hex() for g in res.gammas],
-                "boundary_lambda_min": float(res.boundary_lambda_min).hex(),
-                "iterations": res.iterations}
+            assert pinned[policy.value] == _search_pin(ss, policy, probe)
 
 
 def test_oracle_and_triple_bound_keep_their_pinned_bits():
@@ -695,25 +738,46 @@ def test_coordinate_repeats_no_step_at_an_unchanged_point():
     assert np.mean(iterations) <= 24.5
 
 
+def test_coordinate_builds_each_point_once(monkeypatch):
+    """Each step takes its block from the one ``M + PSD_TOL min(gamma) I``
+    of its point, built when the ascent starts and after each move, so no
+    point is built twice: over these sets a search built M 17.79 times,
+    once per step, where it now builds it 2.8 times, once per point."""
+    built = []
+    scaled_constraint = optimizer.scaled_constraint
+
+    def recorded(g, k, gammas):
+        built.append(gammas.tobytes())
+        return scaled_constraint(g, k, gammas)
+
+    monkeypatch.setattr(optimizer, "scaled_constraint", recorded)
+    for ss in _coordinate_sets(200):
+        built.clear()
+        search_gamma(ss, GammaPolicy.COORDINATE)
+        assert built and len(set(built)) == len(built)
+
+
 def test_search_reports_the_edge_of_its_last_accepted_test(monkeypatch):
     """``boundary_lambda_min`` is the rule's value at the result, taken
     from the test that accepted it: the search calls the rule once per
     feasibility test, which is each evaluation but the Schur solves and
-    EQUAL's eigenproblem (made when gamma = 1 is refused)."""
+    EQUAL's eigenproblem (made when gamma = 1 is refused).  A Schur solve
+    is a solve against the two columns ``[g, h]``."""
     verdicts, solves = [], []
-    scaled_constraint = optimizer.scaled_constraint
+    solve = np.linalg.solve
 
     def counted_rule(g, k, gammas):
         out = point_rule(g, k, gammas)
         verdicts.append(out[0])
         return out
 
-    def counted_schur(g, k, gammas):
-        solves.append(gammas)
-        return scaled_constraint(g, k, gammas)
+    def counted_solve(a, b):
+        if b.shape == (9, 2):
+            solves.append(a.shape)
+        return solve(a, b)
 
     monkeypatch.setattr(optimizer, "point_rule", counted_rule)
-    monkeypatch.setattr(optimizer, "scaled_constraint", counted_schur)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
     for ss in _coordinate_sets(200):
         g, probe = gram(ss).matrix, standard_probe(gram(ss))
         for policy in GammaPolicy:
