@@ -11,11 +11,12 @@ Q^dag``.  Two families with identical Gram matrices are related by a
 unitary, and :func:`unitary_completion` builds one in closed form, the
 polar factor ``U V^dag`` of their cross map (orthogonal Procrustes,
 Schonemann 1966), on the ``s`` rows where some vector of either family
-is nonzero (:func:`completion_block`).  The polar factor is unitary to
-rounding at any rank, so no rank tolerance decides which vectors count
-as independent.  An exact machine completes its ``d`` system rows, with
-the QR when ``d > 2n``; a probabilistic machine lifts the CS dilation of
-its success map from the same kernel (see :mod:`qnot.synthesis`).
+is nonzero, and the identity on every other row.  The polar factor is
+unitary to rounding at any rank, so no rank tolerance decides which
+vectors count as independent.  An exact machine completes its ``d``
+system rows, with the QR when ``d > 2n``; a probabilistic machine lifts
+the CS dilation of its success map from the same kernel (see
+:mod:`qnot.synthesis`).
 
 The completion, both exact checks and the probabilistic assembly compare
 Grams by :func:`gram_miss`.  Every PSD decision compares
@@ -41,14 +42,12 @@ RANK_TOL = 1e-10
 ZERO_SUCCESS = 1e-14     # success probability below which no output exists
 
 
-def _as_complex_matrix(m) -> np.ndarray:
+def _hermitian(m) -> np.ndarray:
+    """``m`` as a complex square matrix that is Hermitian within
+    :data:`HERMITICITY_TOL`; NaN fails the test."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquare(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
-def _require_hermitian(m: np.ndarray) -> np.ndarray:
     dev = np.abs(m - m.conj().T).max() if m.size else 0.0
     if not dev <= HERMITICITY_TOL:
         raise NotHermitian(
@@ -89,7 +88,7 @@ def range_null(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def is_psd(m) -> bool:
     """True when the Hermitian matrix has no eigenvalue below ``-PSD_TOL``."""
-    m = _require_hermitian(_as_complex_matrix(m))
+    m = _hermitian(m)
     return smallest_eigenvalue(m) >= -PSD_TOL
 
 
@@ -99,7 +98,7 @@ def psd_sqrt(m) -> np.ndarray:
     A matrix that fails the PSD test at :data:`PSD_TOL` raises
     :class:`NotPSD`; otherwise eigenvalues below zero are clamped to zero.
     """
-    m = _require_hermitian(_as_complex_matrix(m))
+    m = _hermitian(m)
     lam_min = smallest_eigenvalue(m)
     if lam_min < -PSD_TOL:
         raise NotPSD(f"smallest eigenvalue {lam_min:.3e} is below -{PSD_TOL:.1e}")
@@ -125,9 +124,21 @@ def gram_miss(g: np.ndarray, h: np.ndarray):
 def unitary_completion(inputs, outputs) -> np.ndarray:
     """Unitary ``U`` with ``U @ inputs[i] == outputs[i]`` for every pair.
 
-    The dense form of :func:`completion_block`: every row and column of
-    ``U`` outside the support is exactly the identity's, and an all-zero
-    family gives the identity.
+    The support is the ``s`` rows where some input or output entry is
+    nonzero (exactly); every row and column of ``U`` outside it is the
+    identity's, and an all-zero family gives the identity.  With ``X`` and
+    ``Y`` the ``k`` vectors of each family on the support as columns, equal
+    Grams make ``Y = R0 X`` for a unitary ``R0``, so ``A = Y X^dag = R0 X
+    X^dag`` and every polar factor of ``A`` agrees with ``R0`` on the span
+    of ``X``: from the SVD ``W S V^dag`` of ``A`` (:func:`_cross_svd`),
+    ``R = W V^dag`` sends each input to its output (orthogonal
+    Procrustes); a support row no input reaches is a zero column of ``A``.
+    When ``s <= 2k`` the block of ``U`` on the support is ``R``, at ``O(s^2
+    k + s^3)``; when ``s > 2k`` the SVD is taken inside the families' joint
+    span and :func:`_lift` writes ``R`` back, the identity outside that
+    span, at ``O(s^2 k)``.  As a product of SVD factors ``R`` is unitary to
+    rounding whatever the rank of the families, so no rank tolerance is
+    needed.
 
     Parameters
     ----------
@@ -153,41 +164,16 @@ def unitary_completion(inputs, outputs) -> np.ndarray:
                                 f"{y_mat.shape[::-1]} (vectors x length)")
     if not x_mat.size:
         raise DimensionMismatch("need at least one input/output pair")
-    support, block = completion_block(x_mat, y_mat)
-    u = np.eye(x_mat.shape[0], dtype=complex)
-    u[np.ix_(support, support)] = block
-    return u
-
-
-def completion_block(x_mat: np.ndarray, y_mat: np.ndarray):
-    """``(support, block)`` of the unitary sending each column of ``x_mat``
-    to the same column of ``y_mat`` (complex ``D x k`` arrays).
-
-    ``support`` holds, ascending, the ``s`` rows where some input or output
-    entry is nonzero (exactly) and ``block`` is ``U`` on those rows and
-    columns; every other row and column of ``U`` is the identity's.  With
-    ``X`` and ``Y`` the families on the support as columns, equal Grams
-    make ``Y = R0 X`` for a unitary ``R0``, so ``A = Y X^dag = R0 X X^dag``
-    and every polar factor of ``A`` agrees with ``R0`` on the span of
-    ``X``: from the SVD ``W S V^dag`` of ``A`` (:func:`_cross_svd`), ``R
-    = W V^dag`` sends each input to its output (orthogonal Procrustes); a
-    support row no input reaches is a zero column of ``A``.  When ``s <=
-    2k`` the block is ``R``, at ``O(s^2 k + s^3)``; when ``s > 2k`` the
-    SVD is taken inside the families' joint span and :func:`_lift` writes
-    ``R`` back, the identity outside that span, at ``O(s^2 k)``.  As a
-    product of SVD factors ``R`` is unitary to rounding whatever the rank
-    of the families, so no rank tolerance is needed.  Raises
-    :class:`GramMismatch` when some pair of inner products disagrees
-    beyond :data:`GRAM_TOL`.
-    """
     support = np.flatnonzero((x_mat != 0).any(axis=1)
                              | (y_mat != 0).any(axis=1))
-    x_mat, y_mat = x_mat[support], y_mat[support]
-    miss = gram_miss(gram_of(x_mat), gram_of(y_mat))
+    x, y = x_mat[support], y_mat[support]
+    miss = gram_miss(gram_of(x), gram_of(y))
     if miss:
         raise GramMismatch(*miss)
-    q, w, _, vh = _cross_svd(x_mat, y_mat)
-    return support, _lift(q, w @ vh)
+    q, w, _, vh = _cross_svd(x, y)
+    u = np.eye(x_mat.shape[0], dtype=complex)
+    u[np.ix_(support, support)] = _lift(q, w @ vh)
+    return u
 
 
 def _cross_svd(x: np.ndarray, y: np.ndarray):

@@ -264,44 +264,6 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
         edge = lam if ok else edge
         return ok
 
-    col = np.arange(n - 1)
-    others = col + (col >= np.arange(n)[:, None])  # row i: every index but i
-    # row i: G[-i, i] and K[-i, i]; the quadratic's scalars as Python floats
-    g_off, k_off = (m[others, np.arange(n)[:, None]] for m in (g, k))
-    g_diag, k_diag = g.diagonal().real.tolist(), k.diagonal().real.tolist()
-    gh = np.empty((n - 1, 2), complex)
-
-    def shifted_constraint():
-        """``(M + e I, sqrt(gamma), e)`` at the current point, for each step
-        there to take its block and ``h`` from."""
-        slack = PSD_TOL * float(gammas.min())
-        shifted = scaled_constraint(g, k, gammas)
-        shifted.flat[::n + 1] += slack
-        return shifted, np.sqrt(gammas), slack
-
-    def schur_step(i) -> float:
-        nonlocal calls
-        gamma = float(gammas[i])
-        if gamma >= 1.0:
-            return gamma
-        rest = others[i]
-        shifted, root, slack = point
-        a = shifted.take(rest, 0).take(rest, 1)
-        gh[:, 0] = g_off[i]
-        gh[:, 1] = root[rest] * k_off[i]
-        calls += 1
-        try:
-            sol = np.linalg.solve(a, gh)
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(a, gh, rcond=None)[0]
-        (q00, q01), (_, q11) = (gh.conj().T @ sol).tolist()
-        alpha, beta = k_diag[i] + q11.real, q01.real
-        disc = beta * beta + alpha * (g_diag[i] + slack - q00.real)
-        x = min((beta + math.sqrt(max(disc, 0.0))) / alpha, 1.0)
-        if not x * x - gamma >= COORDINATE_CONVERGENCE:
-            return gamma
-        return _retreat(lambda v: feasible(v, i), x * x, gamma)
-
     equal = 1.0
     if not feasible(1.0):
         g_b, k_b = (g, k) if not null.size else (
@@ -317,6 +279,47 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
     gammas[:] = equal
 
     if policy is GammaPolicy.COORDINATE:
+        col = np.arange(n - 1)
+        # row i: every index but i
+        others = col + (col >= np.arange(n)[:, None])
+        # row i: G[-i, i] and K[-i, i]
+        g_off, k_off = (m[others, np.arange(n)[:, None]] for m in (g, k))
+        # the quadratic's scalars as Python floats
+        g_diag = g.diagonal().real.tolist()
+        k_diag = k.diagonal().real.tolist()
+        gh = np.empty((n - 1, 2), complex)
+
+        def shifted_constraint():
+            """``(M + e I, sqrt(gamma), e)`` at the current point, for each
+            step there to take its block and ``h`` from."""
+            slack = PSD_TOL * float(gammas.min())
+            shifted = scaled_constraint(g, k, gammas)
+            shifted.flat[::n + 1] += slack
+            return shifted, np.sqrt(gammas), slack
+
+        def schur_step(i) -> float:
+            nonlocal calls
+            gamma = float(gammas[i])
+            if gamma >= 1.0:
+                return gamma
+            rest = others[i]
+            shifted, root, slack = point
+            a = shifted.take(rest, 0).take(rest, 1)
+            gh[:, 0] = g_off[i]
+            gh[:, 1] = root[rest] * k_off[i]
+            calls += 1
+            try:
+                sol = np.linalg.solve(a, gh)
+            except np.linalg.LinAlgError:
+                sol = np.linalg.lstsq(a, gh, rcond=None)[0]
+            (q00, q01), (_, q11) = (gh.conj().T @ sol).tolist()
+            alpha, beta = k_diag[i] + q11.real, q01.real
+            disc = beta * beta + alpha * (g_diag[i] + slack - q00.real)
+            x = min((beta + math.sqrt(max(disc, 0.0))) / alpha, 1.0)
+            if not x * x - gamma >= COORDINATE_CONVERGENCE:
+                return gamma
+            return _retreat(lambda v: feasible(v, i), x * x, gamma)
+
         free = np.flatnonzero(np.abs(null).max(axis=1, initial=0.0)
                               <= GRAM_TOL)
         still = set()  # the free i whose last step at this point made no move

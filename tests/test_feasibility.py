@@ -1,5 +1,8 @@
 import dataclasses
 import functools
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1144,3 +1147,85 @@ def test_every_machine_is_one_unitary_completion(monkeypatch, build):
     monkeypatch.setattr("qnot.feasibility.unitary_completion", counted)
     build(np.random.default_rng(62))
     assert len(calls) == 1
+
+
+def _completion_pin_families():
+    """``(inputs, outputs)`` as columns: ``k`` unit vectors on ``s`` rows
+    spanning ``rank`` dimensions and their images under a random unitary,
+    in both :func:`qnot.linalg._cross_svd` regimes (``s <= 2k`` and ``s >
+    2k``) and with ``n > d``, each also scattered onto ``s`` of ``s + 4``
+    rows; and NOT on |1>, whose support row 0 carries no input."""
+    rng = np.random.default_rng(45)
+    cases = {}
+    for s, k, rank in [(4, 4, 4), (6, 4, 2), (9, 3, 3), (11, 4, 2),
+                       (3, 7, 3), (4, 9, 2)]:
+        basis = rng.normal(size=(s, rank)) + 1j * rng.normal(size=(s, rank))
+        x = basis @ (rng.normal(size=(rank, k))
+                     + 1j * rng.normal(size=(rank, k)))
+        x /= np.linalg.norm(x, axis=0)
+        v = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+        y = np.linalg.qr(v)[0] @ x
+        cases[f"{s}x{k}-rank-{rank}"] = x, y
+        rows = np.sort(rng.choice(s + 4, size=s, replace=False))
+        x_pad, y_pad = np.zeros((2, s + 4, k), complex)
+        x_pad[rows], y_pad[rows] = x, y
+        cases[f"{s}x{k}-rank-{rank}-padded"] = x_pad, y_pad
+    cases["not-on-1"] = np.array([[0.0], [1.0]]), np.array([[1.0], [0.0]])
+    return cases
+
+
+def _exact_pin_sets():
+    """Sets every exact builder takes, by ``(n, d)``: real conjugate sets
+    (exact unitary) and phased real ones with their witness (exact with
+    probe) in both completion regimes, with ``n > d``, zero-padded, and
+    NOT on |1>."""
+    rng = np.random.default_rng(46)
+    not_on_1 = StateSet((QuditState(np.array([0.0, 1.0])),), TargetMap.NOT)
+    plain = {f"{n}x{d}": random_set(rng, n, d, TargetMap.CONJUGATE, real=True)
+             for n, d in [(2, 2), (3, 3), (2, 5), (3, 8), (5, 2), (7, 3)]}
+    plain |= {f"padded-{n}x{d + 1}": _padded(random_set(
+        rng, n, d, TargetMap.CONJUGATE, real=True)) for n, d in [(3, 3), (2, 5)]}
+    plain["not-3x2"] = random_set(rng, 3, 2, TargetMap.NOT, real=True)
+    plain["not-on-1"] = not_on_1
+    phased = {f"{n}x{d}": phased_real_set(rng, n, d, TargetMap.CONJUGATE)
+              for n, d in [(2, 2), (3, 3), (2, 5), (3, 8), (5, 2), (7, 3)]}
+    phased |= {f"padded-{n}x{d + 1}": _padded(phased_real_set(
+        rng, n, d, TargetMap.CONJUGATE)) for n, d in [(3, 3), (2, 5)]}
+    phased["not-4x2"] = _probe_branches(rng, 4, 2)[0]
+    phased["not-on-1"] = not_on_1
+    return plain, phased
+
+
+def _sha(u) -> str:
+    return hashlib.sha256(np.ascontiguousarray(u).tobytes()).hexdigest()
+
+
+def _exact_pins():
+    """The SHA-256 of every exact machine's unitary bytes, keyed by builder
+    and case; ``synthesize`` also gives its report's residual as float.hex."""
+    plain, phased = _exact_pin_sets()
+    synthesized = {key: synthesize(ss) for key, ss in plain.items()}
+    assert all(r.path == "exact" for _, r in synthesized.values())
+    return {
+        "unitary_completion": {
+            key: _sha(unitary_completion(x.T, y.T))
+            for key, (x, y) in _completion_pin_families().items()},
+        "build_exact_unitary": {key: _sha(build_exact_unitary(ss))
+                                for key, ss in plain.items()},
+        "synthesize": {key: [_sha(m.unitary), r.residual.hex()]
+                       for key, (m, r) in synthesized.items()},
+        "build_probe_unitary": {
+            key: _sha(build_probe_unitary(
+                ss, check_exact_with_probe(ss).witness))
+            for key, ss in phased.items()},
+    }
+
+
+# Every exact builder's unitary on the cases above, recorded before the
+# completion's (support, block) form was folded into unitary_completion:
+# the bits of an exact machine, which the CLI byte pins touch on one set.
+EXACT_PINS = json.loads(Path(__file__).with_name("exact_pins.json").read_text())
+
+
+def test_exact_machines_keep_their_pinned_bits():
+    assert _exact_pins() == EXACT_PINS

@@ -19,8 +19,7 @@ from qnot import (
     psd_sqrt,
     unitary_completion,
 )
-from qnot.linalg import (RANK_TOL, completion_block, null_count, range_null,
-                         smallest_eigenvalue)
+from qnot.linalg import RANK_TOL, null_count, range_null, smallest_eigenvalue
 
 
 def random_hermitian(rng, n):
@@ -312,6 +311,11 @@ def _families(rng, s, k, rank):
     return x, np.linalg.qr(v)[0] @ x
 
 
+def _support(x, y):
+    """The rows where some column of ``x`` or ``y`` is nonzero."""
+    return np.flatnonzero((x != 0).any(axis=1) | (y != 0).any(axis=1))
+
+
 @pytest.mark.parametrize("shape", COMPLETION_SHAPES.values(),
                          ids=COMPLETION_SHAPES)
 def test_completion_in_both_regimes(shape, monkeypatch):
@@ -329,7 +333,8 @@ def test_completion_in_both_regimes(shape, monkeypatch):
     rng = np.random.default_rng(35)
     x, y = _families(rng, s, k, rank)
     qr_calls.clear()
-    support, block = completion_block(x, y)
+    support = _support(x, y)
+    block = unitary_completion(x.T, y.T)[np.ix_(support, support)]
     assert qr_calls == ([] if s <= 2 * k else [(s, 2 * k)])
     np.testing.assert_array_equal(support, np.arange(s))
     assert np.abs(block @ x - y).max() < 1e-12
@@ -346,7 +351,7 @@ def test_completion_in_both_regimes(shape, monkeypatch):
     assert np.abs(u @ x_pad - y_pad).max() < 1e-12
     y[:, -1] *= 1.5
     with pytest.raises(GramMismatch):
-        completion_block(x, y)
+        unitary_completion(x.T, y.T)
 
 
 def _general_layout(pad):
@@ -393,7 +398,8 @@ def test_completion_on_the_input_columns(make, monkeypatch):
         return svd(a, *args)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    support, block = completion_block(x, y)
+    support = _support(x, y)
+    block = unitary_completion(x.T, y.T)[np.ix_(support, support)]
     s, used = support.size, (x[support] != 0).any(axis=1)
     assert s <= 2 * x.shape[1] and 0 < used.sum() < s
     assert svd_shapes == [(s, s)]
@@ -412,7 +418,7 @@ def test_completion_on_the_input_columns(make, monkeypatch):
                                   block)
     y[:, -1] *= 1.5
     with pytest.raises(GramMismatch):
-        completion_block(x, y)
+        unitary_completion(x.T, y.T)
 
 
 @pytest.mark.parametrize(
@@ -423,7 +429,9 @@ def test_inputs_on_every_row_keep_the_square_svd(shape):
     factor of the ``s x s`` SVD, bit for bit."""
     x, y = _families(np.random.default_rng(38), *shape)
     w, _, vh = np.linalg.svd(y @ x.conj().T)
-    np.testing.assert_array_equal(completion_block(x, y)[1], w @ vh)
+    support = _support(x, y)
+    np.testing.assert_array_equal(
+        unitary_completion(x.T, y.T)[np.ix_(support, support)], w @ vh)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
 """The project's tooling: pytest reports a failing test as a failure,
 every docstring cross-reference names something that exists, no module
-imports a name it never uses, and the benchmark's own tests pass."""
+imports a name it never uses, every module-level function has a reader,
+and the benchmark's own tests pass."""
 import ast
 import builtins
 import importlib
@@ -9,6 +10,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import qnot
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -109,6 +112,38 @@ def test_no_module_imports_a_name_it_never_uses():
             if unused:
                 found[path.stem] = unused
     assert found == {}
+
+
+# Module-level functions that nothing in the package calls and the package
+# does not export, each with the readers it is kept for.
+UNCALLED = {
+    "serialize.dump": "the benchmark's serialize.dump span and CliRoundtrip",
+    "serialize.state_from_dict": "the document API: state_to_dict's inverse",
+    "serialize.state_set_to_dict": (
+        "the document API: it writes the set files that the CLI reads"),
+}
+
+
+def test_every_function_has_a_reader():
+    """A module-level function is read by name somewhere in the package
+    outside its own body, exported from ``qnot``, or registered in
+    ``UNCALLED``: code that nothing calls is deleted."""
+    functions, read = set(), set()
+    for path in SOURCES:
+        for top in ast.parse(path.read_text()).body:
+            own = None
+            if isinstance(top, ast.FunctionDef):
+                own = top.name
+                functions.add(f"{path.stem}.{own}")
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name)
+                        and isinstance(node.ctx, ast.Load) else
+                        node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != own:
+                    read.add(name)
+    unread = {f for f in functions
+              if f.split(".")[1] not in read | set(qnot.__all__)}
+    assert unread == set(UNCALLED)
 
 
 def test_benchmark_tests_pass():
