@@ -12,9 +12,10 @@ Every subcommand also takes ``--output FILE`` and ``--format json|text``.
 ``--phases`` without ``--gamma`` on ``check`` or ``synthesize`` exits 2.
 
 Exit codes: 0 success, 2 malformed input or an unwritable ``--output``,
-3 linearly dependent set, 4 simulation contract violation, 5 closed form
-vs oracle disagreement, 6 degenerate determinant (a dependent triple, or
-one with a zero overlap).  JSON output is compact (no indentation);
+3 linearly dependent set with no certified exact machine, 4 simulation
+contract violation, 5 closed form vs oracle disagreement, 6 degenerate
+determinant (a dependent triple, or one with a zero overlap).  JSON
+output is compact (no indentation);
 ``--format text`` is the human-readable form.
 
 ``check --gamma`` reports an infeasible point's ``violation`` as
@@ -83,10 +84,10 @@ def _emit(doc: dict, args, text_lines=None) -> None:
         sys.stdout.write(payload)
 
 
-def _probe_from_args(args, gram_matrix):
+def _probe_from_args(args, state_set):
     if args.phases is not None:
         return ProbeSpec.phase_vector(_parse_floats(args.phases))
-    return standard_probe(gram_matrix)
+    return standard_probe(gram(state_set))
 
 
 def _requested_point(args, state_set):
@@ -95,7 +96,7 @@ def _requested_point(args, state_set):
         if args.phases is not None:
             raise serialize.SchemaError("--phases needs --gamma")
         return None
-    return _parse_floats(args.gamma), _probe_from_args(args, gram(state_set))
+    return _parse_floats(args.gamma), _probe_from_args(args, state_set)
 
 
 def _gram_text(gm) -> list[str]:
@@ -201,9 +202,8 @@ def cmd_gamma_max(args) -> int:
 
 def cmd_oracle(args) -> int:
     state_set = _load_set(args.input)
-    gm = gram(state_set)
     policy = GammaPolicy(args.policy)
-    probe = _probe_from_args(args, gm)
+    probe = _probe_from_args(args, state_set)
     result = search_gamma(state_set, policy, probe)
     doc = {
         "gammas": [float(g) for g in result.gammas],

@@ -99,12 +99,11 @@ def standard_probe(gram_matrix: GramMatrix) -> ProbeSpec:
     takes ``phi_i + 2 theta_ij`` from the placed ``i`` it overlaps most, or,
     overlapping none, starts a component at phase 0."""
     g = gram_matrix.matrix
-    probe = ProbeSpec.phase_vector(np.mod(2.0 * _fold_phases(g[0], np.abs(g[0])),
-                                          2.0 * np.pi))
+    phases = np.mod(2.0 * _fold_phases(g[0], np.abs(g[0])), 2.0 * np.pi)
     placed = np.abs(g[0]) >= 1e-12
-    if placed.all():
-        return probe
-    phases = probe.phases.copy()
+    if not placed.all():
+        # the sums below read member 0 at phase 0, where phase_vector pins it
+        phases = np.mod(phases - phases[0], 2.0 * np.pi)
     for _ in range(phases.size):  # each pass places at least one member
         if placed.all():
             break
@@ -224,6 +223,8 @@ def constraint_matrix(gram_matrix: GramMatrix, gammas,
 
     Positive semidefiniteness of this matrix is exactly feasibility of a
     probabilistic machine with efficiencies ``gamma_i`` and probe Gram ``P``.
+    This is the exported form, which validates its inputs; the package
+    itself builds ``M`` through :func:`scaled_constraint`.
     """
     g = gram_matrix.matrix
     return scaled_constraint(g, constraint_kernel(g, probe),

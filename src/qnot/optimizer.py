@@ -49,13 +49,14 @@ at that point takes its ``A`` and ``h`` from them; the columns
 search, and the root is solved on Python floats.  A rise below
 :data:`COORDINATE_CONVERGENCE` is not taken; any other candidate is kept
 once the rule accepts it, else retreated toward the last certified value
-along :data:`RETREAT`.  A step is a function of the point alone, so one
-rule runs the sweeps: a member steps again only after another member
-moves, and the ascent ends when no free member's step moves (or after 200
-sweeps); a skipped step would have made no move.  Without a probe the
-search takes :func:`qnot.feasibility.standard_probe`, the witness of the
-exact probe check, so the two agree; its points are certified lower bounds
-for an optimal probe.
+along :data:`RETREAT`.  Steps go round the free members in a fixed
+cyclic order, and the ascent ends once as many steps in a row as there are
+free members make no move (or after 200 steps per free member): a step is
+a function of the point alone, so each member's next step would make no
+move either.  Without a probe the search takes
+:func:`qnot.feasibility.standard_probe`, the witness of the exact probe
+check, so the two agree; its points are certified lower bounds for an
+optimal probe.
 """
 from __future__ import annotations
 
@@ -322,20 +323,18 @@ def search_gamma(state_set: StateSet, policy: GammaPolicy = GammaPolicy.EQUAL,
 
         free = np.flatnonzero(np.abs(null).max(axis=1, initial=0.0)
                               <= GRAM_TOL)
-        still = set()  # the free i whose last step at this point made no move
         point = shifted_constraint()  # what every step at this point reads
-        for _ in range(200):
-            for i in free:
-                if i in still:
-                    continue
-                best = schur_step(i)
-                if best == gammas[i]:
-                    still.add(i)
-                else:
-                    gammas[i], still = best, set()
-                    point = shifted_constraint()
-            if len(still) == free.size:
-                break
+        idle = 0  # steps since the last move
+        for step in range(200 * free.size):
+            i = free[step % free.size]
+            best = schur_step(i)
+            if best != gammas[i]:
+                gammas[i], idle = best, 0
+                point = shifted_constraint()
+            else:
+                idle += 1
+                if idle == free.size:
+                    break
 
     # every accepted point is kept, so the last one is the result
     return GammaSearchResult(gammas, probe, float(gammas.mean()), calls, edge)

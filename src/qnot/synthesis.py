@@ -36,11 +36,16 @@ build refuses a Gram miss.
 unitary with unit efficiency and no probe.  Other linearly independent
 families get safe equal efficiencies
 ``epsilon = ETA * lambda_min(G) / lambda_max(conj(G))`` with ``ETA = 0.999``
-and the zero-phase probe, which keeps ``M = G - epsilon conj(G)`` strictly
-positive; a family is dependent when :func:`qnot.linalg.range_null`, the
-one rank decision, finds a null space in the Gram.
-:func:`synthesize` computes the Gram once: its exact test, which also
-reads the set's targets, the spectrum and ``M`` all read that one matrix.
+and the zero-phase probe, whose ``P`` is all ones, so ``K = conj(G)`` and
+``M = G - epsilon conj(G)`` is strictly positive; a family is dependent
+when :func:`qnot.linalg.range_null`, the one rank decision, finds a null
+space in the Gram.  A dependent family that the exact probe test passes
+with the witness of :func:`qnot.feasibility.standard_probe`, as
+:func:`qnot.feasibility.check_exact_with_probe` decides it, gets
+:func:`qnot.feasibility.build_probe_unitary` of that witness with unit
+efficiency; any other dependent family is refused.
+:func:`synthesize` computes the Gram once: its exact tests, which also
+read the set's targets, the spectrum and ``M`` all read that one matrix.
 :func:`synthesize_with` decides the caller's point by the test of
 :func:`qnot.feasibility.check_probabilistic`, on the one Gram it then
 builds from.  Both hand one assembly step the split, efficiencies, phases
@@ -74,10 +79,11 @@ from .feasibility import (
     _exact,
     _probabilistic,
     build_exact_unitary,
-    constraint_kernel,
+    build_probe_unitary,
     efficiencies,
     machine_phases,
     scaled_constraint,
+    standard_probe,
 )
 from .linalg import _cross_svd, _lift, gram_miss, gram_of, psd_sqrt, range_null
 from .states import GramMatrix, StateSet, TargetMap, _check_target, gram
@@ -164,8 +170,9 @@ class SynthesisReport:
     efficiency and ``c``, ``d_max`` are the Gram's extreme eigenvalues.
     ``residual`` is ``max |F^dag F - M|`` on the general path, for the
     failure branches ``F = C V_a^dag Psi`` of the CS dilation, and ``max
-    |U_s Psi - T|`` of the success block on the set's matrix ``Psi`` and
-    targets ``T`` on the exact path."""
+    |U_s Psi - T diag(e^{i phi})|`` of the success block on the set's
+    matrix ``Psi`` and targets ``T`` on the ``exact`` (``phi = 0``) and
+    ``probe`` paths."""
 
     epsilon: float
     c: float
@@ -268,19 +275,24 @@ def _dilation(q, u_a, s, vh_a, r: int):
 
 
 def synthesize(state_set: StateSet):
-    """Machine with safe equal efficiencies for an independent family.
+    """Exact machine where one is certified, else safe equal efficiencies.
 
     Returns ``(machine, report)``.  When
     :func:`qnot.feasibility.check_exact_unitary` is feasible the probe is
     skipped and the machine is an exact system-only unitary with
-    ``gamma = 1``; this path also takes linearly dependent families.
-    Otherwise efficiencies are ``epsilon = ETA * c / d_max`` with ``c`` the
-    smallest and ``d_max`` the largest eigenvalue of the Gram, whose
-    conjugate has the same spectrum; ``c <= d_max`` and ``ETA < 1`` keep
-    ``epsilon`` below 1.
+    ``gamma = 1`` (``path="exact"``); this path also takes linearly
+    dependent families.  Another dependent family takes the exact probe
+    test of :func:`qnot.feasibility.check_exact_with_probe`; where it
+    passes, the machine is :func:`qnot.feasibility.build_probe_unitary` of
+    its witness, with ``gamma = 1`` and the witness phases
+    (``path="probe"``).  An independent family gets efficiencies
+    ``epsilon = ETA * c / d_max`` with ``c`` the smallest and ``d_max`` the
+    largest eigenvalue of the Gram, whose conjugate has the same spectrum;
+    ``c <= d_max`` and ``ETA < 1`` keep ``epsilon`` below 1
+    (``path="general"``).
 
-    Raises :class:`LinearlyDependent` when the general path is needed and
-    the rank decision puts the Gram's rank below the family's size.
+    Raises :class:`LinearlyDependent` when the rank decision puts the
+    Gram's rank below the family's size and neither exact test passes.
     """
     n = len(state_set)
     gm = gram(state_set)
@@ -288,22 +300,29 @@ def synthesize(state_set: StateSet):
     c, d_max = float(spectrum[0]), float(spectrum[-1])
 
     if _exact(state_set, gm).feasible:
-        machine = Machine(state_set.dim, 1, state_set.target,
-                          build_exact_unitary(state_set), np.ones(n),
-                          np.zeros(n))
-        # the residual of the dense d x d product, as the machine file records it
-        residual = float(np.abs(machine.success_block() @ state_set.matrix()
-                                - state_set.target_matrix()).max())
-        return machine, SynthesisReport(1.0, c, d_max, residual, path="exact")
-
-    if null.shape[1]:
-        raise LinearlyDependent(
-            f"Gram rank is below {n} (smallest eigenvalue {c:.3e})")
-    epsilon = ETA * c / d_max
-    zero = ProbeSpec.phase_vector(np.zeros(n))
-    machine, residual = _assemble(state_set, gm, split, np.full(n, epsilon),
-                                  zero.phases, constraint_kernel(gm.matrix, zero))
-    return machine, SynthesisReport(epsilon, c, d_max, residual)
+        path, probe_dim, phases = "exact", 1, np.zeros(n)
+        unitary = build_exact_unitary(state_set)
+    elif not null.shape[1]:
+        epsilon = ETA * c / d_max
+        # the zero-phase probe: P is all ones, so K is conj(G)
+        machine, residual = _assemble(state_set, gm, split,
+                                      np.full(n, epsilon), np.zeros(n),
+                                      np.conj(gm.matrix))
+        return machine, SynthesisReport(epsilon, c, d_max, residual)
+    else:
+        probe = standard_probe(gm)
+        if not _exact(state_set, gm, probe).feasible:
+            raise LinearlyDependent(
+                f"Gram rank is below {n} (smallest eigenvalue {c:.3e})")
+        path, probe_dim, phases = "probe", 2, probe.phases
+        unitary = build_probe_unitary(state_set, probe)
+    machine = Machine(state_set.dim, probe_dim, state_set.target, unitary,
+                      np.ones(n), phases)
+    # the residual of the dense d x d product, as the machine file records it
+    branches = state_set.target_matrix() * np.exp(1j * phases)
+    residual = float(np.abs(machine.success_block() @ state_set.matrix()
+                            - branches).max())
+    return machine, SynthesisReport(1.0, c, d_max, residual, path=path)
 
 
 def synthesize_with(state_set: StateSet, gammas, probe: ProbeSpec) -> Machine:

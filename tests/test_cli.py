@@ -165,6 +165,39 @@ def test_great_circle_machine_at_unit_efficiency_simulates(tmp_path, capsys,
     assert doc["all_ok"] is True
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_great_circle_synthesize_then_simulate(tmp_path, capsys, n):
+    """Without ``--gamma``, a dependent great circle gets the perfect NOT
+    that ``check`` certifies, and ``simulate`` passes it."""
+    set_path = write_doc(tmp_path, "set.json", great_circle_doc(n))
+    machine_path = str(tmp_path / "machine.json")
+    assert main(["synthesize", "--input", set_path,
+                 "--output", machine_path]) == 0
+    capsys.readouterr()
+    assert json.loads(Path(machine_path).read_text())["report"]["path"] == (
+        "probe")
+    code, doc = run(capsys, ["simulate", "--input", set_path,
+                             "--machine", machine_path, "--shots", "2000"])
+    assert code == 0
+    assert doc["all_ok"] is True
+
+
+def test_great_circle_commands_agree_on_unit_efficiency(tmp_path, capsys):
+    """``check``, ``oracle`` and ``synthesize`` give {|0>, |1>, |+i>, |-i>}
+    one answer: exact with a probe, at gamma = 1, with the same phases."""
+    path = write_doc(tmp_path, "set.json", great_circle_doc())
+    _, check = run(capsys, ["check", "--input", path])
+    _, oracle = run(capsys, ["oracle", "--input", path])
+    code, machine = run(capsys, ["synthesize", "--input", path])
+    assert code == 0
+    witness = check["exact_with_probe"]
+    assert witness["feasible"] is True
+    assert oracle["gammas"] == machine["gammas"] == [1.0] * 4
+    assert machine["report"]["epsilon"] == 1.0
+    assert machine["phases"] == witness["witness_phases"]
+    assert machine["phases"] == oracle["probe_phases"]
+
+
 def test_check_with_efficiencies(tmp_path, capsys):
     path = write_doc(tmp_path, "set.json", CANONICAL_PAIR)
     code, doc = run(capsys, ["check", "--input", path,

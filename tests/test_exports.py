@@ -114,12 +114,21 @@ NORM_TOL_READERS = {"feasibility.ProbeSpec.full_gram", "states._check_members"}
 
 # Every function that calls ``ProbeSpec.phase_vector``.  ``standard_probe``
 # is the one default probe: the probe check's witness and the default of the
-# search and the CLI.  The others build a probe that is not a default: the
-# triple's own probe from its polar data, the zero-phase probe of
-# ``synthesize``'s epsilon bound, and an explicit ``--phases``.  A second
-# default-probe rule fails here until it is registered.
+# search, ``synthesize`` and the CLI.  The others build a probe that is not a
+# default: the triple's own probe from its polar data and an explicit
+# ``--phases``.  A second default-probe rule fails here until it is
+# registered.
 PROBE_BUILDERS = {
     "feasibility.standard_probe", "optimizer.TripleBoundInput.probe",
+    "cli._probe_from_args",
+}
+
+# Every function that calls ``standard_probe``: the probe check, the search
+# without a probe, ``synthesize``'s test of a dependent family and the CLI
+# without ``--phases``, so each takes the witness that ``check`` reports and
+# a new consumer of the default probe fails here until it is registered.
+STANDARD_PROBE_CALLERS = {
+    "feasibility.check_exact_with_probe", "optimizer.search_gamma",
     "synthesis.synthesize", "cli._probe_from_args",
 }
 
@@ -301,6 +310,13 @@ def test_one_default_probe_rule():
     found = {where for where, node in _module_nodes()
              if _called(node) == "phase_vector"}
     assert found == PROBE_BUILDERS
+
+
+def test_default_probe_consumers_are_registered():
+    """Each function that takes the default probe is registered."""
+    found = {where for where, node in _module_nodes()
+             if _called(node) == "standard_probe"}
+    assert found == STANDARD_PROBE_CALLERS
 
 
 def _package_errors(cls=qnot.QnotError):

@@ -25,6 +25,7 @@ from qnot import (
     QuditState,
     StateSet,
     TargetMap,
+    check_exact_with_probe,
     check_probabilistic,
     constraint_matrix,
     gram,
@@ -128,6 +129,32 @@ class TestSynthesize:
         machine, report = synthesize(ss)
         assert report.path == "exact"
         assert machine.probe_dim == 1
+        assert report.residual < 1e-10
+        assert_all_green(machine, ss)
+
+    def test_complex_great_circle_builds_the_probe_machine(self):
+        """{|0>, |1>, |+i>, |-i>} under NOT is dependent with a complex Gram,
+        and the probe check certifies it: the witness's machine is built."""
+        s = 1 / np.sqrt(2)
+        ss = StateSet((qubit(1, 0), qubit(0, 1), qubit(s, 1j * s),
+                       qubit(s, -1j * s)), TargetMap.NOT)
+        machine, report = synthesize(ss)
+        witness = check_exact_with_probe(ss).witness
+        assert report.path == "probe" and report.epsilon == 1.0
+        assert machine.probe_dim == 2
+        assert report.residual < 1e-10
+        np.testing.assert_array_equal(machine.gammas, np.ones(4))
+        np.testing.assert_array_equal(machine.branch_phases, witness.phases)
+        assert_all_green(machine, ss)
+
+    @pytest.mark.parametrize("target", list(TargetMap))
+    def test_phased_real_dependent_family_builds_the_probe_machine(self,
+                                                                   target):
+        rng = np.random.default_rng(74)
+        dim = 2 if target is TargetMap.NOT else 3
+        ss = phased_real_set(rng, dim + 2, dim, target)
+        machine, report = synthesize(ss)
+        assert report.path == "probe" and report.epsilon == 1.0
         assert report.residual < 1e-10
         assert_all_green(machine, ss)
 
